@@ -872,11 +872,10 @@ def run(config: ScenarioConfig, out_dir: str | Path, *, echo_text: str | None = 
     with open(trace_path, "w", newline="") as trace_fh:
         trace_fh.write(TRACE_HEADER + "\n")
 
-        def write_samples(t_ns: int) -> None:
+        def write_samples(t_ns: int, vids: list[int], xs: list[float], ys: list[float]) -> None:
             stamp = _fmt_seconds(t_ns)
-            for vid in sorted(world.vehicles):
+            for vid, x, y in zip(vids, xs, ys):
                 veh = world.vehicles[vid]
-                x, y = world.position(veh)
                 serving = ""
                 level = ""
                 if observer is not None:
@@ -888,17 +887,24 @@ def run(config: ScenarioConfig, out_dir: str | Path, *, echo_text: str | None = 
                     f"{stamp},{vid},{x:.3f},{y:.3f},{veh.v:.3f},{veh.acc:.3f},{serving},{level}\n"
                 )
 
-        def observe(t_s: float) -> None:
-            if observer is None:
+        def observe_and_sample(t_ns: int, sample: bool) -> None:
+            # positions are computed once per step and shared by both consumers
+            if observer is None and not sample:
                 return
-            for vid in sorted(world.vehicles):
-                veh = world.vehicles[vid]
-                x, y = world.position(veh)
-                event = observer.update(vid, x, y, t_s)
-                if event is not None:
+            vids = sorted(world.vehicles)
+            xs, ys = [], []
+            for vid in vids:
+                x, y = world.position(world.vehicles[vid])
+                xs.append(x)
+                ys.append(y)
+            if observer is not None:
+                for event in observer.observe_all(vids, xs, ys, t_ns / NS_PER_SECOND):
                     event_rows.append(
-                        (event.time, "handover", vid, event.from_cell, event.to_cell, event.x, event.y)
+                        (event.time, "handover", event.vehicle_id, event.from_cell, event.to_cell,
+                         event.x, event.y)
                     )
+            if sample:
+                write_samples(t_ns, vids, xs, ys)
 
         step_count = 0
 
@@ -906,16 +912,12 @@ def run(config: ScenarioConfig, out_dir: str | Path, *, echo_text: str | None = 
             nonlocal step_count
             step_count += 1
             world.step(config.dt_s)
-            t_ns = step_count * dt_ns
-            observe(t_ns / NS_PER_SECOND)
-            if step_count % steps_per_sample == 0:
-                write_samples(t_ns)
+            observe_and_sample(step_count * dt_ns, step_count % steps_per_sample == 0)
             if step_count < total_steps:
                 kernel.schedule("runner", "step", config.dt_s)
 
         kernel.bind("runner", on_step)
-        observe(0.0)
-        write_samples(0)
+        observe_and_sample(0, True)
         try:
             if total_steps > 0:
                 kernel.schedule("runner", "step", config.dt_s)

@@ -1,0 +1,87 @@
+"""Golden pins: SHA-256 digests of the deterministic artifacts of two scenarios.
+
+A refactor that is meant to keep behaviour must leave these bytes alone.  A
+change that moves a digest on purpose says so in CHANGES.md and gives the
+oracle that justifies the new bytes.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+from vehsim.scenario import load_config, run
+
+from conftest import grid_osm_xml
+
+_ARTIFACTS = ("trace.csv", "events.csv", "summary.json")
+
+# 4 x 4 one-lane grid, 30 vehicles, four shadowed stations (sigma = 4 dB)
+RADIO_CONFIG = """\
+map = grid.osm
+duration = 60
+seed = 5
+dt = 0.1
+sampling = 1
+interference.count = 30
+station.0.id = n
+station.0.x = 0
+station.0.y = 400
+station.1.id = s
+station.1.x = 0
+station.1.y = -400
+station.2.id = e
+station.2.x = 400
+station.2.y = 0
+station.3.id = w
+station.3.x = -450
+station.3.y = 0
+radio.shadowing_sigma = 4
+"""
+
+# 4 x 4 grid of four-lane two-way streets, 40 vehicles, no stations
+MULTILANE_CONFIG = """\
+map = grid.osm
+duration = 30
+seed = 9
+dt = 0.1
+sampling = 0.5
+interference.count = 40
+"""
+
+RADIO_DIGESTS = {
+    "trace.csv": "0b262907b5a6887b914b1e688e54ab9e0aeea1c9cd50192fb5e42be84c3f7d4d",
+    "events.csv": "1ab7cdc2bcac6bcdc89bddc52fa991e11d12c8072b5246be931bc9d1778560e8",
+    "summary.json": "6df0b5df543069ceab28511eafaa5628ef3deaa91e1925a167e90f1b7baaae92",
+}
+
+MULTILANE_DIGESTS = {
+    "trace.csv": "7818d84f0e400a68c918f023e5a51176d46d3b7e45af2d99f42a075ba8e6741b",
+    "events.csv": "0b52bd1d3b5a1553562e7730005ef8d485039b92bbac1a4f9574b14b3afa1fdd",
+    "summary.json": "b8d2671dceb3fc66b920ae7a72c1bccf3c0bac6078094f42b4cc12d9eb721a23",
+}
+
+
+def _run(tmp_path, osm_text: str, config_text: str):
+    (tmp_path / "grid.osm").write_text(osm_text)
+    artifacts = run(load_config(config_text, base_dir=tmp_path), tmp_path / "out")
+    digests = {
+        name: hashlib.sha256((artifacts.out_dir / name).read_bytes()).hexdigest()
+        for name in _ARTIFACTS
+    }
+    return artifacts.summary, digests
+
+
+def test_shadowed_radio_grid_bytes_are_pinned(tmp_path):
+    summary, digests = _run(tmp_path, grid_osm_xml(4, 300.0), RADIO_CONFIG)
+    assert summary["handover_count"] >= 1
+    assert digests == RADIO_DIGESTS
+
+
+def test_multilane_grid_without_stations_bytes_are_pinned(tmp_path):
+    osm_text = grid_osm_xml(4, 150.0).replace(
+        '<tag k="highway" v="residential"/>',
+        '<tag k="highway" v="residential"/>\n    <tag k="lanes" v="4"/>',
+    )
+    summary, digests = _run(tmp_path, osm_text, MULTILANE_CONFIG)
+    assert summary["lane_change_count"] >= 1
+    assert digests == MULTILANE_DIGESTS

@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vehsim.radio import (
     BaseStation,
@@ -211,3 +214,187 @@ def test_sigma_zero_is_pure_path_loss():
     m = obs.measure(1, 250.0, 0.0)
     assert m["a"] == rssi(stations[0], 250.0, 0.0)
     assert obs._shadow_rng == {}  # no streams were ever created
+
+
+# -- batched kernel against the scalar reference -----------------------------------
+
+
+class _ScalarReference:
+    """The per-vehicle, per-station loop the batched kernel replaces.
+
+    Levels come from scalar ``rssi`` calls plus one scalar ``normal`` draw per
+    station from the vehicle's substream; the attachment rules are the
+    observer's, written out with dicts.
+    """
+
+    def __init__(self, stations, *, hysteresis_db=3.0, time_to_trigger_s=1.0,
+                 path_loss_exponent=3.5, shadowing_sigma_db=0.0, seed=0):
+        self.stations = sorted(stations, key=lambda s: s.id)
+        self.hysteresis_db = hysteresis_db
+        self.time_to_trigger_s = time_to_trigger_s
+        self.path_loss_exponent = path_loss_exponent
+        self.sigma = shadowing_sigma_db
+        self.seed = seed
+        self.serving, self.candidate, self.levels, self.rngs = {}, {}, {}, {}
+
+    def update(self, vid, x, y, t):
+        levels = {s.id: rssi(s, x, y, path_loss_exponent=self.path_loss_exponent) for s in self.stations}
+        if self.sigma > 0.0:
+            if vid not in self.rngs:
+                self.rngs[vid] = substream(self.seed, "shadowing", vid)
+            for s in self.stations:
+                levels[s.id] += float(self.rngs[vid].normal(0.0, self.sigma))
+        self.levels[vid] = [levels[s.id] for s in self.stations]
+        best = min(levels, key=lambda cid: (-levels[cid], cid))
+        serving = self.serving.get(vid)
+        if serving is None:
+            self.serving[vid] = best
+            return None
+        if best == serving or levels[best] <= levels[serving] + self.hysteresis_db:
+            self.candidate.pop(vid, None)
+            return None
+        if self.candidate.get(vid, (None,))[0] != best:
+            self.candidate[vid] = (best, t)
+        if t - self.candidate[vid][1] >= self.time_to_trigger_s - 1e-12:
+            del self.candidate[vid]
+            self.serving[vid] = best
+            return (t, vid, serving, best, x, y)
+        return None
+
+
+def _as_tuple(event):
+    return (event.time, event.vehicle_id, event.from_cell, event.to_cell, event.x, event.y)
+
+
+def _assert_same_state(obs, ref, vids):
+    for vid in vids:
+        assert obs._last_levels[vid] == ref.levels[vid]  # bitwise, every station
+        assert obs.current(vid) == (ref.serving[vid], ref.levels[vid][obs._index[ref.serving[vid]]])
+
+
+_coord = st.floats(-3000.0, 3000.0, allow_nan=False)
+_station = st.tuples(_coord, _coord, st.floats(1.0, 60.0), st.floats(400.0, 6000.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    stations=st.lists(_station, min_size=1, max_size=6),
+    points=st.lists(st.tuples(_coord, _coord), max_size=8),
+    near=st.lists(st.tuples(st.integers(0, 5), st.floats(-0.99, 0.99), st.floats(-0.7, 0.7)), max_size=4),
+    exponent=st.floats(1.5, 5.0),
+    sigma=st.sampled_from([0.0, 4.0]),
+    seed=st.integers(0, 1000),
+)
+def test_observe_all_is_bitwise_scalar_rssi(stations, points, near, exponent, sigma, seed):
+    bs = [BaseStation(f"s{i}", x, y, tx, f) for i, (x, y, tx, f) in enumerate(stations)]
+    # points on a station and inside its 1 m floor, next to arbitrary ones
+    points = points + [(bs[i % len(bs)].x, bs[i % len(bs)].y) for i, _, _ in near]
+    points += [(bs[i % len(bs)].x + dx, bs[i % len(bs)].y + dy) for i, dx, dy in near]
+    kwargs = dict(hysteresis_db=0.5, time_to_trigger_s=0.0, path_loss_exponent=exponent,
+                  shadowing_sigma_db=sigma, seed=seed)
+    obs, ref = RadioObserver(bs, **kwargs), _ScalarReference(bs, **kwargs)
+    vids = list(range(len(points)))
+    for step in range(3):  # attach, then two re-evaluations on rotated positions
+        moved = points[step:] + points[:step]
+        xs, ys = [p[0] for p in moved], [p[1] for p in moved]
+        events = obs.observe_all(vids, xs, ys, 0.5 * step)
+        expected = [ref.update(v, x, y, 0.5 * step) for v, x, y in zip(vids, xs, ys)]
+        assert [_as_tuple(e) for e in events] == [e for e in expected if e is not None]
+        _assert_same_state(obs, ref, vids)
+
+
+def test_dense_random_batch_is_bitwise_scalar_rssi():
+    rng = np.random.default_rng(2024)
+    stations = [BaseStation(f"s{i}", *rng.uniform(-2000.0, 2000.0, 2).tolist()) for i in range(5)]
+    xs, ys = rng.uniform(-2000.0, 2000.0, (2, 2000)).tolist()
+    obs = RadioObserver(stations, shadowing_sigma_db=4.0, seed=3)
+    ref = _ScalarReference(stations, shadowing_sigma_db=4.0, seed=3)
+    vids = list(range(len(xs)))
+    obs.observe_all(vids, xs, ys, 0.0)
+    for vid, x, y in zip(vids, xs, ys):
+        ref.update(vid, x, y, 0.0)
+    _assert_same_state(obs, ref, vids)
+
+    # the batch reaches inputs where NumPy's hypot or log10 would move a level
+    pairs = [(s, x, y) for x, y in zip(xs, ys) for s in stations]
+    scalar = [rssi(s, x, y) for s, x, y in pairs]
+    np_hypot = np.maximum(np.hypot([x - s.x for s, x, _ in pairs], [y - s.y for s, _, y in pairs]), 1.0)
+
+    def level(station, log_d):
+        return station.tx_power_dbm - (reference_loss_db(station.carrier_mhz) + 35.0 * log_d)
+
+    assert [level(s, math.log10(d)) for (s, _, _), d in zip(pairs, np_hypot.tolist())] != scalar
+    assert [level(s, lg) for (s, _, _), lg in zip(pairs, np.log10(np_hypot).tolist())] != scalar
+
+
+def test_kernel_floors_distance_at_reference_on_and_near_a_station():
+    a, b = BaseStation("a", 10.0, 20.0), BaseStation("b", 900.0, 20.0)
+    points = [(10.0, 20.0), (10.3, 19.6), (11.0, 20.0)]  # on a, inside its floor, at 1 m
+    obs = RadioObserver([a, b])
+    obs.observe_all([0, 1, 2], [p[0] for p in points], [p[1] for p in points], 0.0)
+    floor = rssi(a, 11.0, 20.0)
+    for vid, (x, y) in enumerate(points):
+        assert obs._last_levels[vid] == [floor, rssi(b, x, y)]
+        assert obs.current(vid) == ("a", floor)
+
+
+def test_equidistant_stations_tie_to_smaller_id():
+    stations = [BaseStation("c", 0.0, 100.0), BaseStation("b", 100.0, 0.0), BaseStation("a", -100.0, 0.0)]
+    obs = RadioObserver(stations, hysteresis_db=0.0, time_to_trigger_s=0.0)
+    assert obs.observe_all([1, 2], [0.0, 90.0], [0.0, 0.0], 0.0) == []
+    assert obs.current(1)[0] == "a"
+    assert obs.current(2)[0] == "b"
+    # at the centre every cell is equal: a tie is no improvement, so b keeps serving
+    assert obs.observe_all([2], [0.0], [0.0], 0.1) == []
+    assert obs.current(2)[0] == "b"
+    event = obs.update(2, -1.0, 0.0, 0.2)  # a strictly ahead now
+    assert (event.from_cell, event.to_cell) == ("b", "a")
+
+
+def test_long_shadowed_run_mixing_update_and_observe_all_matches_scalar():
+    # 110-150 updates per vehicle cross at least two shadow-block refills; vehicle 2
+    # is sometimes updated on its own and vehicle 3 joins late
+    stations = [BaseStation("a", 0.0, 0.0), BaseStation("b", 600.0, 0.0),
+                BaseStation("c", 300.0, 400.0, tx_power_dbm=40.0)]
+    kwargs = dict(hysteresis_db=2.0, time_to_trigger_s=0.3, shadowing_sigma_db=4.0, seed=7)
+    obs, ref = RadioObserver(stations, **kwargs), _ScalarReference(stations, **kwargs)
+    seen, expected = [], []
+    for k in range(150):
+        t = 0.1 * k
+        rows = [(1, 4.0 * k, 10.0), (2, 600.0 - 4.0 * k, -30.0)] + ([(3, 300.0, 400.0 - 3.0 * k)] if k >= 40 else [])
+        solo = [r for r in rows if r[0] == 2 and k % 5 == 0]
+        batch = [r for r in rows if r not in solo]
+        seen += [_as_tuple(e) for e in obs.observe_all(*map(list, zip(*batch)), t)]
+        for vid, x, y in solo:
+            event = obs.update(vid, x, y, t)
+            seen += [_as_tuple(event)] if event else []
+        expected += [e for e in (ref.update(vid, x, y, t) for vid, x, y in batch + solo) if e]
+        _assert_same_state(obs, ref, [r[0] for r in rows])
+    assert len(expected) >= 3
+    assert seen == expected
+    assert all(len(stream.block) == 64 for stream in obs._shadow_rng.values())  # refilled
+
+
+def test_observe_all_empty_batch_and_ragged_input():
+    obs = RadioObserver([BaseStation("a", 0.0, 0.0)], shadowing_sigma_db=4.0)
+    assert obs.observe_all([], [], [], 1.0) == []
+    assert obs.attachments == {} and obs._shadow_rng == {}
+    with pytest.raises(ValueError):
+        obs.observe_all([1, 2], [0.0], [0.0, 1.0], 1.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"shadowing_sigma_db": -1.0},
+        {"hysteresis_db": -0.1},
+        {"time_to_trigger_s": -1.0},
+        {"path_loss_exponent": 0.0},
+        {"path_loss_exponent": -2.0},
+        {"hysteresis_db": math.inf},
+        {"shadowing_sigma_db": math.nan},
+    ],
+)
+def test_observer_rejects_parameters_load_config_rejects(kwargs):
+    with pytest.raises(ValueError):
+        RadioObserver([BaseStation("a", 0.0, 0.0)], **kwargs)

@@ -65,7 +65,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if args.duration is not None:
-        if args.duration <= 0 or to_ns(args.duration) % to_ns(config.dt_s) != 0:
+        try:
+            on_grid = args.duration > 0 and to_ns(args.duration) % to_ns(config.dt_s) == 0
+        except OverflowError:  # inf or beyond the nanosecond clock
+            on_grid = False
+        if not on_grid:
             raise ConfigError(
                 f"--duration must be a positive multiple of dt = {config.dt_s!r}",
                 key="duration",

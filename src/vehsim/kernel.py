@@ -258,12 +258,6 @@ class EventKernel:
 
     # -- host-embedded execution -------------------------------------------
 
-    def map_to_host(self, event: Event) -> int:
-        """Create a host token for a scheduled event (round-trips via retrieve_from_host)."""
-        if event._state is not _State.PENDING:
-            raise KernelError("only scheduled, unfired events can be mapped to the host")
-        return self._mapping.store(event)
-
     def retrieve_from_host(self, token: int) -> Event:
         """Resolve a host token back to its event, consuming the mapping entry."""
         return self._mapping.retrieve(token)

@@ -53,6 +53,9 @@ class BaseStation:
     carrier_mhz: float = DEFAULT_CARRIER_MHZ
 
     def __post_init__(self) -> None:
+        for name in ("x", "y", "tx_power_dbm", "carrier_mhz"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"station {self.id}: {name} must be finite")
         if self.tx_power_dbm <= 0:
             raise ValueError(f"station {self.id}: tx_power must be > 0 dBm")
         if self.carrier_mhz <= 0:

@@ -79,25 +79,6 @@ def shortest_path(
     return Route(tuple(path), dist[to_node])
 
 
-def next_segment(graph: RoadGraph, route: Route, current_node: int) -> SegmentRef | None:
-    """The directed segment leaving ``current_node`` along ``route``.
-
-    Returns None when ``current_node`` is the route's terminal node (route
-    complete); a node that is not on the route at all is an error.
-    """
-    try:
-        i = route.node_ids.index(current_node)
-    except ValueError:
-        raise ValueError(f"node {current_node} is not on the route") from None
-    if i == len(route.node_ids) - 1:
-        return None
-    successor = route.node_ids[i + 1]
-    ref = connecting_ref(graph, current_node, successor)
-    if ref is None:
-        raise ValueError(f"route edge {current_node} -> {successor} is missing from the graph")
-    return ref
-
-
 def connecting_ref(graph: RoadGraph, a: int, b: int) -> SegmentRef | None:
     """Cheapest directed traversal from a to b, deterministic among parallels."""
     best: SegmentRef | None = None

@@ -1,7 +1,10 @@
 """Scenario configuration and run orchestration.
 
 Configs are flat ``key = value`` text with ``#`` comments and dotted paths
-for nested settings (``vehicle.0.idm.T = 1.2``).  ``load_config`` validates
+for nested settings (``vehicle.0.idm.T = 1.2``).  Each accepted key is one
+row of a per-block key table (``_VEHICLE_KEYS`` and its siblings); parsing,
+bounds and the canonical echo are all read from those rows, and only the
+rules that span several keys are written out.  ``load_config`` validates
 text only; placements are resolved against the parsed map inside ``run``,
 which drives the world on the event kernel and writes four artifacts into
 the output directory:
@@ -22,7 +25,9 @@ import logging
 import math
 import re
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .kernel import NS_PER_SECOND, EventKernel, to_ns
 from .mobility import (
@@ -165,40 +170,9 @@ class RunArtifacts:
 
 # -- parsing -------------------------------------------------------------------
 
-_SCALAR_KEYS = ("map", "duration", "seed", "dt", "sampling")
-_VEHICLE_FIELDS = frozenset(
-    {
-        "strategicModel",
-        "strategicModel.trip",
-        "trip",
-        "way",
-        "segment",
-        "lane",
-        "offset",
-        "forward",
-        "speed",
-        "parked",
-        "length",
-        "speed_factor",
-        "idm.v0",
-        "idm.T",
-        "idm.a_max",
-        "idm.b_comf",
-        "idm.delta",
-        "idm.s0",
-        "mobil.p",
-        "mobil.delta_a_th",
-        "mobil.b_safe",
-    }
-)
-_STATION_FIELDS = frozenset({"id", "x", "y", "tx_power", "carrier"})
-_SIGNAL_FIELDS = frozenset({"green", "yellow", "red", "offset"})
-_RADIO_FIELDS = frozenset(
-    {"hysteresis", "ttt", "pingpong_window", "path_loss_exponent", "shadowing_sigma"}
-)
-_VEHICLE_RE = re.compile(r"^vehicle\.(\d+)\.(.+)$")
-_STATION_RE = re.compile(r"^station\.(\d+)\.(.+)$")
-_SIGNAL_RE = re.compile(r"^signal\.(\d+)\.(.+)$")
+
+def _to_str(value: str, key: str, line: int) -> str:
+    return value
 
 
 def _to_int(value: str, key: str, line: int) -> int:
@@ -234,22 +208,115 @@ def _to_id_list(value: str, key: str, line: int) -> tuple[int, ...]:
     return tuple(_to_int(p, key, line) for p in parts)
 
 
-def _positive(value: float, key: str, line: int) -> float:
-    if value <= 0:
-        raise ConfigError(f"must be > 0, got {value!r}", key=key, line=line)
+def _to_strategic(value: str, key: str, line: int) -> str:
+    if value not in ("Trip", "RandomDirection"):
+        raise ConfigError(
+            f"unknown strategic model {value!r} (expected Trip or RandomDirection)",
+            key=key,
+            line=line,
+        )
     return value
 
 
-def _non_negative(value: float, key: str, line: int) -> float:
-    if value < 0:
-        raise ConfigError(f"must be >= 0, got {value!r}", key=key, line=line)
+def _to_interference_model(value: str, key: str, line: int) -> str:
+    if value != "RandomDirection":
+        raise ConfigError(
+            f"unsupported interference model {value!r} (only RandomDirection)", key=key, line=line
+        )
     return value
+
+
+def _to_station_id(value: str, key: str, line: int) -> str:
+    # station ids are written unquoted into the trace and events CSV columns
+    if "," in value:
+        raise ConfigError(f"station id may not contain ',', got {value!r}", key=key, line=line)
+    return value
+
+
+class _Key(NamedTuple):
+    """One config key of a block: the attribute it sets, its parser and its lower bound."""
+
+    name: str
+    attr: str  # dotted (``idm.T``) for the nested driver-model parameters of a vehicle
+    parse: Callable[[str, str, int], object]
+    bound: str | None = None  # "> 0", ">= 0" or None
+
+
+# Row order is the order of the canonical echo and of validation within a block.
+_SCALAR_KEYS = (
+    _Key("map", "map_path", _to_str),
+    _Key("duration", "duration_s", _to_float, "> 0"),
+    _Key("seed", "seed", _to_int),
+    _Key("dt", "dt_s", _to_float, "> 0"),
+    _Key("sampling", "sampling_s", _to_float, "> 0"),
+)
+_VEHICLE_KEYS = (
+    _Key("strategicModel", "strategic", _to_strategic),
+    _Key("trip", "trip", _to_id_list),
+    _Key("way", "way", _to_int),
+    _Key("segment", "segment", _to_int, ">= 0"),
+    _Key("lane", "lane", _to_int, ">= 0"),
+    _Key("offset", "offset", _to_float, ">= 0"),
+    _Key("forward", "forward", _to_bool),
+    _Key("speed", "speed", _to_float, ">= 0"),
+    _Key("parked", "parked", _to_bool),
+    _Key("length", "length", _to_float, "> 0"),
+    _Key("speed_factor", "speed_factor", _to_float, "> 0"),
+    _Key("idm.v0", "idm.v0", _to_float, "> 0"),
+    _Key("idm.T", "idm.T", _to_float, "> 0"),
+    _Key("idm.a_max", "idm.a_max", _to_float, "> 0"),
+    _Key("idm.b_comf", "idm.b_comf", _to_float, "> 0"),
+    _Key("idm.delta", "idm.delta", _to_float, "> 0"),
+    _Key("idm.s0", "idm.s0", _to_float, "> 0"),
+    _Key("mobil.p", "mobil.p", _to_float, ">= 0"),
+    _Key("mobil.delta_a_th", "mobil.delta_a_th", _to_float, ">= 0"),
+    _Key("mobil.b_safe", "mobil.b_safe", _to_float, "> 0"),
+)
+_INTERFERENCE_KEYS = (
+    _Key("count", "count", _to_int, ">= 0"),
+    _Key("strategicModel", "strategic", _to_interference_model),
+)
+_STATION_KEYS = (
+    _Key("id", "id", _to_station_id),
+    _Key("x", "x", _to_float),
+    _Key("y", "y", _to_float),
+    _Key("tx_power", "tx_power_dbm", _to_float, "> 0"),
+    _Key("carrier", "carrier_mhz", _to_float, "> 0"),
+)
+_SIGNAL_KEYS = (
+    _Key("green", "green_s", _to_float, "> 0"),
+    _Key("yellow", "yellow_s", _to_float, "> 0"),
+    _Key("red", "red_s", _to_float, "> 0"),
+    _Key("offset", "offset_s", _to_float, ">= 0"),
+)
+_RADIO_KEYS = (
+    _Key("hysteresis", "hysteresis_db", _to_float, ">= 0"),
+    _Key("ttt", "time_to_trigger_s", _to_float, ">= 0"),
+    _Key("pingpong_window", "pingpong_window_s", _to_float, "> 0"),
+    _Key("path_loss_exponent", "path_loss_exponent", _to_float, "> 0"),
+    _Key("shadowing_sigma", "shadowing_sigma_db", _to_float, ">= 0"),
+)
+_TRIP_ALIAS = "strategicModel.trip"
+_NAMES = {
+    kind: frozenset(key.name for key in keys)
+    for kind, keys in (
+        ("scalar", _SCALAR_KEYS),
+        ("vehicle", _VEHICLE_KEYS),
+        ("interference", _INTERFERENCE_KEYS),
+        ("station", _STATION_KEYS),
+        ("signal", _SIGNAL_KEYS),
+        ("radio", _RADIO_KEYS),
+    )
+}
+_NAMES["vehicle"] |= {_TRIP_ALIAS}  # resolved to trip in _build_vehicle
+_INDEXED_RE = re.compile(r"^(vehicle|station|signal)\.(\d+)\.(.+)$")
 
 
 class _Block:
     """Raw key/value entries of one dotted-path block, with line numbers."""
 
-    def __init__(self) -> None:
+    def __init__(self, prefix: str = "") -> None:
+        self.prefix = prefix
         self.entries: dict[str, tuple[str, int]] = {}
         self.first_line: int | None = None
 
@@ -260,143 +327,74 @@ class _Block:
             self.first_line = line
         self.entries[field_name] = (value, line)
 
+    def line(self, field_name: str) -> int | None:
+        return self.entries[field_name][1] if field_name in self.entries else None
 
-def _build_vehicle(index: int, prefix: str, block: _Block) -> VehicleSpec:
-    entries = dict(block.entries)
-    if "strategicModel.trip" in entries:
+    def parse(self, keys: tuple[_Key, ...], *, by_line: bool = False) -> dict[str, object]:
+        """Attribute -> checked value for the entries that ``keys`` name.
+
+        Entries are checked in table order, or in file order with ``by_line``;
+        the first bad one raises.  Keys without an entry keep their defaults.
+        """
+        table = {key.name: key for key in keys}
+        values = {}
+        for name in self.entries if by_line else table:
+            if name not in table or name not in self.entries:
+                continue
+            text, line = self.entries[name]
+            key = table[name]
+            value = key.parse(text, self.prefix + name, line)
+            if (key.bound == "> 0" and value <= 0) or (key.bound == ">= 0" and value < 0):
+                raise ConfigError(
+                    f"must be {key.bound}, got {value!r}", key=self.prefix + name, line=line
+                )
+            values[key.attr] = value
+        return values
+
+
+def _build_vehicle(index: int, block: _Block) -> VehicleSpec:
+    entries = block.entries
+    prefix = block.prefix
+    if _TRIP_ALIAS in entries:
         if "trip" in entries:
             raise ConfigError(
                 "trip given twice (trip and strategicModel.trip)",
-                key=f"{prefix}strategicModel.trip",
-                line=entries["strategicModel.trip"][1],
+                key=prefix + _TRIP_ALIAS,
+                line=entries[_TRIP_ALIAS][1],
             )
-        entries["trip"] = entries.pop("strategicModel.trip")
+        entries["trip"] = entries.pop(_TRIP_ALIAS)
 
-    def take(field_name: str) -> tuple[str, int] | None:
-        return entries.pop(field_name, None)
-
-    def key_of(field_name: str) -> str:
-        return f"{prefix}{field_name}"
-
-    strategic = None
-    got = take("strategicModel")
-    if got is not None:
-        value, line = got
-        if value not in ("Trip", "RandomDirection"):
-            raise ConfigError(
-                f"unknown strategic model {value!r} (expected Trip or RandomDirection)",
-                key=key_of("strategicModel"),
-                line=line,
-            )
-        strategic = value
-
-    trip: tuple[int, ...] = ()
-    got = take("trip")
-    if got is not None:
-        value, line = got
-        if strategic != "Trip":
-            raise ConfigError(
-                "trip list is only valid with strategicModel = Trip",
-                key=key_of("trip"),
-                line=line,
-            )
-        trip = _to_id_list(value, key_of("trip"), line)
-    elif strategic == "Trip":
+    # the first three rows (strategicModel, trip, way) carry the cross-key
+    # rules, which are checked between them
+    values = block.parse(_VEHICLE_KEYS[:1])
+    strategic = values.get("strategic")
+    if "trip" in entries and strategic != "Trip":
+        raise ConfigError(
+            "trip list is only valid with strategicModel = Trip",
+            key=prefix + "trip",
+            line=entries["trip"][1],
+        )
+    if "trip" not in entries and strategic == "Trip":
         raise ConfigError(
             "strategicModel = Trip requires a trip destination list",
-            key=key_of("trip"),
+            key=prefix + "trip",
             line=block.first_line,
         )
+    values.update(block.parse(_VEHICLE_KEYS[1:2]))
+    if "way" not in entries:
+        raise ConfigError("required key missing", key=prefix + "way", line=block.first_line)
+    values.update(block.parse(_VEHICLE_KEYS[2:]))
 
-    got = take("way")
-    if got is None:
-        raise ConfigError("required key missing", key=key_of("way"), line=block.first_line)
-    way = _to_int(got[0], key_of("way"), got[1])
-
-    def int_field(field_name: str, default: int, minimum: int = 0) -> int:
-        got = take(field_name)
-        if got is None:
-            return default
-        result = _to_int(got[0], key_of(field_name), got[1])
-        if result < minimum:
-            raise ConfigError(
-                f"must be >= {minimum}, got {result}", key=key_of(field_name), line=got[1]
-            )
-        return result
-
-    def float_field(field_name: str, default: float, *, positive: bool = False) -> float:
-        got = take(field_name)
-        if got is None:
-            return default
-        result = _to_float(got[0], key_of(field_name), got[1])
-        if positive:
-            return _positive(result, key_of(field_name), got[1])
-        return _non_negative(result, key_of(field_name), got[1])
-
-    def bool_field(field_name: str, default: bool) -> bool:
-        got = take(field_name)
-        if got is None:
-            return default
-        return _to_bool(got[0], key_of(field_name), got[1])
-
-    segment = int_field("segment", 0)
-    lane = int_field("lane", 0)
-    offset = float_field("offset", 0.0)
-    forward = bool_field("forward", True)
-    speed = float_field("speed", 0.0)
-    parked = bool_field("parked", False)
-    length = float_field("length", VEHICLE_LENGTH, positive=True)
-    speed_factor: float | None = None
-    got = take("speed_factor")
-    if got is not None:
-        speed_factor = _positive(
-            _to_float(got[0], key_of("speed_factor"), got[1]), key_of("speed_factor"), got[1]
-        )
-
-    idm_kwargs = {}
-    for short in ("v0", "T", "a_max", "b_comf", "delta", "s0"):
-        got = take(f"idm.{short}")
-        if got is not None:
-            idm_kwargs[short] = _positive(
-                _to_float(got[0], key_of(f"idm.{short}"), got[1]),
-                key_of(f"idm.{short}"),
-                got[1],
-            )
-    mobil_kwargs = {}
-    got = take("mobil.p")
-    if got is not None:
-        mobil_kwargs["p"] = _non_negative(
-            _to_float(got[0], key_of("mobil.p"), got[1]), key_of("mobil.p"), got[1]
-        )
-    got = take("mobil.delta_a_th")
-    if got is not None:
-        mobil_kwargs["delta_a_th"] = _non_negative(
-            _to_float(got[0], key_of("mobil.delta_a_th"), got[1]),
-            key_of("mobil.delta_a_th"),
-            got[1],
-        )
-    got = take("mobil.b_safe")
-    if got is not None:
-        mobil_kwargs["b_safe"] = _positive(
-            _to_float(got[0], key_of("mobil.b_safe"), got[1]), key_of("mobil.b_safe"), got[1]
-        )
-
+    nested: dict[str, dict[str, object]] = {"idm": {}, "mobil": {}}
+    for attr in [a for a in values if "." in a]:
+        group, name = attr.split(".")
+        nested[group][name] = values.pop(attr)
     return VehicleSpec(
         index=index,
-        way=way,
         prefix=prefix,
-        strategic=strategic,
-        trip=trip,
-        segment=segment,
-        lane=lane,
-        offset=offset,
-        forward=forward,
-        speed=speed,
-        parked=parked,
-        length=length,
-        speed_factor=speed_factor,
-        idm=IdmParams(**idm_kwargs),
-        mobil=MobilParams(**mobil_kwargs),
+        idm=IdmParams(**nested["idm"]),
+        mobil=MobilParams(**nested["mobil"]),
+        **values,
     )
 
 
@@ -408,13 +406,10 @@ def load_config(text: str, *, base_dir: str | Path | None = None) -> ScenarioCon
     relative ``map`` path is resolved against ``base_dir`` when given.
     Placements are checked against the map later, in :func:`run`.
     """
-    scalars: dict[str, tuple[str, int]] = {}
-    vehicle_blocks: dict[int, _Block] = {}
+    scalars = _Block()
     shorthand = _Block()
-    station_blocks: dict[int, _Block] = {}
-    signal_blocks: dict[int, _Block] = {}
-    interference_block = _Block()
-    radio_block = _Block()
+    sections = {"interference": _Block("interference."), "radio": _Block("radio.")}
+    indexed: dict[str, dict[int, _Block]] = {"vehicle": {}, "station": {}, "signal": {}}
     key_lines: dict[str, int] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -434,73 +429,50 @@ def load_config(text: str, *, base_dir: str | Path | None = None) -> ScenarioCon
             raise ConfigError("duplicate key", key=key, line=lineno)
         key_lines[key] = lineno
 
-        if key in _SCALAR_KEYS:
-            scalars[key] = (value, lineno)
-            continue
-        if key in _VEHICLE_FIELDS:
-            shorthand.put(key, value, key, lineno)
-            continue
-        m = _VEHICLE_RE.match(key)
-        if m:
-            field_name = m.group(2)
-            if field_name not in _VEHICLE_FIELDS:
-                raise ConfigError("unknown key", key=key, line=lineno)
-            vehicle_blocks.setdefault(int(m.group(1)), _Block()).put(field_name, value, key, lineno)
-            continue
-        m = _STATION_RE.match(key)
-        if m:
-            field_name = m.group(2)
-            if field_name not in _STATION_FIELDS:
-                raise ConfigError("unknown key", key=key, line=lineno)
-            station_blocks.setdefault(int(m.group(1)), _Block()).put(field_name, value, key, lineno)
-            continue
-        m = _SIGNAL_RE.match(key)
-        if m:
-            field_name = m.group(2)
-            if field_name not in _SIGNAL_FIELDS:
-                raise ConfigError("unknown key", key=key, line=lineno)
-            signal_blocks.setdefault(int(m.group(1)), _Block()).put(field_name, value, key, lineno)
-            continue
-        if key in ("interference.count", "interference.strategicModel"):
-            interference_block.put(key.split(".", 1)[1], value, key, lineno)
-            continue
-        if key.startswith("radio.") and key.split(".", 1)[1] in _RADIO_FIELDS:
-            radio_block.put(key.split(".", 1)[1], value, key, lineno)
-            continue
-        raise ConfigError("unknown key", key=key, line=lineno)
+        section, _, name = key.partition(".")
+        if key in _NAMES["scalar"]:
+            block, name = scalars, key
+        elif key in _NAMES["vehicle"]:
+            block, name = shorthand, key
+        elif (m := _INDEXED_RE.match(key)) and m.group(3) in _NAMES[m.group(1)]:
+            kind, index, name = m.group(1), int(m.group(2)), m.group(3)
+            block = indexed[kind].setdefault(index, _Block(f"{kind}.{index}."))
+        elif section in sections and name in _NAMES[section]:
+            block = sections[section]
+        else:
+            raise ConfigError("unknown key", key=key, line=lineno)
+        block.put(name, value, key, lineno)
 
     # scalars
-    if "map" not in scalars:
-        raise ConfigError("required key missing", key="map")
-    map_path = scalars["map"][0]
-    if base_dir is not None and not Path(map_path).is_absolute():
-        map_path = str(Path(base_dir) / map_path)
-    if "duration" not in scalars:
-        raise ConfigError("required key missing", key="duration")
+    for required in ("map", "duration"):
+        if required not in scalars.entries:
+            raise ConfigError("required key missing", key=required)
+    values = scalars.parse(_SCALAR_KEYS)
+    if base_dir is not None and not Path(values["map_path"]).is_absolute():
+        values["map_path"] = str(Path(base_dir) / values["map_path"])
+    config = ScenarioConfig(**values, key_lines=key_lines)
 
-    def scalar_float(name: str, default: float, *, positive: bool) -> float:
-        if name not in scalars:
-            return default
-        value, line = scalars[name]
-        result = _to_float(value, name, line)
-        return _positive(result, name, line) if positive else result
-
-    duration = scalar_float("duration", 0.0, positive=True)
-    seed = _to_int(scalars["seed"][0], "seed", scalars["seed"][1]) if "seed" in scalars else 0
-    dt = scalar_float("dt", 0.1, positive=True)
-    sampling = scalar_float("sampling", 1.0, positive=True)
-    dt_ns = to_ns(dt)
-    if dt_ns <= 0:
-        raise ConfigError("dt is below time resolution", key="dt", line=scalars["dt"][1])
-    for name, seconds in (("duration", duration), ("sampling", sampling)):
-        if to_ns(seconds) % dt_ns != 0:
+    def clock_ns(name: str, seconds: float) -> int:
+        try:
+            return to_ns(seconds)
+        except OverflowError:
             raise ConfigError(
-                f"must be a positive multiple of dt = {dt!r}",
+                f"{seconds!r} s overflows the nanosecond clock", key=name, line=scalars.line(name)
+            ) from None
+
+    dt_ns = clock_ns("dt", config.dt_s)
+    if dt_ns <= 0:
+        raise ConfigError("dt is below time resolution", key="dt", line=scalars.line("dt"))
+    for name, seconds in (("duration", config.duration_s), ("sampling", config.sampling_s)):
+        if clock_ns(name, seconds) % dt_ns != 0:
+            raise ConfigError(
+                f"must be a positive multiple of dt = {config.dt_s!r}",
                 key=name,
-                line=scalars[name][1] if name in scalars else None,
+                line=scalars.line(name),
             )
 
     # vehicles
+    vehicle_blocks = indexed["vehicle"]
     if shorthand.entries and 0 in vehicle_blocks:
         raise ConfigError(
             "top-level vehicle keys cannot be mixed with vehicle.0.* keys",
@@ -517,187 +489,74 @@ def load_config(text: str, *, base_dir: str | Path | None = None) -> ScenarioCon
                 key=f"vehicle.{index}",
                 line=vehicle_blocks[index].first_line,
             )
-        prefix = "" if vehicle_blocks[index] is shorthand else f"vehicle.{index}."
-        vehicles.append(_build_vehicle(index, prefix, vehicle_blocks[index]))
+        vehicles.append(_build_vehicle(index, vehicle_blocks[index]))
 
-    # interference
-    interference = InterferenceSpec()
-    got = interference_block.entries.get("count")
-    if got is not None:
-        count = _to_int(got[0], "interference.count", got[1])
-        if count < 0:
-            raise ConfigError("must be >= 0", key="interference.count", line=got[1])
-        interference = replace(interference, count=count)
-    got = interference_block.entries.get("strategicModel")
-    if got is not None and got[0] != "RandomDirection":
-        raise ConfigError(
-            f"unsupported interference model {got[0]!r} (only RandomDirection)",
-            key="interference.strategicModel",
-            line=got[1],
-        )
+    interference = InterferenceSpec(**sections["interference"].parse(_INTERFERENCE_KEYS))
 
     # stations
     stations = []
-    seen_ids: dict[str, int] = {}
-    for index in sorted(station_blocks):
-        block = station_blocks[index]
-        entries = block.entries
+    seen_ids: set[str] = set()
+    for index, block in sorted(indexed["station"].items()):
         for required in ("x", "y"):
-            if required not in entries:
+            if required not in block.entries:
                 raise ConfigError(
-                    "required key missing", key=f"station.{index}.{required}", line=block.first_line
+                    "required key missing", key=block.prefix + required, line=block.first_line
                 )
-        sid = entries["id"][0] if "id" in entries else f"bs{index}"
+        sid = block.entries["id"][0] if "id" in block.entries else f"bs{index}"
         if sid in seen_ids:
             raise ConfigError(
                 f"duplicate station id {sid!r}",
-                key=f"station.{index}.id",
-                line=entries["id"][1] if "id" in entries else block.first_line,
+                key=block.prefix + "id",
+                line=block.line("id") or block.first_line,
             )
-        seen_ids[sid] = index
-        x = _to_float(entries["x"][0], f"station.{index}.x", entries["x"][1])
-        y = _to_float(entries["y"][0], f"station.{index}.y", entries["y"][1])
-        tx = 46.0
-        if "tx_power" in entries:
-            tx = _positive(
-                _to_float(entries["tx_power"][0], f"station.{index}.tx_power", entries["tx_power"][1]),
-                f"station.{index}.tx_power",
-                entries["tx_power"][1],
-            )
-        carrier = 1800.0
-        if "carrier" in entries:
-            carrier = _positive(
-                _to_float(entries["carrier"][0], f"station.{index}.carrier", entries["carrier"][1]),
-                f"station.{index}.carrier",
-                entries["carrier"][1],
-            )
-        stations.append(StationSpec(id=sid, x=x, y=y, tx_power_dbm=tx, carrier_mhz=carrier))
+        seen_ids.add(sid)
+        stations.append(StationSpec(**{"id": sid, **block.parse(_STATION_KEYS)}))
 
-    # signal overrides
-    signals = []
-    for node_id in sorted(signal_blocks):
-        block = signal_blocks[node_id]
-        values = {"green": 30.0, "yellow": 5.0, "red": 25.0, "offset": 0.0}
-        for field_name, (value, line) in block.entries.items():
-            key = f"signal.{node_id}.{field_name}"
-            result = _to_float(value, key, line)
-            if field_name == "offset":
-                values[field_name] = _non_negative(result, key, line)
-            else:
-                values[field_name] = _positive(result, key, line)
-        signals.append(
-            SignalSpec(
-                node_id=node_id,
-                green_s=values["green"],
-                yellow_s=values["yellow"],
-                red_s=values["red"],
-                offset_s=values["offset"],
-            )
-        )
-
-    # radio parameters
-    radio = RadioParams()
-    updates = {}
-    for field_name, (value, line) in radio_block.entries.items():
-        key = f"radio.{field_name}"
-        result = _to_float(value, key, line)
-        if field_name == "pingpong_window":
-            updates["pingpong_window_s"] = _positive(result, key, line)
-        elif field_name == "path_loss_exponent":
-            updates["path_loss_exponent"] = _positive(result, key, line)
-        elif field_name == "hysteresis":
-            updates["hysteresis_db"] = _non_negative(result, key, line)
-        elif field_name == "ttt":
-            updates["time_to_trigger_s"] = _non_negative(result, key, line)
-        elif field_name == "shadowing_sigma":
-            updates["shadowing_sigma_db"] = _non_negative(result, key, line)
-    radio = replace(radio, **updates)
-
-    return ScenarioConfig(
-        map_path=map_path,
-        duration_s=duration,
-        seed=seed,
-        dt_s=dt,
-        sampling_s=sampling,
+    signals = tuple(
+        SignalSpec(node_id=node_id, **block.parse(_SIGNAL_KEYS, by_line=True))
+        for node_id, block in sorted(indexed["signal"].items())
+    )
+    radio = RadioParams(**sections["radio"].parse(_RADIO_KEYS, by_line=True))
+    return replace(
+        config,
         vehicles=tuple(vehicles),
         interference=interference,
         stations=tuple(stations),
-        signals=tuple(signals),
+        signals=signals,
         radio=radio,
-        key_lines=key_lines,
     )
+
+
+def _fmt(value: object) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(str(n) for n in value)
+    return str(value)
+
+
+def _dump_block(prefix: str, keys: tuple[_Key, ...], obj: object) -> str:
+    """``prefix + name = value`` lines for ``obj``; unset optional values are left out."""
+    lines = []
+    for key in keys:
+        value = attrgetter(key.attr)(obj)
+        if value is not None and value != ():
+            lines.append(f"{prefix}{key.name} = {_fmt(value)}")
+    return "\n".join(lines)
 
 
 def dumps_config(config: ScenarioConfig) -> str:
     """Canonical text form; ``load_config(dumps_config(c))`` is equivalent to ``c``."""
-
-    def fmt(value) -> str:
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
-
-    lines = [
-        f"map = {config.map_path}",
-        f"duration = {fmt(config.duration_s)}",
-        f"seed = {config.seed}",
-        f"dt = {fmt(config.dt_s)}",
-        f"sampling = {fmt(config.sampling_s)}",
-    ]
-    for spec in config.vehicles:
-        prefix = f"vehicle.{spec.index}."
-        lines.append("")
-        if spec.strategic is not None:
-            lines.append(f"{prefix}strategicModel = {spec.strategic}")
-        if spec.trip:
-            lines.append(f"{prefix}trip = {','.join(str(n) for n in spec.trip)}")
-        lines.append(f"{prefix}way = {spec.way}")
-        lines.append(f"{prefix}segment = {spec.segment}")
-        lines.append(f"{prefix}lane = {spec.lane}")
-        lines.append(f"{prefix}offset = {fmt(spec.offset)}")
-        lines.append(f"{prefix}forward = {fmt(spec.forward)}")
-        lines.append(f"{prefix}speed = {fmt(spec.speed)}")
-        lines.append(f"{prefix}parked = {fmt(spec.parked)}")
-        lines.append(f"{prefix}length = {fmt(spec.length)}")
-        if spec.speed_factor is not None:
-            lines.append(f"{prefix}speed_factor = {fmt(spec.speed_factor)}")
-        idm = spec.idm
-        lines.append(f"{prefix}idm.v0 = {fmt(idm.v0)}")
-        lines.append(f"{prefix}idm.T = {fmt(idm.T)}")
-        lines.append(f"{prefix}idm.a_max = {fmt(idm.a_max)}")
-        lines.append(f"{prefix}idm.b_comf = {fmt(idm.b_comf)}")
-        lines.append(f"{prefix}idm.delta = {fmt(idm.delta)}")
-        lines.append(f"{prefix}idm.s0 = {fmt(idm.s0)}")
-        mobil = spec.mobil
-        lines.append(f"{prefix}mobil.p = {fmt(mobil.p)}")
-        lines.append(f"{prefix}mobil.delta_a_th = {fmt(mobil.delta_a_th)}")
-        lines.append(f"{prefix}mobil.b_safe = {fmt(mobil.b_safe)}")
+    blocks = [_dump_block("", _SCALAR_KEYS, config)]
+    blocks += [_dump_block(f"vehicle.{v.index}.", _VEHICLE_KEYS, v) for v in config.vehicles]
     if config.interference.count:
-        lines.append("")
-        lines.append(f"interference.count = {config.interference.count}")
-        lines.append(f"interference.strategicModel = {config.interference.strategic}")
-    for position, station in enumerate(config.stations):
-        lines.append("")
-        lines.append(f"station.{position}.id = {station.id}")
-        lines.append(f"station.{position}.x = {fmt(station.x)}")
-        lines.append(f"station.{position}.y = {fmt(station.y)}")
-        lines.append(f"station.{position}.tx_power = {fmt(station.tx_power_dbm)}")
-        lines.append(f"station.{position}.carrier = {fmt(station.carrier_mhz)}")
-    for signal in config.signals:
-        lines.append("")
-        lines.append(f"signal.{signal.node_id}.green = {fmt(signal.green_s)}")
-        lines.append(f"signal.{signal.node_id}.yellow = {fmt(signal.yellow_s)}")
-        lines.append(f"signal.{signal.node_id}.red = {fmt(signal.red_s)}")
-        lines.append(f"signal.{signal.node_id}.offset = {fmt(signal.offset_s)}")
-    lines.append("")
-    radio = config.radio
-    lines.append(f"radio.hysteresis = {fmt(radio.hysteresis_db)}")
-    lines.append(f"radio.ttt = {fmt(radio.time_to_trigger_s)}")
-    lines.append(f"radio.pingpong_window = {fmt(radio.pingpong_window_s)}")
-    lines.append(f"radio.path_loss_exponent = {fmt(radio.path_loss_exponent)}")
-    lines.append(f"radio.shadowing_sigma = {fmt(radio.shadowing_sigma_db)}")
-    return "\n".join(lines) + "\n"
+        blocks.append(_dump_block("interference.", _INTERFERENCE_KEYS, config.interference))
+    blocks += [
+        _dump_block(f"station.{i}.", _STATION_KEYS, s) for i, s in enumerate(config.stations)
+    ]
+    blocks += [_dump_block(f"signal.{s.node_id}.", _SIGNAL_KEYS, s) for s in config.signals]
+    blocks.append(_dump_block("radio.", _RADIO_KEYS, config.radio))
+    return "\n\n".join(blocks) + "\n"
 
 
 def read_trace(path: str | Path) -> list[TraceSample]:
@@ -760,7 +619,8 @@ def _spawn_configured(world: World, config: ScenarioConfig) -> None:
             raise ConfigError(str(exc), key=key, line=config.key_lines.get(key)) from exc
         except (NoRouteError, ValueError) as exc:
             key = f"{spec.prefix}trip"
-            raise ConfigError(str(exc), key=key, line=config.key_lines.get(key)) from exc
+            line = config.key_lines.get(key, config.key_lines.get(spec.prefix + _TRIP_ALIAS))
+            raise ConfigError(str(exc), key=key, line=line) from exc
 
 
 def _spawn_interference(world: World, config: ScenarioConfig) -> None:

@@ -58,6 +58,10 @@ def test_station_validation():
         BaseStation("a", 0.0, 0.0, tx_power_dbm=0.0)
     with pytest.raises(ValueError):
         BaseStation("a", 0.0, 0.0, carrier_mhz=-1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for kwargs in ({"x": bad}, {"y": bad}, {"tx_power_dbm": bad}, {"carrier_mhz": bad}):
+            with pytest.raises(ValueError, match="finite"):
+                BaseStation(**{"id": "a", "x": 0.0, "y": 0.0, **kwargs})
     with pytest.raises(ValueError):
         HandoverEvent(1.0, 0, "a", "a", 0.0, 0.0)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vehsim.osm import build_graph
-from vehsim.routing import NoRouteError, Route, connecting_ref, next_segment, shortest_path
+from vehsim.routing import NoRouteError, Route, connecting_ref, shortest_path
 
 from conftest import chain_graph
 
@@ -126,18 +126,6 @@ def test_shortest_path_matches_brute_force_enumeration():
             assert walked == pytest.approx(route.total_cost, abs=1e-9)
             checked += 1
     assert checked >= 5  # random graphs at p=0.25 are usually connected
-
-
-def test_next_segment_walks_the_route():
-    graph = chain_graph(100.0, 4)
-    route = shortest_path(graph, 1, 4)
-    first = next_segment(graph, route, 1)
-    assert (first.start_node, first.end_node) == (1, 2)
-    middle = next_segment(graph, route, 2)
-    assert (middle.start_node, middle.end_node) == (2, 3)
-    assert next_segment(graph, route, 4) is None
-    with pytest.raises(ValueError, match="not on the route"):
-        next_segment(graph, route, 99)
 
 
 def test_connecting_ref_breaks_parallel_way_ties_by_key():

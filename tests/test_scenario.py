@@ -5,6 +5,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vehsim.cli import main as cli_main
 from vehsim.mobility import StrandedError
@@ -172,6 +174,15 @@ def test_timing_grid_validation():
         load_config("map = net.osm\nduration = 0\n")
     cfg = load_config("map = net.osm\nduration = 9\ndt = 0.05\nsampling = 0.3\n")
     assert (cfg.dt_s, cfg.sampling_s) == (0.05, 0.3)
+    # beyond the nanosecond clock: a located ConfigError, not an OverflowError
+    for text, key in (
+        ("map = net.osm\nduration = 1e300\n", "duration"),
+        ("map = net.osm\nduration = 10\ndt = 1e300\n", "dt"),
+        ("map = net.osm\nduration = 10\nsampling = 1e300\n", "sampling"),
+    ):
+        with pytest.raises(ConfigError, match="overflows") as err:
+            load_config(text)
+        assert (err.value.key, err.value.line) == (key, text.count("\n"))
 
 
 def test_interference_validation():
@@ -196,6 +207,9 @@ def test_station_parsing():
     )
     with pytest.raises(ConfigError, match="station.0.y"):
         load_config(MINIMAL + "station.0.x = 1\n")
+    with pytest.raises(ConfigError, match="may not contain") as err:
+        load_config(MINIMAL + "station.0.x = 1\nstation.0.y = 1\nstation.0.id = a,b\n")
+    assert (err.value.key, err.value.line) == ("station.0.id", 5)
     with pytest.raises(ConfigError, match="duplicate station id"):
         load_config(
             MINIMAL
@@ -259,6 +273,215 @@ def test_dumps_load_round_trip():
     assert dumps_config(load_config(dumps_config(cfg))) == dumps_config(cfg)
 
 
+# every key, each block kind, the trip alias, a default station id and
+# out-of-order station and signal indices
+EVERY_KEY = """\
+map = maps/net.osm
+duration = 120
+seed = 42
+dt = 0.05
+sampling = 0.5
+vehicle.0.strategicModel = Trip
+vehicle.0.trip = 5, 6, 7
+vehicle.0.way = 9
+vehicle.0.segment = 2
+vehicle.0.lane = 1
+vehicle.0.offset = 12.5
+vehicle.0.forward = false
+vehicle.0.speed = 8
+vehicle.0.parked = no
+vehicle.0.length = 4.2
+vehicle.0.speed_factor = 1.05
+vehicle.0.idm.v0 = 25
+vehicle.0.idm.T = 1.2
+vehicle.0.idm.a_max = 1.1
+vehicle.0.idm.b_comf = 2
+vehicle.0.idm.delta = 3.5
+vehicle.0.idm.s0 = 2.5
+vehicle.0.mobil.p = 0.3
+vehicle.0.mobil.delta_a_th = 0.2
+vehicle.0.mobil.b_safe = 3
+vehicle.1.strategicModel = Trip
+vehicle.1.strategicModel.trip = 11
+vehicle.1.way = 10
+vehicle.2.strategicModel = RandomDirection
+vehicle.2.way = 10
+vehicle.2.parked = on
+interference.count = 4
+interference.strategicModel = RandomDirection
+station.3.id = mast
+station.3.x = -400
+station.3.y = 30.5
+station.3.tx_power = 20
+station.3.carrier = 2600
+station.8.x = 400
+station.8.y = 0
+signal.42.green = 40
+signal.42.yellow = 4
+signal.42.red = 20
+signal.42.offset = 7.5
+signal.7.red = 1e-3
+radio.hysteresis = 2
+radio.ttt = 0.5
+radio.pingpong_window = 20
+radio.path_loss_exponent = 3
+radio.shadowing_sigma = 4
+"""
+
+EVERY_KEY_ECHO = """\
+map = maps/net.osm
+duration = 120.0
+seed = 42
+dt = 0.05
+sampling = 0.5
+
+vehicle.0.strategicModel = Trip
+vehicle.0.trip = 5,6,7
+vehicle.0.way = 9
+vehicle.0.segment = 2
+vehicle.0.lane = 1
+vehicle.0.offset = 12.5
+vehicle.0.forward = false
+vehicle.0.speed = 8.0
+vehicle.0.parked = false
+vehicle.0.length = 4.2
+vehicle.0.speed_factor = 1.05
+vehicle.0.idm.v0 = 25.0
+vehicle.0.idm.T = 1.2
+vehicle.0.idm.a_max = 1.1
+vehicle.0.idm.b_comf = 2.0
+vehicle.0.idm.delta = 3.5
+vehicle.0.idm.s0 = 2.5
+vehicle.0.mobil.p = 0.3
+vehicle.0.mobil.delta_a_th = 0.2
+vehicle.0.mobil.b_safe = 3.0
+
+vehicle.1.strategicModel = Trip
+vehicle.1.trip = 11
+vehicle.1.way = 10
+vehicle.1.segment = 0
+vehicle.1.lane = 0
+vehicle.1.offset = 0.0
+vehicle.1.forward = true
+vehicle.1.speed = 0.0
+vehicle.1.parked = false
+vehicle.1.length = 5.0
+vehicle.1.idm.v0 = 13.89
+vehicle.1.idm.T = 1.5
+vehicle.1.idm.a_max = 1.4
+vehicle.1.idm.b_comf = 2.0
+vehicle.1.idm.delta = 4.0
+vehicle.1.idm.s0 = 2.0
+vehicle.1.mobil.p = 0.5
+vehicle.1.mobil.delta_a_th = 0.2
+vehicle.1.mobil.b_safe = 4.0
+
+vehicle.2.strategicModel = RandomDirection
+vehicle.2.way = 10
+vehicle.2.segment = 0
+vehicle.2.lane = 0
+vehicle.2.offset = 0.0
+vehicle.2.forward = true
+vehicle.2.speed = 0.0
+vehicle.2.parked = true
+vehicle.2.length = 5.0
+vehicle.2.idm.v0 = 13.89
+vehicle.2.idm.T = 1.5
+vehicle.2.idm.a_max = 1.4
+vehicle.2.idm.b_comf = 2.0
+vehicle.2.idm.delta = 4.0
+vehicle.2.idm.s0 = 2.0
+vehicle.2.mobil.p = 0.5
+vehicle.2.mobil.delta_a_th = 0.2
+vehicle.2.mobil.b_safe = 4.0
+
+interference.count = 4
+interference.strategicModel = RandomDirection
+
+station.0.id = mast
+station.0.x = -400.0
+station.0.y = 30.5
+station.0.tx_power = 20.0
+station.0.carrier = 2600.0
+
+station.1.id = bs8
+station.1.x = 400.0
+station.1.y = 0.0
+station.1.tx_power = 46.0
+station.1.carrier = 1800.0
+
+signal.7.green = 30.0
+signal.7.yellow = 5.0
+signal.7.red = 0.001
+signal.7.offset = 0.0
+
+signal.42.green = 40.0
+signal.42.yellow = 4.0
+signal.42.red = 20.0
+signal.42.offset = 7.5
+
+radio.hysteresis = 2.0
+radio.ttt = 0.5
+radio.pingpong_window = 20.0
+radio.path_loss_exponent = 3.0
+radio.shadowing_sigma = 4.0
+"""
+
+
+def test_canonical_echo_is_pinned():
+    cfg = load_config(EVERY_KEY)
+    assert dumps_config(cfg) == EVERY_KEY_ECHO
+    assert load_config(EVERY_KEY_ECHO) == cfg
+
+
+_ECHO_KEYS = [line.split(" = ")[0] for line in EVERY_KEY_ECHO.splitlines() if line]
+_KEYS = sorted(
+    set(_ECHO_KEYS)
+    | {key.removeprefix("vehicle.0.") for key in _ECHO_KEYS}
+    | {"vehicle.1.strategicModel.trip", "strategicModel.trip", "vehicle.00.way", "station.01.id"}
+    | {"bogus", "vehicle.0.warp", "radio.bogus", "station.a.x", "vehicle..way", "interference",
+       "vehicle.0", "idm.bogus", "Map", "vehicle.-1.way", "signal.x.green", "mobil"}
+)
+_VALUES = [
+    "0", "-0", "1", "-1", "2.5", "7", "10", "42", "1e-12", "1e300", "-1e300", "nan", "inf",
+    "true", "off", "maybe", "Trip", "RandomDirection", "Teleport", "1,2", "1,,2", ",", "a,b",
+    "a b", "0x10", "1_0", "+3", "٣", "net.osm",
+]
+
+
+@st.composite
+def _config_texts(draw):
+    lines = []
+    if draw(st.booleans()):
+        lines += ["map = net.osm", f"duration = {draw(st.sampled_from(['10', '0.5', '1e300']))}"]
+    entry = st.tuples(
+        st.sampled_from(_KEYS),
+        st.one_of(
+            st.sampled_from(_VALUES),
+            st.floats(allow_nan=True, allow_infinity=True).map(repr),
+            st.integers(-3, 60).map(str),
+            st.text(alphabet="ab,.-+e019 _#=", max_size=6),
+        ),
+    )
+    for key, value in draw(st.lists(entry, max_size=12)):
+        lines.append(f"{key} = {value}")
+    lines += draw(st.lists(st.text(alphabet="ab.=# 1\t", max_size=8), max_size=2))
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_config_texts())
+def test_any_config_text_is_located_error_or_round_trips(text):
+    try:
+        cfg = load_config(text)
+    except ConfigError as exc:
+        assert exc.key is not None or exc.line is not None
+        return
+    echo = dumps_config(cfg)
+    assert load_config(echo) == cfg
+    assert dumps_config(load_config(echo)) == echo
+
+
 def test_read_trace_rejects_foreign_files(tmp_path):
     bad = tmp_path / "other.csv"
     bad.write_text("time,id\n1,2\n")
@@ -315,10 +538,11 @@ def test_placement_failure_names_key_and_line(corridor_map, tmp_path):
     assert "offset (line 4)" in str(err.value)
 
 
-def test_unroutable_trip_reported_on_trip_key(corridor_map, tmp_path):
+@pytest.mark.parametrize("trip_key", ["trip", "strategicModel.trip"])
+def test_unroutable_trip_reported_on_trip_key(corridor_map, tmp_path, trip_key):
     text = (
         f"map = {corridor_map}\nduration = 10\nway = 1\n"
-        "strategicModel = Trip\ntrip = 1\n"  # against the one-way direction
+        f"strategicModel = Trip\n{trip_key} = 1\n"  # against the one-way direction
     )
     cfg = load_config(text)
     with pytest.raises(ConfigError) as err:
@@ -474,6 +698,10 @@ def test_cli_duration_override_validated(corridor_map, tmp_path, capsys):
     )
     assert cli_main(["run", str(config), "--out", str(tmp_path / "bad"), "--duration", "1.23"]) == 1
     assert "multiple of dt" in capsys.readouterr().err
+    for beyond in ("1e300", "inf", "nan"):
+        out = str(tmp_path / "bad")
+        assert cli_main(["run", str(config), "--out", out, "--duration", beyond]) == 1
+        assert "duration" in capsys.readouterr().err
     assert cli_main(["run", str(config), "--out", str(tmp_path / "ok"), "--duration", "2"]) == 0
     capsys.readouterr()
     assert json.loads((tmp_path / "ok" / "summary.json").read_text())["duration_s"] == 2.0

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -190,7 +189,7 @@ class Vehicle:
 
 @dataclass(frozen=True)
 class Neighbor:
-    """Another road user relative to the ego vehicle.
+    """Another road user, or a blocking signal or stop line, relative to the ego vehicle.
 
     ``raw_dist`` is the signed center-to-center distance along the corridor
     (positive ahead, negative behind); signals and stop lines have zero length
@@ -219,17 +218,6 @@ class NeighborContext:
     right: LaneNeighbors | None = None
 
 
-@dataclass(frozen=True)
-class EgoView:
-    """Minimal ego state needed by :func:`mobil_decide`."""
-
-    v: float
-    length: float
-    v0_eff: float
-    idm: IdmParams
-    mobil: MobilParams
-
-
 def _net_gap(ego_length: float, neighbor: Neighbor) -> float:
     return abs(neighbor.raw_dist) - (ego_length + neighbor.length) / 2.0
 
@@ -240,23 +228,24 @@ def _acc_toward(v: float, v0_eff: float, idm: IdmParams, gap: float, leader_v: f
     return idm_acceleration(v, v0_eff, v - leader_v, max(gap, _GAP_FLOOR), idm)
 
 
-def _change_gain(ego: EgoView | Vehicle, current: LaneNeighbors, target: LaneNeighbors) -> tuple[bool, float, float | None]:
+def _acc_behind(ego: Vehicle, leader: Neighbor | None) -> float:
+    """IDM acceleration of ``ego`` behind ``leader``, or on a free road when None."""
+    if leader is None:
+        return _acc_toward(ego.v, ego.v0_eff, ego.idm, math.inf, 0.0)
+    return _acc_toward(ego.v, ego.v0_eff, ego.idm, _net_gap(ego.length, leader), leader.v)
+
+
+def _change_gain(
+    ego: Vehicle, current: LaneNeighbors, target: LaneNeighbors
+) -> tuple[bool, float, float | None]:
     """(passes, incentive surplus, new-follower post-change acceleration)."""
     mp = ego.mobil
     cur_leader = current.leader
-    a_c = _acc_toward(
-        ego.v, ego.v0_eff, ego.idm,
-        _net_gap(ego.length, cur_leader) if cur_leader else math.inf,
-        cur_leader.v if cur_leader else 0.0,
-    )
+    a_c = _acc_behind(ego, cur_leader)
     tgt_leader = target.leader
     if tgt_leader is not None and _net_gap(ego.length, tgt_leader) <= 0:
         return False, 0.0, None
-    a_c_new = _acc_toward(
-        ego.v, ego.v0_eff, ego.idm,
-        _net_gap(ego.length, tgt_leader) if tgt_leader else math.inf,
-        tgt_leader.v if tgt_leader else 0.0,
-    )
+    a_c_new = _acc_behind(ego, tgt_leader)
 
     follower_terms = 0.0
     a_n_new: float | None = None
@@ -290,7 +279,7 @@ def _change_gain(ego: EgoView | Vehicle, current: LaneNeighbors, target: LaneNei
     return surplus > 0.0, surplus, a_n_new
 
 
-def mobil_decide(ego: EgoView | Vehicle, neighbors: NeighborContext) -> int:
+def mobil_decide(ego: Vehicle, neighbors: NeighborContext) -> int:
     """MOBIL lane decision: +1 change left, -1 change right, 0 stay.
 
     A candidate lane passes only if the incentive (own gain minus the
@@ -310,15 +299,6 @@ def mobil_decide(ego: EgoView | Vehicle, neighbors: NeighborContext) -> int:
 
 
 # -- world records ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Obstruction:
-    raw_dist: float  # center of ego to center of obstruction (or to stop line)
-    v: float
-    length: float
-    vehicle_id: int | None
-    kind: str  # "vehicle" | "signal" | "stop"
 
 
 @dataclass(frozen=True)
@@ -353,6 +333,10 @@ class World:
     computed from the start-of-step snapshot in ascending id order, then
     positions are integrated and route topology (segment crossings, arrivals,
     rerouting) is resolved.  Update order therefore cannot change the physics.
+
+    Between steps, vehicle state changes only through ``step`` and ``spawn``,
+    so the lane registry built after one step's moves is kept as the next
+    step's start-of-step snapshot; ``spawn`` discards it.
     """
 
     def __init__(
@@ -375,6 +359,7 @@ class World:
         self.signal_violations: list[SignalViolation] = []
         self._next_id = 0
         self._order: list[Vehicle] = []  # ascending id, maintained at spawn
+        self._registry: dict | None = None  # lane registry of the current state
 
     # -- population ---------------------------------------------------------
 
@@ -451,6 +436,7 @@ class World:
         vehicle.route_pos = 0
         self.vehicles[vid] = vehicle
         self._order.append(vehicle)
+        self._registry = None
         return vehicle
 
     def lane_is_clear(self, ref: SegmentRef, lane: int, s: float, margin: float) -> bool:
@@ -461,21 +447,6 @@ class World:
         return True
 
     # -- perception -----------------------------------------------------------
-
-    def _route_refs_ahead(self, vehicle: Vehicle) -> Iterator[SegmentRef]:
-        """Directed segments the vehicle will traverse after the current one."""
-        route = vehicle.route
-        if route is None:
-            return
-        i = vehicle.route_pos
-        while i + 1 < len(route.node_ids):
-            ref = routing.connecting_ref(self.graph, route.node_ids[i], route.node_ids[i + 1])
-            if ref is None:
-                raise SimulationError(
-                    f"route edge {route.node_ids[i]} -> {route.node_ids[i + 1]} missing"
-                )
-            yield ref
-            i += 1
 
     def _is_final_leg(self, vehicle: Vehicle) -> bool:
         sm = vehicle.strategic
@@ -499,34 +470,35 @@ class World:
             return entries[i]
         return None
 
-    def _nearest_obstruction(self, snap: dict, vehicle: Vehicle, lane: int) -> _Obstruction | None:
+    def _vehicle_ahead(self, vid: int, raw_dist: float) -> Neighbor:
+        other = self.vehicles[vid]
+        return Neighbor(raw_dist, other.v, other.length, vehicle_id=vid)
+
+    def _nearest_obstruction(self, snap: dict, vehicle: Vehicle, lane: int) -> Neighbor | None:
         """Closest blocking thing ahead of the vehicle in ``lane`` within the horizon."""
         ref = vehicle.ref
         hit = self._scan_after(snap.get((*ref.key, lane)), vehicle.s)
         if hit is not None and hit[0] - vehicle.s <= self.horizon:
-            other = self.vehicles[hit[1]]
-            return _Obstruction(hit[0] - vehicle.s, other.v, other.length, other.id, "vehicle")
+            return self._vehicle_ahead(hit[1], hit[0] - vehicle.s)
 
-        final_leg = self._is_final_leg(vehicle)
-        final_node = vehicle.route.node_ids[-1] if vehicle.route else None
+        route = vehicle.route
+        final_node = route.node_ids[-1] if self._is_final_leg(vehicle) else None
         cum = ref.length - vehicle.s  # ego center to the end node of the current segment
-        route_iter = self._route_refs_ahead(vehicle)
+        ahead = iter(route.refs[vehicle.route_pos:])
         end_node = ref.end_node
         while cum <= self.horizon:
             if self._signal_blocks(end_node):
-                return _Obstruction(cum, 0.0, 0.0, None, "signal")
-            if final_leg and end_node == final_node:
-                return _Obstruction(cum, 0.0, 0.0, None, "stop")
-            nxt = next(route_iter, None)
+                return Neighbor(cum, 0.0, 0.0, kind="signal")
+            if end_node == final_node:
+                return Neighbor(cum, 0.0, 0.0, kind="stop")
+            nxt = next(ahead, None)
             if nxt is None:
                 return None  # route ends here; beyond is undecided
-            eff_lane = min(lane, nxt.lanes - 1)
-            hit = self._scan_after(snap.get((*nxt.key, eff_lane)), -1.0)
+            hit = self._scan_after(snap.get((*nxt.key, min(lane, nxt.lanes - 1))), -1.0)
             if hit is not None:
                 if cum + hit[0] > self.horizon:
                     return None
-                other = self.vehicles[hit[1]]
-                return _Obstruction(cum + hit[0], other.v, other.length, other.id, "vehicle")
+                return self._vehicle_ahead(hit[1], cum + hit[0])
             cum += nxt.length
             end_node = nxt.end_node
         return None
@@ -545,25 +517,17 @@ class World:
             i -= 1
         return None
 
-    def _leader_neighbor(self, snap: dict, vehicle: Vehicle, lane: int) -> Neighbor | None:
-        obs = self._nearest_obstruction(snap, vehicle, lane)
-        if obs is None:
-            return None
-        return Neighbor(obs.raw_dist, obs.v, obs.length, vehicle_id=obs.vehicle_id, kind=obs.kind)
-
-    def perceive_leader(self, vehicle: Vehicle, snapshot: dict | None = None) -> tuple[float, float] | None:
+    def perceive_leader(self, vehicle: Vehicle) -> tuple[float, float] | None:
         """(net gap, approach rate) to the nearest obstruction ahead, or None when free.
 
         The scan follows the vehicle's route across segment boundaries up to
         the perception horizon.  Yellow/red signals at upcoming nodes count as
         standing leaders at the stop line; green signals are invisible.
         """
-        snap = snapshot if snapshot is not None else self._build_registry()
-        obs = self._nearest_obstruction(snap, vehicle, vehicle.lane)
-        if obs is None:
+        leader = self._nearest_obstruction(self._lane_registry(), vehicle, vehicle.lane)
+        if leader is None:
             return None
-        gap = obs.raw_dist - (vehicle.length + obs.length) / 2.0
-        return gap, vehicle.v - obs.v
+        return _net_gap(vehicle.length, leader), vehicle.v - leader.v
 
     def position(self, vehicle: Vehicle) -> tuple[float, float]:
         """World coordinates of the vehicle center (lane offsets are ignored)."""
@@ -601,39 +565,33 @@ class World:
 
     # -- stepping ---------------------------------------------------------------
 
-    def _build_registry(self) -> dict:
-        snap: dict[tuple, list[tuple[float, int]]] = {}
-        for veh in self._order:
-            snap.setdefault((*veh.ref.key, veh.lane), []).append((veh.s, veh.id))
-        for entries in snap.values():
-            entries.sort()
-        return snap
+    def _lane_registry(self) -> dict:
+        """(way, segment, forward, lane) -> sorted [(s, id)]; kept until the state changes."""
+        if self._registry is None:
+            snap: dict[tuple, list[tuple[float, int]]] = {}
+            for veh in self._order:
+                snap.setdefault((*veh.ref.key, veh.lane), []).append((veh.s, veh.id))
+            for entries in snap.values():
+                entries.sort()
+            self._registry = snap
+        return self._registry
 
     def _decide(self, snap: dict, vehicle: Vehicle) -> None:
         """Longitudinal acceleration plus an optional immediate lane change."""
-        obs = self._nearest_obstruction(snap, vehicle, vehicle.lane)
-        if obs is None:
-            vehicle.acc = idm_acceleration(vehicle.v, vehicle.v0_eff, 0.0, math.inf, vehicle.idm)
-        else:
-            gap = obs.raw_dist - (vehicle.length + obs.length) / 2.0
-            vehicle.acc = idm_acceleration(
-                vehicle.v, vehicle.v0_eff, vehicle.v - obs.v, max(gap, _GAP_FLOOR), vehicle.idm
-            )
+        leader = self._nearest_obstruction(snap, vehicle, vehicle.lane)
+        vehicle.acc = _acc_behind(vehicle, leader)
 
         ref = vehicle.ref
         if ref.lanes <= 1 or self.time - vehicle.last_lane_change < self.cooldown:
             return
-        current = LaneNeighbors(
-            leader=self._leader_neighbor(snap, vehicle, vehicle.lane),
-            follower=self._follower_neighbor(snap, vehicle, vehicle.lane),
-        )
+        current = LaneNeighbors(leader, self._follower_neighbor(snap, vehicle, vehicle.lane))
         sides: dict[int, LaneNeighbors | None] = {+1: None, -1: None}
         for direction in (+1, -1):
             lane2 = vehicle.lane + direction
             if 0 <= lane2 < ref.lanes:
                 sides[direction] = LaneNeighbors(
-                    leader=self._leader_neighbor(snap, vehicle, lane2),
-                    follower=self._follower_neighbor(snap, vehicle, lane2),
+                    self._nearest_obstruction(snap, vehicle, lane2),
+                    self._follower_neighbor(snap, vehicle, lane2),
                 )
         decision = mobil_decide(vehicle, NeighborContext(current, sides[+1], sides[-1]))
         if decision == 0:
@@ -697,12 +655,8 @@ class World:
                     # crossed the terminal node at speed: park at the node
                     self._finish(vehicle, position=vehicle.ref.length)
                     return
-            nxt_node = vehicle.route.node_ids[vehicle.route_pos + 1]
-            ref2 = routing.connecting_ref(self.graph, node, nxt_node)
-            if ref2 is None:
-                raise SimulationError(f"route edge {node} -> {nxt_node} missing from the graph")
-            vehicle.ref = ref2
-            vehicle.lane = min(vehicle.lane, ref2.lanes - 1)
+            vehicle.ref = vehicle.route.refs[vehicle.route_pos]
+            vehicle.lane = min(vehicle.lane, vehicle.ref.lanes - 1)
             vehicle.s = leftover
             vehicle.route_pos += 1
 
@@ -722,8 +676,7 @@ class World:
                     self._finish(vehicle)
 
     def _scan_collisions(self) -> None:
-        snap = self._build_registry()
-        for entries in snap.values():
+        for entries in self._lane_registry().values():
             for (s_rear, rear_id), (s_front, front_id) in zip(entries, entries[1:]):
                 rear = self.vehicles[rear_id]
                 front = self.vehicles[front_id]
@@ -735,7 +688,8 @@ class World:
         """Advance every vehicle by ``dt`` seconds."""
         if dt <= 0:
             raise ValueError(f"dt must be > 0, got {dt!r}")
-        snap = self._build_registry()
+        snap = self._lane_registry()
+        self._registry = None  # decisions change lanes; moves change positions
         for vehicle in self._order:
             if vehicle.parked:
                 vehicle.acc = 0.0

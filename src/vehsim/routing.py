@@ -23,8 +23,12 @@ class NoRouteError(Exception):
 
 @dataclass(frozen=True)
 class Route:
+    """A directed path; ``refs[i]`` is the segment that drives ``node_ids[i]`` to
+    ``node_ids[i + 1]``, resolved once by :func:`connecting_ref` (n nodes, n - 1 refs)."""
+
     node_ids: tuple[int, ...]
     total_cost: float
+    refs: tuple[SegmentRef, ...] = ()
 
 
 def shortest_path(
@@ -76,7 +80,8 @@ def shortest_path(
     while path[-1] != from_node:
         path.append(pred[path[-1]])
     path.reverse()
-    return Route(tuple(path), dist[to_node])
+    refs = tuple(connecting_ref(graph, a, b) for a, b in zip(path, path[1:]))
+    return Route(tuple(path), dist[to_node], refs)
 
 
 def connecting_ref(graph: RoadGraph, a: int, b: int) -> SegmentRef | None:

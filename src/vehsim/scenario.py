@@ -591,6 +591,21 @@ def _fmt_seconds(t_ns: int) -> str:
     return text or "0"
 
 
+def _typed_line(config: ScenarioConfig, *keys: str) -> int | None:
+    """First line that sets one of ``keys`` (normalised spelling) as typed in the text.
+
+    Indices compare as numbers, so ``vehicle.00.offset`` matches
+    ``vehicle.0.offset``; a key ending in ``.`` matches every key of its block.
+    """
+    lines = []
+    for typed, line in config.key_lines.items():
+        if m := _INDEXED_RE.match(typed):
+            typed = f"{m.group(1)}.{int(m.group(2))}.{m.group(3)}"
+        if any(typed == key or (key.endswith(".") and typed.startswith(key)) for key in keys):
+            lines.append(line)
+    return min(lines, default=None)
+
+
 def _spawn_configured(world: World, config: ScenarioConfig) -> None:
     for spec in config.vehicles:
         if spec.strategic == "Trip":
@@ -616,10 +631,10 @@ def _spawn_configured(world: World, config: ScenarioConfig) -> None:
             )
         except PlacementError as exc:
             key = f"{spec.prefix}{exc.key}"
-            raise ConfigError(str(exc), key=key, line=config.key_lines.get(key)) from exc
+            raise ConfigError(str(exc), key=key, line=_typed_line(config, key)) from exc
         except (NoRouteError, ValueError) as exc:
             key = f"{spec.prefix}trip"
-            line = config.key_lines.get(key, config.key_lines.get(spec.prefix + _TRIP_ALIAS))
+            line = _typed_line(config, key, spec.prefix + _TRIP_ALIAS)
             raise ConfigError(str(exc), key=key, line=line) from exc
 
 
@@ -693,10 +708,7 @@ def run(config: ScenarioConfig, out_dir: str | Path, *, echo_text: str | None = 
             raise ConfigError(
                 f"unknown node {spec.node_id}",
                 key=f"signal.{spec.node_id}",
-                line=min(
-                    (line for k, line in config.key_lines.items() if k.startswith(f"signal.{spec.node_id}.")),
-                    default=None,
-                ),
+                line=_typed_line(config, f"signal.{spec.node_id}."),
             )
         world.signals[spec.node_id] = TrafficSignal(
             spec.node_id, spec.green_s, spec.yellow_s, spec.red_s, spec.offset_s

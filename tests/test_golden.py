@@ -1,4 +1,4 @@
-"""Golden pins: SHA-256 digests of the deterministic artifacts of two scenarios.
+"""Golden pins: SHA-256 digests of the deterministic artifacts of three scenarios.
 
 A refactor that is meant to keep behaviour must leave these bytes alone.  A
 change that moves a digest on purpose says so in CHANGES.md and gives the
@@ -48,6 +48,43 @@ sampling = 0.5
 interference.count = 40
 """
 
+# 5 x 5 one-lane grid with two signals; four Trip vehicles with three or four
+# far destinations each (so routes span many hops and are re-planned at every
+# intermediate destination) among 16 RandomDirection vehicles
+TRIPS_CONFIG = """\
+map = grid.osm
+duration = 300
+seed = 13
+dt = 0.1
+sampling = 2
+interference.count = 16
+signal.1202.green = 20
+signal.1202.yellow = 3
+signal.1202.red = 20
+signal.1301.green = 12
+signal.1301.red = 15
+signal.1301.offset = 9
+vehicle.0.way = 100
+vehicle.0.offset = 20
+vehicle.0.strategicModel = Trip
+vehicle.0.trip = 1202, 1404, 1004
+vehicle.1.way = 204
+vehicle.1.offset = 30
+vehicle.1.strategicModel = Trip
+vehicle.1.trip = 1400, 1002, 1204
+vehicle.2.way = 102
+vehicle.2.segment = 3
+vehicle.2.forward = false
+vehicle.2.offset = 50
+vehicle.2.strategicModel = Trip
+vehicle.2.trip = 1000, 1404, 1200
+vehicle.3.way = 201
+vehicle.3.segment = 1
+vehicle.3.offset = 10
+vehicle.3.strategicModel = Trip
+vehicle.3.trip = 1403, 1000, 1302, 1004
+"""
+
 RADIO_DIGESTS = {
     "trace.csv": "0b262907b5a6887b914b1e688e54ab9e0aeea1c9cd50192fb5e42be84c3f7d4d",
     "events.csv": "1ab7cdc2bcac6bcdc89bddc52fa991e11d12c8072b5246be931bc9d1778560e8",
@@ -58,6 +95,12 @@ MULTILANE_DIGESTS = {
     "trace.csv": "7818d84f0e400a68c918f023e5a51176d46d3b7e45af2d99f42a075ba8e6741b",
     "events.csv": "0b52bd1d3b5a1553562e7730005ef8d485039b92bbac1a4f9574b14b3afa1fdd",
     "summary.json": "b8d2671dceb3fc66b920ae7a72c1bccf3c0bac6078094f42b4cc12d9eb721a23",
+}
+
+TRIPS_DIGESTS = {
+    "trace.csv": "b2c56bca85d264f7911509c602e20cab2a8b2f0f64c891d768d9bfd5391661e2",
+    "events.csv": "0b52bd1d3b5a1553562e7730005ef8d485039b92bbac1a4f9574b14b3afa1fdd",
+    "summary.json": "48316ff7baa90b6cf7ef5f243c795fc7553d07d06d47df1e5fdd0428867b4435",
 }
 
 
@@ -85,3 +128,9 @@ def test_multilane_grid_without_stations_bytes_are_pinned(tmp_path):
     summary, digests = _run(tmp_path, osm_text, MULTILANE_CONFIG)
     assert summary["lane_change_count"] >= 1
     assert digests == MULTILANE_DIGESTS
+
+
+def test_trips_through_signals_bytes_are_pinned(tmp_path):
+    summary, digests = _run(tmp_path, grid_osm_xml(5, 200.0), TRIPS_CONFIG)
+    assert summary["completed_trips"] >= 1
+    assert digests == TRIPS_DIGESTS

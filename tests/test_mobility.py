@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from vehsim.mobility import (
-    EgoView,
     IdmParams,
     LaneNeighbors,
     MobilParams,
@@ -16,6 +15,7 @@ from vehsim.mobility import (
     RandomDirection,
     StrandedError,
     Trip,
+    Vehicle,
     World,
     ballistic_update,
     equilibrium_gap,
@@ -223,9 +223,9 @@ def test_trip_final_stop_appears_as_standing_obstruction():
 
 
 def _ego(v=15.0, p=0.5, th=0.2, b_safe=4.0):
-    return EgoView(
-        v=v, length=5.0, v0_eff=20.0, idm=IdmParams(v0=20.0),
-        mobil=MobilParams(p=p, delta_a_th=th, b_safe=b_safe),
+    return Vehicle(
+        id=0, ref=corridor_graph().ref(1, 0, True), lane=0, s=0.0, v=v, length=5.0,
+        idm=IdmParams(v0=20.0), mobil=MobilParams(p=p, delta_a_th=th, b_safe=b_safe),
     )
 
 
@@ -287,6 +287,21 @@ def test_step_follower_brakes_behind_slow_leader():
     world.step(0.1)
     assert ego.acc < -0.5
     assert ego.v < 13.0
+
+
+def test_vehicle_spawned_between_steps_is_seen_by_the_next_step():
+    # the lane registry kept from the first step must not hide the newcomer
+    world = World(corridor_graph(1000.0))
+    ego = world.spawn(way=1, offset=100.0, speed=13.0, speed_factor=1.0,
+                      strategic=RandomDirection())
+    world.step(0.1)
+    assert ego.acc > 0.0
+    assert world.perceive_leader(ego) is None
+    world.spawn(way=1, offset=ego.s + 20.0, parked=True)
+    world.step(0.1)
+    assert ego.acc < -0.5
+    gap, closing = world.perceive_leader(ego)
+    assert gap < 15.0 and closing > 0.0
 
 
 def test_step_requires_positive_dt():

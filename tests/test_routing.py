@@ -118,11 +118,11 @@ def test_shortest_path_matches_brute_force_enumeration():
         else:
             route = shortest_path(graph, src, dst)
             assert route.total_cost == pytest.approx(expected, abs=1e-9)
-            # the reported node sequence must itself cost what it claims
-            walked = sum(
-                connecting_ref(graph, a, b).length
-                for a, b in zip(route.node_ids, route.node_ids[1:])
-            )
+            # each hop carries the segment connecting_ref picks, and the hops
+            # cost what the route claims
+            hops = zip(route.node_ids, route.node_ids[1:])
+            assert route.refs == tuple(connecting_ref(graph, a, b) for a, b in hops)
+            walked = sum(ref.length for ref in route.refs)
             assert walked == pytest.approx(route.total_cost, abs=1e-9)
             checked += 1
     assert checked >= 5  # random graphs at p=0.25 are usually connected
@@ -135,6 +135,7 @@ def test_connecting_ref_breaks_parallel_way_ties_by_key():
     ref = connecting_ref(graph, 1, 2)
     assert ref.key == (15, 0, True)  # equal lengths: smaller way id wins
     assert connecting_ref(graph, 2, 1) is None
+    assert shortest_path(graph, 1, 2).refs[0].key == (15, 0, True)
 
 
 def test_custom_cost_function_reroutes():

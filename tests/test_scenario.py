@@ -531,30 +531,43 @@ def test_fractional_sample_stamps(corridor_map, tmp_path):
     assert stamps == ["0", "0.5", "1", "1.5", "2"]
 
 
-def test_placement_failure_names_key_and_line(corridor_map, tmp_path):
-    cfg = load_config(f"map = {corridor_map}\nduration = 10\nway = 1\noffset = 5000\n")
+# run-time errors name the key in its normalised spelling and the line it was typed on
+@pytest.mark.parametrize("prefix", ["", "vehicle.0.", "vehicle.00."], ids=lambda p: p + "offset")
+def test_placement_failure_names_key_and_line(corridor_map, tmp_path, prefix):
+    text = f"map = {corridor_map}\nduration = 10\n{prefix}way = 1\n{prefix}offset = 5000\n"
     with pytest.raises(ConfigError) as err:
-        run(cfg, tmp_path / "out")
-    assert "offset (line 4)" in str(err.value)
+        run(load_config(text), tmp_path / "out")
+    key = prefix.replace("00", "0") + "offset"
+    assert (err.value.key, err.value.line) == (key, 4)
+    assert f"{key} (line 4)" in str(err.value)
 
 
-@pytest.mark.parametrize("trip_key", ["trip", "strategicModel.trip"])
-def test_unroutable_trip_reported_on_trip_key(corridor_map, tmp_path, trip_key):
+@pytest.mark.parametrize(
+    "prefix, trip_key",
+    [("", "trip"), ("", "strategicModel.trip"),
+     ("vehicle.00.", "trip"), ("vehicle.00.", "strategicModel.trip")],
+    ids=["trip", "strategicModel.trip", "vehicle.00.trip", "vehicle.00.strategicModel.trip"],
+)
+def test_unroutable_trip_reported_on_trip_key(corridor_map, tmp_path, prefix, trip_key):
     text = (
-        f"map = {corridor_map}\nduration = 10\nway = 1\n"
-        f"strategicModel = Trip\n{trip_key} = 1\n"  # against the one-way direction
+        f"map = {corridor_map}\nduration = 10\n{prefix}way = 1\n"
+        f"{prefix}strategicModel = Trip\n{prefix}{trip_key} = 1\n"  # against the one-way direction
     )
     cfg = load_config(text)
     with pytest.raises(ConfigError) as err:
         run(cfg, tmp_path / "out")
-    assert "trip (line 5)" in str(err.value)
+    key = prefix.replace("00", "0") + "trip"
+    assert (err.value.key, err.value.line) == (key, 5)
+    assert f"{key} (line 5)" in str(err.value)
     assert "no route" in str(err.value)
 
 
-def test_unknown_signal_node_rejected(grid_map, tmp_path):
-    cfg = load_config(f"map = {grid_map}\nduration = 1\nsignal.99999.green = 10\n")
-    with pytest.raises(ConfigError, match="signal.99999"):
-        run(cfg, tmp_path / "out")
+@pytest.mark.parametrize("index", ["99999", "099999"], ids=lambda i: f"signal.{i}")
+def test_unknown_signal_node_rejected(grid_map, tmp_path, index):
+    text = f"map = {grid_map}\nduration = 1\nsignal.{index}.red = 10\nsignal.{index}.green = 10\n"
+    with pytest.raises(ConfigError, match="signal.99999") as err:
+        run(load_config(text), tmp_path / "out")
+    assert (err.value.key, err.value.line) == ("signal.99999", 3)
 
 
 def test_aborted_run_leaves_partial_artifacts(corridor_map, tmp_path):

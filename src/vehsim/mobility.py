@@ -187,7 +187,7 @@ class Vehicle:
 # -- neighbor views used by the MOBIL decision --------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Neighbor:
     """Another road user, or a blocking signal or stop line, relative to the ego vehicle.
 
@@ -205,13 +205,13 @@ class Neighbor:
     kind: str = "vehicle"  # "vehicle" | "signal" | "stop"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LaneNeighbors:
     leader: Neighbor | None
     follower: Neighbor | None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NeighborContext:
     current: LaneNeighbors
     left: LaneNeighbors | None = None  # None: no lane on that side
@@ -236,12 +236,14 @@ def _acc_behind(ego: Vehicle, leader: Neighbor | None) -> float:
 
 
 def _change_gain(
-    ego: Vehicle, current: LaneNeighbors, target: LaneNeighbors
+    ego: Vehicle, a_c: float, current: LaneNeighbors, target: LaneNeighbors
 ) -> tuple[bool, float, float | None]:
-    """(passes, incentive surplus, new-follower post-change acceleration)."""
+    """(passes, incentive surplus, new-follower post-change acceleration).
+
+    ``a_c`` is the ego's acceleration behind ``current.leader``.
+    """
     mp = ego.mobil
     cur_leader = current.leader
-    a_c = _acc_behind(ego, cur_leader)
     tgt_leader = target.leader
     if tgt_leader is not None and _net_gap(ego.length, tgt_leader) <= 0:
         return False, 0.0, None
@@ -289,10 +291,11 @@ def mobil_decide(ego: Vehicle, neighbors: NeighborContext) -> int:
     """
     best = 0
     best_surplus = -math.inf
+    a_c = _acc_behind(ego, neighbors.current.leader)
     for direction, lanes in ((+1, neighbors.left), (-1, neighbors.right)):
         if lanes is None:
             continue
-        ok, surplus, _ = _change_gain(ego, neighbors.current, lanes)
+        ok, surplus, _ = _change_gain(ego, a_c, neighbors.current, lanes)
         if ok and (surplus > best_surplus or (surplus == best_surplus and direction == -1)):
             best, best_surplus = direction, surplus
     return best
@@ -336,7 +339,10 @@ class World:
 
     Between steps, vehicle state changes only through ``step`` and ``spawn``,
     so the lane registry built after one step's moves is kept as the next
-    step's start-of-step snapshot; ``spawn`` discards it.
+    step's start-of-step snapshot; ``spawn`` discards it.  The set of nodes
+    whose signal blocks (yellow or red) is built once per ``step`` and once
+    per ``perceive_leader`` call, so a signal added or retimed between steps
+    takes effect at the next step.
     """
 
     def __init__(
@@ -360,6 +366,9 @@ class World:
         self._next_id = 0
         self._order: list[Vehicle] = []  # ascending id, maintained at spawn
         self._registry: dict | None = None  # lane registry of the current state
+        self._lane_lists: list[list[tuple[float, int]]] = []  # its lanes, first-seen order
+        # (x0, dx, y0, dy) from start node to end node, per occupied directed segment
+        self._geometry: dict[tuple[int, int, bool], tuple[float, float, float, float]] = {}
 
     # -- population ---------------------------------------------------------
 
@@ -456,9 +465,10 @@ class World:
             return sm.cursor >= len(sm.destinations) - 1
         return True  # no strategic model: stop at the end of the route
 
-    def _signal_blocks(self, node_id: int) -> bool:
-        sig = self.signals.get(node_id)
-        return sig is not None and signal_phase(sig, self.time) != "green"
+    def _blocking_signals(self) -> set[int]:
+        """Nodes whose signal is yellow or red at the current time."""
+        t = self.time
+        return {node for node, sig in self.signals.items() if signal_phase(sig, t) != "green"}
 
     @staticmethod
     def _scan_after(entries: list[tuple[float, int]] | None, lo: float) -> tuple[float, int] | None:
@@ -474,38 +484,50 @@ class World:
         other = self.vehicles[vid]
         return Neighbor(raw_dist, other.v, other.length, vehicle_id=vid)
 
-    def _nearest_obstruction(self, snap: dict, vehicle: Vehicle, lane: int) -> Neighbor | None:
-        """Closest blocking thing ahead of the vehicle in ``lane`` within the horizon."""
+    def _nearest_obstruction(
+        self, snap: dict, blocked: set[int], vehicle: Vehicle, lane: int
+    ) -> Neighbor | None:
+        """Closest blocking thing ahead of the vehicle in ``lane`` within the horizon.
+
+        ``blocked`` holds the nodes whose signal is not green (see
+        :meth:`_blocking_signals`).
+        """
         ref = vehicle.ref
-        hit = self._scan_after(snap.get((*ref.key, lane)), vehicle.s)
-        if hit is not None and hit[0] - vehicle.s <= self.horizon:
-            return self._vehicle_ahead(hit[1], hit[0] - vehicle.s)
+        s = vehicle.s
+        horizon = self.horizon
+        hit = self._scan_after(snap[ref.key].get(lane), s)
+        if hit is not None and hit[0] - s <= horizon:
+            return self._vehicle_ahead(hit[1], hit[0] - s)
 
         route = vehicle.route
         final_node = route.node_ids[-1] if self._is_final_leg(vehicle) else None
-        cum = ref.length - vehicle.s  # ego center to the end node of the current segment
-        ahead = iter(route.refs[vehicle.route_pos:])
+        cum = ref.length - s  # ego center to the end node of the current segment
+        refs = route.refs
+        i = vehicle.route_pos
         end_node = ref.end_node
-        while cum <= self.horizon:
-            if self._signal_blocks(end_node):
+        while cum <= horizon:
+            if end_node in blocked:
                 return Neighbor(cum, 0.0, 0.0, kind="signal")
             if end_node == final_node:
                 return Neighbor(cum, 0.0, 0.0, kind="stop")
-            nxt = next(ahead, None)
-            if nxt is None:
+            if i == len(refs):
                 return None  # route ends here; beyond is undecided
-            hit = self._scan_after(snap.get((*nxt.key, min(lane, nxt.lanes - 1))), -1.0)
-            if hit is not None:
-                if cum + hit[0] > self.horizon:
-                    return None
-                return self._vehicle_ahead(hit[1], cum + hit[0])
+            nxt = refs[i]
+            i += 1
+            lanes = snap.get(nxt.key)
+            if lanes is not None:
+                hit = self._scan_after(lanes.get(min(lane, nxt.lanes - 1)), -1.0)
+                if hit is not None:
+                    if cum + hit[0] > horizon:
+                        return None
+                    return self._vehicle_ahead(hit[1], cum + hit[0])
             cum += nxt.length
             end_node = nxt.end_node
         return None
 
     def _follower_neighbor(self, snap: dict, vehicle: Vehicle, lane: int) -> Neighbor | None:
         """Nearest vehicle behind on the current segment in ``lane`` (segment-local)."""
-        entries = snap.get((*vehicle.ref.key, lane))
+        entries = snap[vehicle.ref.key].get(lane)
         if not entries:
             return None
         i = bisect_right(entries, (vehicle.s, -math.inf)) - 1
@@ -524,7 +546,8 @@ class World:
         the perception horizon.  Yellow/red signals at upcoming nodes count as
         standing leaders at the stop line; green signals are invisible.
         """
-        leader = self._nearest_obstruction(self._lane_registry(), vehicle, vehicle.lane)
+        snap = self._lane_registry()
+        leader = self._nearest_obstruction(snap, self._blocking_signals(), vehicle, vehicle.lane)
         if leader is None:
             return None
         return _net_gap(vehicle.length, leader), vehicle.v - leader.v
@@ -532,10 +555,14 @@ class World:
     def position(self, vehicle: Vehicle) -> tuple[float, float]:
         """World coordinates of the vehicle center (lane offsets are ignored)."""
         ref = vehicle.ref
-        a = self.graph.node(ref.start_node)
-        b = self.graph.node(ref.end_node)
+        geometry = self._geometry.get(ref.key)
+        if geometry is None:  # the graph is immutable, so a cached entry never goes stale
+            a = self.graph.node(ref.start_node)
+            b = self.graph.node(ref.end_node)
+            geometry = self._geometry[ref.key] = (a.x, b.x - a.x, a.y, b.y - a.y)
+        x0, dx, y0, dy = geometry
         frac = min(max(vehicle.s / ref.length, 0.0), 1.0)
-        return a.x + frac * (b.x - a.x), a.y + frac * (b.y - a.y)
+        return x0 + frac * dx, y0 + frac * dy
 
     # -- strategic layer ------------------------------------------------------
 
@@ -566,19 +593,32 @@ class World:
     # -- stepping ---------------------------------------------------------------
 
     def _lane_registry(self) -> dict:
-        """(way, segment, forward, lane) -> sorted [(s, id)]; kept until the state changes."""
+        """ref key -> {lane: sorted [(s, id)]}; kept until the state changes.
+
+        ``_lane_lists`` holds the same lane lists in the order their first
+        vehicle (by id) was met, which fixes the collision scan's record order.
+        """
         if self._registry is None:
-            snap: dict[tuple, list[tuple[float, int]]] = {}
+            snap: dict[tuple[int, int, bool], dict[int, list[tuple[float, int]]]] = {}
+            lane_lists = []
             for veh in self._order:
-                snap.setdefault((*veh.ref.key, veh.lane), []).append((veh.s, veh.id))
-            for entries in snap.values():
+                by_lane = snap.get(veh.ref.key)
+                if by_lane is None:
+                    by_lane = snap[veh.ref.key] = {}
+                entries = by_lane.get(veh.lane)
+                if entries is None:
+                    entries = by_lane[veh.lane] = []
+                    lane_lists.append(entries)
+                entries.append((veh.s, veh.id))
+            for entries in lane_lists:
                 entries.sort()
             self._registry = snap
+            self._lane_lists = lane_lists
         return self._registry
 
-    def _decide(self, snap: dict, vehicle: Vehicle) -> None:
+    def _decide(self, snap: dict, blocked: set[int], vehicle: Vehicle) -> None:
         """Longitudinal acceleration plus an optional immediate lane change."""
-        leader = self._nearest_obstruction(snap, vehicle, vehicle.lane)
+        leader = self._nearest_obstruction(snap, blocked, vehicle, vehicle.lane)
         vehicle.acc = _acc_behind(vehicle, leader)
 
         ref = vehicle.ref
@@ -590,7 +630,7 @@ class World:
             lane2 = vehicle.lane + direction
             if 0 <= lane2 < ref.lanes:
                 sides[direction] = LaneNeighbors(
-                    self._nearest_obstruction(snap, vehicle, lane2),
+                    self._nearest_obstruction(snap, blocked, vehicle, lane2),
                     self._follower_neighbor(snap, vehicle, lane2),
                 )
         decision = mobil_decide(vehicle, NeighborContext(current, sides[+1], sides[-1]))
@@ -676,7 +716,8 @@ class World:
                     self._finish(vehicle)
 
     def _scan_collisions(self) -> None:
-        for entries in self._lane_registry().values():
+        self._lane_registry()
+        for entries in self._lane_lists:
             for (s_rear, rear_id), (s_front, front_id) in zip(entries, entries[1:]):
                 rear = self.vehicles[rear_id]
                 front = self.vehicles[front_id]
@@ -690,6 +731,7 @@ class World:
             raise ValueError(f"dt must be > 0, got {dt!r}")
         snap = self._lane_registry()
         self._registry = None  # decisions change lanes; moves change positions
+        blocked = self._blocking_signals()
         for vehicle in self._order:
             if vehicle.parked:
                 vehicle.acc = 0.0
@@ -697,7 +739,7 @@ class World:
             if vehicle.done:
                 vehicle.acc = -vehicle.idm.b_comf if vehicle.v > 0 else 0.0
                 continue
-            self._decide(snap, vehicle)
+            self._decide(snap, blocked, vehicle)
         for vehicle in self._order:
             if vehicle.parked:
                 continue

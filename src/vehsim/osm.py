@@ -82,7 +82,7 @@ class Way:
     one_way: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     """One directed-drawable piece of a way between consecutive node refs."""
 
@@ -94,34 +94,32 @@ class Segment:
     heading: float  # rad, atan2(dy, dx) of the drawing direction
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SegmentRef:
     """A directed traversal of a segment.
 
     ``forward`` follows the way's drawing order; the lane count and speed
-    limit are those that apply to this direction of travel.
+    limit are those that apply to this direction of travel.  ``start_node``,
+    ``end_node``, ``length`` and ``key`` follow from ``segment`` and
+    ``forward``; they are stored rather than derived because the step loop
+    reads them at every look-ahead hop.  They take no part in equality,
+    hashing or ``repr``.
+
+    Refs are shared by the graph, routes and vehicles and must be treated as
+    read-only.  The class is not frozen only because a frozen ``__init__``
+    sets every field through ``object.__setattr__``, which doubled the cost
+    of building the refs of a large map; the hash is the one a frozen class
+    would have.
     """
 
     segment: Segment
     forward: bool
     lanes: int
     max_speed: float
-
-    @property
-    def start_node(self) -> int:
-        return self.segment.from_node if self.forward else self.segment.to_node
-
-    @property
-    def end_node(self) -> int:
-        return self.segment.to_node if self.forward else self.segment.from_node
-
-    @property
-    def length(self) -> float:
-        return self.segment.length
-
-    @property
-    def key(self) -> tuple[int, int, bool]:
-        return (self.segment.way_id, self.segment.index, self.forward)
+    start_node: int = field(compare=False, repr=False)
+    end_node: int = field(compare=False, repr=False)
+    length: float = field(compare=False, repr=False)
+    key: tuple[int, int, bool] = field(compare=False, repr=False)  # (way, index, forward)
 
 
 @dataclass(frozen=True)
@@ -208,12 +206,16 @@ def _finish_graph(
             seg = Segment(way.id, i, a.id, b.id, length, math.atan2(b.y - a.y, b.x - a.x))
             segments[(way.id, i)] = seg
             if way.lanes_forward >= 1:
-                fwd = SegmentRef(seg, True, way.lanes_forward, way.max_speed)
-                refs[(way.id, i, True)] = fwd
+                key = (way.id, i, True)
+                fwd = SegmentRef(seg, True, way.lanes_forward, way.max_speed,
+                                 a.id, b.id, length, key)
+                refs[key] = fwd
                 out.setdefault(a.id, []).append(fwd)
             if way.lanes_backward >= 1:
-                back = SegmentRef(seg, False, way.lanes_backward, way.max_speed)
-                refs[(way.id, i, False)] = back
+                key = (way.id, i, False)
+                back = SegmentRef(seg, False, way.lanes_backward, way.max_speed,
+                                  b.id, a.id, length, key)
+                refs[key] = back
                 out.setdefault(b.id, []).append(back)
     adjacency = {
         node_id: tuple(sorted(lst, key=lambda r: (r.segment.way_id, r.segment.index, not r.forward)))
@@ -307,8 +309,18 @@ def parse_osm(document: str) -> RoadGraph:
     if not ways:
         raise MapError("document contains no drivable ways")
 
-    lats = [raw_nodes[n][0] for n in used]
-    lons = [raw_nodes[n][1] for n in used]
+    # every used coordinate is checked before the origin is taken from them:
+    # one non-finite value would make the origin, and so every node, non-finite
+    lats: list[float] = []
+    lons: list[float] = []
+    for node_id in used:
+        lat, lon, _ = raw_nodes[node_id]
+        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+            raise MapError(
+                f"node {node_id}: coordinate not finite or out of range: lat={lat!r} lon={lon!r}"
+            )
+        lats.append(lat)
+        lons.append(lon)
     origin = ((min(lats) + max(lats)) / 2.0, (min(lons) + max(lons)) / 2.0)
 
     nodes: dict[int, OsmNode] = {}

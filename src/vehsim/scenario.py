@@ -37,6 +37,7 @@ from .mobility import (
     PlacementError,
     RandomDirection,
     Trip,
+    Vehicle,
     World,
 )
 from .osm import TrafficSignal, parse_osm
@@ -744,10 +745,10 @@ def run(config: ScenarioConfig, out_dir: str | Path, *, echo_text: str | None = 
     with open(trace_path, "w", newline="") as trace_fh:
         trace_fh.write(TRACE_HEADER + "\n")
 
-        def write_samples(t_ns: int, vids: list[int], xs: list[float], ys: list[float]) -> None:
+        def write_samples(t_ns: int, vehicles: list[Vehicle], xs: list[float], ys: list[float]) -> None:
             stamp = _fmt_seconds(t_ns)
-            for vid, x, y in zip(vids, xs, ys):
-                veh = world.vehicles[vid]
+            for veh, x, y in zip(vehicles, xs, ys):
+                vid = veh.id
                 serving = ""
                 level = ""
                 if observer is not None:
@@ -763,20 +764,21 @@ def run(config: ScenarioConfig, out_dir: str | Path, *, echo_text: str | None = 
             # positions are computed once per step and shared by both consumers
             if observer is None and not sample:
                 return
-            vids = sorted(world.vehicles)
+            vehicles = list(world.vehicles.values())  # spawn order, which is ascending id
             xs, ys = [], []
-            for vid in vids:
-                x, y = world.position(world.vehicles[vid])
+            for veh in vehicles:
+                x, y = world.position(veh)
                 xs.append(x)
                 ys.append(y)
             if observer is not None:
+                vids = [veh.id for veh in vehicles]
                 for event in observer.observe_all(vids, xs, ys, t_ns / NS_PER_SECOND):
                     event_rows.append(
                         (event.time, "handover", event.vehicle_id, event.from_cell, event.to_cell,
                          event.x, event.y)
                     )
             if sample:
-                write_samples(t_ns, vids, xs, ys)
+                write_samples(t_ns, vehicles, xs, ys)
 
         step_count = 0
 

@@ -1,4 +1,4 @@
-"""Golden pins: SHA-256 digests of the deterministic artifacts of three scenarios.
+"""Golden pins: SHA-256 digests of the deterministic artifacts of four scenarios.
 
 A refactor that is meant to keep behaviour must leave these bytes alone.  A
 change that moves a digest on purpose says so in CHANGES.md and gives the
@@ -85,6 +85,57 @@ vehicle.3.strategicModel = Trip
 vehicle.3.trip = 1403, 1000, 1302, 1004
 """
 
+# 5 x 5 grid whose middle row (way 102) and middle column (way 202) are
+# four-lane arterials crossing one-lane streets, with signals at three of the
+# arterial junctions.  Four Trip vehicles start in the inner lane of an
+# arterial and route across the grid among 40 RandomDirection vehicles, so the
+# look-ahead crosses lane-count changes, stops at yellow and red signals and
+# MOBIL runs on the arterials.
+ARTERIAL_WAYS = (102, 202)
+ARTERIAL_CONFIG = """\
+map = grid.osm
+duration = 120
+seed = 21
+dt = 0.1
+sampling = 1
+interference.count = 40
+signal.1202.green = 15
+signal.1202.yellow = 4
+signal.1202.red = 15
+signal.1201.green = 10
+signal.1201.yellow = 3
+signal.1201.red = 12
+signal.1201.offset = 5
+signal.1302.green = 12
+signal.1302.yellow = 3
+signal.1302.red = 10
+signal.1302.offset = 11
+vehicle.0.way = 102
+vehicle.0.lane = 1
+vehicle.0.offset = 30
+vehicle.0.strategicModel = Trip
+vehicle.0.trip = 1204, 1000, 1404
+vehicle.1.way = 202
+vehicle.1.lane = 1
+vehicle.1.offset = 40
+vehicle.1.strategicModel = Trip
+vehicle.1.trip = 1402, 1001, 1304
+vehicle.2.way = 102
+vehicle.2.segment = 3
+vehicle.2.forward = false
+vehicle.2.lane = 1
+vehicle.2.offset = 20
+vehicle.2.strategicModel = Trip
+vehicle.2.trip = 1200, 1403, 1004
+vehicle.3.way = 202
+vehicle.3.segment = 3
+vehicle.3.forward = false
+vehicle.3.lane = 1
+vehicle.3.offset = 60
+vehicle.3.strategicModel = Trip
+vehicle.3.trip = 1002, 1300, 1400
+"""
+
 RADIO_DIGESTS = {
     "trace.csv": "0b262907b5a6887b914b1e688e54ab9e0aeea1c9cd50192fb5e42be84c3f7d4d",
     "events.csv": "1ab7cdc2bcac6bcdc89bddc52fa991e11d12c8072b5246be931bc9d1778560e8",
@@ -102,6 +153,26 @@ TRIPS_DIGESTS = {
     "events.csv": "0b52bd1d3b5a1553562e7730005ef8d485039b92bbac1a4f9574b14b3afa1fdd",
     "summary.json": "48316ff7baa90b6cf7ef5f243c795fc7553d07d06d47df1e5fdd0428867b4435",
 }
+
+
+ARTERIAL_DIGESTS = {
+    "trace.csv": "844d285f70a9828a29ef94e2a6937c781f0d80f541b9770cf737ec06f5d41995",
+    "events.csv": "0b52bd1d3b5a1553562e7730005ef8d485039b92bbac1a4f9574b14b3afa1fdd",
+    "summary.json": "c13185af6f0cf3053b76f3392543eebacaf7f02da5edf74792de6df2aa718a64",
+}
+
+
+def _arterial_grid_xml() -> str:
+    """``grid_osm_xml(5, 150.0)`` with ``lanes=4`` on the ``ARTERIAL_WAYS``."""
+    lines = []
+    way_id = None
+    for line in grid_osm_xml(5, 150.0).splitlines():
+        lines.append(line)
+        if line.lstrip().startswith("<way "):
+            way_id = int(line.split('"')[1])
+        elif 'k="highway"' in line and way_id in ARTERIAL_WAYS:
+            lines.append('    <tag k="lanes" v="4"/>')
+    return "\n".join(lines)
 
 
 def _run(tmp_path, osm_text: str, config_text: str):
@@ -134,3 +205,9 @@ def test_trips_through_signals_bytes_are_pinned(tmp_path):
     summary, digests = _run(tmp_path, grid_osm_xml(5, 200.0), TRIPS_CONFIG)
     assert summary["completed_trips"] >= 1
     assert digests == TRIPS_DIGESTS
+
+
+def test_arterials_signals_and_trips_bytes_are_pinned(tmp_path):
+    summary, digests = _run(tmp_path, _arterial_grid_xml(), ARTERIAL_CONFIG)
+    assert summary["lane_change_count"] >= 1
+    assert digests == ARTERIAL_DIGESTS

@@ -22,7 +22,7 @@ from vehsim.mobility import (
     idm_acceleration,
     mobil_decide,
 )
-from vehsim.osm import TrafficSignal, build_graph
+from vehsim.osm import TrafficSignal, build_graph, signal_phase
 from vehsim.rng import substream
 
 from conftest import chain_graph, corridor_graph
@@ -302,6 +302,32 @@ def test_vehicle_spawned_between_steps_is_seen_by_the_next_step():
     assert ego.acc < -0.5
     gap, closing = world.perceive_leader(ego)
     assert gap < 15.0 and closing > 0.0
+
+
+def test_signal_added_between_steps_stops_the_next_step():
+    # the blocking-signal set is built per step, so it cannot miss a newcomer
+    world = World(corridor_graph(1000.0))
+    ego = world.spawn(way=1, offset=965.0, speed=10.0, speed_factor=1.0,
+                      strategic=RandomDirection())
+    world.step(0.1)
+    assert ego.acc > 0.0
+    world.signals[2] = TrafficSignal(2, offset_s=25.0)  # red from t = 0 to 25
+    world.step(0.1)
+    assert ego.acc < -0.5
+
+
+def test_perceive_leader_between_steps_uses_the_phase_at_world_time():
+    # green during the step from t = 0, yellow at t = 0.1 when the step is done
+    signal = TrafficSignal(2, green_s=0.05, yellow_s=5.0, red_s=25.0)
+    world = World(corridor_graph(1000.0, signals=(signal,)))
+    ego = world.spawn(way=1, offset=950.0, speed=10.0, speed_factor=1.0,
+                      strategic=RandomDirection())
+    world.step(0.1)
+    assert ego.acc > 0.0  # the step saw green
+    assert signal_phase(signal, world.time) == "yellow"
+    gap, closing = world.perceive_leader(ego)
+    assert gap == pytest.approx(1000.0 - ego.s - 2.5)
+    assert closing == pytest.approx(ego.v)
 
 
 def test_step_requires_positive_dt():

@@ -1,6 +1,7 @@
 """Map parsing, projection, and signal timing."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +16,8 @@ from vehsim.osm import (
     signal_phase,
     unproject,
 )
+
+from conftest import grid_osm_xml
 
 # One degree of latitude on the spherical earth model, in meters.
 METERS_PER_DEGREE = 111194.92664455873
@@ -168,6 +171,39 @@ def test_zero_length_segment_rejected():
         parse_osm(doc)
 
 
+def _two_node_way(node1: str, node2: str, extra: str = "") -> str:
+    return f"""<osm>
+      <node id="1" {node1}/>
+      <node id="2" {node2}/>{extra}
+      <way id="7"><nd ref="1"/><nd ref="2"/><tag k="highway" v="residential"/></way>
+    </osm>"""
+
+
+@pytest.mark.parametrize(
+    "node1, node2, bad",
+    [
+        ('lat="1e999" lon="0.0"', 'lat="0.001" lon="0.0"', 1),
+        ('lat="0.001" lon="0.0"', 'lat="1e999" lon="0.0"', 2),
+        ('lat="0.0" lon="0.0"', 'lat="0.0" lon="-inf"', 2),
+        ('lat="nan" lon="0.0"', 'lat="0.001" lon="0.0"', 1),
+        ('lat="0.0" lon="0.0"', 'lat="90.5" lon="0.0"', 2),
+        ('lat="0.0" lon="180.001"', 'lat="0.001" lon="0.0"', 1),
+    ],
+    ids=["inf-first", "inf-second", "inf-lon", "nan", "lat-out-of-range", "lon-out-of-range"],
+)
+def test_bad_coordinate_of_a_used_node_is_a_map_error_naming_it(node1, node2, bad):
+    # a non-finite node once made the projection origin non-finite, so a later
+    # finite node failed inside math.cos with a bare ValueError
+    with pytest.raises(MapError, match=f"^node {bad}: coordinate not finite or out of range"):
+        parse_osm(_two_node_way(node1, node2))
+
+
+def test_bad_coordinate_of_an_unused_node_is_ignored():
+    doc = _two_node_way('lat="0.0" lon="0.0"', 'lat="0.001" lon="0.0"',
+                        '\n      <node id="3" lat="1e999" lon="nan"/>')
+    assert set(parse_osm(doc).nodes) == {1, 2}
+
+
 def test_malformed_xml_reports_position():
     with pytest.raises(MapError, match="line"):
         parse_osm("<osm>\n  <node id='1' lat='0' lon='0'\n</osm>")
@@ -208,6 +244,47 @@ def test_build_graph_round_trips_metric_coordinates():
     assert graph.node(1).x == pytest.approx(-250.0, abs=1e-6)
     assert graph.node(1).y == pytest.approx(40.0, abs=1e-6)
     assert graph.segments[(1, 0)].length == pytest.approx(1000.0, abs=1e-6)
+
+
+def _all_refs(graph):
+    return [ref for node_id in graph.nodes for ref in graph.outgoing(node_id)]
+
+
+def test_stored_ref_fields_agree_with_their_segment(parsed):
+    graphs = [
+        parse_osm(grid_osm_xml(4, 120.0)),
+        parsed,
+        build_graph(
+            [(1, 0.0, 0.0), (2, 100.0, 0.0), (3, 100.0, 50.0), (4, -30.0, 80.0)],
+            [(1, [1, 2, 3], {"lanes_forward": 2, "lanes_backward": 3}),
+             (2, [3, 4, 1], {"one_way": True})],
+        ),
+    ]
+    for graph in graphs:
+        refs = _all_refs(graph)
+        assert len(refs) == len(graph._refs)
+        for node_id in graph.nodes:
+            assert all(ref.start_node == node_id for ref in graph.outgoing(node_id))
+        for ref in refs:
+            seg = ref.segment
+            start, end = (seg.from_node, seg.to_node) if ref.forward else (seg.to_node, seg.from_node)
+            assert (ref.start_node, ref.end_node) == (start, end)
+            assert ref.length == seg.length
+            assert ref.key == (seg.way_id, seg.index, ref.forward)
+            assert graph.ref(*ref.key) is ref
+
+
+def test_refs_of_two_parses_are_equal_and_hash_alike():
+    text = grid_osm_xml(3, 150.0)
+    first, second = parse_osm(text), parse_osm(text)
+    pairs = [(ref, second.ref(*ref.key)) for ref in _all_refs(first)]
+    assert pairs
+    for a, b in pairs:
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        # the stored fields follow from the others and take no part in equality or hashing
+        assert hash(a) == hash((a.segment, a.forward, a.lanes, a.max_speed))
+        assert replace(a, length=a.length + 1.0, key=(0, 0, True)) == a
 
 
 def test_signal_validation():

@@ -4,9 +4,15 @@ The public surface re-exports the pieces most scripts need; the modules
 themselves stay importable for everything else (``vehsim.kernel``,
 ``vehsim.osm``, ``vehsim.routing``, ``vehsim.mobility``, ``vehsim.radio``,
 ``vehsim.scenario``, ``vehsim.exports``).
+
+:class:`EventKernel` runs standalone or inside a host scheduler's queue.  A
+host receives each event's ``seq`` as its token and hands it back to
+``deliver_from_host``; an unknown or consumed token raises
+:class:`MappingError`.  ``HostQueue``, ``EventHandle`` and ``RunStats`` live
+in ``vehsim.kernel``.
 """
 
-from .kernel import EventKernel, EventMapping, KernelError, MappingError
+from .kernel import EventKernel, KernelError, MappingError
 from .mobility import (
     IdmParams,
     MobilParams,
@@ -43,7 +49,6 @@ __all__ = [
     "ConfigError",
     "DanglingReferenceError",
     "EventKernel",
-    "EventMapping",
     "ExportError",
     "HandoverEvent",
     "IdmParams",

@@ -100,24 +100,6 @@ class VehicleSpec:
 
 
 @dataclass(frozen=True)
-class StationSpec:
-    id: str
-    x: float
-    y: float
-    tx_power_dbm: float = 46.0
-    carrier_mhz: float = 1800.0
-
-
-@dataclass(frozen=True)
-class SignalSpec:
-    node_id: int
-    green_s: float = 30.0
-    yellow_s: float = 5.0
-    red_s: float = 25.0
-    offset_s: float = 0.0
-
-
-@dataclass(frozen=True)
 class RadioParams:
     hysteresis_db: float = DEFAULT_HYSTERESIS_DB
     time_to_trigger_s: float = DEFAULT_TIME_TO_TRIGGER_S
@@ -141,8 +123,8 @@ class ScenarioConfig:
     sampling_s: float = 1.0
     vehicles: tuple[VehicleSpec, ...] = ()
     interference: InterferenceSpec = field(default_factory=InterferenceSpec)
-    stations: tuple[StationSpec, ...] = ()
-    signals: tuple[SignalSpec, ...] = ()
+    stations: tuple[BaseStation, ...] = ()
+    signals: tuple[TrafficSignal, ...] = ()
     radio: RadioParams = field(default_factory=RadioParams)
     key_lines: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
 
@@ -511,10 +493,10 @@ def load_config(text: str, *, base_dir: str | Path | None = None) -> ScenarioCon
                 line=block.line("id") or block.first_line,
             )
         seen_ids.add(sid)
-        stations.append(StationSpec(**{"id": sid, **block.parse(_STATION_KEYS)}))
+        stations.append(BaseStation(**{"id": sid, **block.parse(_STATION_KEYS)}))
 
     signals = tuple(
-        SignalSpec(node_id=node_id, **block.parse(_SIGNAL_KEYS, by_line=True))
+        TrafficSignal(node_id=node_id, **block.parse(_SIGNAL_KEYS, by_line=True))
         for node_id, block in sorted(indexed["signal"].items())
     )
     radio = RadioParams(**sections["radio"].parse(_RADIO_KEYS, by_line=True))
@@ -704,27 +686,22 @@ def run(config: ScenarioConfig, out_dir: str | Path, *, echo_text: str | None = 
     logger.info("parsed map %s: %d nodes, %d ways", config.map_path, len(graph.nodes), len(graph.ways))
 
     world = World(graph, seed=config.seed)
-    for spec in config.signals:
-        if spec.node_id not in graph.nodes:
+    for signal in config.signals:
+        if signal.node_id not in graph.nodes:
             raise ConfigError(
-                f"unknown node {spec.node_id}",
-                key=f"signal.{spec.node_id}",
-                line=_typed_line(config, f"signal.{spec.node_id}."),
+                f"unknown node {signal.node_id}",
+                key=f"signal.{signal.node_id}",
+                line=_typed_line(config, f"signal.{signal.node_id}."),
             )
-        world.signals[spec.node_id] = TrafficSignal(
-            spec.node_id, spec.green_s, spec.yellow_s, spec.red_s, spec.offset_s
-        )
+        world.signals[signal.node_id] = signal
     _spawn_configured(world, config)
     _spawn_interference(world, config)
     logger.info("spawned %d vehicles", len(world.vehicles))
 
     observer = None
     if config.stations:
-        stations = [
-            BaseStation(s.id, s.x, s.y, s.tx_power_dbm, s.carrier_mhz) for s in config.stations
-        ]
         observer = RadioObserver(
-            stations,
+            list(config.stations),
             hysteresis_db=config.radio.hysteresis_db,
             time_to_trigger_s=config.radio.time_to_trigger_s,
             path_loss_exponent=config.radio.path_loss_exponent,
@@ -795,10 +772,9 @@ def run(config: ScenarioConfig, out_dir: str | Path, *, echo_text: str | None = 
         try:
             if total_steps > 0:
                 kernel.schedule("runner", "step", config.dt_s)
-            stats = kernel.run_until(config.duration_s)
+            kernel.run_until(config.duration_s)
         except Exception as exc:  # partial artifacts stay on disk
             failure = exc
-            stats = None
 
     for violation in world.signal_violations:
         node = graph.node(violation.node_id)
@@ -844,7 +820,7 @@ def run(config: ScenarioConfig, out_dir: str | Path, *, echo_text: str | None = 
         "collision_count": len(world.collisions),
         "signal_violation_count": len(world.signal_violations),
         "lane_change_count": len(world.lane_changes),
-        "events_fired": stats.events_fired if stats is not None else step_count,
+        "events_fired": kernel.events_fired,
         "aborted": failure is not None,
     }
     if failure is not None:
@@ -853,7 +829,7 @@ def run(config: ScenarioConfig, out_dir: str | Path, *, echo_text: str | None = 
     logger.info(
         "run %s: %d steps, %d handovers, %d collisions",
         "aborted" if failure else "complete",
-        step_count,
+        kernel.events_fired,
         handover_count,
         len(world.collisions),
     )

@@ -84,3 +84,27 @@ def grid_osm_xml(n: int = 5, spacing_m: float = 500.0, *, lat0: float = 51.48,
         way(200 + c, [grid_node_id(r, c) for r in range(n)])
     lines.append("</osm>")
     return "\n".join(lines)
+
+
+# Criterion 3's scenario: one Trip vehicle among 100 RandomDirection vehicles
+# on grid_osm_xml(5, 500.0), observed by three stations for 240 s.  The
+# acceptance suite runs it; tests/test_golden.py pins its bytes.
+RADIO_GRID_CONFIG = (
+    "map = grid.osm\n"
+    "duration = 240\n"
+    "seed = 11\n"
+    "dt = 0.1\n"
+    "sampling = 1\n"
+    "way = 100\n"
+    "segment = 0\n"
+    "lane = 0\n"
+    "offset = 10\n"
+    "speed = 0\n"
+    "speed_factor = 1.0\n"
+    "strategicModel = Trip\n"
+    f"trip = {grid_node_id(1, 1)}, {grid_node_id(2, 2)}\n"
+    "interference.count = 100\n"
+    "station.0.id = eNB1\nstation.0.x = -700\nstation.0.y = -1050\n"
+    "station.1.id = eNB2\nstation.1.x = -550\nstation.1.y = -600\n"
+    "station.2.id = eNB3\nstation.2.x = -50\nstation.2.y = -80\n"
+)

@@ -28,7 +28,7 @@ from vehsim.radio import BaseStation, RadioObserver
 from vehsim.routing import NoRouteError, shortest_path
 from vehsim.scenario import TraceSample, dumps_config, load_config, read_trace, run
 
-from conftest import chain_graph, corridor_graph, grid_node_id, grid_osm_xml
+from conftest import RADIO_GRID_CONFIG, chain_graph, corridor_graph, grid_osm_xml
 
 
 def _verdict(criterion, ok, detail):
@@ -164,26 +164,7 @@ def test_criterion_2_corridor_jam_dissolves_and_reforms_at_obstacle():
 def grid_env(tmp_path_factory):
     base = tmp_path_factory.mktemp("acceptance_grid")
     (base / "grid.osm").write_text(grid_osm_xml(5, 500.0))
-    text = (
-        "map = grid.osm\n"
-        "duration = 240\n"
-        "seed = 11\n"
-        "dt = 0.1\n"
-        "sampling = 1\n"
-        "way = 100\n"
-        "segment = 0\n"
-        "lane = 0\n"
-        "offset = 10\n"
-        "speed = 0\n"
-        "speed_factor = 1.0\n"
-        "strategicModel = Trip\n"
-        f"trip = {grid_node_id(1, 1)}, {grid_node_id(2, 2)}\n"
-        "interference.count = 100\n"
-        "station.0.id = eNB1\nstation.0.x = -700\nstation.0.y = -1050\n"
-        "station.1.id = eNB2\nstation.1.x = -550\nstation.1.y = -600\n"
-        "station.2.id = eNB3\nstation.2.x = -50\nstation.2.y = -80\n"
-    )
-    return base, load_config(text, base_dir=base)
+    return base, load_config(RADIO_GRID_CONFIG, base_dir=base)
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,4 @@
-"""Golden pins: SHA-256 digests of the deterministic artifacts of four scenarios.
+"""Golden pins: SHA-256 digests of the deterministic artifacts of five scenarios.
 
 A refactor that is meant to keep behaviour must leave these bytes alone.  A
 change that moves a digest on purpose says so in CHANGES.md and gives the
@@ -11,7 +11,7 @@ import hashlib
 
 from vehsim.scenario import load_config, run
 
-from conftest import grid_osm_xml
+from conftest import RADIO_GRID_CONFIG, grid_osm_xml
 
 _ARTIFACTS = ("trace.csv", "events.csv", "summary.json")
 
@@ -161,6 +161,13 @@ ARTERIAL_DIGESTS = {
     "summary.json": "c13185af6f0cf3053b76f3392543eebacaf7f02da5edf74792de6df2aa718a64",
 }
 
+# criterion 3 of the acceptance suite: 101 vehicles, three stations, 240 s
+RADIO_GRID_DIGESTS = {
+    "trace.csv": "cc4bc3f99402962daf9ba220435d50963c30bf4e19158a191efcfb7b2eeca3b9",
+    "events.csv": "dcb7a6ad4035715568b851850e53446eddf3accb719f28093a3c66ff5f290881",
+    "summary.json": "21bde6e60776886923bdd8282182466e9ee0e76b7d615eae2ab80e6786431518",
+}
+
 
 def _arterial_grid_xml() -> str:
     """``grid_osm_xml(5, 150.0)`` with ``lanes=4`` on the ``ARTERIAL_WAYS``."""
@@ -211,3 +218,10 @@ def test_arterials_signals_and_trips_bytes_are_pinned(tmp_path):
     summary, digests = _run(tmp_path, _arterial_grid_xml(), ARTERIAL_CONFIG)
     assert summary["lane_change_count"] >= 1
     assert digests == ARTERIAL_DIGESTS
+
+
+def test_criterion_3_radio_grid_bytes_are_pinned(tmp_path):
+    summary, digests = _run(tmp_path, grid_osm_xml(5, 500.0), RADIO_GRID_CONFIG)
+    assert summary["completed_trips"] == 1
+    assert summary["handover_count"] >= 1
+    assert digests == RADIO_GRID_DIGESTS

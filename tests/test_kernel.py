@@ -1,6 +1,8 @@
 """Event kernel: ordering, cancellation, host mapping."""
 
+import gc
 import heapq
+import weakref
 
 import numpy as np
 import pytest
@@ -156,7 +158,7 @@ def test_host_mapping_round_trip():
     kernel.bind("a", lambda e: fired.append(e.kind))
 
     handle = kernel.schedule("a", "x", 1.5)
-    assert host.inserted == [kernel.mapping.token_of(kernel.event_of(handle))]
+    assert host.inserted == [handle.id]
     token = host.pop()
     event = kernel.deliver_from_host(token)
     assert event.kind == "x"
@@ -164,7 +166,7 @@ def test_host_mapping_round_trip():
     assert fired == ["x"]
     # mapping entry is consumed: the token cannot be retrieved again
     with pytest.raises(MappingError):
-        kernel.retrieve_from_host(token)
+        kernel.deliver_from_host(token)
 
 
 def test_host_cancel_removes_from_host_queue():
@@ -190,16 +192,13 @@ def test_out_of_order_host_delivery_rejected():
     kernel.bind("a", lambda e: None)
     early = kernel.schedule("a", "early", 1.0)
     late = kernel.schedule("a", "late", 5.0)
-    early_token = kernel.mapping.token_of(kernel.event_of(early))
-    late_token = kernel.mapping.token_of(kernel.event_of(late))
-    kernel.deliver_from_host(late_token)  # host skipped ahead
+    kernel.deliver_from_host(late.id)  # host skipped ahead
     assert kernel.now == pytest.approx(5.0)
     with pytest.raises(KernelError):
-        kernel.deliver_from_host(early_token)
+        kernel.deliver_from_host(early.id)
     # delivering at exactly the current clock is fine
     same_time = kernel.schedule("a", "x", 0.0)
-    same_token = kernel.mapping.token_of(kernel.event_of(same_time))
-    kernel.deliver_from_host(same_token)
+    kernel.deliver_from_host(same_time.id)
     assert kernel.now == pytest.approx(5.0)
 
 
@@ -226,3 +225,21 @@ def test_standalone_and_host_execution_produce_identical_logs():
         return log
 
     assert drive(False) == drive(True)
+
+
+def test_host_driven_kernel_keeps_no_delivered_or_cancelled_event():
+    class Payload:
+        pass
+
+    host = RecordingHost()
+    kernel = EventKernel(host=host)
+    kernel.bind("a", lambda e: None)
+    delivered, cancelled = Payload(), Payload()
+    refs = [weakref.ref(delivered), weakref.ref(cancelled)]
+    kernel.schedule("a", "delivered", 1.0, delivered)
+    kernel.cancel(kernel.schedule("a", "cancelled", 2.0, cancelled))
+    kernel.deliver_from_host(host.pop())
+    assert host.heap == []
+    del delivered, cancelled
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]

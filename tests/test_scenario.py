@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from vehsim.cli import main as cli_main
 from vehsim.mobility import StrandedError
+from vehsim.osm import TrafficSignal
+from vehsim.radio import BaseStation
 from vehsim.scenario import (
     EVENTS_HEADER,
     TRACE_HEADER,
@@ -17,8 +19,6 @@ from vehsim.scenario import (
     InterferenceSpec,
     RadioParams,
     ScenarioConfig,
-    SignalSpec,
-    StationSpec,
     VehicleSpec,
     dumps_config,
     load_config,
@@ -201,8 +201,8 @@ def test_station_parsing():
         + "station.1.id = mast\nstation.1.x = 400\nstation.1.y = 30\n"
         + "station.1.tx_power = 20\nstation.1.carrier = 2600\n"
     )
-    assert cfg.stations[0] == StationSpec(id="bs0", x=-400.0, y=30.0)
-    assert cfg.stations[1] == StationSpec(
+    assert cfg.stations[0] == BaseStation(id="bs0", x=-400.0, y=30.0)
+    assert cfg.stations[1] == BaseStation(
         id="mast", x=400.0, y=30.0, tx_power_dbm=20.0, carrier_mhz=2600.0
     )
     with pytest.raises(ConfigError, match="station.0.y"):
@@ -221,8 +221,8 @@ def test_station_parsing():
 def test_signal_overrides_and_validation():
     cfg = load_config(MINIMAL + "signal.42.offset = 12\nsignal.7.green = 40\n")
     assert cfg.signals == (
-        SignalSpec(node_id=7, green_s=40.0),
-        SignalSpec(node_id=42, offset_s=12.0),
+        TrafficSignal(node_id=7, green_s=40.0),
+        TrafficSignal(node_id=42, offset_s=12.0),
     )
     with pytest.raises(ConfigError, match="> 0"):
         load_config(MINIMAL + "signal.42.green = 0\n")
@@ -263,9 +263,9 @@ def test_dumps_load_round_trip():
                         speed_factor=1.05),
         ),
         interference=InterferenceSpec(count=4),
-        stations=(StationSpec(id="a", x=1.0, y=2.0), StationSpec(id="b", x=3.0, y=4.0,
+        stations=(BaseStation(id="a", x=1.0, y=2.0), BaseStation(id="b", x=3.0, y=4.0,
                                                                  tx_power_dbm=20.0)),
-        signals=(SignalSpec(node_id=11, red_s=40.0, offset_s=3.0),),
+        signals=(TrafficSignal(node_id=11, red_s=40.0, offset_s=3.0),),
         radio=RadioParams(hysteresis_db=2.0, shadowing_sigma_db=1.5),
     )
     assert load_config(dumps_config(cfg)) == cfg
@@ -573,7 +573,7 @@ def test_unknown_signal_node_rejected(grid_map, tmp_path, index):
 def test_aborted_run_leaves_partial_artifacts(corridor_map, tmp_path):
     # a random walker on a one-way dead end must strand mid-run
     text = (
-        f"map = {corridor_map}\nduration = 30\n"
+        f"map = {corridor_map}\nduration = 30\nsampling = 0.1\n"
         "way = 1\noffset = 900\nspeed = 13.89\nspeed_factor = 1.0\n"
         "strategicModel = RandomDirection\n"
     )
@@ -586,6 +586,9 @@ def test_aborted_run_leaves_partial_artifacts(corridor_map, tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["aborted"] is True
     assert "StrandedError" in summary["error"]
+    # one row per completed step after the header and the t = 0 row; the
+    # step that raised wrote no row and does not count as fired
+    assert summary["events_fired"] == len(trace_lines) - 2
     assert (out / "events.csv").exists()
 
 

@@ -9,7 +9,8 @@ themselves stay importable for everything else (``vehsim.kernel``,
 host receives each event's ``seq`` as its token and hands it back to
 ``deliver_from_host``; an unknown or consumed token raises
 :class:`MappingError`.  ``HostQueue``, ``EventHandle`` and ``RunStats`` live
-in ``vehsim.kernel``.
+in ``vehsim.kernel``.  A :class:`Simulation` is one scenario that attaches its
+step handler to either kind of kernel; :func:`run` steps one standalone.
 """
 
 from .kernel import EventKernel, KernelError, MappingError
@@ -39,7 +40,7 @@ from .osm import (
 )
 from .radio import BaseStation, HandoverEvent, RadioObserver, detect_ping_pong, rssi
 from .routing import NoRouteError, Route, shortest_path
-from .scenario import ConfigError, ScenarioConfig, dumps_config, load_config, read_trace, run
+from .scenario import ConfigError, ScenarioConfig, Simulation, dumps_config, load_config, read_trace, run
 from .exports import ExportError, export_spacetime, export_svg
 
 __version__ = "0.1.0"
@@ -63,6 +64,7 @@ __all__ = [
     "RoadGraph",
     "Route",
     "ScenarioConfig",
+    "Simulation",
     "SimulationError",
     "StrandedError",
     "TrafficSignal",

@@ -135,6 +135,9 @@ class EventKernel:
     # -- registration and scheduling ---------------------------------------
 
     def bind(self, target: str, handler: Callable[[Event], None]) -> None:
+        """Register ``target``'s handler; a target already bound raises :class:`KernelError`."""
+        if target in self._handlers:
+            raise KernelError(f"target {target!r} already has a handler")
         self._handlers[target] = handler
 
     def schedule(self, target: str, kind: str, delay: float, payload: Any = None) -> EventHandle:

@@ -281,24 +281,27 @@ def _change_gain(
     return surplus > 0.0, surplus, a_n_new
 
 
-def mobil_decide(ego: Vehicle, neighbors: NeighborContext) -> int:
-    """MOBIL lane decision: +1 change left, -1 change right, 0 stay.
+def mobil_decide(ego: Vehicle, a_c: float, neighbors: NeighborContext) -> tuple[int, float | None]:
+    """MOBIL lane decision: (+1 change left, -1 change right or 0 stay, new-follower acceleration).
 
+    ``a_c`` is the ego's IDM acceleration behind ``neighbors.current.leader``.
     A candidate lane passes only if the incentive (own gain minus the
     politeness-weighted losses of the affected followers) exceeds the change
     threshold AND the new follower is not forced below -b_safe.  When both
-    sides pass, the larger surplus wins; exact ties keep right.
+    sides pass, the larger surplus wins; exact ties keep right.  The second
+    value is the acceleration the change imposes on the chosen lane's
+    follower, None when the ego stays or that lane has no follower.
     """
     best = 0
     best_surplus = -math.inf
-    a_c = _acc_behind(ego, neighbors.current.leader)
+    best_follower_acc = None
     for direction, lanes in ((+1, neighbors.left), (-1, neighbors.right)):
         if lanes is None:
             continue
-        ok, surplus, _ = _change_gain(ego, a_c, neighbors.current, lanes)
+        ok, surplus, follower_acc = _change_gain(ego, a_c, neighbors.current, lanes)
         if ok and (surplus > best_surplus or (surplus == best_surplus and direction == -1)):
-            best, best_surplus = direction, surplus
-    return best
+            best, best_surplus, best_follower_acc = direction, surplus, follower_acc
+    return best, best_follower_acc
 
 
 # -- world records ------------------------------------------------------------
@@ -350,7 +353,6 @@ class World:
         graph: RoadGraph,
         *,
         seed: int = 0,
-        lane_change_cooldown: float = LANE_CHANGE_COOLDOWN,
         perception_horizon: float = PERCEPTION_HORIZON,
     ) -> None:
         self.graph = graph
@@ -358,7 +360,6 @@ class World:
         self.time = 0.0
         self.vehicles: dict[int, Vehicle] = {}
         self.signals = dict(graph.signals)
-        self.cooldown = lane_change_cooldown
         self.horizon = perception_horizon
         self.lane_changes: list[LaneChangeRecord] = []
         self.collisions: list[CollisionRecord] = []
@@ -622,7 +623,7 @@ class World:
         vehicle.acc = _acc_behind(vehicle, leader)
 
         ref = vehicle.ref
-        if ref.lanes <= 1 or self.time - vehicle.last_lane_change < self.cooldown:
+        if ref.lanes <= 1 or self.time - vehicle.last_lane_change < LANE_CHANGE_COOLDOWN:
             return
         current = LaneNeighbors(leader, self._follower_neighbor(snap, vehicle, vehicle.lane))
         sides: dict[int, LaneNeighbors | None] = {+1: None, -1: None}
@@ -633,15 +634,12 @@ class World:
                     self._nearest_obstruction(snap, blocked, vehicle, lane2),
                     self._follower_neighbor(snap, vehicle, lane2),
                 )
-        decision = mobil_decide(vehicle, NeighborContext(current, sides[+1], sides[-1]))
+        decision, acc_after = mobil_decide(
+            vehicle, vehicle.acc, NeighborContext(current, sides[+1], sides[-1])
+        )
         if decision == 0:
             return
-        target = sides[decision]
-        follower = target.follower if target else None
-        acc_after = None
-        if follower is not None:
-            gap = _net_gap(vehicle.length, follower)
-            acc_after = _acc_toward(follower.v, follower.v0_eff, follower.idm, gap, vehicle.v)
+        follower = sides[decision].follower
         self.lane_changes.append(
             LaneChangeRecord(
                 time=self.time,

@@ -107,7 +107,6 @@ class Attachment:
 
     vehicle_id: int
     serving_cell: str
-    since: float
     history: list[HandoverEvent] = field(default_factory=list)
 
 
@@ -260,7 +259,7 @@ class RadioObserver:
             self._last_levels[vid] = row
             att = self.attachments.get(vid)
             if att is None:
-                self.attachments[vid] = Attachment(vid, self._ids[best], t)
+                self.attachments[vid] = Attachment(vid, self._ids[best])
                 continue
             serving = self._index[att.serving_cell]
             if best == serving or row[best] <= row[serving] + self.hysteresis_db:
@@ -273,7 +272,6 @@ class RadioObserver:
             if t - cand[1] >= self.time_to_trigger_s - _TTT_SLACK:
                 event = HandoverEvent(t, vid, att.serving_cell, cell, float(x), float(y))
                 att.serving_cell = cell
-                att.since = t
                 att.history.append(event)
                 del self._candidate[vid]
                 events.append(event)

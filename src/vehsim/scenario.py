@@ -5,17 +5,17 @@ for nested settings (``vehicle.0.idm.T = 1.2``).  Each accepted key is one
 row of a per-block key table (``_VEHICLE_KEYS`` and its siblings); parsing,
 bounds and the canonical echo are all read from those rows, and only the
 rules that span several keys are written out.  ``load_config`` validates
-text only; placements are resolved against the parsed map inside ``run``,
-which drives the world on the event kernel and writes four artifacts into
-the output directory:
+text only; placements are resolved against the parsed map by a
+:class:`Simulation`, which steps the world on a standalone or host-driven
+event kernel and writes four artifacts into the output directory:
 
 * ``trace.csv``   — one sampled row per vehicle per sampling interval,
 * ``events.csv``  — handovers, ping-pongs, red-light violations,
 * ``summary.json``— aggregate counters for quick inspection,
 * ``config.ini``  — canonical echo of the configuration that was loaded.
 
-A simulation error mid-run still leaves the partial trace and events on
-disk before the error is re-raised.
+:func:`run` steps one on a standalone kernel; a simulation error mid-run
+still leaves the partial artifacts on disk before the error is re-raised.
 """
 
 from __future__ import annotations
@@ -24,12 +24,13 @@ import json
 import logging
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .kernel import NS_PER_SECOND, EventKernel, to_ns
+from .kernel import NS_PER_SECOND, Event, EventKernel, to_ns
 from .mobility import (
     VEHICLE_LENGTH,
     IdmParams,
@@ -37,7 +38,6 @@ from .mobility import (
     PlacementError,
     RandomDirection,
     Trip,
-    Vehicle,
     World,
 )
 from .osm import TrafficSignal, parse_osm
@@ -387,7 +387,7 @@ def load_config(text: str, *, base_dir: str | Path | None = None) -> ScenarioCon
     Top-level vehicle keys (``way = 42``, the single-vehicle idiom) describe
     vehicle 0 and cannot be mixed with explicit ``vehicle.0.*`` keys.  A
     relative ``map`` path is resolved against ``base_dir`` when given.
-    Placements are checked against the map later, in :func:`run`.
+    Placements are checked against the map later, by :class:`Simulation`.
     """
     scalars = _Block()
     shorthand = _Block()
@@ -667,179 +667,174 @@ def _spawn_interference(world: World, config: ScenarioConfig) -> None:
             )
 
 
-def run(config: ScenarioConfig, out_dir: str | Path, *, echo_text: str | None = None) -> RunArtifacts:
-    """Execute a scenario and write trace/events/summary/config artifacts.
+class Simulation:
+    """One scenario stepped by an event kernel, from set-up to its four artifacts.
 
-    Raises on invalid placements (:class:`ConfigError`) before any stepping;
-    errors during stepping leave partial trace and events files behind and
-    are re-raised.  ``echo_text``, when given, is written verbatim as the
-    config echo (the CLI passes the pre-override file config here so that
-    seed sweeps share one echo).
+    The constructor writes the ``config.ini`` echo (``echo_text`` verbatim when
+    given: the CLI passes the pre-override file config so that seed sweeps
+    share one echo), parses the map, spawns the vehicles, builds the radio
+    observer and writes the t = 0 trace rows; a bad placement raises
+    :class:`ConfigError` before any step.  :meth:`attach` binds the step
+    handler to a standalone or host-driven kernel, and each step schedules the
+    next until ``duration`` is covered.  :meth:`finish` closes the trace and
+    writes ``events.csv`` and ``summary.json``.  Trace stamps, radio times and
+    the summary's ``events_fired`` count the simulation's own completed steps
+    (``steps``), so other modules sharing the kernel move no output byte.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    config_path = out / "config.ini"
-    config_path.write_text(echo_text if echo_text is not None else dumps_config(config))
 
-    map_text = Path(config.map_path).read_text()
-    graph = parse_osm(map_text)
-    logger.info("parsed map %s: %d nodes, %d ways", config.map_path, len(graph.nodes), len(graph.ways))
+    TARGET = "runner"
 
-    world = World(graph, seed=config.seed)
-    for signal in config.signals:
-        if signal.node_id not in graph.nodes:
-            raise ConfigError(
-                f"unknown node {signal.node_id}",
-                key=f"signal.{signal.node_id}",
-                line=_typed_line(config, f"signal.{signal.node_id}."),
+    def __init__(self, config: ScenarioConfig, out_dir: str | Path, *, echo_text: str | None = None) -> None:
+        self.config = config
+        self.out_dir = out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "config.ini").write_text(echo_text if echo_text is not None else dumps_config(config))
+
+        graph = parse_osm(Path(config.map_path).read_text())
+        logger.info("parsed map %s: %d nodes, %d ways", config.map_path, len(graph.nodes), len(graph.ways))
+        self.world = world = World(graph, seed=config.seed)
+        for signal in config.signals:
+            if signal.node_id not in graph.nodes:
+                raise ConfigError(
+                    f"unknown node {signal.node_id}",
+                    key=f"signal.{signal.node_id}",
+                    line=_typed_line(config, f"signal.{signal.node_id}."),
+                )
+            world.signals[signal.node_id] = signal
+        _spawn_configured(world, config)
+        _spawn_interference(world, config)
+        logger.info("spawned %d vehicles", len(world.vehicles))
+
+        self.observer = None
+        if config.stations:
+            self.observer = RadioObserver(
+                list(config.stations),
+                hysteresis_db=config.radio.hysteresis_db,
+                time_to_trigger_s=config.radio.time_to_trigger_s,
+                path_loss_exponent=config.radio.path_loss_exponent,
+                shadowing_sigma_db=config.radio.shadowing_sigma_db,
+                seed=config.seed,
             )
-        world.signals[signal.node_id] = signal
-    _spawn_configured(world, config)
-    _spawn_interference(world, config)
-    logger.info("spawned %d vehicles", len(world.vehicles))
 
-    observer = None
-    if config.stations:
-        observer = RadioObserver(
-            list(config.stations),
-            hysteresis_db=config.radio.hysteresis_db,
-            time_to_trigger_s=config.radio.time_to_trigger_s,
-            path_loss_exponent=config.radio.path_loss_exponent,
-            shadowing_sigma_db=config.radio.shadowing_sigma_db,
-            seed=config.seed,
-        )
+        self.steps = 0  # completed steps
+        self._kernel: EventKernel | None = None
+        self._dt_ns = to_ns(config.dt_s)
+        self._total_steps = to_ns(config.duration_s) // self._dt_ns
+        self._steps_per_sample = to_ns(config.sampling_s) // self._dt_ns
+        self._rows: list[tuple[float, str, int, str, str, float, float]] = []  # events.csv
+        self._trace = open(out / "trace.csv", "w", newline="")
+        self._trace.write(TRACE_HEADER + "\n")
+        self._observe(0, True)
 
-    dt_ns = to_ns(config.dt_s)
-    total_steps = to_ns(config.duration_s) // dt_ns
-    steps_per_sample = to_ns(config.sampling_s) // dt_ns
-    trace_path = out / "trace.csv"
-    events_path = out / "events.csv"
-    summary_path = out / "summary.json"
-    event_rows: list[tuple[float, str, int, str, str, float, float]] = []
+    def attach(self, kernel: EventKernel) -> None:
+        """Bind the step handler to ``kernel`` and schedule the first step ``dt`` after its clock."""
+        kernel.bind(self.TARGET, self._step)
+        self._kernel = kernel
+        if self._total_steps > 0:
+            kernel.schedule(self.TARGET, "step", self.config.dt_s)
 
-    kernel = EventKernel()
-    failure: Exception | None = None
-    with open(trace_path, "w", newline="") as trace_fh:
-        trace_fh.write(TRACE_HEADER + "\n")
+    def _step(self, event: Event) -> None:
+        step = self.steps + 1
+        self.world.step(self.config.dt_s)
+        self._observe(step * self._dt_ns, step % self._steps_per_sample == 0)
+        self.steps = step
+        if step < self._total_steps:
+            self._kernel.schedule(self.TARGET, "step", self.config.dt_s)
 
-        def write_samples(t_ns: int, vehicles: list[Vehicle], xs: list[float], ys: list[float]) -> None:
+    def _observe(self, t_ns: int, sample: bool) -> None:
+        """Radio update and, on sampling steps, trace rows; positions are computed once for both."""
+        observer = self.observer
+        if observer is None and not sample:
+            return
+        world = self.world
+        vehicles = list(world.vehicles.values())  # spawn order, which is ascending id
+        xs, ys = [], []
+        for veh in vehicles:
+            x, y = world.position(veh)
+            xs.append(x)
+            ys.append(y)
+        if observer is not None:
+            window = self.config.radio.pingpong_window_s
+            for ho in observer.observe_all([veh.id for veh in vehicles], xs, ys, t_ns / NS_PER_SECOND):
+                vid = ho.vehicle_id
+                self._rows.append((ho.time, "handover", vid, ho.from_cell, ho.to_cell, ho.x, ho.y))
+                # a ping-pong is this handover reversing the vehicle's previous one
+                for t, cell_a, cell_b in detect_ping_pong(observer.attachments[vid].history[-2:], window):
+                    self._rows.append((t, "ping_pong", vid, cell_a, cell_b, ho.x, ho.y))
+        if sample:
             stamp = _fmt_seconds(t_ns)
+            write = self._trace.write
             for veh, x, y in zip(vehicles, xs, ys):
-                vid = veh.id
-                serving = ""
-                level = ""
-                if observer is not None:
-                    current = observer.current(vid)
-                    if current is not None:
-                        serving = current[0]
-                        level = f"{current[1]:.2f}"
-                trace_fh.write(
-                    f"{stamp},{vid},{x:.3f},{y:.3f},{veh.v:.3f},{veh.acc:.3f},{serving},{level}\n"
+                serving = level = ""
+                current = observer.current(veh.id) if observer is not None else None
+                if current is not None:
+                    serving, level = current[0], f"{current[1]:.2f}"
+                write(f"{stamp},{veh.id},{x:.3f},{y:.3f},{veh.v:.3f},{veh.acc:.3f},{serving},{level}\n")
+
+    def finish(self, failure: Exception | None = None) -> RunArtifacts:
+        """Close the trace, write ``events.csv`` and ``summary.json``; ``failure`` marks an aborted run."""
+        self._trace.close()
+        config, world, out = self.config, self.world, self.out_dir
+        rows = list(self._rows)
+        for violation in world.signal_violations:
+            node = world.graph.node(violation.node_id)
+            rows.append((violation.time, "signal_violation", violation.vehicle_id, "", "", node.x, node.y))
+        rows.sort(key=lambda row: (row[0], row[2], row[1]))
+        with open(out / "events.csv", "w", newline="") as events_fh:
+            events_fh.write(EVENTS_HEADER + "\n")
+            for t, kind, vid, from_cell, to_cell, x, y in rows:
+                events_fh.write(
+                    f"{_fmt_seconds(to_ns(t))},{kind},{vid},{from_cell},{to_cell},{x:.3f},{y:.3f}\n"
                 )
 
-        def observe_and_sample(t_ns: int, sample: bool) -> None:
-            # positions are computed once per step and shared by both consumers
-            if observer is None and not sample:
-                return
-            vehicles = list(world.vehicles.values())  # spawn order, which is ascending id
-            xs, ys = [], []
-            for veh in vehicles:
-                x, y = world.position(veh)
-                xs.append(x)
-                ys.append(y)
-            if observer is not None:
-                vids = [veh.id for veh in vehicles]
-                for event in observer.observe_all(vids, xs, ys, t_ns / NS_PER_SECOND):
-                    event_rows.append(
-                        (event.time, "handover", event.vehicle_id, event.from_cell, event.to_cell,
-                         event.x, event.y)
-                    )
-            if sample:
-                write_samples(t_ns, vehicles, xs, ys)
-
-        step_count = 0
-
-        def on_step(event) -> None:
-            nonlocal step_count
-            step_count += 1
-            world.step(config.dt_s)
-            observe_and_sample(step_count * dt_ns, step_count % steps_per_sample == 0)
-            if step_count < total_steps:
-                kernel.schedule("runner", "step", config.dt_s)
-
-        kernel.bind("runner", on_step)
-        observe_and_sample(0, True)
-        try:
-            if total_steps > 0:
-                kernel.schedule("runner", "step", config.dt_s)
-            kernel.run_until(config.duration_s)
-        except Exception as exc:  # partial artifacts stay on disk
-            failure = exc
-
-    for violation in world.signal_violations:
-        node = graph.node(violation.node_id)
-        event_rows.append(
-            (violation.time, "signal_violation", violation.vehicle_id, "", "", node.x, node.y)
+        kinds = Counter(row[1] for row in rows)
+        total_distance = sum(v.odometer for v in world.vehicles.values())
+        summary = {
+            "seed": config.seed,
+            "duration_s": config.duration_s,
+            "dt_s": config.dt_s,
+            "sampling_s": config.sampling_s,
+            "vehicles": len(world.vehicles),
+            "distance_driven_m": round(total_distance, 3),
+            "mean_speed_ms": round(total_distance / (len(world.vehicles) * config.duration_s), 3)
+            if world.vehicles
+            else 0.0,
+            "completed_trips": sum(1 for v in world.vehicles.values() if v.done),
+            "handover_count": kinds["handover"],
+            "ping_pong_count": kinds["ping_pong"],
+            "collision_count": len(world.collisions),
+            "signal_violation_count": kinds["signal_violation"],
+            "lane_change_count": len(world.lane_changes),
+            "events_fired": self.steps,
+            "aborted": failure is not None,
+        }
+        if failure is not None:
+            summary["error"] = f"{type(failure).__name__}: {failure}"
+        (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        logger.info("run %s: %d steps, %d handovers, %d collisions", "aborted" if failure else "complete",
+                    self.steps, kinds["handover"], len(world.collisions))
+        return RunArtifacts(
+            out_dir=out,
+            trace_path=out / "trace.csv",
+            events_path=out / "events.csv",
+            summary_path=out / "summary.json",
+            config_path=out / "config.ini",
+            summary=summary,
         )
-    if observer is not None:
-        for vid in sorted(observer.attachments):
-            history = observer.attachments[vid].history
-            for t, cell_a, cell_b in detect_ping_pong(history, config.radio.pingpong_window_s):
-                back = next(
-                    e for e in history if e.time == t and e.from_cell == cell_b and e.to_cell == cell_a
-                )
-                event_rows.append((t, "ping_pong", vid, cell_a, cell_b, back.x, back.y))
 
-    event_rows.sort(key=lambda row: (row[0], row[2], row[1]))
-    with open(events_path, "w", newline="") as events_fh:
-        events_fh.write(EVENTS_HEADER + "\n")
-        for t, kind, vid, from_cell, to_cell, x, y in event_rows:
-            events_fh.write(
-                f"{_fmt_seconds(to_ns(t))},{kind},{vid},{from_cell},{to_cell},{x:.3f},{y:.3f}\n"
-            )
 
-    total_distance = sum(v.odometer for v in world.vehicles.values())
-    handover_count = 0
-    ping_pong_count = 0
-    if observer is not None:
-        handover_count = sum(len(a.history) for a in observer.attachments.values())
-        ping_pong_count = sum(len(v) for v in observer.ping_pongs(config.radio.pingpong_window_s).values())
-    summary = {
-        "seed": config.seed,
-        "duration_s": config.duration_s,
-        "dt_s": config.dt_s,
-        "sampling_s": config.sampling_s,
-        "vehicles": len(world.vehicles),
-        "distance_driven_m": round(total_distance, 3),
-        "mean_speed_ms": round(total_distance / (len(world.vehicles) * config.duration_s), 3)
-        if world.vehicles
-        else 0.0,
-        "completed_trips": sum(1 for v in world.vehicles.values() if v.done),
-        "handover_count": handover_count,
-        "ping_pong_count": ping_pong_count,
-        "collision_count": len(world.collisions),
-        "signal_violation_count": len(world.signal_violations),
-        "lane_change_count": len(world.lane_changes),
-        "events_fired": kernel.events_fired,
-        "aborted": failure is not None,
-    }
-    if failure is not None:
-        summary["error"] = f"{type(failure).__name__}: {failure}"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    logger.info(
-        "run %s: %d steps, %d handovers, %d collisions",
-        "aborted" if failure else "complete",
-        kernel.events_fired,
-        handover_count,
-        len(world.collisions),
-    )
-    if failure is not None:
-        raise failure
-    return RunArtifacts(
-        out_dir=out,
-        trace_path=trace_path,
-        events_path=events_path,
-        summary_path=summary_path,
-        config_path=config_path,
-        summary=summary,
-    )
+def run(config: ScenarioConfig, out_dir: str | Path, *, echo_text: str | None = None) -> RunArtifacts:
+    """Execute a scenario as a :class:`Simulation` on a standalone kernel.
+
+    ``echo_text`` is passed on to :class:`Simulation`.  An error during
+    stepping is re-raised once the partial artifacts are written.
+    """
+    simulation = Simulation(config, out_dir, echo_text=echo_text)
+    kernel = EventKernel()
+    simulation.attach(kernel)
+    try:
+        kernel.run_until(config.duration_s)
+    except Exception as exc:  # partial artifacts stay on disk
+        simulation.finish(exc)
+        raise
+    return simulation.finish()

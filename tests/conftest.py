@@ -1,7 +1,8 @@
-"""Shared builders for the test suite: synthetic corridors and grid maps."""
+"""Shared builders for the test suite: synthetic corridors and grid maps, a host queue."""
 
 from __future__ import annotations
 
+import heapq
 import math
 
 from vehsim.osm import EARTH_RADIUS_M, TrafficSignal, build_graph
@@ -108,3 +109,20 @@ RADIO_GRID_CONFIG = (
     "station.1.id = eNB2\nstation.1.x = -550\nstation.1.y = -600\n"
     "station.2.id = eNB3\nstation.2.x = -50\nstation.2.y = -80\n"
 )
+
+
+class HeapHost:
+    """Minimal host queue for a host-driven ``EventKernel``: a binary heap of (fire_time, token)."""
+
+    def __init__(self):
+        self.heap = []
+
+    def insert(self, token, fire_time):
+        heapq.heappush(self.heap, (fire_time, token))
+
+    def remove(self, token):
+        self.heap = [entry for entry in self.heap if entry[1] != token]
+        heapq.heapify(self.heap)
+
+    def pop(self):
+        return heapq.heappop(self.heap)[1]

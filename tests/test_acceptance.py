@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 verdict lines; without ``-s`` they appear only for failing tests.
 """
 
-import heapq
 import itertools
 import math
 import time
@@ -28,7 +27,7 @@ from vehsim.radio import BaseStation, RadioObserver
 from vehsim.routing import NoRouteError, shortest_path
 from vehsim.scenario import TraceSample, dumps_config, load_config, read_trace, run
 
-from conftest import RADIO_GRID_CONFIG, chain_graph, corridor_graph, grid_osm_xml
+from conftest import RADIO_GRID_CONFIG, HeapHost, chain_graph, corridor_graph, grid_osm_xml
 
 
 def _verdict(criterion, ok, detail):
@@ -320,23 +319,6 @@ def test_criterion_5_no_unsafe_lane_change_and_cooldown_respected():
 # -- 6: event ordering, standalone vs host-mapped --------------------------------
 
 
-class _HeapHost:
-    """Minimal host queue: a binary heap of (fire_time, token)."""
-
-    def __init__(self):
-        self.heap = []
-
-    def insert(self, token, fire_time):
-        heapq.heappush(self.heap, (fire_time, token))
-
-    def remove(self, token):
-        self.heap = [entry for entry in self.heap if entry[1] != token]
-        heapq.heapify(self.heap)
-
-    def pop(self):
-        return heapq.heappop(self.heap)[1]
-
-
 def _run_event_load(host):
     kernel = EventKernel(host=host)
     rng = np.random.default_rng(606)
@@ -371,7 +353,7 @@ def _run_event_load(host):
 
 def test_criterion_6_event_order_and_host_equivalence():
     standalone_log, expected = _run_event_load(None)
-    hosted_log, _ = _run_event_load(_HeapHost())
+    hosted_log, _ = _run_event_load(HeapHost())
     count_ok = len(standalone_log) == 100_000
     order_ok = [(ft, seq) for ft, seq, _ in standalone_log] == sorted(expected)
     hosts_agree = standalone_log == hosted_log

@@ -1,17 +1,22 @@
-"""Golden pins: SHA-256 digests of the deterministic artifacts of five scenarios.
+"""Golden pins: SHA-256 digests of the deterministic artifacts of six scenarios.
 
-A refactor that is meant to keep behaviour must leave these bytes alone.  A
-change that moves a digest on purpose says so in CHANGES.md and gives the
-oracle that justifies the new bytes.
+Two of them also run host-driven, sharing the kernel with a foreign module,
+and must give the same bytes.  A refactor that is meant to keep behaviour
+must leave these bytes alone.  A change that moves a digest on purpose says
+so in CHANGES.md and gives the oracle that justifies the new bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-from vehsim.scenario import load_config, run
+import pytest
 
-from conftest import RADIO_GRID_CONFIG, grid_osm_xml
+from vehsim.kernel import EventKernel
+from vehsim.mobility import StrandedError
+from vehsim.scenario import Simulation, load_config, run
+
+from conftest import RADIO_GRID_CONFIG, HeapHost, corridor_osm_xml, grid_osm_xml
 
 _ARTIFACTS = ("trace.csv", "events.csv", "summary.json")
 
@@ -168,6 +173,26 @@ RADIO_GRID_DIGESTS = {
     "summary.json": "21bde6e60776886923bdd8282182466e9ee0e76b7d615eae2ab80e6786431518",
 }
 
+# a RandomDirection vehicle sampled every step on a one-way 1 km corridor
+# (``_run`` writes every map to grid.osm) strands at the dead end after 71
+# steps; the run aborts and still writes all its artifacts
+STRANDED_CONFIG = """\
+map = grid.osm
+duration = 30
+sampling = 0.1
+way = 1
+offset = 900
+speed = 13.89
+speed_factor = 1.0
+strategicModel = RandomDirection
+"""
+
+STRANDED_DIGESTS = {
+    "trace.csv": "51b74bb7b157c115230f9caf83e42e5daedeffbabe3da2fce4e9f127a5d46c39",
+    "events.csv": "0b52bd1d3b5a1553562e7730005ef8d485039b92bbac1a4f9574b14b3afa1fdd",
+    "summary.json": "185497f44ae96ea7cb600247733e95df281f3e1a47caeac02beb27f660e25360",
+}
+
 
 def _arterial_grid_xml() -> str:
     """``grid_osm_xml(5, 150.0)`` with ``lanes=4`` on the ``ARTERIAL_WAYS``."""
@@ -182,14 +207,14 @@ def _arterial_grid_xml() -> str:
     return "\n".join(lines)
 
 
+def _digests(out_dir) -> dict[str, str]:
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in _ARTIFACTS}
+
+
 def _run(tmp_path, osm_text: str, config_text: str):
     (tmp_path / "grid.osm").write_text(osm_text)
     artifacts = run(load_config(config_text, base_dir=tmp_path), tmp_path / "out")
-    digests = {
-        name: hashlib.sha256((artifacts.out_dir / name).read_bytes()).hexdigest()
-        for name in _ARTIFACTS
-    }
-    return artifacts.summary, digests
+    return artifacts.summary, _digests(artifacts.out_dir)
 
 
 def test_shadowed_radio_grid_bytes_are_pinned(tmp_path):
@@ -225,3 +250,52 @@ def test_criterion_3_radio_grid_bytes_are_pinned(tmp_path):
     assert summary["completed_trips"] == 1
     assert summary["handover_count"] >= 1
     assert digests == RADIO_GRID_DIGESTS
+
+
+def test_aborted_stranded_corridor_bytes_are_pinned(tmp_path):
+    with pytest.raises(StrandedError):
+        _run(tmp_path, corridor_osm_xml(1000.0), STRANDED_CONFIG)
+    assert _digests(tmp_path / "out") == STRANDED_DIGESTS
+
+
+BEACON_PERIOD_S = 0.1
+
+
+@pytest.mark.parametrize(
+    "osm_text, config_text, pinned",
+    [
+        (grid_osm_xml(4, 300.0), RADIO_CONFIG, RADIO_DIGESTS),
+        (grid_osm_xml(5, 500.0), RADIO_GRID_CONFIG, RADIO_GRID_DIGESTS),
+    ],
+    ids=["shadowed-radio-grid", "criterion-3-grid"],
+)
+def test_host_driven_simulation_with_a_beacon_reproduces_pinned_bytes(
+    tmp_path, osm_text, config_text, pinned
+):
+    # the host queue owns delivery; a 100 ms beacon halfway between the steps
+    # reads every position from the same kernel
+    (tmp_path / "grid.osm").write_text(osm_text)
+    config = load_config(config_text, base_dir=tmp_path)
+    host = HeapHost()
+    kernel = EventKernel(host=host)
+    simulation = Simulation(config, tmp_path / "out")
+    beacons = round(config.duration_s / BEACON_PERIOD_S)
+    seen = []
+
+    def beacon(event):
+        world = simulation.world
+        seen.append([world.position(vehicle) for vehicle in world.vehicles.values()])
+        if len(seen) < beacons:
+            kernel.schedule("beacon", "tick", BEACON_PERIOD_S)
+
+    kernel.bind("beacon", beacon)
+    kernel.schedule("beacon", "tick", BEACON_PERIOD_S / 2)
+    simulation.attach(kernel)
+    while host.heap:
+        kernel.deliver_from_host(host.pop())
+    artifacts = simulation.finish()
+
+    assert len(seen) == beacons
+    assert artifacts.summary["events_fired"] == simulation.steps == round(config.duration_s / config.dt_s)
+    assert simulation.steps < kernel.events_fired == simulation.steps + beacons
+    assert _digests(artifacts.out_dir) == pinned

@@ -1,7 +1,6 @@
 """Event kernel: ordering, cancellation, host mapping."""
 
 import gc
-import heapq
 import weakref
 
 import numpy as np
@@ -14,6 +13,8 @@ from vehsim.kernel import (
     to_ns,
     to_seconds,
 )
+
+from conftest import HeapHost
 
 
 def test_time_conversion():
@@ -110,6 +111,17 @@ def test_unbound_target_raises():
         kernel.run_until(2.0)
 
 
+def test_bind_refuses_a_target_that_already_has_a_handler():
+    kernel = EventKernel()
+    fired = []
+    kernel.bind("a", lambda e: fired.append("first"))
+    with pytest.raises(KernelError, match="already has a handler"):
+        kernel.bind("a", lambda e: fired.append("second"))
+    kernel.schedule("a", "x", 1.0)
+    kernel.run_until(2.0)
+    assert fired == ["first"]
+
+
 def test_handler_error_propagates_and_clock_stops_at_event():
     kernel = EventKernel()
     seen = []
@@ -130,25 +142,21 @@ def test_handler_error_propagates_and_clock_stops_at_event():
     assert kernel.events_fired == 1  # the failing event does not count as completed
 
 
-class RecordingHost:
-    """Host-side queue double: a plain heap of (fire_time, token)."""
+class RecordingHost(HeapHost):
+    """Host-side queue double that also records every inserted and removed token."""
 
     def __init__(self):
-        self.heap = []
+        super().__init__()
         self.inserted = []
         self.removed = []
 
     def insert(self, token, fire_time):
         self.inserted.append(token)
-        heapq.heappush(self.heap, (fire_time, token))
+        super().insert(token, fire_time)
 
     def remove(self, token):
         self.removed.append(token)
-        self.heap = [entry for entry in self.heap if entry[1] != token]
-        heapq.heapify(self.heap)
-
-    def pop(self):
-        return heapq.heappop(self.heap)[1]
+        super().remove(token)
 
 
 def test_host_mapping_round_trip():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vehsim.mobility import (
+    LANE_CHANGE_COOLDOWN,
     IdmParams,
     LaneNeighbors,
     MobilParams,
@@ -233,10 +234,21 @@ def _lanes(leader=None, follower=None):
     return LaneNeighbors(leader=leader, follower=follower)
 
 
+def _mobil(ego, ctx):
+    """``mobil_decide`` given the ego's IDM acceleration behind its current leader."""
+    leader = ctx.current.leader
+    if leader is None:
+        a_c = idm_acceleration(ego.v, ego.v0_eff, 0.0, math.inf, ego.idm)
+    else:
+        gap = leader.raw_dist - (ego.length + leader.length) / 2.0
+        a_c = idm_acceleration(ego.v, ego.v0_eff, ego.v - leader.v, gap, ego.idm)
+    return mobil_decide(ego, a_c, ctx)
+
+
 def test_mobil_changes_left_past_slow_leader():
     slow = Neighbor(raw_dist=20.0, v=5.0)
     ctx = NeighborContext(current=_lanes(leader=slow), left=_lanes(), right=None)
-    assert mobil_decide(_ego(), ctx) == +1
+    assert _mobil(_ego(), ctx) == (+1, None)
 
 
 def test_mobil_safety_veto_protects_new_follower():
@@ -245,8 +257,10 @@ def test_mobil_safety_veto_protects_new_follower():
     # roughly -7.5 m/s^2: blocked at the default bound, allowed at a loose one
     tail = Neighbor(raw_dist=-15.0, v=15.0, idm=IdmParams(v0=20.0), v0_eff=20.0, vehicle_id=7)
     ctx = NeighborContext(current=_lanes(leader=slow), left=_lanes(follower=tail), right=None)
-    assert mobil_decide(_ego(b_safe=4.0), ctx) == 0
-    assert mobil_decide(_ego(b_safe=8.0), ctx) == +1
+    assert _mobil(_ego(b_safe=4.0), ctx) == (0, None)
+    direction, follower_acc = _mobil(_ego(b_safe=8.0), ctx)
+    assert direction == +1
+    assert -8.0 <= follower_acc < -4.0  # the acceleration the change imposes on the follower
 
 
 def test_mobil_politeness_suppresses_selfish_change():
@@ -255,26 +269,26 @@ def test_mobil_politeness_suppresses_selfish_change():
     # decision hinges purely on how much the driver weighs the follower's loss
     tail = Neighbor(raw_dist=-25.0, v=15.0, idm=IdmParams(v0=20.0), v0_eff=20.0, vehicle_id=3)
     ctx = NeighborContext(current=_lanes(leader=slow), left=_lanes(follower=tail), right=None)
-    assert mobil_decide(_ego(p=4.0), ctx) == 0  # heavily polite driver stays
-    assert mobil_decide(_ego(p=0.0), ctx) == +1  # selfish driver goes
+    assert _mobil(_ego(p=4.0), ctx)[0] == 0  # heavily polite driver stays
+    assert _mobil(_ego(p=0.0), ctx)[0] == +1  # selfish driver goes
 
 
 def test_mobil_symmetric_tie_keeps_right():
     slow = Neighbor(raw_dist=15.0, v=2.0)
     ctx = NeighborContext(current=_lanes(leader=slow), left=_lanes(), right=_lanes())
-    assert mobil_decide(_ego(), ctx) == -1
+    assert _mobil(_ego(), ctx) == (-1, None)
 
 
 def test_mobil_no_gain_no_change():
     ctx = NeighborContext(current=_lanes(), left=_lanes(), right=_lanes())
-    assert mobil_decide(_ego(), ctx) == 0
+    assert _mobil(_ego(), ctx) == (0, None)
 
 
 def test_mobil_rejects_overlapping_target_gap():
     slow = Neighbor(raw_dist=20.0, v=5.0)
     blocker = Neighbor(raw_dist=3.0, v=15.0)  # net gap -2: physically occupied
     ctx = NeighborContext(current=_lanes(leader=slow), left=_lanes(leader=blocker), right=None)
-    assert mobil_decide(_ego(), ctx) == 0
+    assert _mobil(_ego(), ctx) == (0, None)
 
 
 # -- stepping ---------------------------------------------------------------
@@ -439,7 +453,7 @@ def test_lane_change_cooldown_delays_next_change():
         world.step(0.1)
     times = [rec.time for rec in world.lane_changes if rec.vehicle_id == ego.id]
     assert times, "the blocked ego never took the free lane"
-    assert times[0] >= world.cooldown - 1e-9
+    assert times[0] >= LANE_CHANGE_COOLDOWN - 1e-9
     assert times[0] == pytest.approx(2.0)
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vehsim.cli import main as cli_main
+from vehsim.kernel import EventKernel, KernelError
 from vehsim.mobility import StrandedError
 from vehsim.osm import TrafficSignal
 from vehsim.radio import BaseStation
@@ -19,6 +20,7 @@ from vehsim.scenario import (
     InterferenceSpec,
     RadioParams,
     ScenarioConfig,
+    Simulation,
     VehicleSpec,
     dumps_config,
     load_config,
@@ -590,6 +592,20 @@ def test_aborted_run_leaves_partial_artifacts(corridor_map, tmp_path):
     # step that raised wrote no row and does not count as fired
     assert summary["events_fired"] == len(trace_lines) - 2
     assert (out / "events.csv").exists()
+
+
+def test_second_simulation_on_a_shared_kernel_is_refused(corridor_map, tmp_path):
+    config = load_config(f"map = {corridor_map}\nduration = 1\nway = 1\nspeed = 10\n")
+    kernel = EventKernel()
+    first = Simulation(config, tmp_path / "first")
+    first.attach(kernel)
+    second = Simulation(config, tmp_path / "second")
+    # a second "runner" binding would take over the first simulation's steps
+    with pytest.raises(KernelError, match="already has a handler"):
+        second.attach(kernel)
+    second.finish()
+    kernel.run_until(config.duration_s)
+    assert first.finish().summary["events_fired"] == first.steps == 10
 
 
 HANDOVER_SCENARIO = (

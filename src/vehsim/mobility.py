@@ -18,8 +18,9 @@ kinematic stopping distance and never rolls backwards.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -332,19 +333,108 @@ class SignalViolation:
     node_id: int
 
 
+class _Fleet(NamedTuple):
+    """Per-vehicle constants recorded at spawn, as arrays indexed by vehicle id."""
+
+    length: np.ndarray
+    b_comf: np.ndarray
+    v0_eff: np.ndarray
+    delta: list[float]  # Python floats: ``** delta`` is evaluated element-wise
+    idm: np.ndarray  # rows a_max, s0, T and 2 * sqrt(a_max * b_comf)
+    p: np.ndarray
+    delta_a_th: np.ndarray
+    b_safe: np.ndarray
+    parked: np.ndarray
+
+
+def _idm_behind(free: np.ndarray, v: np.ndarray, idm: np.ndarray, delta_v: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """:func:`idm_acceleration` of followers at speed ``v`` with free-road acceleration ``free``.
+
+    ``idm`` holds the followers' columns of :attr:`_Fleet.idm`; the leader
+    sits at net ``gap`` (floored at ``_GAP_FLOOR``) and each follower closes
+    in at ``delta_v``.  The association is the scalar one, and ``** 2`` runs
+    on Python floats because NumPy's power is not byte-equal to it.
+    """
+    a_max, s0, T, c = idm
+    s_star = s0 + v * T + v * delta_v / c
+    ratio = (s_star / np.maximum(gap, _GAP_FLOOR)).tolist()
+    return free - a_max * np.array([x ** 2 for x in ratio])
+
+
+_NO_SLOT = np.iinfo(np.int64).max  # the lane table's sentinel entry, after every real slot
+
+
+class _LaneTable:
+    """Every vehicle sorted by (lane slot, s, id); a slot is one lane of one directed segment.
+
+    The search keys are complex, ``slot + s*j``: NumPy orders complex numbers
+    by real, then imaginary part, so they order (slot, s) exactly, with no
+    arithmetic on ``s``.  ``of`` holds each vehicle's own key; a key moved to
+    another lane of the same segment is ``of + lane difference``.  Queries
+    return indices into the sorted arrays, or -1, which selects a sentinel
+    entry in no slot (vehicle id -1).  ``first`` reads, per slot among the
+    first ``slots``, its rearmost entry; a slot numbered later is empty.
+    """
+
+    __slots__ = ("of", "key", "vid", "slot", "s", "slots", "rearmost")
+
+    def __init__(self, slot: np.ndarray, s: np.ndarray, slots: int) -> None:
+        self.of = np.empty(len(slot), dtype=complex)
+        self.of.real = slot
+        self.of.imag = s
+        order = np.argsort(self.of, kind="stable")  # equal keys keep ascending id
+        self.key = self.of[order]
+        self.vid = np.concatenate((order, [-1]))
+        self.slot = np.concatenate((slot[order], [_NO_SLOT]))
+        self.s = np.concatenate((s[order], [0.0]))
+        self.slots = slots
+        self.rearmost: np.ndarray | None = None  # built by the first call of ``first``
+
+    def _in(self, j: np.ndarray, slot: np.ndarray) -> np.ndarray:
+        return np.where(self.slot[j] == slot, j, -1)
+
+    def ahead(self, key: np.ndarray, slot: np.ndarray) -> np.ndarray:
+        """Nearest entry of ``slot`` strictly ahead of ``key``'s position."""
+        return self._in(np.searchsorted(self.key, key, "right"), slot)
+
+    def behind(self, key: np.ndarray, slot: np.ndarray) -> np.ndarray:
+        """Nearest entry of ``slot`` strictly behind ``key``'s position."""
+        return self._in(np.searchsorted(self.key, key, "left") - 1, slot)
+
+    def first(self, slot: np.ndarray) -> np.ndarray:
+        """Rearmost entry of ``slot``: positions are never negative, so the first one past -1 m."""
+        if self.rearmost is None:
+            starts = np.concatenate(([True], self.slot[1:-1] != self.slot[:-2])).nonzero()[0]
+            self.rearmost = np.full(self.slots + 1, -1)
+            self.rearmost[self.slot[starts]] = starts
+        return self.rearmost[np.minimum(slot, self.slots)]
+
+
+_NONE, _STANDING, _OPEN = -2, -1, -3  # look-ahead results other than a vehicle id
+_HOPS = 16  # route hops the look-ahead evaluates per pass
+
+
 class World:
     """Owns all vehicles and advances them on one shared timeline.
 
-    ``step`` applies one fixed time slice: decisions for every vehicle are
-    computed from the start-of-step snapshot in ascending id order, then
-    positions are integrated and route topology (segment crossings, arrivals,
-    rerouting) is resolved.  Update order therefore cannot change the physics.
+    ``step`` applies one fixed time slice.  Decisions for every vehicle are
+    computed at once, as arrays, from the start-of-step state; lane changes
+    are recorded in ascending id order.  Then positions are integrated, and
+    route topology (segment crossings, arrivals, rerouting) is resolved for
+    the vehicles that reach a node.  Update order therefore cannot change the
+    physics.  The arithmetic is that of the public per-vehicle model
+    (:func:`idm_acceleration`, :func:`mobil_decide`,
+    :func:`ballistic_update`), operation for operation, so both give the same
+    bits.
 
-    Between steps, vehicle state changes only through ``step`` and ``spawn``,
-    so the lane registry built after one step's moves is kept as the next
-    step's start-of-step snapshot; ``spawn`` discards it.  The set of nodes
-    whose signal blocks (yellow or red) is built once per ``step`` and once
-    per ``perceive_leader`` call, so a signal added or retimed between steps
+    ``vehicles`` is the one record of vehicle state: each step reads it into
+    arrays and writes the results back.  A vehicle's id is its index in
+    every per-vehicle array.  Between steps, vehicle state changes only
+    through ``step``, ``spawn`` and ``strategic_next``, so the lane table
+    sorted after one step's moves is kept as the next step's start-of-step
+    table; ``spawn`` discards it.  The set of nodes whose signal blocks
+    (yellow or red) is built once per ``step`` and once per
+    ``perceive_leader`` call, so a signal added or retimed between steps
     takes effect at the next step.
     """
 
@@ -366,10 +456,30 @@ class World:
         self.signal_violations: list[SignalViolation] = []
         self._next_id = 0
         self._order: list[Vehicle] = []  # ascending id, maintained at spawn
-        self._registry: dict | None = None  # lane registry of the current state
-        self._lane_lists: list[list[tuple[float, int]]] = []  # its lanes, first-seen order
-        # (x0, dx, y0, dy) from start node to end node, per occupied directed segment
-        self._geometry: dict[tuple[int, int, bool], tuple[float, float, float, float]] = {}
+        self._table: _LaneTable | None = None  # lane table of the current state
+        self._occupancy: dict | None = None  # (ref key, lane) -> vehicles, for placement checks
+        # directed segments numbered in the order they are first met, with per
+        # segment (length, end node index, lanes, first lane slot, x0, dx, y0,
+        # dy), the last four from its start node to its end node
+        self._seg_index: dict[tuple[int, int, bool], int] = {}
+        self._seg_rows: list[tuple] = []
+        self._slots = 0
+        self._node_index: dict[int, int] = {}
+        self._segs: tuple[np.ndarray, ...] | None = None  # the rows as columns
+        # per vehicle, kept as the world moves it: its directed segment, its
+        # route's segments (a run of ``_flat``, which is packed afresh when
+        # full) and the node its trip stops at (-1: none); vehicles whose
+        # route or trip cursor changed are "stale" until their route is read
+        self._seg = np.zeros(0, dtype=np.int64)
+        self._route_segs: list[list[int]] = []
+        self._route_start = np.zeros(0, dtype=np.int64)
+        self._route_count = np.zeros(0, dtype=np.int64)
+        self._final = np.zeros(0, dtype=np.int64)
+        self._stale: set[int] = set()
+        self._flat = np.zeros(64, dtype=np.int64)
+        self._flat_used = 0
+        self._params: list[tuple] = []  # per vehicle, the columns of _Fleet
+        self._consts: _Fleet | None = None
 
     # -- population ---------------------------------------------------------
 
@@ -446,15 +556,28 @@ class World:
         vehicle.route_pos = 0
         self.vehicles[vid] = vehicle
         self._order.append(vehicle)
-        self._registry = None
+        p, m = vehicle.idm, vehicle.mobil
+        self._params.append((length, p.b_comf, vehicle.v0_eff, p.delta, p.a_max, p.s0, p.T,
+                             2.0 * math.sqrt(p.a_max * p.b_comf), m.p, m.delta_a_th, m.b_safe, parked))
+        self._consts = None
+        self._segment(ref)
+        self._route_segs.append([])
+        self._stale.add(vid)
+        self._table = None
+        if self._occupancy is not None:
+            self._occupancy.setdefault((ref.key, lane), []).append(vehicle)
         return vehicle
 
     def lane_is_clear(self, ref: SegmentRef, lane: int, s: float, margin: float) -> bool:
-        """True when no vehicle occupies (ref, lane) within ``margin`` meters of s."""
-        for veh in self._order:
-            if veh.ref.key == ref.key and veh.lane == lane and abs(veh.s - s) < margin:
-                return False
-        return True
+        """True when no vehicle occupies (ref, lane) within ``margin`` meters of s.
+
+        Reads a (ref key, lane) index that ``spawn`` extends and ``step`` drops.
+        """
+        if self._occupancy is None:
+            self._occupancy = {}
+            for veh in self._order:
+                self._occupancy.setdefault((veh.ref.key, veh.lane), []).append(veh)
+        return not any(abs(veh.s - s) < margin for veh in self._occupancy.get((ref.key, lane), ()))
 
     # -- perception -----------------------------------------------------------
 
@@ -466,79 +589,15 @@ class World:
             return sm.cursor >= len(sm.destinations) - 1
         return True  # no strategic model: stop at the end of the route
 
-    def _blocking_signals(self) -> set[int]:
-        """Nodes whose signal is yellow or red at the current time."""
+    def _blocking_signals(self) -> np.ndarray:
+        """Per node index: True where the node's signal is yellow or red at the current time."""
         t = self.time
-        return {node for node, sig in self.signals.items() if signal_phase(sig, t) != "green"}
-
-    @staticmethod
-    def _scan_after(entries: list[tuple[float, int]] | None, lo: float) -> tuple[float, int] | None:
-        """First (s, vehicle id) strictly after position ``lo`` in a lane registry."""
-        if not entries:
-            return None
-        i = bisect_right(entries, (lo, math.inf))
-        if i < len(entries):
-            return entries[i]
-        return None
-
-    def _vehicle_ahead(self, vid: int, raw_dist: float) -> Neighbor:
-        other = self.vehicles[vid]
-        return Neighbor(raw_dist, other.v, other.length, vehicle_id=vid)
-
-    def _nearest_obstruction(
-        self, snap: dict, blocked: set[int], vehicle: Vehicle, lane: int
-    ) -> Neighbor | None:
-        """Closest blocking thing ahead of the vehicle in ``lane`` within the horizon.
-
-        ``blocked`` holds the nodes whose signal is not green (see
-        :meth:`_blocking_signals`).
-        """
-        ref = vehicle.ref
-        s = vehicle.s
-        horizon = self.horizon
-        hit = self._scan_after(snap[ref.key].get(lane), s)
-        if hit is not None and hit[0] - s <= horizon:
-            return self._vehicle_ahead(hit[1], hit[0] - s)
-
-        route = vehicle.route
-        final_node = route.node_ids[-1] if self._is_final_leg(vehicle) else None
-        cum = ref.length - s  # ego center to the end node of the current segment
-        refs = route.refs
-        i = vehicle.route_pos
-        end_node = ref.end_node
-        while cum <= horizon:
-            if end_node in blocked:
-                return Neighbor(cum, 0.0, 0.0, kind="signal")
-            if end_node == final_node:
-                return Neighbor(cum, 0.0, 0.0, kind="stop")
-            if i == len(refs):
-                return None  # route ends here; beyond is undecided
-            nxt = refs[i]
-            i += 1
-            lanes = snap.get(nxt.key)
-            if lanes is not None:
-                hit = self._scan_after(lanes.get(min(lane, nxt.lanes - 1)), -1.0)
-                if hit is not None:
-                    if cum + hit[0] > horizon:
-                        return None
-                    return self._vehicle_ahead(hit[1], cum + hit[0])
-            cum += nxt.length
-            end_node = nxt.end_node
-        return None
-
-    def _follower_neighbor(self, snap: dict, vehicle: Vehicle, lane: int) -> Neighbor | None:
-        """Nearest vehicle behind on the current segment in ``lane`` (segment-local)."""
-        entries = snap[vehicle.ref.key].get(lane)
-        if not entries:
-            return None
-        i = bisect_right(entries, (vehicle.s, -math.inf)) - 1
-        while i >= 0:
-            s_j, vid = entries[i]
-            if vid != vehicle.id:
-                other = self.vehicles[vid]
-                return Neighbor(s_j - vehicle.s, other.v, other.length, other.idm, other.v0_eff, vid)
-            i -= 1
-        return None
+        blocked = np.zeros(len(self._node_index) + 1, dtype=bool)  # the extra entry is "no node"
+        index = self._node_index
+        for node, sig in self.signals.items():
+            if node in index and signal_phase(sig, t) != "green":
+                blocked[index[node]] = True
+        return blocked
 
     def perceive_leader(self, vehicle: Vehicle) -> tuple[float, float] | None:
         """(net gap, approach rate) to the nearest obstruction ahead, or None when free.
@@ -547,23 +606,34 @@ class World:
         the perception horizon.  Yellow/red signals at upcoming nodes count as
         standing leaders at the stop line; green signals are invisible.
         """
-        snap = self._lane_registry()
-        leader = self._nearest_obstruction(snap, self._blocking_signals(), vehicle, vehicle.lane)
-        if leader is None:
+        s, v, lane, route_pos, _ = self._state()
+        table = self._lane_table(s, lane)
+        ego = np.array([vehicle.id])
+        slot = self._segment_columns()[3][self._seg[ego]] + lane[ego]
+        hit, raw = self._look_ahead(table, self._blocking_signals(), ego, lane[ego], table.of[ego], slot, s, route_pos)
+        other = int(hit[0])
+        if other == _NONE:
             return None
-        return _net_gap(vehicle.length, leader), vehicle.v - leader.v
+        lead_length, lead_v = (self._order[other].length, float(v[other])) if other >= 0 else (0.0, 0.0)
+        return abs(float(raw[0])) - (vehicle.length + lead_length) / 2.0, vehicle.v - lead_v
 
     def position(self, vehicle: Vehicle) -> tuple[float, float]:
         """World coordinates of the vehicle center (lane offsets are ignored)."""
-        ref = vehicle.ref
-        geometry = self._geometry.get(ref.key)
-        if geometry is None:  # the graph is immutable, so a cached entry never goes stale
-            a = self.graph.node(ref.start_node)
-            b = self.graph.node(ref.end_node)
-            geometry = self._geometry[ref.key] = (a.x, b.x - a.x, a.y, b.y - a.y)
-        x0, dx, y0, dy = geometry
-        frac = min(max(vehicle.s / ref.length, 0.0), 1.0)
+        x0, dx, y0, dy = self._seg_rows[self._segment(vehicle.ref)][4:]
+        frac = min(max(vehicle.s / vehicle.ref.length, 0.0), 1.0)
         return x0 + frac * dx, y0 + frac * dy
+
+    def positions(self) -> tuple[list[float], list[float]]:
+        """:meth:`position` of every vehicle, in id order, as one array evaluation (same bits)."""
+        if not self._order:
+            return [], []
+        self._grow()
+        length, _, _, _, x0, dx, y0, dy = self._segment_columns()
+        seg = self._seg
+        ratio = np.array([veh.s for veh in self._order]) / length[seg]
+        ratio = np.where(0.0 > ratio, 0.0, ratio)  # max(ratio, 0.0)
+        frac = np.where(1.0 < ratio, 1.0, ratio)  # min(ratio, 1.0)
+        return (x0[seg] + frac * dx[seg]).tolist(), (y0[seg] + frac * dy[seg]).tolist()
 
     # -- strategic layer ------------------------------------------------------
 
@@ -575,6 +645,7 @@ class World:
         if isinstance(sm, Trip):
             vehicle.arrivals.append((self.time, arrived_at))
             sm.cursor += 1
+            self._stale.add(vehicle.id)  # the cursor decides the final leg
             if sm.cursor >= len(sm.destinations):
                 return None
             return sm.destinations[sm.cursor]
@@ -591,67 +662,154 @@ class World:
         pick = candidates[int(vehicle.rng.integers(len(candidates)))]
         return pick.end_node
 
-    # -- stepping ---------------------------------------------------------------
+    # -- arrays -----------------------------------------------------------------
 
-    def _lane_registry(self) -> dict:
-        """ref key -> {lane: sorted [(s, id)]}; kept until the state changes.
+    def _segment(self, ref: SegmentRef) -> int:
+        """Index of a directed segment, numbered in the order segments are first met."""
+        index = self._seg_index.get(ref.key)
+        if index is None:
+            index = self._seg_index[ref.key] = len(self._seg_rows)
+            end = self._node_index.setdefault(ref.end_node, len(self._node_index))
+            a, b = self.graph.node(ref.start_node), self.graph.node(ref.end_node)
+            self._seg_rows.append((ref.length, end, ref.lanes, self._slots, a.x, b.x - a.x, a.y, b.y - a.y))
+            self._slots += ref.lanes
+            self._segs = None
+        return index
 
-        ``_lane_lists`` holds the same lane lists in the order their first
-        vehicle (by id) was met, which fixes the collision scan's record order.
+    def _segment_columns(self) -> tuple[np.ndarray, ...]:
+        """The segment rows as columns: length, end node index, lanes, first lane slot, x0, dx, y0, dy."""
+        if self._segs is None:
+            columns = list(zip(*self._seg_rows))
+            self._segs = tuple(np.array(col, dtype=np.int64 if k in (1, 2, 3) else float)
+                               for k, col in enumerate(columns))
+        return self._segs
+
+    def _grow(self) -> None:
+        """Extend the per-vehicle arrays that the world keeps to the vehicles spawned since."""
+        new = self._order[len(self._seg):]
+        if new:
+            self._seg = np.concatenate((self._seg, [self._segment(veh.ref) for veh in new]))
+            self._route_start = np.concatenate((self._route_start, np.zeros(len(new), dtype=np.int64)))
+            self._route_count = np.concatenate((self._route_count, np.zeros(len(new), dtype=np.int64)))
+            self._final = np.concatenate((self._final, np.full(len(new), -1)))
+
+    def _state(self) -> tuple[np.ndarray, ...]:
+        """The vehicles' s, v, lane, route position and done flag, read into arrays."""
+        self._grow()
+        for vid in self._stale:
+            self._read_route(vid)
+        self._stale.clear()
+        order = self._order
+        return (np.array([veh.s for veh in order]), np.array([veh.v for veh in order]),
+                np.array([veh.lane for veh in order], dtype=np.int64),
+                np.array([veh.route_pos for veh in order], dtype=np.int64),
+                np.array([veh.done for veh in order], dtype=bool))
+
+    def _read_route(self, vid: int) -> None:
+        """Store a vehicle's route segments in ``_flat`` and the node its trip stops at."""
+        veh = self._order[vid]
+        segs = self._route_segs[vid] = [self._segment(ref) for ref in veh.route.refs]
+        final = self._node_index.setdefault(veh.route.node_ids[-1], len(self._node_index))
+        self._final[vid] = final if self._is_final_leg(veh) else -1
+        used = self._flat_used
+        if used + len(segs) > len(self._flat):  # full: pack every route afresh, this one included
+            counts = [len(run) for run in self._route_segs]
+            used = sum(counts)
+            self._flat = np.zeros(2 * used + 64, dtype=np.int64)
+            self._flat[:used] = list(chain.from_iterable(self._route_segs))
+            self._route_count[:] = counts
+            self._route_start[:] = np.cumsum(counts) - counts
+        else:
+            self._flat[used:used + len(segs)] = segs
+            self._route_start[vid] = used
+            self._route_count[vid] = len(segs)
+            used += len(segs)
+        self._flat_used = used
+
+    def _constants(self) -> _Fleet:
+        if self._consts is None:
+            length, b_comf, v0_eff, delta, *idm, p, delta_a_th, b_safe, parked = zip(*self._params)
+            self._consts = _Fleet(np.array(length), np.array(b_comf), np.array(v0_eff), list(delta), np.array(idm),
+                                  np.array(p), np.array(delta_a_th), np.array(b_safe), np.array(parked))
+        return self._consts
+
+    def _lane_table(self, s: np.ndarray, lane: np.ndarray) -> _LaneTable:
+        if self._table is None:
+            self._table = _LaneTable(self._segment_columns()[3][self._seg] + lane, s, self._slots)
+        return self._table
+
+    def _look_ahead(
+        self,
+        table: _LaneTable,
+        blocked: np.ndarray,
+        ego: np.ndarray,
+        lane: np.ndarray,
+        key: np.ndarray,
+        slot: np.ndarray,
+        s: np.ndarray,
+        route_pos: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Closest obstruction ahead of each vehicle ``ego[k]`` in ``lane[k]`` within the horizon.
+
+        ``key`` and ``slot`` are the pair's lane-table key and slot.  Returns
+        per pair what blocks (a vehicle id, ``_STANDING`` for a blocking
+        signal or the trip's final stop, ``_NONE`` when free) and the center
+        distance to it along the route.  On the ego's segment that is the
+        nearest vehicle strictly ahead.  Then the scan alternates, as the
+        route goes on: the node ahead (the horizon, a blocking signal, the
+        final stop, the route's end) and the next segment's rearmost vehicle
+        in lane ``min(lane, lanes - 1)``, up to ``_HOPS`` segments per pass.
         """
-        if self._registry is None:
-            snap: dict[tuple[int, int, bool], dict[int, list[tuple[float, int]]]] = {}
-            lane_lists = []
-            for veh in self._order:
-                by_lane = snap.get(veh.ref.key)
-                if by_lane is None:
-                    by_lane = snap[veh.ref.key] = {}
-                entries = by_lane.get(veh.lane)
-                if entries is None:
-                    entries = by_lane[veh.lane] = []
-                    lane_lists.append(entries)
-                entries.append((veh.s, veh.id))
-            for entries in lane_lists:
-                entries.sort()
-            self._registry = snap
-            self._lane_lists = lane_lists
-        return self._registry
+        horizon = self.horizon
+        seg_len, seg_end, seg_lanes, slot0, *_ = self._segment_columns()
+        seg = self._seg[ego]
+        s_ego = s[ego]
+        j = table.ahead(key, slot)
+        raw = table.s[j] - s_ego
+        hit = np.where((j >= 0) & (raw <= horizon), table.vid[j], _NONE)
 
-    def _decide(self, snap: dict, blocked: set[int], vehicle: Vehicle) -> None:
-        """Longitudinal acceleration plus an optional immediate lane change."""
-        leader = self._nearest_obstruction(snap, blocked, vehicle, vehicle.lane)
-        vehicle.acc = _acc_behind(vehicle, leader)
+        pair = (hit == _NONE).nonzero()[0]
+        owner = ego[pair]
+        q, stop = lane[pair], self._final[owner]
+        at = self._route_start[owner] + route_pos[owner]  # flat index of the segment after the end node
+        last = self._route_start[owner] + self._route_count[owner]
+        cum, node = (seg_len[seg] - s_ego)[pair], seg_end[seg[pair]]
+        while True:
+            # the node ahead, ``cum`` away: past the horizon, a blocking
+            # signal or the final stop, or the route's end settles the pair
+            found = np.where(cum > horizon, _NONE, np.where(
+                blocked[node] | (node == stop), _STANDING, np.where(at == last, _NONE, _OPEN)))
+            settled = found != _OPEN
+            hit[pair[settled]] = found[settled]
+            raw[pair[settled]] = cum[settled]
+            go = ~settled
+            if not go.any():
+                return hit, raw
+            pair, q, stop, at, last, cum = pair[go], q[go], stop[go], at[go], last[go], cum[go]
+            # the next segments, row h being hop h (up to _HOPS at once): the
+            # rearmost vehicle in lane min(lane, lanes - 1), then the node at
+            # the segment's end, with distances summed in route order
+            hop = at + np.arange(min(_HOPS, (last - at).max()))[:, None]
+            nxt = self._flat[np.where(hop < last, hop, 0)]
+            reach = np.concatenate((cum[None], seg_len[nxt])).cumsum(axis=0)
+            k = table.first(slot0[nxt] + np.minimum(q, seg_lanes[nxt] - 1))
+            d = reach[:-1] + table.s[k]
+            end, node = reach[1:], seg_end[nxt]
+            found = np.where(k >= 0, np.where(d <= horizon, table.vid[k], _NONE), np.where(
+                end > horizon, _NONE, np.where(blocked[node] | (node == stop), _STANDING,
+                                               np.where(hop + 1 == last, _NONE, _OPEN))))
+            first = (found != _OPEN).argmax(axis=0)  # rows past the route's end come after it settles
+            col = np.arange(len(pair))
+            found = found[first, col]
+            settled = found != _OPEN
+            hit[pair[settled]] = found[settled]
+            raw[pair[settled]] = np.where(k[first, col] >= 0, d[first, col], end[first, col])[settled]
+            go = ~settled
+            pair, q, stop, at, last = pair[go], q[go], stop[go], at[go] + len(hop), last[go]
+            cum, node = reach[-1, go], node[-1, go]
+        return hit, raw
 
-        ref = vehicle.ref
-        if ref.lanes <= 1 or self.time - vehicle.last_lane_change < LANE_CHANGE_COOLDOWN:
-            return
-        current = LaneNeighbors(leader, self._follower_neighbor(snap, vehicle, vehicle.lane))
-        sides: dict[int, LaneNeighbors | None] = {+1: None, -1: None}
-        for direction in (+1, -1):
-            lane2 = vehicle.lane + direction
-            if 0 <= lane2 < ref.lanes:
-                sides[direction] = LaneNeighbors(
-                    self._nearest_obstruction(snap, blocked, vehicle, lane2),
-                    self._follower_neighbor(snap, vehicle, lane2),
-                )
-        decision, acc_after = mobil_decide(
-            vehicle, vehicle.acc, NeighborContext(current, sides[+1], sides[-1])
-        )
-        if decision == 0:
-            return
-        follower = sides[decision].follower
-        self.lane_changes.append(
-            LaneChangeRecord(
-                time=self.time,
-                vehicle_id=vehicle.id,
-                from_lane=vehicle.lane,
-                to_lane=vehicle.lane + decision,
-                follower_id=follower.vehicle_id if follower else None,
-                follower_acc_after=acc_after,
-            )
-        )
-        vehicle.lane += decision
-        vehicle.last_lane_change = self.time
+    # -- stepping ---------------------------------------------------------------
 
     def _advance_route(self, vehicle: Vehicle, node: int) -> bool:
         """Resolve the strategic layer at a route's terminal node.
@@ -659,6 +817,7 @@ class World:
         Returns True when a fresh multi-node route was installed, False when
         the vehicle is done (no further destination).
         """
+        self._stale.add(vehicle.id)
         nxt = self.strategic_next(vehicle, node)
         while nxt is not None:
             route = routing.shortest_path(self.graph, node, nxt)
@@ -676,12 +835,8 @@ class World:
         if position is not None:
             vehicle.s = position
 
-    def _move(self, vehicle: Vehicle, dt: float) -> None:
-        ds, v_new = ballistic_update(vehicle.v, vehicle.acc, dt)
-        vehicle.s += ds
-        vehicle.odometer += ds
-        vehicle.v = v_new
-
+    def _settle(self, vehicle: Vehicle) -> None:
+        """Resolve the nodes a moved vehicle crossed, then a smooth final arrival."""
         while vehicle.s > vehicle.ref.length:
             leftover = vehicle.s - vehicle.ref.length
             node = vehicle.route.node_ids[vehicle.route_pos]
@@ -694,6 +849,7 @@ class World:
                     self._finish(vehicle, position=vehicle.ref.length)
                     return
             vehicle.ref = vehicle.route.refs[vehicle.route_pos]
+            self._seg[vehicle.id] = self._segment(vehicle.ref)
             vehicle.lane = min(vehicle.lane, vehicle.ref.lanes - 1)
             vehicle.s = leftover
             vehicle.route_pos += 1
@@ -713,38 +869,181 @@ class World:
                 if not self._advance_route(vehicle, node):
                     self._finish(vehicle)
 
-    def _scan_collisions(self) -> None:
-        self._lane_registry()
-        for entries in self._lane_lists:
-            for (s_rear, rear_id), (s_front, front_id) in zip(entries, entries[1:]):
-                rear = self.vehicles[rear_id]
-                front = self.vehicles[front_id]
-                gap = (s_front - s_rear) - (rear.length + front.length) / 2.0
-                if gap <= 0.0:
-                    self.collisions.append(CollisionRecord(self.time, rear_id, front_id, gap))
-
     def step(self, dt: float) -> None:
         """Advance every vehicle by ``dt`` seconds."""
         if dt <= 0:
             raise ValueError(f"dt must be > 0, got {dt!r}")
-        snap = self._lane_registry()
-        self._registry = None  # decisions change lanes; moves change positions
-        blocked = self._blocking_signals()
-        for vehicle in self._order:
-            if vehicle.parked:
-                vehicle.acc = 0.0
-                continue
-            if vehicle.done:
-                vehicle.acc = -vehicle.idm.b_comf if vehicle.v > 0 else 0.0
-                continue
-            self._decide(snap, blocked, vehicle)
-        for vehicle in self._order:
-            if vehicle.parked:
-                continue
-            if vehicle.done:
-                if vehicle.v > 0:  # rare clamp-stop case: bleed off speed in place
-                    vehicle.v = max(0.0, vehicle.v + vehicle.acc * dt)
-                continue
-            self._move(vehicle, dt)
+        order = self._order
+        if not order:
+            self.time += dt
+            return
+        s, v, lane, route_pos, done = self._state()
+        table = self._lane_table(s, lane)
+        self._table = self._occupancy = None  # decisions change lanes; moves change positions
+        fleet = self._constants()
+        length = fleet.length
+        free = fleet.idm[0] * (1.0 - np.array([x ** d for x, d in zip((v / fleet.v0_eff).tolist(), fleet.delta)]))
+        seg_len, _, seg_lanes, slot0, *_ = self._segment_columns()
+
+        # pairs (vehicle, lane) to look ahead in: every moving vehicle's own
+        # lane, then the left and the right lanes of the MOBIL candidates
+        movers = (~(fleet.parked | done)).nonzero()[0]
+        m = len(movers)
+        ego, shift, sides = movers, np.zeros(m, dtype=np.int64), ()
+        lanes_here = seg_lanes[self._seg[movers]]
+        multi = (lanes_here > 1).nonzero()[0]
+        if len(multi):
+            last_change = np.array([order[k].last_lane_change for k in movers[multi].tolist()])
+            mobil = multi[~(self.time - last_change < LANE_CHANGE_COOLDOWN)]
+            cand = movers[mobil]
+            left = (lane[cand] + 1 < lanes_here[mobil]).nonzero()[0]
+            right = (lane[cand] > 0).nonzero()[0]
+            sides = np.concatenate((left, right))  # the side pairs' candidates, as indices into ``mobil``
+            ego = np.concatenate((movers, cand[sides]))
+            shift = np.concatenate((shift, np.ones(len(left), dtype=np.int64), np.full(len(right), -1)))
+        target = lane[ego] + shift
+        key, slot = table.of[ego] + shift, slot0[self._seg[ego]] + target
+        hit, raw = self._look_ahead(table, self._blocking_signals(), ego, target, key, slot, s, route_pos)
+        has = hit != _NONE
+        lead_v = np.concatenate((v, [0.0]))[hit]  # a standing obstruction (-1) has speed and length 0
+        lead_len = np.concatenate((length, [0.0]))[hit]
+        net = np.abs(raw) - (length[ego] + lead_len) / 2.0  # ego to the obstruction in the pair's lane
+
+        # every IDM evaluation of the step in one batch: each ego behind the
+        # obstruction of its pair's lane and, for MOBIL's pairs, the lane's
+        # follower behind the ego and behind that obstruction
+        by_lead = has.nonzero()[0]
+        who, ahead_v, gaps = ego[by_lead], lead_v[by_lead], net[by_lead]
+        if len(sides):
+            fol = table.vid[table.behind(key, slot)]  # -1 where none: every value read through it is unused
+            candidate = np.zeros(m, dtype=bool)
+            candidate[mobil] = True
+            fol[:m][~candidate] = -1  # MOBIL asks only for its candidates' followers
+            f_raw = s[fol] - s[ego]
+            f_net = np.abs(f_raw) - (length[ego] + length[fol]) / 2.0  # follower to ego
+            f_lead = (raw - f_raw) - (length[fol] + lead_len) / 2.0  # follower to the ego's obstruction
+            by_ego = (fol >= 0).nonzero()[0]
+            both = ((fol >= 0) & has).nonzero()[0]
+            who = np.concatenate((who, fol[by_ego], fol[both]))
+            ahead_v = np.concatenate((ahead_v, v[ego[by_ego]], lead_v[both]))
+            gaps = np.concatenate((gaps, f_net[by_ego], f_lead[both]))
+        acc_of = _idm_behind(free[who], v[who], fleet.idm[:, who], v[who] - ahead_v, gaps)
+        a_lead = free[ego]
+        a_lead[by_lead] = acc_of[:len(by_lead)]
+        acc = np.zeros(len(order))
+        stopped = (done & ~fleet.parked).nonzero()[0]
+        acc[stopped] = np.where(v[stopped] > 0, -fleet.b_comf[stopped], 0.0)
+        acc[movers] = a_lead[:m]
+        if len(sides):
+            # MOBIL per side pair, as _change_gain: the ego behind the target
+            # lane's obstruction, that lane's follower behind the ego instead
+            # of behind the obstruction, and the own lane's follower (pair
+            # ``own``) behind the ego's obstruction instead of behind the ego
+            a_f_ego = np.zeros(len(ego))
+            a_f_ego[by_ego] = acc_of[len(by_lead):len(by_lead) + len(by_ego)]
+            a_f_lead = free[fol]
+            a_f_lead[both] = acc_of[len(by_lead) + len(by_ego):]
+            pair, own, e = m + np.arange(len(sides)), mobil[sides], cand[sides]
+            with_f = fol[pair] >= 0
+            ok = ~(has[pair] & (net[pair] <= 0.0)) & ~(
+                with_f & ((f_net[pair] <= 0.0) | (a_f_ego[pair] < -fleet.b_safe[e])))
+            terms = np.where(with_f, 0.0 + (a_f_lead[pair] - a_f_ego[pair]), 0.0)
+            terms = np.where(fol[own] >= 0, terms + (a_f_ego[own] - a_f_lead[own]), terms)
+            surplus = (a_lead[pair] - a_lead[own]) - fleet.p[e] * terms - fleet.delta_a_th[e]
+            self._change_lanes(lane, cand, sides, len(left), ok & (surplus > 0.0), surplus, fol[pair], a_f_ego[pair])
+
+        # moves: the ballistic update with its stopping clamp, element-wise
+        a = acc[movers]
+        v_now = v[movers]
+        v_new = v_now + a * dt
+        ds = v_now * dt + 0.5 * a * dt * dt
+        ds = np.where(ds > 0.0, ds, 0.0)
+        clamp = (v_new < 0.0).nonzero()[0]
+        if len(clamp):
+            v_new[clamp] = 0.0
+            ds[clamp] = 0.0
+            braking = clamp[a[clamp] < 0.0]
+            ds[braking] = v_now[braking] * v_now[braking] / (-2.0 * a[braking])
+        s_new = s[movers] + ds
+        moved = order if m == len(order) else [order[k] for k in movers.tolist()]
+        for veh, a_k, s_k, v_k, ds_k in zip(moved, a.tolist(), s_new.tolist(), v_new.tolist(), ds.tolist()):
+            veh.acc = a_k
+            veh.s = s_k
+            veh.v = v_k
+            veh.odometer += ds_k
+        for k in stopped.tolist():  # parked vehicles keep acc 0.0 from spawn
+            veh = order[k]
+            veh.acc = acc[k].item()
+            if veh.v > 0:  # rare clamp-stop case: bleed off speed in place
+                veh.v = max(0.0, veh.v + veh.acc * dt)
+
+        # topology, for the vehicles that crossed a node or may register a final arrival
+        crossed = s_new > seg_len[self._seg[movers]]
+        arriving = ((v_new < _ARRIVAL_SPEED) & (self._final[movers] >= 0)
+                    & (route_pos[movers] == self._route_count[movers]))
+        s[movers] = s_new
+        for k in (crossed | arriving).nonzero()[0].tolist():
+            veh = moved[k]
+            self._settle(veh)
+            s[veh.id] = veh.s
+            lane[veh.id] = veh.lane
         self.time += dt
-        self._scan_collisions()
+        self._scan_collisions(s, lane, length)
+
+    def _change_lanes(self, lane, cand, sides, n_left, ok, surplus, follower, follower_acc) -> None:
+        """Apply and record MOBIL's choice for every candidate, as :func:`mobil_decide` chooses.
+
+        Side ``t`` belongs to candidate ``cand[sides[t]]`` (left sides first,
+        ``n_left`` of them); it passes where ``ok[t]``, with ``surplus[t]``,
+        and its target lane's follower (-1: none) would get ``follower_acc[t]``.
+        The larger passing surplus wins and an exact tie keeps right.  Changes
+        are made in ``lane`` and on the vehicles and recorded in ascending id
+        order.
+        """
+        n, k = len(cand), len(sides)
+        row = (np.arange(k) >= n_left).astype(np.int64)  # 0: left, 1: right
+        passes = np.zeros((2, n), dtype=bool)
+        gain = np.full((2, n), -math.inf)
+        side = np.zeros((2, n), dtype=np.int64)
+        passes[row, sides] = ok
+        gain[row, sides] = surplus
+        side[row, sides] = np.arange(k)
+        go_right = passes[1] & (~passes[0] | (gain[1] >= gain[0]))
+        go_left = passes[0] & ~go_right
+        order, time = self._order, self.time
+        for r in (go_left | go_right).nonzero()[0].tolist():
+            direction = 1 if go_left[r] else -1
+            t = side[0 if direction == 1 else 1, r]
+            fid = int(follower[t])
+            vehicle = order[int(cand[r])]
+            self.lane_changes.append(
+                LaneChangeRecord(
+                    time=time,
+                    vehicle_id=vehicle.id,
+                    from_lane=vehicle.lane,
+                    to_lane=vehicle.lane + direction,
+                    follower_id=fid if fid >= 0 else None,
+                    follower_acc_after=float(follower_acc[t]) if fid >= 0 else None,
+                )
+            )
+            vehicle.lane += direction
+            vehicle.last_lane_change = time
+            lane[vehicle.id] = vehicle.lane
+
+    def _scan_collisions(self, s: np.ndarray, lane: np.ndarray, length: np.ndarray) -> None:
+        """Sort the moved vehicles into the next step's lane table and record overlapping neighbours.
+
+        Records go lane by lane, in the order of each lane's lowest vehicle
+        id, and rear to front within a lane.
+        """
+        table = self._lane_table(s, lane)
+        n = len(s)
+        slot, vid = table.slot[:n], table.vid[:n]
+        gap = (table.s[1:n] - table.s[:n - 1]) - (length[vid[:-1]] + length[vid[1:]]) / 2.0
+        hits = ((slot[1:] == slot[:-1]) & (gap <= 0.0)).nonzero()[0]
+        if not len(hits):
+            return
+        runs = np.concatenate(([True], slot[1:] != slot[:-1])).nonzero()[0]  # first entry of each lane
+        lowest = np.minimum.reduceat(vid, runs)[np.searchsorted(runs, hits, "right") - 1]
+        for k in hits[np.lexsort((hits, lowest))].tolist():
+            self.collisions.append(CollisionRecord(self.time, int(vid[k]), int(vid[k + 1]), float(gap[k])))

@@ -288,12 +288,3 @@ class RadioObserver:
         if att is None:
             return None
         return att.serving_cell, self._last_levels[vehicle_id][self._index[att.serving_cell]]
-
-    def ping_pongs(self, window_s: float = DEFAULT_PINGPONG_WINDOW_S) -> dict[int, list[tuple[float, str, str]]]:
-        """Ping-pong occurrences per vehicle over the full recorded history."""
-        out = {}
-        for vid, att in self.attachments.items():
-            hits = detect_ping_pong(att.history, window_s)
-            if hits:
-                out[vid] = hits
-        return out

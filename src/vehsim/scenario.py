@@ -748,14 +748,10 @@ class Simulation:
             return
         world = self.world
         vehicles = list(world.vehicles.values())  # spawn order, which is ascending id
-        xs, ys = [], []
-        for veh in vehicles:
-            x, y = world.position(veh)
-            xs.append(x)
-            ys.append(y)
+        xs, ys = world.positions()
         if observer is not None:
             window = self.config.radio.pingpong_window_s
-            for ho in observer.observe_all([veh.id for veh in vehicles], xs, ys, t_ns / NS_PER_SECOND):
+            for ho in observer.observe_all(list(world.vehicles), xs, ys, t_ns / NS_PER_SECOND):
                 vid = ho.vehicle_id
                 self._rows.append((ho.time, "handover", vid, ho.from_cell, ho.to_cell, ho.x, ho.y))
                 # a ping-pong is this handover reversing the vehicle's previous one

@@ -23,7 +23,7 @@ from vehsim.mobility import (
     idm_acceleration,
 )
 from vehsim.osm import TrafficSignal, build_graph
-from vehsim.radio import BaseStation, RadioObserver
+from vehsim.radio import BaseStation, RadioObserver, detect_ping_pong
 from vehsim.routing import NoRouteError, shortest_path
 from vehsim.scenario import TraceSample, dumps_config, load_config, read_trace, run
 
@@ -264,9 +264,10 @@ def test_criterion_4_ping_pong_windows_match_closed_form_crossings():
         and abs(events[0].x - (cx - u_in + v * ttt)) <= 2 * v * dt
         and abs(events[1].x - (cx + u_out + v * ttt)) <= 2 * v * dt
     )
-    wide = observer.ping_pongs(10.0)
-    narrow = observer.ping_pongs(5.0)
-    counts_ok = len(wide.get(7, [])) == 1 and narrow == {}
+    history = observer.attachments[7].history
+    wide = detect_ping_pong(history, 10.0)
+    narrow = detect_ping_pong(history, 5.0)
+    counts_ok = set(observer.attachments) == {7} and len(wide) == 1 and narrow == []
 
     _verdict(
         4,
@@ -274,8 +275,8 @@ def test_criterion_4_ping_pong_windows_match_closed_form_crossings():
         f"a->b->a derived at t={expected_first:.2f}/{expected_second:.2f} s "
         f"(gap {expected_gap:.2f} s), observed "
         f"{[(e.time, e.from_cell, e.to_cell) for e in events]}; "
-        f"ping-pongs: window 10 s -> {len(wide.get(7, []))} (want 1), "
-        f"window 5 s -> {sum(map(len, narrow.values()))} (want 0)",
+        f"ping-pongs: window 10 s -> {len(wide)} (want 1), "
+        f"window 5 s -> {len(narrow)} (want 0)",
     )
 
 

@@ -1,6 +1,7 @@
-"""Golden pins: SHA-256 digests of the deterministic artifacts of six scenarios.
+"""Golden pins: SHA-256 digests of the deterministic artifacts of six scenarios,
+and of the in-memory records and full-precision per-step state of four more.
 
-Two of them also run host-driven, sharing the kernel with a foreign module,
+Two of the six also run host-driven, sharing the kernel with a foreign module,
 and must give the same bytes.  A refactor that is meant to keep behaviour
 must leave these bytes alone.  A change that moves a digest on purpose says
 so in CHANGES.md and gives the oracle that justifies the new bytes.
@@ -10,13 +11,22 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from vehsim.kernel import EventKernel
-from vehsim.mobility import StrandedError
+from vehsim.mobility import VEHICLE_LENGTH, IdmParams, StrandedError, Trip, World, equilibrium_gap
+from vehsim.osm import TrafficSignal
 from vehsim.scenario import Simulation, load_config, run
 
-from conftest import RADIO_GRID_CONFIG, HeapHost, corridor_osm_xml, grid_osm_xml
+from conftest import (
+    RADIO_GRID_CONFIG,
+    HeapHost,
+    chain_graph,
+    corridor_graph,
+    corridor_osm_xml,
+    grid_osm_xml,
+)
 
 _ARTIFACTS = ("trace.csv", "events.csv", "summary.json")
 
@@ -299,3 +309,176 @@ def test_host_driven_simulation_with_a_beacon_reproduces_pinned_bytes(
     assert artifacts.summary["events_fired"] == simulation.steps == round(config.duration_s / config.dt_s)
     assert simulation.steps < kernel.events_fired == simulation.steps + beacons
     assert _digests(artifacts.out_dir) == pinned
+
+
+# -- in-memory record lists and full-precision state ---------------------------
+#
+# ``trace.csv`` rounds to millimetres and collision or lane-change records
+# never reach ``events.csv``, so the pins below hash what the world holds in
+# memory: the collision, lane-change and signal-violation records in the order
+# they were appended, and every vehicle's (segment, lane, s, v, acc) after each
+# step, written with ``repr`` so every float bit counts.
+
+
+def _record_digests(world) -> dict[str, str]:
+    return {
+        name: hashlib.sha256(repr(getattr(world, name)).encode()).hexdigest()
+        for name in ("collisions", "lane_changes", "signal_violations")
+    }
+
+
+def _state_line(world) -> bytes:
+    return repr(
+        [(v.id, v.ref.key, v.lane, v.s, v.v, v.acc, v.route_pos, v.done) for v in world.vehicles.values()]
+    ).encode()
+
+
+def _stepped(world, dt: float, steps: int) -> str:
+    """Step ``world`` and return the SHA-256 of its full state after every step."""
+    states = hashlib.sha256()
+    for _ in range(steps):
+        world.step(dt)
+        states.update(_state_line(world))
+    return states.hexdigest()
+
+
+def _simulated_world(tmp_path, osm_text: str, config_text: str):
+    (tmp_path / "grid.osm").write_text(osm_text)
+    config = load_config(config_text, base_dir=tmp_path)
+    simulation = Simulation(config, tmp_path / "out")
+    return simulation.world, config
+
+
+def _dense_grid_xml() -> str:
+    """The benchmark's dense shape: a 5 x 5, 100 m grid of four-lane two-way
+    streets with a signal at every third junction (default cycle)."""
+    lines = []
+    for index, line in enumerate(grid_osm_xml(5, 100.0).splitlines()):
+        if line.lstrip().startswith("<node ") and (index - 2) % 3 == 0:
+            line = line.replace("/>", '>\n    <tag k="highway" v="traffic_signals"/>\n  </node>')
+        elif 'k="highway"' in line:
+            line += '\n    <tag k="lanes" v="4"/>'
+        lines.append(line)
+    return "\n".join(lines)
+
+
+# 130 vehicles on the dense grid; two of its signals retimed so that phases
+# differ.  Signal 1103 starts red, and two configured vehicles sit within a
+# micrometre of it at speed, so the first step records two violations.
+DENSE_CONFIG = """\
+map = grid.osm
+duration = 100
+seed = 17
+dt = 0.1
+sampling = 1
+interference.count = 128
+vehicle.0.way = 203
+vehicle.0.lane = 0
+vehicle.0.offset = 99.9999993
+vehicle.0.speed = 10
+vehicle.0.strategicModel = RandomDirection
+vehicle.1.way = 101
+vehicle.1.segment = 2
+vehicle.1.lane = 1
+vehicle.1.offset = 100.000005
+vehicle.1.speed = 10
+vehicle.1.strategicModel = RandomDirection
+signal.1103.green = 9
+signal.1103.yellow = 2
+signal.1103.red = 7
+signal.1103.offset = 6.5
+signal.1302.green = 11
+signal.1302.yellow = 3
+signal.1302.red = 8
+signal.1302.offset = 4
+"""
+
+DENSE_DIGESTS = {
+    "collisions": "48e8d077aaddf3cddf9bbedffde630bda828d04a9ff644e7300aea173f1fcc92",
+    "lane_changes": "5d4e6f389eb4680b79688b0c94ae8264619cbd5a0d0e41487746d3c7ef1c7664",
+    "signal_violations": "a7a6b0ed6a5e0c11bb6b9b55a0462cb1d3a8abb8a1f8eecd63ba888a8a4c1297",
+    "states": "59e9dd381262ef1b96abe0a3e64fcfd4150c564de63f9a2604bb9b752d50aa51",
+}
+
+# ROADMAP baseline: 200 interference vehicles on the 8 x 8 one-lane 200 m grid,
+# 60 s, seed 3; its 38 collision records are junction overlaps
+BASELINE_200_CONFIG = """\
+map = grid.osm
+duration = 60
+seed = 3
+dt = 0.1
+sampling = 1
+interference.count = 200
+"""
+
+BASELINE_200_DIGESTS = {
+    "collisions": "edd550f90c1b9eb2504bc6a2041b8ceffbf45677fbbf134e6e386fbae9123fb1",
+    "lane_changes": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "signal_violations": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "states": "c9fc618c5320801f978d857ad796adb81b2ba13181d473129c8a247e6a692ad8",
+}
+
+
+def test_dense_multilane_grid_records_and_states_are_pinned(tmp_path):
+    world, config = _simulated_world(tmp_path, _dense_grid_xml(), DENSE_CONFIG)
+    assert len(world.vehicles) == 130 and len(world.signals) >= 8
+    states = _stepped(world, config.dt_s, round(config.duration_s / config.dt_s))
+    assert len(world.lane_changes) >= 50 and world.collisions
+    assert [(r.time, r.vehicle_id, r.node_id) for r in world.signal_violations[:2]] == [(0.0, 0, 1103), (0.0, 1, 1103)]
+    assert {**_record_digests(world), "states": states} == DENSE_DIGESTS
+
+
+def test_baseline_200_vehicle_grid_records_and_states_are_pinned(tmp_path):
+    world, config = _simulated_world(tmp_path, grid_osm_xml(8, 200.0), BASELINE_200_CONFIG)
+    states = _stepped(world, config.dt_s, round(config.duration_s / config.dt_s))
+    assert len(world.collisions) == 38
+    assert {**_record_digests(world), "states": states} == BASELINE_200_DIGESTS
+
+
+# criterion 1's platoon run by the world: the first three parameter sets that
+# criterion 1 draws, a leader cruising at exactly its desired speed (zero free
+# acceleration) and 20 followers starting 3 % beyond the equilibrium gap
+PLATOON_DIGEST = "ec42b8fa87799ea1105488205578a9d22fc4d188f58c5c5edc03736de82fd74c"
+
+
+def test_criterion_1_platoon_in_the_world_is_pinned():
+    rng = np.random.default_rng(7)
+    states = hashlib.sha256()
+    for _ in range(3):
+        v0 = float(rng.uniform(10.0, 35.0))
+        idm = IdmParams(
+            v0=v0,
+            T=float(rng.uniform(1.0, 2.2)),
+            a_max=float(rng.uniform(0.8, 2.5)),
+            b_comf=float(rng.uniform(1.0, 3.0)),
+            delta=float(rng.uniform(3.0, 5.0)),
+            s0=float(rng.uniform(1.0, 4.0)),
+        )
+        v_lead = float(rng.uniform(0.4, 0.85)) * v0
+        s_e = equilibrium_gap(v_lead, v0, idm)
+        world = World(corridor_graph(20_000.0), seed=1)
+        lead_idm = IdmParams(v0=v_lead, T=idm.T, a_max=idm.a_max, b_comf=idm.b_comf, delta=idm.delta, s0=idm.s0)
+        offset = 200.0 + 20 * (1.03 * s_e + VEHICLE_LENGTH)
+        world.spawn(way=1, offset=offset, speed=v_lead, idm=lead_idm, speed_factor=1.0)
+        for i in range(1, 21):
+            world.spawn(way=1, offset=offset - i * (1.03 * s_e + VEHICLE_LENGTH), speed=v_lead, idm=idm,
+                        speed_factor=1.0)
+        states.update(_stepped(world, 0.1, 600).encode())
+        assert not world.collisions
+        assert world.vehicles[0].acc == 0.0
+    assert states.hexdigest() == PLATOON_DIGEST
+
+
+# criterion 8's signal corridor: a Trip vehicle stops at a red signal mid-chain
+# and leaves on green
+SIGNAL_CORRIDOR_DIGEST = "35598121cf787a7fc1f27865785e955b6bf55e1e5274927889ac8ee68b45737c"
+
+
+def test_criterion_8_signal_corridor_is_pinned():
+    signal = TrafficSignal(2, red_s=60.0, offset_s=45.0)
+    world = World(chain_graph(250.0, 3, signals=(signal,)), seed=0)
+    world.spawn(way=1, segment=0, offset=250.0 - 200.0 - 2.5, speed=IdmParams().v0, speed_factor=1.0,
+                strategic=Trip((3,)))
+    states = _stepped(world, 0.1, 750)
+    assert not world.signal_violations and not world.collisions
+    assert states == SIGNAL_CORRIDOR_DIGEST

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vehsim.mobility import (
     LANE_CHANGE_COOLDOWN,
@@ -506,3 +508,133 @@ def test_free_vehicle_converges_to_effective_desired_speed():
     for _ in range(600):
         world.step(0.1)
     assert veh.v == pytest.approx(13.89 * 1.1, rel=1e-3)
+
+
+# -- the array step against the public per-vehicle model --------------------
+
+
+_STRATEGIES = (lambda: None, lambda: Trip([4]), lambda: Trip([3, 4]))  # the last only before node 3
+
+
+@st.composite
+def _chain_states(draw):
+    """A two-lane three-segment chain with signals at both inner nodes and up to 20 vehicles."""
+    signals = [
+        TrafficSignal(node, green_s=draw(st.floats(1.0, 30.0)), yellow_s=draw(st.floats(0.5, 5.0)),
+                      red_s=draw(st.floats(1.0, 30.0)), offset_s=draw(st.floats(0.0, 60.0)))
+        for node in (2, 3) if draw(st.booleans())
+    ]
+    position = st.one_of(st.floats(0.0, 300.0), st.sampled_from([0.0, 150.0, 299.0, 300.0]))
+    vehicles = draw(st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 1), position, st.floats(0.0, 20.0),
+                  st.integers(0, len(_STRATEGIES) - 1), st.floats(0.8, 1.2), st.booleans()),
+        min_size=1, max_size=20,
+    ))
+    return signals, vehicles, draw(st.floats(0.0, 100.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_chain_states())
+def test_step_acceleration_is_the_scalar_idm_behind_the_perceived_leader(state):
+    signals, vehicles, t0 = state
+    world = World(chain_graph(300.0, 4, lanes=2, signals=signals), seed=5)
+    world.time = t0
+    for segment, lane, offset, speed, strategic, factor, parked in vehicles:
+        world.spawn(way=1, segment=segment, lane=lane, offset=offset, speed=speed, speed_factor=factor,
+                    strategic=_STRATEGIES[min(strategic, 1 if segment == 2 else 2)](), parked=parked and segment == 2)
+    expected = {}
+    for veh in world.vehicles.values():
+        if veh.parked:
+            continue
+        seen = world.perceive_leader(veh)
+        if seen is None:
+            expected[veh.id] = idm_acceleration(veh.v, veh.v0_eff, 0.0, math.inf, veh.idm)
+        else:
+            gap, closing = seen
+            expected[veh.id] = idm_acceleration(veh.v, veh.v0_eff, closing, max(gap, 0.01), veh.idm)
+    world.step(0.1)
+    changed = {rec.vehicle_id for rec in world.lane_changes}
+    for vid, acc in expected.items():
+        veh = world.vehicles[vid]
+        if vid not in changed and not veh.done:  # a vehicle that ends its trip in the step parks with acc 0
+            assert veh.acc == acc  # bit for bit, not approximately
+
+
+def _scalar_neighbors(world, ego, lane):
+    """Leader and follower of ``ego`` in ``lane`` on a single long segment, by linear scan."""
+    ahead = [o for o in world.vehicles.values() if o.lane == lane and o.s > ego.s and o.s - ego.s <= world.horizon]
+    behind = [o for o in world.vehicles.values() if o.lane == lane and o.s < ego.s]
+    leader = min(ahead, key=lambda o: (o.s, o.id), default=None)
+    follower = max(behind, key=lambda o: (o.s, o.id), default=None)  # ties: the lane list's last
+    return LaneNeighbors(
+        Neighbor(leader.s - ego.s, leader.v, leader.length, vehicle_id=leader.id) if leader else None,
+        Neighbor(follower.s - ego.s, follower.v, follower.length, follower.idm, follower.v0_eff, follower.id)
+        if follower else None,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(
+    st.tuples(st.integers(0, 2), st.one_of(st.floats(0.0, 1200.0), st.sampled_from([300.0, 310.0])),
+              st.floats(0.0, 20.0), st.floats(0.8, 1.2), st.floats(-0.2, 1.0), st.floats(0.0, 0.5)),
+    min_size=2, max_size=25,
+))
+def test_lane_changes_are_those_of_the_scalar_mobil(rows):
+    # one 3 km three-lane segment; RandomDirection vehicles see nothing past its end
+    world = World(corridor_graph(3000.0, lanes=3), seed=1)
+    for lane, offset, speed, factor, politeness, threshold in rows:
+        world.spawn(way=1, lane=lane, offset=offset, speed=speed, speed_factor=factor,
+                    mobil=MobilParams(p=politeness, delta_a_th=threshold), strategic=RandomDirection())
+    expected = []
+    for ego in world.vehicles.values():
+        current = _scalar_neighbors(world, ego, ego.lane)
+        sides = [_scalar_neighbors(world, ego, ego.lane + d) if 0 <= ego.lane + d < 3 else None for d in (1, -1)]
+        a_c = idm_acceleration(ego.v, ego.v0_eff, 0.0, math.inf, ego.idm) if current.leader is None else (
+            idm_acceleration(ego.v, ego.v0_eff, ego.v - current.leader.v,
+                             max(abs(current.leader.raw_dist) - (ego.length + current.leader.length) / 2.0, 0.01),
+                             ego.idm))
+        direction, follower_acc = mobil_decide(ego, a_c, NeighborContext(current, *sides))
+        if direction:
+            follower = sides[0 if direction == 1 else 1].follower
+            expected.append((ego.id, ego.lane, ego.lane + direction, follower and follower.vehicle_id, follower_acc))
+    world.step(0.1)
+    assert [(r.vehicle_id, r.from_lane, r.to_lane, r.follower_id, r.follower_acc_after)
+            for r in world.lane_changes] == expected
+
+
+def test_positions_equal_position_for_every_vehicle():
+    world = World(chain_graph(300.0, 4, lanes=2), seed=2)
+    for offset in (0.0, 10.0, 150.0, 299.9, 300.0):
+        world.spawn(way=1, segment=0, offset=offset, speed=12.0, strategic=Trip([4]))
+    for _ in range(1200):
+        xs, ys = world.positions()
+        assert list(zip(xs, ys)) == [world.position(veh) for veh in world.vehicles.values()]
+        world.step(0.1)
+    assert any(veh.done for veh in world.vehicles.values())
+
+
+def test_lane_is_clear_sees_vehicles_spawned_and_moved():
+    world = World(corridor_graph(1000.0, lanes=2))
+    ref = world.graph.ref(1, 0, True)
+    assert world.lane_is_clear(ref, 0, 100.0, 8.0)
+    world.spawn(way=1, lane=0, offset=100.0, speed=10.0, speed_factor=1.0, strategic=RandomDirection())
+    assert not world.lane_is_clear(ref, 0, 105.0, 8.0)
+    assert world.lane_is_clear(ref, 1, 105.0, 8.0)
+    for _ in range(10):
+        world.step(0.1)  # one second at about 10 m/s
+    assert world.lane_is_clear(ref, 0, 100.0, 8.0)
+    assert not world.lane_is_clear(ref, 0, 110.0, 8.0)
+    world.spawn(way=1, lane=1, offset=500.0)
+    assert not world.lane_is_clear(ref, 1, 495.0, 8.0)
+
+
+def test_perception_reaches_many_short_segments_ahead():
+    # 40 segments of 12 m: the horizon spans more hops than one look-ahead pass
+    signal = TrafficSignal(30, offset_s=25.0)  # red at t = 0
+    world = World(chain_graph(12.0, 41, signals=(signal,)))
+    ego = world.spawn(way=1, segment=0, offset=6.0, speed=10.0, strategic=Trip([41]))
+    gap, closing = world.perceive_leader(ego)
+    assert gap == 29 * 12.0 - 6.0 - 2.5 and closing == 10.0  # the red signal at node 30
+    world.spawn(way=1, segment=25, offset=3.0, speed=4.0)
+    gap, closing = world.perceive_leader(ego)
+    assert gap == 25 * 12.0 - 6.0 + 3.0 - 5.0 and closing == 6.0

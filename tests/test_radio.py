@@ -189,10 +189,9 @@ def test_observer_ping_pong_aggregation():
     obs.update(1, 400.0, 0.0, 3.0)  # b -> a
     obs.update(2, 400.0, 0.0, 0.0)  # second vehicle never moves
     obs.update(2, 400.0, 0.0, 3.0)
-    hits = obs.ping_pongs(window_s=10.0)
-    assert set(hits) == {1}
-    assert hits[1] == [(3.0, "a", "b")]
-    assert obs.ping_pongs(window_s=1.0) == {}
+    hits = {vid: detect_ping_pong(att.history, 10.0) for vid, att in obs.attachments.items()}
+    assert hits == {1: [(3.0, "a", "b")], 2: []}
+    assert all(detect_ping_pong(att.history, 1.0) == [] for att in obs.attachments.values())
 
 
 def test_shadowing_is_deterministic_per_seed_and_vehicle():

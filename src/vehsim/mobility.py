@@ -411,7 +411,10 @@ class _LaneTable:
 
 
 _NONE, _STANDING, _OPEN = -2, -1, -3  # look-ahead results other than a vehicle id
-_HOPS = 16  # route hops the look-ahead evaluates per pass
+# route hops the look-ahead evaluates per pass: on the city-trips benchmark a
+# pair settles within 12 hops, so one pass serves it, while evaluating every
+# hop left on a route (median 115 there) would mostly read past the horizon
+_HOPS = 16
 
 
 class World:
@@ -467,17 +470,14 @@ class World:
         self._node_index: dict[int, int] = {}
         self._segs: tuple[np.ndarray, ...] | None = None  # the rows as columns
         # per vehicle, kept as the world moves it: its directed segment, its
-        # route's segments (a run of ``_flat``, which is packed afresh when
-        # full) and the node its trip stops at (-1: none); vehicles whose
+        # route's segments (a run of ``_flat``, rebuilt whenever a route
+        # changed) and the node its trip stops at (-1: none); vehicles whose
         # route or trip cursor changed are "stale" until their route is read
         self._seg = np.zeros(0, dtype=np.int64)
         self._route_segs: list[list[int]] = []
-        self._route_start = np.zeros(0, dtype=np.int64)
-        self._route_count = np.zeros(0, dtype=np.int64)
+        self._flat = self._route_start = self._route_count = np.zeros(0, dtype=np.int64)
         self._final = np.zeros(0, dtype=np.int64)
         self._stale: set[int] = set()
-        self._flat = np.zeros(64, dtype=np.int64)
-        self._flat_used = 0
         self._params: list[tuple] = []  # per vehicle, the columns of _Fleet
         self._consts: _Fleet | None = None
 
@@ -689,16 +689,19 @@ class World:
         new = self._order[len(self._seg):]
         if new:
             self._seg = np.concatenate((self._seg, [self._segment(veh.ref) for veh in new]))
-            self._route_start = np.concatenate((self._route_start, np.zeros(len(new), dtype=np.int64)))
-            self._route_count = np.concatenate((self._route_count, np.zeros(len(new), dtype=np.int64)))
             self._final = np.concatenate((self._final, np.full(len(new), -1)))
 
     def _state(self) -> tuple[np.ndarray, ...]:
         """The vehicles' s, v, lane, route position and done flag, read into arrays."""
         self._grow()
-        for vid in self._stale:
-            self._read_route(vid)
-        self._stale.clear()
+        if self._stale:
+            for vid in self._stale:
+                self._read_route(vid)
+            self._stale.clear()
+            runs = self._route_segs
+            self._route_count = np.fromiter(map(len, runs), np.int64, len(runs))
+            self._route_start = np.cumsum(self._route_count) - self._route_count
+            self._flat = np.fromiter(chain.from_iterable(runs), np.int64)
         order = self._order
         return (np.array([veh.s for veh in order]), np.array([veh.v for veh in order]),
                 np.array([veh.lane for veh in order], dtype=np.int64),
@@ -706,25 +709,11 @@ class World:
                 np.array([veh.done for veh in order], dtype=bool))
 
     def _read_route(self, vid: int) -> None:
-        """Store a vehicle's route segments in ``_flat`` and the node its trip stops at."""
+        """Record a vehicle's route segments and the node its trip stops at."""
         veh = self._order[vid]
-        segs = self._route_segs[vid] = [self._segment(ref) for ref in veh.route.refs]
+        self._route_segs[vid] = [self._segment(ref) for ref in veh.route.refs]
         final = self._node_index.setdefault(veh.route.node_ids[-1], len(self._node_index))
         self._final[vid] = final if self._is_final_leg(veh) else -1
-        used = self._flat_used
-        if used + len(segs) > len(self._flat):  # full: pack every route afresh, this one included
-            counts = [len(run) for run in self._route_segs]
-            used = sum(counts)
-            self._flat = np.zeros(2 * used + 64, dtype=np.int64)
-            self._flat[:used] = list(chain.from_iterable(self._route_segs))
-            self._route_count[:] = counts
-            self._route_start[:] = np.cumsum(counts) - counts
-        else:
-            self._flat[used:used + len(segs)] = segs
-            self._route_start[vid] = used
-            self._route_count[vid] = len(segs)
-            used += len(segs)
-        self._flat_used = used
 
     def _constants(self) -> _Fleet:
         if self._consts is None:
@@ -952,9 +941,16 @@ class World:
             surplus = (a_lead[pair] - a_lead[own]) - fleet.p[e] * terms - fleet.delta_a_th[e]
             self._change_lanes(lane, cand, sides, len(left), ok & (surplus > 0.0), surplus, fol[pair], a_f_ego[pair])
 
-        # moves: the ballistic update with its stopping clamp, element-wise
-        a = acc[movers]
-        v_now = v[movers]
+        # every acceleration is set before any vehicle moves, so a step that
+        # aborts below keeps them all; then the ballistic update with its
+        # stopping clamp, element-wise, for every unparked vehicle; a done
+        # one stays put and bleeds off any speed left (a rare clamp-stop
+        # case) as max(0.0, v + acc * dt)
+        for veh, a_k in zip(order, acc.tolist()):
+            veh.acc = a_k
+        active = (~fleet.parked).nonzero()[0]
+        a = acc[active]
+        v_now = v[active]
         v_new = v_now + a * dt
         ds = v_now * dt + 0.5 * a * dt * dt
         ds = np.where(ds > 0.0, ds, 0.0)
@@ -964,27 +960,32 @@ class World:
             ds[clamp] = 0.0
             braking = clamp[a[clamp] < 0.0]
             ds[braking] = v_now[braking] * v_now[braking] / (-2.0 * a[braking])
-        s_new = s[movers] + ds
-        moved = order if m == len(order) else [order[k] for k in movers.tolist()]
-        for veh, a_k, s_k, v_k, ds_k in zip(moved, a.tolist(), s_new.tolist(), v_new.tolist(), ds.tolist()):
-            veh.acc = a_k
+        s_new = s[active] + ds
+        halt = done[active]
+        if len(stopped):
+            bled = v_now + a * dt
+            v_new[halt] = np.where(v_now > 0, np.where(bled > 0.0, bled, 0.0), v_now)[halt]
+            ds[halt] = 0.0
+            s_new[halt] = s[active][halt]
+
+        # topology, for the vehicles that crossed a node or may register a
+        # final arrival; vehicle by vehicle in ascending id, moves included,
+        # so a step that fails in one vehicle's topology leaves the vehicles
+        # after it unmoved
+        settle = (s_new > seg_len[self._seg[active]]) | (
+            (v_new < _ARRIVAL_SPEED) & (self._final[active] >= 0)
+            & (route_pos[active] == self._route_count[active]))
+        settle &= ~halt
+        moved = order if len(active) == len(order) else [order[k] for k in active.tolist()]
+        for veh, s_k, v_k, ds_k, go in zip(moved, s_new.tolist(), v_new.tolist(), ds.tolist(), settle.tolist()):
             veh.s = s_k
             veh.v = v_k
             veh.odometer += ds_k
-        for k in stopped.tolist():  # parked vehicles keep acc 0.0 from spawn
-            veh = order[k]
-            veh.acc = acc[k].item()
-            if veh.v > 0:  # rare clamp-stop case: bleed off speed in place
-                veh.v = max(0.0, veh.v + veh.acc * dt)
-
-        # topology, for the vehicles that crossed a node or may register a final arrival
-        crossed = s_new > seg_len[self._seg[movers]]
-        arriving = ((v_new < _ARRIVAL_SPEED) & (self._final[movers] >= 0)
-                    & (route_pos[movers] == self._route_count[movers]))
-        s[movers] = s_new
-        for k in (crossed | arriving).nonzero()[0].tolist():
+            if go:
+                self._settle(veh)
+        s[active] = s_new
+        for k in settle.nonzero()[0].tolist():
             veh = moved[k]
-            self._settle(veh)
             s[veh.id] = veh.s
             lane[veh.id] = veh.lane
         self.time += dt

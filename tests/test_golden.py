@@ -1,7 +1,7 @@
-"""Golden pins: SHA-256 digests of the deterministic artifacts of six scenarios,
-and of the in-memory records and full-precision per-step state of four more.
+"""Golden pins: SHA-256 digests of the deterministic artifacts of seven scenarios,
+and of the in-memory records and full-precision per-step state of five more.
 
-Two of the six also run host-driven, sharing the kernel with a foreign module,
+Two of the seven also run host-driven, sharing the kernel with a foreign module,
 and must give the same bytes.  A refactor that is meant to keep behaviour
 must leave these bytes alone.  A change that moves a digest on purpose says
 so in CHANGES.md and gives the oracle that justifies the new bytes.
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from vehsim.kernel import EventKernel
-from vehsim.mobility import VEHICLE_LENGTH, IdmParams, StrandedError, Trip, World, equilibrium_gap
+from vehsim.mobility import VEHICLE_LENGTH, IdmParams, RandomDirection, StrandedError, Trip, World, equilibrium_gap
 from vehsim.osm import TrafficSignal
 from vehsim.scenario import Simulation, load_config, run
 
@@ -268,6 +268,42 @@ def test_aborted_stranded_corridor_bytes_are_pinned(tmp_path):
     assert _digests(tmp_path / "out") == STRANDED_DIGESTS
 
 
+# the stranded corridor with two more vehicles behind the one that strands:
+# vehicles are moved in ascending id, so in the step that aborts the vehicles
+# after the stranded one have not moved, and the summary's distance and mean
+# speed count only the steps before
+STRANDED_CONVOY_CONFIG = """\
+map = grid.osm
+duration = 30
+sampling = 0.1
+vehicle.0.way = 1
+vehicle.0.offset = 900
+vehicle.0.speed = 13.89
+vehicle.0.speed_factor = 1.0
+vehicle.0.strategicModel = RandomDirection
+vehicle.1.way = 1
+vehicle.1.offset = 400
+vehicle.1.speed = 13.89
+vehicle.1.speed_factor = 1.0
+vehicle.1.strategicModel = RandomDirection
+vehicle.2.way = 1
+vehicle.2.offset = 100
+vehicle.2.speed = 8
+vehicle.2.strategicModel = RandomDirection
+"""
+
+STRANDED_CONVOY_DIGESTS = {
+    "trace.csv": "530d4b4fa01f83ba70943fb53f842146e1093a3fd128a398f7d87b326cd2c8c8",
+    "events.csv": "0b52bd1d3b5a1553562e7730005ef8d485039b92bbac1a4f9574b14b3afa1fdd",
+    "summary.json": "f2642a91c3311960c103313f6315191f9990a48d8ca9b573b02b7efb54576ce7",
+}
+
+def test_aborted_stranded_convoy_bytes_are_pinned(tmp_path):
+    with pytest.raises(StrandedError):
+        _run(tmp_path, corridor_osm_xml(1000.0), STRANDED_CONVOY_CONFIG)
+    assert _digests(tmp_path / "out") == STRANDED_CONVOY_DIGESTS
+
+
 BEACON_PERIOD_S = 0.1
 
 
@@ -482,3 +518,22 @@ def test_criterion_8_signal_corridor_is_pinned():
     states = _stepped(world, 0.1, 750)
     assert not world.signal_violations and not world.collisions
     assert states == SIGNAL_CORRIDOR_DIGEST
+
+
+# the stranded convoy's three vehicles in a bare world: per-step state, then every
+# vehicle's (s, v, acc, odometer) as the aborted step leaves them
+STRANDED_CONVOY_STATE = "8f02a022237caf15818010d0c57b34b92eb6202fd9110f86bd5d9e533ff1a609"
+
+
+def test_aborted_step_leaves_the_vehicles_after_the_stranded_one_unmoved():
+    world = World(corridor_graph(1000.0), seed=2)
+    for offset, speed in ((900.0, 13.89), (400.0, 13.89), (100.0, 8.0)):
+        world.spawn(way=1, offset=offset, speed=speed, strategic=RandomDirection())
+    states = hashlib.sha256()
+    with pytest.raises(StrandedError):
+        while True:
+            world.step(0.1)
+            states.update(_state_line(world))
+    states.update(repr([(v.id, v.s, v.v, v.acc, v.odometer) for v in world.vehicles.values()]).encode())
+    assert world.time == pytest.approx(7.6)  # the aborted step does not advance the clock
+    assert states.hexdigest() == STRANDED_CONVOY_STATE

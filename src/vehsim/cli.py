@@ -16,7 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .exports import ExportError, export_spacetime, export_svg, write_spacetime_csv
-from .kernel import KernelError, to_ns
+from .kernel import KernelError
 from .mobility import PlacementError, SimulationError
 from .osm import MapError, parse_osm
 from .scenario import ConfigError, dumps_config, load_config, read_trace, run
@@ -65,15 +65,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if args.duration is not None:
-        try:
-            on_grid = args.duration > 0 and to_ns(args.duration) % to_ns(config.dt_s) == 0
-        except OverflowError:  # inf or beyond the nanosecond clock
-            on_grid = False
-        if not on_grid:
-            raise ConfigError(
-                f"--duration must be a positive multiple of dt = {config.dt_s!r}",
-                key="duration",
-            )
         config = replace(config, duration_s=args.duration)
     artifacts = run(config, args.out, echo_text=echo)
     print(f"wrote {artifacts.trace_path}")

@@ -347,6 +347,36 @@ class _Fleet(NamedTuple):
     parked: np.ndarray
 
 
+class _Segments(NamedTuple):
+    """What the step reads of every directed segment, as arrays indexed by ``SegmentRef.index``.
+
+    ``end`` is the row of the segment's end node (nodes are numbered in graph
+    order), ``slot0`` the first of its ``lanes`` lane slots, and ``(x0, dx,
+    y0, dy)`` run from its start node to its end node.
+    """
+
+    length: np.ndarray
+    end: np.ndarray
+    lanes: np.ndarray
+    slot0: np.ndarray
+    x0: np.ndarray
+    dx: np.ndarray
+    y0: np.ndarray
+    dy: np.ndarray
+
+    @classmethod
+    def of(cls, graph: RoadGraph) -> _Segments:
+        refs = graph.refs()
+        n = len(refs)
+        x = np.fromiter((node.x for node in graph.nodes.values()), float, len(graph.nodes))
+        y = np.fromiter((node.y for node in graph.nodes.values()), float, len(graph.nodes))
+        start = np.fromiter((graph.node_rows[ref.start_node] for ref in refs), np.int64, n)
+        end = np.fromiter((graph.node_rows[ref.end_node] for ref in refs), np.int64, n)
+        lanes = np.fromiter((ref.lanes for ref in refs), np.int64, n)
+        return cls(np.fromiter((ref.length for ref in refs), float, n), end, lanes, np.cumsum(lanes) - lanes,
+                   x[start], x[end] - x[start], y[start], y[end] - y[start])
+
+
 def _idm_behind(free: np.ndarray, v: np.ndarray, idm: np.ndarray, delta_v: np.ndarray, gap: np.ndarray) -> np.ndarray:
     """:func:`idm_acceleration` of followers at speed ``v`` with free-road acceleration ``free``.
 
@@ -372,13 +402,13 @@ class _LaneTable:
     arithmetic on ``s``.  ``of`` holds each vehicle's own key; a key moved to
     another lane of the same segment is ``of + lane difference``.  Queries
     return indices into the sorted arrays, or -1, which selects a sentinel
-    entry in no slot (vehicle id -1).  ``first`` reads, per slot among the
-    first ``slots``, its rearmost entry; a slot numbered later is empty.
+    entry in no slot (vehicle id -1).  ``first`` reads, per slot up to the
+    highest occupied one, its rearmost entry; a slot numbered later is empty.
     """
 
-    __slots__ = ("of", "key", "vid", "slot", "s", "slots", "rearmost")
+    __slots__ = ("of", "key", "vid", "slot", "s", "rearmost")
 
-    def __init__(self, slot: np.ndarray, s: np.ndarray, slots: int) -> None:
+    def __init__(self, slot: np.ndarray, s: np.ndarray) -> None:
         self.of = np.empty(len(slot), dtype=complex)
         self.of.real = slot
         self.of.imag = s
@@ -387,7 +417,6 @@ class _LaneTable:
         self.vid = np.concatenate((order, [-1]))
         self.slot = np.concatenate((slot[order], [_NO_SLOT]))
         self.s = np.concatenate((s[order], [0.0]))
-        self.slots = slots
         self.rearmost: np.ndarray | None = None  # built by the first call of ``first``
 
     def _in(self, j: np.ndarray, slot: np.ndarray) -> np.ndarray:
@@ -405,9 +434,9 @@ class _LaneTable:
         """Rearmost entry of ``slot``: positions are never negative, so the first one past -1 m."""
         if self.rearmost is None:
             starts = np.concatenate(([True], self.slot[1:-1] != self.slot[:-2])).nonzero()[0]
-            self.rearmost = np.full(self.slots + 1, -1)
+            self.rearmost = np.full(self.slot[-2] + 2, -1)  # the last entry serves every higher slot
             self.rearmost[self.slot[starts]] = starts
-        return self.rearmost[np.minimum(slot, self.slots)]
+        return self.rearmost[np.minimum(slot, len(self.rearmost) - 1)]
 
 
 _NONE, _STANDING, _OPEN = -2, -1, -3  # look-ahead results other than a vehicle id
@@ -431,14 +460,16 @@ class World:
     bits.
 
     ``vehicles`` is the one record of vehicle state: each step reads it into
-    arrays and writes the results back.  A vehicle's id is its index in
-    every per-vehicle array.  Between steps, vehicle state changes only
-    through ``step``, ``spawn`` and ``strategic_next``, so the lane table
-    sorted after one step's moves is kept as the next step's start-of-step
-    table; ``spawn`` discards it.  The set of nodes whose signal blocks
-    (yellow or red) is built once per ``step`` and once per
-    ``perceive_leader`` call, so a signal added or retimed between steps
-    takes effect at the next step.
+    arrays and writes the results back.  Its keys are 0..n-1 in spawn order,
+    and a vehicle's id is its index in every per-vehicle array.  Segments are
+    numbered by the graph (``SegmentRef.index``), nodes in graph order, and
+    the constructor reads every segment's columns once (:class:`_Segments`).
+    Between steps, vehicle state changes only through ``step``, ``spawn``
+    and ``strategic_next``, so the lane table sorted after one step's moves
+    is kept as the next step's start-of-step table; ``spawn`` discards it.
+    The set of nodes whose signal blocks (yellow or red) is built once per
+    ``step`` and once per ``perceive_leader`` call, so a signal added or
+    retimed between steps takes effect at the next step.
     """
 
     def __init__(
@@ -457,18 +488,9 @@ class World:
         self.lane_changes: list[LaneChangeRecord] = []
         self.collisions: list[CollisionRecord] = []
         self.signal_violations: list[SignalViolation] = []
-        self._next_id = 0
-        self._order: list[Vehicle] = []  # ascending id, maintained at spawn
         self._table: _LaneTable | None = None  # lane table of the current state
-        self._occupancy: dict | None = None  # (ref key, lane) -> vehicles, for placement checks
-        # directed segments numbered in the order they are first met, with per
-        # segment (length, end node index, lanes, first lane slot, x0, dx, y0,
-        # dy), the last four from its start node to its end node
-        self._seg_index: dict[tuple[int, int, bool], int] = {}
-        self._seg_rows: list[tuple] = []
-        self._slots = 0
-        self._node_index: dict[int, int] = {}
-        self._segs: tuple[np.ndarray, ...] | None = None  # the rows as columns
+        self._occupancy: dict | None = None  # (ref index, lane) -> vehicles, for placement checks
+        self._columns = _Segments.of(graph)
         # per vehicle, kept as the world moves it: its directed segment, its
         # route's segments (a run of ``_flat``, rebuilt whenever a route
         # changed) and the node its trip stops at (-1: none); vehicles whose
@@ -485,7 +507,7 @@ class World:
 
     @property
     def next_vehicle_id(self) -> int:
-        return self._next_id
+        return len(self.vehicles)
 
     def spawn(
         self,
@@ -525,8 +547,7 @@ class World:
         if not 0.0 <= offset <= ref.length:
             raise PlacementError("offset", f"offset {offset} outside segment length {ref.length:.2f}")
 
-        vid = self._next_id
-        self._next_id += 1
+        vid = len(self.vehicles)
         stream = rng if rng is not None else substream(self.seed, "vehicle", vid)
         if speed_factor is None:
             lo = 1.0 - SPEED_FACTOR_SPREAD
@@ -555,29 +576,27 @@ class World:
             vehicle.route = routing.Route((end,), 0.0)
         vehicle.route_pos = 0
         self.vehicles[vid] = vehicle
-        self._order.append(vehicle)
         p, m = vehicle.idm, vehicle.mobil
         self._params.append((length, p.b_comf, vehicle.v0_eff, p.delta, p.a_max, p.s0, p.T,
                              2.0 * math.sqrt(p.a_max * p.b_comf), m.p, m.delta_a_th, m.b_safe, parked))
         self._consts = None
-        self._segment(ref)
         self._route_segs.append([])
         self._stale.add(vid)
         self._table = None
         if self._occupancy is not None:
-            self._occupancy.setdefault((ref.key, lane), []).append(vehicle)
+            self._occupancy.setdefault((ref.index, lane), []).append(vehicle)
         return vehicle
 
     def lane_is_clear(self, ref: SegmentRef, lane: int, s: float, margin: float) -> bool:
         """True when no vehicle occupies (ref, lane) within ``margin`` meters of s.
 
-        Reads a (ref key, lane) index that ``spawn`` extends and ``step`` drops.
+        Reads a (ref index, lane) index that ``spawn`` extends and ``step`` drops.
         """
         if self._occupancy is None:
             self._occupancy = {}
-            for veh in self._order:
-                self._occupancy.setdefault((veh.ref.key, veh.lane), []).append(veh)
-        return not any(abs(veh.s - s) < margin for veh in self._occupancy.get((ref.key, lane), ()))
+            for veh in self.vehicles.values():
+                self._occupancy.setdefault((veh.ref.index, veh.lane), []).append(veh)
+        return not any(abs(veh.s - s) < margin for veh in self._occupancy.get((ref.index, lane), ()))
 
     # -- perception -----------------------------------------------------------
 
@@ -591,12 +610,11 @@ class World:
 
     def _blocking_signals(self) -> np.ndarray:
         """Per node index: True where the node's signal is yellow or red at the current time."""
-        t = self.time
-        blocked = np.zeros(len(self._node_index) + 1, dtype=bool)  # the extra entry is "no node"
-        index = self._node_index
+        t, graph = self.time, self.graph
+        blocked = np.zeros(len(graph.nodes) + 1, dtype=bool)  # the extra entry is "no node"
         for node, sig in self.signals.items():
-            if node in index and signal_phase(sig, t) != "green":
-                blocked[index[node]] = True
+            if node in graph.nodes and signal_phase(sig, t) != "green":
+                blocked[graph.node_rows[node]] = True
         return blocked
 
     def perceive_leader(self, vehicle: Vehicle) -> tuple[float, float] | None:
@@ -609,28 +627,28 @@ class World:
         s, v, lane, route_pos, _ = self._state()
         table = self._lane_table(s, lane)
         ego = np.array([vehicle.id])
-        slot = self._segment_columns()[3][self._seg[ego]] + lane[ego]
+        slot = self._columns.slot0[self._seg[ego]] + lane[ego]
         hit, raw = self._look_ahead(table, self._blocking_signals(), ego, lane[ego], table.of[ego], slot, s, route_pos)
         other = int(hit[0])
         if other == _NONE:
             return None
-        lead_length, lead_v = (self._order[other].length, float(v[other])) if other >= 0 else (0.0, 0.0)
+        lead_length, lead_v = (self.vehicles[other].length, float(v[other])) if other >= 0 else (0.0, 0.0)
         return abs(float(raw[0])) - (vehicle.length + lead_length) / 2.0, vehicle.v - lead_v
 
     def position(self, vehicle: Vehicle) -> tuple[float, float]:
         """World coordinates of the vehicle center (lane offsets are ignored)."""
-        x0, dx, y0, dy = self._seg_rows[self._segment(vehicle.ref)][4:]
+        columns, i = self._columns, vehicle.ref.index
         frac = min(max(vehicle.s / vehicle.ref.length, 0.0), 1.0)
-        return x0 + frac * dx, y0 + frac * dy
+        return float(columns.x0[i] + frac * columns.dx[i]), float(columns.y0[i] + frac * columns.dy[i])
 
     def positions(self) -> tuple[list[float], list[float]]:
         """:meth:`position` of every vehicle, in id order, as one array evaluation (same bits)."""
-        if not self._order:
+        if not self.vehicles:
             return [], []
         self._grow()
-        length, _, _, _, x0, dx, y0, dy = self._segment_columns()
+        length, _, _, _, x0, dx, y0, dy = self._columns
         seg = self._seg
-        ratio = np.array([veh.s for veh in self._order]) / length[seg]
+        ratio = np.array([veh.s for veh in self.vehicles.values()]) / length[seg]
         ratio = np.where(0.0 > ratio, 0.0, ratio)  # max(ratio, 0.0)
         frac = np.where(1.0 < ratio, 1.0, ratio)  # min(ratio, 1.0)
         return (x0[seg] + frac * dx[seg]).tolist(), (y0[seg] + frac * dy[seg]).tolist()
@@ -664,31 +682,11 @@ class World:
 
     # -- arrays -----------------------------------------------------------------
 
-    def _segment(self, ref: SegmentRef) -> int:
-        """Index of a directed segment, numbered in the order segments are first met."""
-        index = self._seg_index.get(ref.key)
-        if index is None:
-            index = self._seg_index[ref.key] = len(self._seg_rows)
-            end = self._node_index.setdefault(ref.end_node, len(self._node_index))
-            a, b = self.graph.node(ref.start_node), self.graph.node(ref.end_node)
-            self._seg_rows.append((ref.length, end, ref.lanes, self._slots, a.x, b.x - a.x, a.y, b.y - a.y))
-            self._slots += ref.lanes
-            self._segs = None
-        return index
-
-    def _segment_columns(self) -> tuple[np.ndarray, ...]:
-        """The segment rows as columns: length, end node index, lanes, first lane slot, x0, dx, y0, dy."""
-        if self._segs is None:
-            columns = list(zip(*self._seg_rows))
-            self._segs = tuple(np.array(col, dtype=np.int64 if k in (1, 2, 3) else float)
-                               for k, col in enumerate(columns))
-        return self._segs
-
     def _grow(self) -> None:
         """Extend the per-vehicle arrays that the world keeps to the vehicles spawned since."""
-        new = self._order[len(self._seg):]
-        if new:
-            self._seg = np.concatenate((self._seg, [self._segment(veh.ref) for veh in new]))
+        if len(self._seg) < len(self.vehicles):
+            new = list(self.vehicles.values())[len(self._seg):]
+            self._seg = np.concatenate((self._seg, [veh.ref.index for veh in new]))
             self._final = np.concatenate((self._final, np.full(len(new), -1)))
 
     def _state(self) -> tuple[np.ndarray, ...]:
@@ -702,7 +700,7 @@ class World:
             self._route_count = np.fromiter(map(len, runs), np.int64, len(runs))
             self._route_start = np.cumsum(self._route_count) - self._route_count
             self._flat = np.fromiter(chain.from_iterable(runs), np.int64)
-        order = self._order
+        order = self.vehicles.values()
         return (np.array([veh.s for veh in order]), np.array([veh.v for veh in order]),
                 np.array([veh.lane for veh in order], dtype=np.int64),
                 np.array([veh.route_pos for veh in order], dtype=np.int64),
@@ -710,10 +708,9 @@ class World:
 
     def _read_route(self, vid: int) -> None:
         """Record a vehicle's route segments and the node its trip stops at."""
-        veh = self._order[vid]
-        self._route_segs[vid] = [self._segment(ref) for ref in veh.route.refs]
-        final = self._node_index.setdefault(veh.route.node_ids[-1], len(self._node_index))
-        self._final[vid] = final if self._is_final_leg(veh) else -1
+        veh = self.vehicles[vid]
+        self._route_segs[vid] = [ref.index for ref in veh.route.refs]
+        self._final[vid] = self.graph.node_rows[veh.route.node_ids[-1]] if self._is_final_leg(veh) else -1
 
     def _constants(self) -> _Fleet:
         if self._consts is None:
@@ -724,7 +721,7 @@ class World:
 
     def _lane_table(self, s: np.ndarray, lane: np.ndarray) -> _LaneTable:
         if self._table is None:
-            self._table = _LaneTable(self._segment_columns()[3][self._seg] + lane, s, self._slots)
+            self._table = _LaneTable(self._columns.slot0[self._seg] + lane, s)
         return self._table
 
     def _look_ahead(
@@ -750,7 +747,7 @@ class World:
         in lane ``min(lane, lanes - 1)``, up to ``_HOPS`` segments per pass.
         """
         horizon = self.horizon
-        seg_len, seg_end, seg_lanes, slot0, *_ = self._segment_columns()
+        seg_len, seg_end, seg_lanes, slot0, *_ = self._columns
         seg = self._seg[ego]
         s_ego = s[ego]
         j = table.ahead(key, slot)
@@ -838,7 +835,7 @@ class World:
                     self._finish(vehicle, position=vehicle.ref.length)
                     return
             vehicle.ref = vehicle.route.refs[vehicle.route_pos]
-            self._seg[vehicle.id] = self._segment(vehicle.ref)
+            self._seg[vehicle.id] = vehicle.ref.index
             vehicle.lane = min(vehicle.lane, vehicle.ref.lanes - 1)
             vehicle.s = leftover
             vehicle.route_pos += 1
@@ -862,7 +859,7 @@ class World:
         """Advance every vehicle by ``dt`` seconds."""
         if dt <= 0:
             raise ValueError(f"dt must be > 0, got {dt!r}")
-        order = self._order
+        order = list(self.vehicles.values())
         if not order:
             self.time += dt
             return
@@ -872,7 +869,7 @@ class World:
         fleet = self._constants()
         length = fleet.length
         free = fleet.idm[0] * (1.0 - np.array([x ** d for x, d in zip((v / fleet.v0_eff).tolist(), fleet.delta)]))
-        seg_len, _, seg_lanes, slot0, *_ = self._segment_columns()
+        seg_len, _, seg_lanes, slot0, *_ = self._columns
 
         # pairs (vehicle, lane) to look ahead in: every moving vehicle's own
         # lane, then the left and the right lanes of the MOBIL candidates
@@ -1011,12 +1008,12 @@ class World:
         side[row, sides] = np.arange(k)
         go_right = passes[1] & (~passes[0] | (gain[1] >= gain[0]))
         go_left = passes[0] & ~go_right
-        order, time = self._order, self.time
+        vehicles, time = self.vehicles, self.time
         for r in (go_left | go_right).nonzero()[0].tolist():
             direction = 1 if go_left[r] else -1
             t = side[0 if direction == 1 else 1, r]
             fid = int(follower[t])
-            vehicle = order[int(cand[r])]
+            vehicle = vehicles[int(cand[r])]
             self.lane_changes.append(
                 LaneChangeRecord(
                     time=time,

@@ -24,6 +24,7 @@ DEFAULT_YELLOW_S = 5.0
 DEFAULT_RED_S = 25.0
 NON_DRIVABLE = frozenset({"footway", "path", "cycleway", "steps"})
 MPH_TO_MS = 0.44704
+MAX_LANES = 32  # per direction; a larger lane count is taken as bad input
 
 
 class MapError(Exception):
@@ -102,8 +103,8 @@ class SegmentRef:
     limit are those that apply to this direction of travel.  ``start_node``,
     ``end_node``, ``length`` and ``key`` follow from ``segment`` and
     ``forward``; they are stored rather than derived because the step loop
-    reads them at every look-ahead hop.  They take no part in equality,
-    hashing or ``repr``.
+    reads them at every look-ahead hop; ``index`` numbers the graph's refs
+    (:meth:`RoadGraph.refs`).  They take no part in equality, hashing or ``repr``.
 
     Refs are shared by the graph, routes and vehicles and must be treated as
     read-only.  The class is not frozen only because a frozen ``__init__``
@@ -120,6 +121,7 @@ class SegmentRef:
     end_node: int = field(compare=False, repr=False)
     length: float = field(compare=False, repr=False)
     key: tuple[int, int, bool] = field(compare=False, repr=False)  # (way, index, forward)
+    index: int = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -165,6 +167,7 @@ class RoadGraph:
     origin: tuple[float, float]
     _out: dict[int, tuple[SegmentRef, ...]] = field(repr=False, default_factory=dict)
     _refs: dict[tuple[int, int, bool], SegmentRef] = field(repr=False, default_factory=dict)
+    node_rows: dict[int, int] = field(repr=False, default_factory=dict)  # node id -> position in nodes
 
     def node(self, node_id: int) -> OsmNode:
         return self.nodes[node_id]
@@ -179,6 +182,10 @@ class RoadGraph:
 
     def ref(self, way_id: int, index: int, forward: bool = True) -> SegmentRef:
         return self._refs[(way_id, index, forward)]
+
+    def refs(self) -> list[SegmentRef]:
+        """Every directed segment, in ``SegmentRef.index`` order."""
+        return list(self._refs.values())
 
     def bounds(self) -> tuple[float, float, float, float]:
         xs = [n.x for n in self.nodes.values()]
@@ -197,6 +204,9 @@ def _finish_graph(
     refs: dict[tuple[int, int, bool], SegmentRef] = {}
     out: dict[int, list[SegmentRef]] = {}
     for way in ways.values():
+        for lanes in (way.lanes_forward, way.lanes_backward):
+            if lanes > MAX_LANES:
+                raise MapError(f"way {way.id}: {lanes} lanes in one direction, more than {MAX_LANES}")
         for i in range(len(way.node_refs) - 1):
             a = nodes[way.node_refs[i]]
             b = nodes[way.node_refs[i + 1]]
@@ -208,20 +218,21 @@ def _finish_graph(
             if way.lanes_forward >= 1:
                 key = (way.id, i, True)
                 fwd = SegmentRef(seg, True, way.lanes_forward, way.max_speed,
-                                 a.id, b.id, length, key)
+                                 a.id, b.id, length, key, len(refs))
                 refs[key] = fwd
                 out.setdefault(a.id, []).append(fwd)
             if way.lanes_backward >= 1:
                 key = (way.id, i, False)
                 back = SegmentRef(seg, False, way.lanes_backward, way.max_speed,
-                                  b.id, a.id, length, key)
+                                  b.id, a.id, length, key, len(refs))
                 refs[key] = back
                 out.setdefault(b.id, []).append(back)
     adjacency = {
         node_id: tuple(sorted(lst, key=lambda r: (r.segment.way_id, r.segment.index, not r.forward)))
         for node_id, lst in out.items()
     }
-    return RoadGraph(nodes, ways, segments, signals, origin, adjacency, refs)
+    rows = {node_id: row for row, node_id in enumerate(nodes)}
+    return RoadGraph(nodes, ways, segments, signals, origin, adjacency, refs, rows)
 
 
 def _parse_max_speed(raw: str) -> float | None:

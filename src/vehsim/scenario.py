@@ -381,6 +381,21 @@ def _build_vehicle(index: int, block: _Block) -> VehicleSpec:
     )
 
 
+def _check_clock(config: ScenarioConfig, line: Callable[[str], int | None] = lambda name: None) -> None:
+    """Raise :class:`ConfigError` naming the key, at ``line(key)``, unless ``dt`` is at least
+    the clock's 1 ns and ``duration`` and ``sampling`` are positive multiples of it."""
+    ns = {}
+    for name, seconds in (("dt", config.dt_s), ("duration", config.duration_s), ("sampling", config.sampling_s)):
+        try:
+            ns[name] = to_ns(seconds)
+        except (OverflowError, ValueError):  # inf, nan or beyond the nanosecond clock
+            raise ConfigError(f"{seconds!r} s is not finite or overflows the nanosecond clock",
+                              key=name, line=line(name)) from None
+        if ns[name] <= 0 or ns[name] % ns["dt"] != 0:
+            rule = "at least the clock's 1 ns" if name == "dt" else f"a positive multiple of dt = {config.dt_s!r}"
+            raise ConfigError(f"must be {rule}, got {seconds!r}", key=name, line=line(name))
+
+
 def load_config(text: str, *, base_dir: str | Path | None = None) -> ScenarioConfig:
     """Parse and validate scenario text; raises :class:`ConfigError` on any problem.
 
@@ -434,25 +449,7 @@ def load_config(text: str, *, base_dir: str | Path | None = None) -> ScenarioCon
     if base_dir is not None and not Path(values["map_path"]).is_absolute():
         values["map_path"] = str(Path(base_dir) / values["map_path"])
     config = ScenarioConfig(**values, key_lines=key_lines)
-
-    def clock_ns(name: str, seconds: float) -> int:
-        try:
-            return to_ns(seconds)
-        except OverflowError:
-            raise ConfigError(
-                f"{seconds!r} s overflows the nanosecond clock", key=name, line=scalars.line(name)
-            ) from None
-
-    dt_ns = clock_ns("dt", config.dt_s)
-    if dt_ns <= 0:
-        raise ConfigError("dt is below time resolution", key="dt", line=scalars.line("dt"))
-    for name, seconds in (("duration", config.duration_s), ("sampling", config.sampling_s)):
-        if clock_ns(name, seconds) % dt_ns != 0:
-            raise ConfigError(
-                f"must be a positive multiple of dt = {config.dt_s!r}",
-                key=name,
-                line=scalars.line(name),
-            )
+    _check_clock(config, scalars.line)
 
     # vehicles
     vehicle_blocks = indexed["vehicle"]
@@ -670,21 +667,23 @@ def _spawn_interference(world: World, config: ScenarioConfig) -> None:
 class Simulation:
     """One scenario stepped by an event kernel, from set-up to its four artifacts.
 
-    The constructor writes the ``config.ini`` echo (``echo_text`` verbatim when
-    given: the CLI passes the pre-override file config so that seed sweeps
-    share one echo), parses the map, spawns the vehicles, builds the radio
-    observer and writes the t = 0 trace rows; a bad placement raises
-    :class:`ConfigError` before any step.  :meth:`attach` binds the step
-    handler to a standalone or host-driven kernel, and each step schedules the
-    next until ``duration`` is covered.  :meth:`finish` closes the trace and
-    writes ``events.csv`` and ``summary.json``.  Trace stamps, radio times and
-    the summary's ``events_fired`` count the simulation's own completed steps
-    (``steps``), so other modules sharing the kernel move no output byte.
+    The constructor applies :func:`load_config`'s time-grid rule, writes the
+    ``config.ini`` echo (``echo_text`` verbatim when given: the CLI passes the
+    pre-override file config so that seed sweeps share one echo), parses the
+    map, spawns the vehicles, builds the radio observer and writes the t = 0
+    trace rows; a bad placement raises :class:`ConfigError` before any step.
+    :meth:`attach` binds the step handler to a standalone or host-driven
+    kernel, and each step schedules the next until ``duration`` is covered.
+    :meth:`finish` closes the trace and writes ``events.csv`` and
+    ``summary.json``.  Trace stamps, radio times and the summary's
+    ``events_fired`` count the simulation's own completed steps (``steps``),
+    so other modules sharing the kernel move no output byte.
     """
 
     TARGET = "runner"
 
     def __init__(self, config: ScenarioConfig, out_dir: str | Path, *, echo_text: str | None = None) -> None:
+        _check_clock(config)
         self.config = config
         self.out_dir = out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -382,6 +382,7 @@ def _simulated_world(tmp_path, osm_text: str, config_text: str):
     (tmp_path / "grid.osm").write_text(osm_text)
     config = load_config(config_text, base_dir=tmp_path)
     simulation = Simulation(config, tmp_path / "out")
+    simulation.finish()  # closes the trace; the tests step the world directly
     return simulation.world, config
 
 

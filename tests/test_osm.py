@@ -1,14 +1,19 @@
 """Map parsing, projection, and signal timing."""
 
 import math
+import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vehsim.osm import (
     DEFAULT_MAX_SPEED,
+    MAX_LANES,
     DanglingReferenceError,
     MapError,
+    RoadGraph,
     TrafficSignal,
     build_graph,
     parse_osm,
@@ -17,7 +22,7 @@ from vehsim.osm import (
     unproject,
 )
 
-from conftest import grid_osm_xml
+from conftest import corridor_osm_xml, grid_osm_xml
 
 # One degree of latitude on the spherical earth model, in meters.
 METERS_PER_DEGREE = 111194.92664455873
@@ -239,6 +244,24 @@ def test_build_graph_options_and_validation():
         build_graph(nodes, [(1, [1, 4])])
 
 
+def test_lane_counts_beyond_the_cap_are_map_errors_naming_the_way():
+    def way_with_lanes(lanes: str, oneway: str = "no") -> str:
+        return _two_node_way('lat="0.0" lon="0.0"', 'lat="0.001" lon="0.0"').replace(
+            "</way>", f'<tag k="lanes" v="{lanes}"/><tag k="oneway" v="{oneway}"/></way>')
+
+    assert parse_osm(way_with_lanes(str(2 * MAX_LANES))).ways[7].lanes_backward == MAX_LANES
+    assert parse_osm(way_with_lanes(str(MAX_LANES), "yes")).ways[7].lanes_forward == MAX_LANES
+    for lanes, oneway, per_direction in (("8000000", "no", 4000000), (str(MAX_LANES + 1), "yes", MAX_LANES + 1)):
+        with pytest.raises(MapError, match=f"^way 7: {per_direction} lanes"):
+            parse_osm(way_with_lanes(lanes, oneway))
+
+    nodes = [(1, 0.0, 0.0), (2, 100.0, 0.0)]
+    assert build_graph(nodes, [(3, [1, 2], {"lanes_backward": MAX_LANES})]).ref(3, 0, False).lanes == MAX_LANES
+    for option in ("lanes_forward", "lanes_backward"):
+        with pytest.raises(MapError, match=f"^way 3: {10 ** 9} lanes"):
+            build_graph(nodes, [(3, [1, 2], {option: 10 ** 9})])
+
+
 def test_build_graph_round_trips_metric_coordinates():
     graph = build_graph([(1, -250.0, 40.0), (2, 750.0, 40.0)], [(1, [1, 2])])
     assert graph.node(1).x == pytest.approx(-250.0, abs=1e-6)
@@ -272,6 +295,8 @@ def test_stored_ref_fields_agree_with_their_segment(parsed):
             assert ref.length == seg.length
             assert ref.key == (seg.way_id, seg.index, ref.forward)
             assert graph.ref(*ref.key) is ref
+        assert [ref.index for ref in graph.refs()] == list(range(len(refs)))
+        assert list(graph.node_rows.items()) == [(node_id, row) for row, node_id in enumerate(graph.nodes)]
 
 
 def test_refs_of_two_parses_are_equal_and_hash_alike():
@@ -284,7 +309,7 @@ def test_refs_of_two_parses_are_equal_and_hash_alike():
         assert a == b and hash(a) == hash(b)
         # the stored fields follow from the others and take no part in equality or hashing
         assert hash(a) == hash((a.segment, a.forward, a.lanes, a.max_speed))
-        assert replace(a, length=a.length + 1.0, key=(0, 0, True)) == a
+        assert replace(a, length=a.length + 1.0, key=(0, 0, True), index=a.index + 1) == a
 
 
 def test_signal_validation():
@@ -314,3 +339,50 @@ def test_signal_phase_with_offset_and_negative_time():
     assert signal_phase(sig, 0.0) == "red"  # u = -25 wraps to 35
     assert signal_phase(sig, -5.0) == "yellow"  # u = -30 wraps to 30
     assert signal_phase(sig, 24.999) == "red"
+
+
+# what a mutation writes: attribute values out of every range, and tokens that
+# break the markup, refer to no node or carry odd lane, speed and highway tags
+_HOSTILE_VALUES = ("1e999", "-1e999", "nan", "inf", "91", "-181", "-0", "0", "-1", "33", "8000000", "1e3", "x", "")
+_HOSTILE_TOKENS = (
+    '"', "'", "<", ">", "/>", "&", "<!--", "-->", "1e999", "nan",
+    '<nd ref="x"/>', '<nd ref="424242"/>', "<nd/>", '<node id="7" lat="0" lon="0"/>',
+    '<tag k="lanes" v="8000000"/>', '<tag k="lanes" v="-2"/>', '<tag k="lanes" v="33"/>',
+    '<tag k="lanes" v="x"/>', '<tag k="maxspeed" v="1e999"/>', '<tag k="maxspeed" v="nan"/>',
+    '<tag k="maxspeed" v="-5 mph"/>', '<tag k="oneway" v="yes"/>', '<tag k="highway" v="steps"/>',
+)
+_TOKEN = r"""<!--.*?-->|<[^>]*>|"[^"]*"|[^<"\s]+|\s+"""
+
+
+@st.composite
+def _osm_mutations(draw):
+    """A test map (grid or corridor) with attribute values replaced and tokens inserted, deleted or replaced."""
+    text = draw(st.sampled_from((grid_osm_xml(3, 150.0), corridor_osm_xml(400.0, count=4),
+                                 corridor_osm_xml(300.0, count=3, one_way=False))))
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):  # one attribute value: an id, a coordinate, a reference or a tag value
+            values = list(re.finditer(r'"[^"]*"', text))
+            value = values[draw(st.integers(0, len(values) - 1))]
+            text = f'{text[:value.start()]}"{draw(st.sampled_from(_HOSTILE_VALUES))}"{text[value.end():]}'
+            continue
+        tokens = re.findall(_TOKEN, text, flags=re.S)
+        at = draw(st.integers(0, len(tokens)))
+        action = draw(st.sampled_from(("insert", "delete", "replace")))
+        if action == "insert" or at == len(tokens):
+            tokens.insert(at, draw(st.sampled_from(_HOSTILE_TOKENS)))
+        elif action == "delete":
+            del tokens[at]
+        else:
+            tokens[at] = draw(st.sampled_from(_HOSTILE_TOKENS))
+        text = "".join(tokens)
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(_osm_mutations())
+def test_any_mutated_map_is_a_map_error_or_a_graph(text):
+    try:
+        graph = parse_osm(text)
+    except MapError:
+        return
+    assert isinstance(graph, RoadGraph) and graph.ways

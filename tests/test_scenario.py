@@ -1,6 +1,7 @@
 """Config parsing, run orchestration, artifacts, CLI behavior."""
 
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -737,6 +738,22 @@ def test_cli_duration_override_validated(corridor_map, tmp_path, capsys):
     assert cli_main(["run", str(config), "--out", str(tmp_path / "ok"), "--duration", "2"]) == 0
     capsys.readouterr()
     assert json.loads((tmp_path / "ok" / "summary.json").read_text())["duration_s"] == 2.0
+
+
+@pytest.mark.parametrize(
+    "change, key",
+    [({"duration_s": 0.15}, "duration"), ({"sampling_s": 0.05}, "sampling"),
+     ({"dt_s": 1e-12}, "dt"), ({"duration_s": math.nan}, "duration")],
+    ids=["duration-off-grid", "sampling-off-grid", "dt-below-1-ns", "duration-nan"],
+)
+def test_simulation_checks_the_time_grid_before_writing(corridor_map, tmp_path, change, key):
+    # a config changed after load_config reaches the same rule, not a bare
+    # ZeroDivisionError or ValueError, nor a run of a duration other than the summary's
+    cfg = replace(load_config(f"map = {corridor_map}\nduration = 5\nway = 1\nparked = true\n"), **change)
+    with pytest.raises(ConfigError) as err:
+        run(cfg, tmp_path / "out")
+    assert err.value.key == key
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_config_errors_exit_1(corridor_map, tmp_path, capsys):

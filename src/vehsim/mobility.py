@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import routing
-from .osm import RoadGraph, Segment, SegmentRef, signal_phase
+from .osm import RoadGraph, SegmentRef, signal_phase
 from .rng import substream
 
 VEHICLE_LENGTH = 5.0  # m
@@ -174,10 +174,6 @@ class Vehicle:
     odometer: float = 0.0
     arrivals: list[tuple[float, int]] = field(default_factory=list)
     last_lane_change: float = -math.inf
-
-    @property
-    def segment(self) -> Segment:
-        return self.ref.segment
 
     @property
     def v0_eff(self) -> float:
@@ -641,17 +637,17 @@ class World:
         frac = min(max(vehicle.s / vehicle.ref.length, 0.0), 1.0)
         return float(columns.x0[i] + frac * columns.dx[i]), float(columns.y0[i] + frac * columns.dy[i])
 
-    def positions(self) -> tuple[list[float], list[float]]:
+    def positions(self) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`position` of every vehicle, in id order, as one array evaluation (same bits)."""
         if not self.vehicles:
-            return [], []
+            return np.empty(0), np.empty(0)
         self._grow()
         length, _, _, _, x0, dx, y0, dy = self._columns
         seg = self._seg
         ratio = np.array([veh.s for veh in self.vehicles.values()]) / length[seg]
         ratio = np.where(0.0 > ratio, 0.0, ratio)  # max(ratio, 0.0)
         frac = np.where(1.0 < ratio, 1.0, ratio)  # min(ratio, 1.0)
-        return (x0[seg] + frac * dx[seg]).tolist(), (y0[seg] + frac * dy[seg]).tolist()
+        return x0[seg] + frac * dx[seg], y0[seg] + frac * dy[seg]
 
     # -- strategic layer ------------------------------------------------------
 

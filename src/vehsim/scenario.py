@@ -26,6 +26,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -129,7 +130,7 @@ class ScenarioConfig:
     key_lines: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TraceSample:
     t: float
     vehicle_id: int
@@ -747,10 +748,11 @@ class Simulation:
             return
         world = self.world
         vehicles = list(world.vehicles.values())  # spawn order, which is ascending id
+        ids = list(world.vehicles)
         xs, ys = world.positions()
         if observer is not None:
             window = self.config.radio.pingpong_window_s
-            for ho in observer.observe_all(list(world.vehicles), xs, ys, t_ns / NS_PER_SECOND):
+            for ho in observer.observe_all(ids, xs, ys, t_ns / NS_PER_SECOND):
                 vid = ho.vehicle_id
                 self._rows.append((ho.time, "handover", vid, ho.from_cell, ho.to_cell, ho.x, ho.y))
                 # a ping-pong is this handover reversing the vehicle's previous one
@@ -759,9 +761,9 @@ class Simulation:
         if sample:
             stamp = _fmt_seconds(t_ns)
             write = self._trace.write
-            for veh, x, y in zip(vehicles, xs, ys):
+            currents = observer.current_all(ids) if observer is not None else repeat(None)
+            for veh, x, y, current in zip(vehicles, xs.tolist(), ys.tolist(), currents):
                 serving = level = ""
-                current = observer.current(veh.id) if observer is not None else None
                 if current is not None:
                     serving, level = current[0], f"{current[1]:.2f}"
                 write(f"{stamp},{veh.id},{x:.3f},{y:.3f},{veh.v:.3f},{veh.acc:.3f},{serving},{level}\n")

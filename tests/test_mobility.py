@@ -114,7 +114,7 @@ def test_spawn_addressing_on_multi_segment_way():
     assert veh.ref.key == (1, 2, True)
     assert veh.s == 42.0
     assert veh.v == 3.0
-    assert veh.segment.from_node == 3 and veh.segment.to_node == 4
+    assert veh.ref.segment.from_node == 3 and veh.ref.segment.to_node == 4
 
 
 def test_spawn_ids_and_streams_are_per_vehicle():

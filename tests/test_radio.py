@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vehsim.radio import (
+    _RANK_MARGIN_DB,
     BaseStation,
     HandoverEvent,
     RadioObserver,
@@ -216,7 +217,7 @@ def test_sigma_zero_is_pure_path_loss():
     obs = RadioObserver(stations, shadowing_sigma_db=0.0, seed=99)
     m = obs.measure(1, 250.0, 0.0)
     assert m["a"] == rssi(stations[0], 250.0, 0.0)
-    assert obs._shadow_rng == {}  # no streams were ever created
+    assert obs._streams == []  # no streams were ever created
 
 
 # -- batched kernel against the scalar reference -----------------------------------
@@ -270,9 +271,11 @@ def _as_tuple(event):
 
 
 def _assert_same_state(obs, ref, vids):
+    ids = [s.id for s in obs.stations]
     for vid in vids:
-        assert obs._last_levels[vid] == ref.levels[vid]  # bitwise, every station
-        assert obs.current(vid) == (ref.serving[vid], ref.levels[vid][obs._index[ref.serving[vid]]])
+        assert obs.last_levels(vid) == ref.levels[vid]  # bitwise, every station
+        assert obs.current(vid) == (ref.serving[vid], ref.levels[vid][ids.index(ref.serving[vid])])
+    assert obs.current_all(vids) == [obs.current(vid) for vid in vids]
 
 
 _coord = st.floats(-3000.0, 3000.0, allow_nan=False)
@@ -337,7 +340,7 @@ def test_kernel_floors_distance_at_reference_on_and_near_a_station():
     obs.observe_all([0, 1, 2], [p[0] for p in points], [p[1] for p in points], 0.0)
     floor = rssi(a, 11.0, 20.0)
     for vid, (x, y) in enumerate(points):
-        assert obs._last_levels[vid] == [floor, rssi(b, x, y)]
+        assert obs.last_levels(vid) == [floor, rssi(b, x, y)]
         assert obs.current(vid) == ("a", floor)
 
 
@@ -375,13 +378,79 @@ def test_long_shadowed_run_mixing_update_and_observe_all_matches_scalar():
         _assert_same_state(obs, ref, [r[0] for r in rows])
     assert len(expected) >= 3
     assert seen == expected
-    assert all(len(stream.block) == 64 for stream in obs._shadow_rng.values())  # refilled
+    assert len(obs._streams) == 3
+    assert (obs._block_len[:3] == 64).all()  # every stream has refilled
+
+
+@pytest.mark.parametrize("sigma", [0.0, 4.0])
+def test_close_and_tied_ranked_levels_are_settled_exactly(sigma):
+    # b sits 1e-9 m from a and d 1e-12 m from c, so their levels differ by far less than
+    # the ranking margin; x = 5e-10 ties a and b exactly, y = 0 ties c and e exactly
+    stations = [BaseStation("a", 0.0, 0.0), BaseStation("b", 1e-9, 0.0), BaseStation("c", 900.0, 400.0),
+                BaseStation("d", 900.0 + 1e-12, 400.0), BaseStation("e", 900.0, -400.0)]
+    rng = np.random.default_rng(8)
+    points = [tuple(p) for p in rng.uniform((-1500.0, -1000.0), (2500.0, 1000.0), (240, 2)).tolist()]
+    points += [(5e-10, y) for y in rng.uniform(-1000.0, 1000.0, 30).tolist()]
+    points += [(x, 0.0) for x in rng.uniform(-1500.0, 2500.0, 30).tolist()]
+    kwargs = dict(hysteresis_db=0.0, time_to_trigger_s=0.0, shadowing_sigma_db=sigma, seed=5)
+    for subset in (stations, stations[:1]):
+        obs, ref = RadioObserver(subset, **kwargs), _ScalarReference(subset, **kwargs)
+        vids = list(range(len(points)))
+        handovers = 0
+        for step in range(4):  # attach, then three re-evaluations on rotated positions
+            moved = points[7 * step:] + points[:7 * step]
+            xs, ys = [p[0] for p in moved], [p[1] for p in moved]
+            events = obs.observe_all(vids, xs, ys, 0.5 * step)
+            expected = [ref.update(v, x, y, 0.5 * step) for v, x, y in zip(vids, xs, ys)]
+            assert [_as_tuple(e) for e in events] == [e for e in expected if e is not None]
+            _assert_same_state(obs, ref, vids)
+            handovers += len(events)
+        if len(subset) == 1:
+            assert handovers == 0
+            continue
+        assert handovers > 0
+        if sigma == 0.0:  # the last step reached close levels and exact ties
+            levels = np.array([ref.levels[v] for v in vids])
+            top2 = np.sort(levels, axis=1)[:, -2:]
+            assert (top2[:, 1] - top2[:, 0] < _RANK_MARGIN_DB).sum() > len(vids) // 2
+            on_x, on_y = np.array([x == 5e-10 for x in xs]), np.array([y == 0.0 for y in ys])
+            assert on_x.sum() == on_y.sum() == 30
+            assert (levels[on_x, 0] == levels[on_x, 1]).all() and (levels[on_y, 2] == levels[on_y, 4]).all()
+
+    obs = RadioObserver(stations, **kwargs)
+    obs.observe_all([1, 2], [0.0, 5.0], [0.0, 5.0], 0.0)
+    before = obs.current(1), obs.current(2)
+    with pytest.raises(ValueError, match="duplicate"):
+        obs.observe_all([1, 3, 1], [900.0, 0.0, 900.0], [400.0, 0.0, 400.0], 0.1)
+    assert (obs.current(1), obs.current(2), obs.current(3)) == (*before, None)
+    assert obs.current_all([2, 3, 1]) == [before[1], None, before[0]]
+
+
+@pytest.mark.parametrize("tx, exponent, sigma", [(46.0, 1e10, 0.0), (1e15, 3.5, 0.0), (46.0, 1e10, 1e12)])
+def test_ranking_margin_scales_with_huge_levels(tx, exponent, sigma):
+    # at these magnitudes one ulp of a level is far above _RANK_MARGIN_DB; vehicles a few
+    # ulps off the bisector of a and b have levels closer than NumPy's rounding error
+    stations = [BaseStation(cid, x, y, tx_power_dbm=tx)
+                for cid, x, y in (("a", 0.0, 0.0), ("b", 1000.0, 0.0), ("c", 500.0, 900.0))]
+    rng = np.random.default_rng(1)
+    points = [(500.0 + n * math.ulp(500.0), y) for n in range(-4, 5) for y in rng.uniform(-800.0, 800.0, 150).tolist()]
+    kwargs = dict(hysteresis_db=0.0, time_to_trigger_s=0.0, path_loss_exponent=exponent,
+                  shadowing_sigma_db=sigma, seed=3)
+    obs, ref = RadioObserver(stations, **kwargs), _ScalarReference(stations, **kwargs)
+    vids = list(range(len(points)))
+    for step in range(3):
+        moved = points[step:] + points[:step]
+        xs, ys = [p[0] for p in moved], [p[1] for p in moved]
+        events = obs.observe_all(vids, xs, ys, 0.5 * step)
+        expected = [ref.update(v, x, y, 0.5 * step) for v, x, y in zip(vids, xs, ys)]
+        assert [_as_tuple(e) for e in events] == [e for e in expected if e is not None]
+        _assert_same_state(obs, ref, vids)
 
 
 def test_observe_all_empty_batch_and_ragged_input():
     obs = RadioObserver([BaseStation("a", 0.0, 0.0)], shadowing_sigma_db=4.0)
     assert obs.observe_all([], [], [], 1.0) == []
-    assert obs.attachments == {} and obs._shadow_rng == {}
+    assert obs.attachments == {} and obs._streams == []
     with pytest.raises(ValueError):
         obs.observe_all([1, 2], [0.0], [0.0, 1.0], 1.0)
 

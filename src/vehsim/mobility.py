@@ -18,7 +18,7 @@ kinematic stopping distance and never rolls backwards.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
@@ -147,38 +147,62 @@ class RandomDirection:
 Strategic = Trip | RandomDirection | None
 
 
-@dataclass
-class Vehicle:
-    """Simulated road user.
+class _Column:
+    """A :class:`Vehicle` field kept in its world's column of the same name.
 
-    ``s`` is the center position along the travel direction of ``ref``;
-    ``lane`` counts from 0 at the rightmost lane of that direction.
+    Reads return a Python ``float``, ``int`` or ``bool``, never a NumPy
+    scalar, whose ``repr`` differs between NumPy versions.  A write drops
+    the world's lane table and placement index, which it may have moved.
     """
 
-    id: int
-    ref: SegmentRef
-    lane: int
-    s: float
-    v: float = 0.0
-    acc: float = 0.0
-    length: float = VEHICLE_LENGTH
-    idm: IdmParams = field(default_factory=IdmParams)
-    mobil: MobilParams = field(default_factory=MobilParams)
-    speed_factor: float = 1.0
-    strategic: Strategic = None
-    route: routing.Route | None = None
-    route_pos: int = 0  # index into route.node_ids of the node being approached
-    rng: np.random.Generator | None = field(default=None, repr=False)
-    parked: bool = False
-    done: bool = False
-    odometer: float = 0.0
-    arrivals: list[tuple[float, int]] = field(default_factory=list)
-    last_lane_change: float = -math.inf
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __get__(self, vehicle, owner=None):
+        if vehicle is None:
+            return self
+        return getattr(vehicle.world, self.name).item(vehicle.id)
+
+    def __set__(self, vehicle, value) -> None:
+        world = vehicle.world
+        getattr(world, self.name)[vehicle.id] = value
+        world._table = world._occupancy = None
+
+
+class Vehicle:
+    """Simulated road user: a view of row ``id`` of its world's vehicle columns.
+
+    ``s`` is the center position along the travel direction of ``ref``;
+    ``lane`` counts from 0 at the rightmost lane of that direction.  The
+    numeric fields (``_VIEW_FIELDS``) read and write ``world.<field>[id]``,
+    and ``ref`` is the graph's directed segment numbered ``world.seg[id]``.
+    The driver's parameters, strategic model, route and random stream are
+    plain attributes.  Vehicles are made by :meth:`World.spawn`.
+    """
+
+    __slots__ = ("world", "id", "idm", "mobil", "speed_factor", "strategic", "route", "rng")
+
+    def __init__(self, world: World, vid: int, *, idm: IdmParams, mobil: MobilParams, speed_factor: float,
+                 strategic: Strategic, route: routing.Route, rng: np.random.Generator) -> None:
+        self.world, self.id, self.idm, self.mobil = world, vid, idm, mobil
+        self.speed_factor, self.strategic, self.route, self.rng = speed_factor, strategic, route, rng
 
     @property
-    def v0_eff(self) -> float:
-        """Effective desired speed: v0 scaled by the per-driver speed factor."""
-        return self.idm.v0 * self.speed_factor
+    def ref(self) -> SegmentRef:
+        return self.world._refs[self.world.seg.item(self.id)]
+
+    def __repr__(self) -> str:
+        return f"Vehicle(id={self.id}, ref={self.ref.key}, lane={self.lane}, s={self.s!r}, v={self.v!r})"
+
+
+# ``v0_eff`` is the effective desired speed: v0 scaled by the per-driver speed
+# factor; ``route_pos`` indexes ``route.node_ids`` at the node being approached
+_VIEW_FIELDS = ("s", "v", "acc", "lane", "route_pos", "done", "parked", "odometer", "last_lane_change",
+                "length", "v0_eff")
+for _field in _VIEW_FIELDS:
+    setattr(Vehicle, _field, _Column(_field))
 
 
 # -- neighbor views used by the MOBIL decision --------------------------------
@@ -329,18 +353,17 @@ class SignalViolation:
     node_id: int
 
 
-class _Fleet(NamedTuple):
-    """Per-vehicle constants recorded at spawn, as arrays indexed by vehicle id."""
-
-    length: np.ndarray
-    b_comf: np.ndarray
-    v0_eff: np.ndarray
-    delta: list[float]  # Python floats: ``** delta`` is evaluated element-wise
-    idm: np.ndarray  # rows a_max, s0, T and 2 * sqrt(a_max * b_comf)
-    p: np.ndarray
-    delta_a_th: np.ndarray
-    b_safe: np.ndarray
-    parked: np.ndarray
+# World's vehicle columns, indexed by vehicle id: name -> dtype of one entry.
+# The state, then the constants recorded at spawn.  ``seg`` is the directed
+# segment (``SegmentRef.index``), ``_final`` the node row a trip stops at (-1:
+# none), ``delta`` is raised element-wise on Python floats, and ``idm`` holds
+# the rows a_max, s0, T and 2 * sqrt(a_max * b_comf).
+_COLUMNS = {
+    "s": float, "v": float, "acc": float, "lane": np.int64, "seg": np.int64, "route_pos": np.int64,
+    "done": bool, "parked": bool, "odometer": float, "last_lane_change": float, "_final": np.int64,
+    "length": float, "v0_eff": float, "b_comf": float, "delta": float, "idm": (float, 4),
+    "p": float, "delta_a_th": float, "b_safe": float,
+}
 
 
 class _Segments(NamedTuple):
@@ -376,7 +399,7 @@ class _Segments(NamedTuple):
 def _idm_behind(free: np.ndarray, v: np.ndarray, idm: np.ndarray, delta_v: np.ndarray, gap: np.ndarray) -> np.ndarray:
     """:func:`idm_acceleration` of followers at speed ``v`` with free-road acceleration ``free``.
 
-    ``idm`` holds the followers' columns of :attr:`_Fleet.idm`; the leader
+    ``idm`` holds the followers' IDM rows (``World.idm``, transposed); the leader
     sits at net ``gap`` (floored at ``_GAP_FLOOR``) and each follower closes
     in at ``delta_v``.  The association is the scalar one, and ``** 2`` runs
     on Python floats because NumPy's power is not byte-equal to it.
@@ -455,17 +478,21 @@ class World:
     :func:`ballistic_update`), operation for operation, so both give the same
     bits.
 
-    ``vehicles`` is the one record of vehicle state: each step reads it into
-    arrays and writes the results back.  Its keys are 0..n-1 in spawn order,
-    and a vehicle's id is its index in every per-vehicle array.  Segments are
-    numbered by the graph (``SegmentRef.index``), nodes in graph order, and
-    the constructor reads every segment's columns once (:class:`_Segments`).
-    Between steps, vehicle state changes only through ``step``, ``spawn``
-    and ``strategic_next``, so the lane table sorted after one step's moves
-    is kept as the next step's start-of-step table; ``spawn`` discards it.
-    The set of nodes whose signal blocks (yellow or red) is built once per
-    ``step`` and once per ``perceive_leader`` call, so a signal added or
-    retimed between steps takes effect at the next step.
+    Vehicle state lives in one place: the columns named in ``_COLUMNS``, one
+    array each, indexed by vehicle id and read as ``[:n]`` slices (``spawn``
+    doubles their capacity when full).  ``vehicles`` maps each id, 0..n-1 in
+    spawn order, to its :class:`Vehicle` view.  A step sets every
+    acceleration first, then commits the moves in ascending id, each vehicle
+    that crosses a node together with the ones before it, just before its
+    topology is resolved: a step that fails there leaves the vehicles after
+    it unmoved.  Segments are numbered by the graph (``SegmentRef.index``),
+    nodes in graph order, and the constructor reads every segment's columns
+    once (:class:`_Segments`).  The lane table sorted after one step's moves
+    is kept as the next step's start-of-step table; ``spawn`` and a write
+    through a :class:`Vehicle` view discard it.  The set of nodes whose
+    signal blocks (yellow or red) is built once per ``step`` and once per
+    ``perceive_leader`` call, so a signal added or retimed between steps
+    takes effect at the next step.
     """
 
     def __init__(
@@ -486,18 +513,16 @@ class World:
         self.signal_violations: list[SignalViolation] = []
         self._table: _LaneTable | None = None  # lane table of the current state
         self._occupancy: dict | None = None  # (ref index, lane) -> vehicles, for placement checks
-        self._columns = _Segments.of(graph)
-        # per vehicle, kept as the world moves it: its directed segment, its
-        # route's segments (a run of ``_flat``, rebuilt whenever a route
-        # changed) and the node its trip stops at (-1: none); vehicles whose
-        # route or trip cursor changed are "stale" until their route is read
-        self._seg = np.zeros(0, dtype=np.int64)
+        self._refs = graph.refs()
+        self._segments = _Segments.of(graph)
+        for name, dtype in _COLUMNS.items():
+            setattr(self, name, np.empty(16, dtype))
+        # per vehicle, its route's segments (a run of ``_flat``, rebuilt
+        # whenever a route changed); vehicles whose route or trip cursor
+        # changed are "stale" until their route is read
         self._route_segs: list[list[int]] = []
         self._flat = self._route_start = self._route_count = np.zeros(0, dtype=np.int64)
-        self._final = np.zeros(0, dtype=np.int64)
         self._stale: set[int] = set()
-        self._params: list[tuple] = []  # per vehicle, the columns of _Fleet
-        self._consts: _Fleet | None = None
 
     # -- population ---------------------------------------------------------
 
@@ -548,34 +573,33 @@ class World:
         if speed_factor is None:
             lo = 1.0 - SPEED_FACTOR_SPREAD
             speed_factor = lo + 2.0 * SPEED_FACTOR_SPREAD * float(stream.random())
-
+        idm = idm if idm is not None else IdmParams()
+        mobil = mobil if mobil is not None else MobilParams()
         if isinstance(strategic, Trip):
             strategic = Trip(strategic.destinations, strategic.cursor)
-        vehicle = Vehicle(
-            id=vid,
-            ref=ref,
-            lane=lane,
-            s=offset,
-            v=0.0 if parked else speed,
-            length=length,
-            idm=idm if idm is not None else IdmParams(),
-            mobil=mobil if mobil is not None else MobilParams(),
-            speed_factor=speed_factor,
-            strategic=strategic,
-            rng=stream,
-            parked=parked,
-        )
         end = ref.end_node
         if isinstance(strategic, Trip) and strategic.cursor < len(strategic.destinations):
-            vehicle.route = routing.shortest_path(self.graph, end, strategic.destinations[strategic.cursor])
+            route = routing.shortest_path(self.graph, end, strategic.destinations[strategic.cursor])
         else:
-            vehicle.route = routing.Route((end,), 0.0)
-        vehicle.route_pos = 0
-        self.vehicles[vid] = vehicle
-        p, m = vehicle.idm, vehicle.mobil
-        self._params.append((length, p.b_comf, vehicle.v0_eff, p.delta, p.a_max, p.s0, p.T,
-                             2.0 * math.sqrt(p.a_max * p.b_comf), m.p, m.delta_a_th, m.b_safe, parked))
-        self._consts = None
+            route = routing.Route((end,), 0.0)
+
+        if vid == len(self.s):  # full: double every column's capacity
+            for name in _COLUMNS:
+                old = getattr(self, name)
+                new = np.empty((2 * vid,) + old.shape[1:], old.dtype)
+                new[:vid] = old
+                setattr(self, name, new)
+        row = {
+            "s": offset, "v": 0.0 if parked else speed, "acc": 0.0, "lane": lane, "seg": ref.index,
+            "route_pos": 0, "done": False, "parked": parked, "odometer": 0.0, "last_lane_change": -math.inf,
+            "_final": -1, "length": length, "v0_eff": idm.v0 * speed_factor, "b_comf": idm.b_comf,
+            "delta": idm.delta, "idm": (idm.a_max, idm.s0, idm.T, 2.0 * math.sqrt(idm.a_max * idm.b_comf)),
+            "p": mobil.p, "delta_a_th": mobil.delta_a_th, "b_safe": mobil.b_safe,
+        }
+        for name in _COLUMNS:
+            getattr(self, name)[vid] = row[name]
+        vehicle = self.vehicles[vid] = Vehicle(self, vid, idm=idm, mobil=mobil, speed_factor=speed_factor,
+                                               strategic=strategic, route=route, rng=stream)
         self._route_segs.append([])
         self._stale.add(vid)
         self._table = None
@@ -589,9 +613,10 @@ class World:
         Reads a (ref index, lane) index that ``spawn`` extends and ``step`` drops.
         """
         if self._occupancy is None:
+            n = len(self.vehicles)
             self._occupancy = {}
-            for veh in self.vehicles.values():
-                self._occupancy.setdefault((veh.ref.index, veh.lane), []).append(veh)
+            for key, veh in zip(zip(self.seg[:n].tolist(), self.lane[:n].tolist()), self.vehicles.values()):
+                self._occupancy.setdefault(key, []).append(veh)
         return not any(abs(veh.s - s) < margin for veh in self._occupancy.get((ref.index, lane), ()))
 
     # -- perception -----------------------------------------------------------
@@ -620,31 +645,30 @@ class World:
         the perception horizon.  Yellow/red signals at upcoming nodes count as
         standing leaders at the stop line; green signals are invisible.
         """
-        s, v, lane, route_pos, _ = self._state()
-        table = self._lane_table(s, lane)
+        self._read_stale_routes()
+        table = self._lane_table()
         ego = np.array([vehicle.id])
-        slot = self._columns.slot0[self._seg[ego]] + lane[ego]
-        hit, raw = self._look_ahead(table, self._blocking_signals(), ego, lane[ego], table.of[ego], slot, s, route_pos)
+        lane = self.lane[ego]
+        slot = self._segments.slot0[self.seg[ego]] + lane
+        hit, raw = self._look_ahead(table, self._blocking_signals(), ego, lane, table.of[ego], slot)
         other = int(hit[0])
         if other == _NONE:
             return None
-        lead_length, lead_v = (self.vehicles[other].length, float(v[other])) if other >= 0 else (0.0, 0.0)
+        lead_length, lead_v = (self.length.item(other), self.v.item(other)) if other >= 0 else (0.0, 0.0)
         return abs(float(raw[0])) - (vehicle.length + lead_length) / 2.0, vehicle.v - lead_v
 
     def position(self, vehicle: Vehicle) -> tuple[float, float]:
         """World coordinates of the vehicle center (lane offsets are ignored)."""
-        columns, i = self._columns, vehicle.ref.index
+        segments, i = self._segments, vehicle.ref.index
         frac = min(max(vehicle.s / vehicle.ref.length, 0.0), 1.0)
-        return float(columns.x0[i] + frac * columns.dx[i]), float(columns.y0[i] + frac * columns.dy[i])
+        return float(segments.x0[i] + frac * segments.dx[i]), float(segments.y0[i] + frac * segments.dy[i])
 
     def positions(self) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`position` of every vehicle, in id order, as one array evaluation (same bits)."""
-        if not self.vehicles:
-            return np.empty(0), np.empty(0)
-        self._grow()
-        length, _, _, _, x0, dx, y0, dy = self._columns
-        seg = self._seg
-        ratio = np.array([veh.s for veh in self.vehicles.values()]) / length[seg]
+        n = len(self.vehicles)
+        length, _, _, _, x0, dx, y0, dy = self._segments
+        seg = self.seg[:n]
+        ratio = self.s[:n] / length[seg]
         ratio = np.where(0.0 > ratio, 0.0, ratio)  # max(ratio, 0.0)
         frac = np.where(1.0 < ratio, 1.0, ratio)  # min(ratio, 1.0)
         return x0[seg] + frac * dx[seg], y0[seg] + frac * dy[seg]
@@ -657,7 +681,6 @@ class World:
         if sm is None:
             return None
         if isinstance(sm, Trip):
-            vehicle.arrivals.append((self.time, arrived_at))
             sm.cursor += 1
             self._stale.add(vehicle.id)  # the cursor decides the final leg
             if sm.cursor >= len(sm.destinations):
@@ -678,16 +701,8 @@ class World:
 
     # -- arrays -----------------------------------------------------------------
 
-    def _grow(self) -> None:
-        """Extend the per-vehicle arrays that the world keeps to the vehicles spawned since."""
-        if len(self._seg) < len(self.vehicles):
-            new = list(self.vehicles.values())[len(self._seg):]
-            self._seg = np.concatenate((self._seg, [veh.ref.index for veh in new]))
-            self._final = np.concatenate((self._final, np.full(len(new), -1)))
-
-    def _state(self) -> tuple[np.ndarray, ...]:
-        """The vehicles' s, v, lane, route position and done flag, read into arrays."""
-        self._grow()
+    def _read_stale_routes(self) -> None:
+        """Re-read the routes of the vehicles whose route or trip cursor changed."""
         if self._stale:
             for vid in self._stale:
                 self._read_route(vid)
@@ -696,11 +711,6 @@ class World:
             self._route_count = np.fromiter(map(len, runs), np.int64, len(runs))
             self._route_start = np.cumsum(self._route_count) - self._route_count
             self._flat = np.fromiter(chain.from_iterable(runs), np.int64)
-        order = self.vehicles.values()
-        return (np.array([veh.s for veh in order]), np.array([veh.v for veh in order]),
-                np.array([veh.lane for veh in order], dtype=np.int64),
-                np.array([veh.route_pos for veh in order], dtype=np.int64),
-                np.array([veh.done for veh in order], dtype=bool))
 
     def _read_route(self, vid: int) -> None:
         """Record a vehicle's route segments and the node its trip stops at."""
@@ -708,16 +718,10 @@ class World:
         self._route_segs[vid] = [ref.index for ref in veh.route.refs]
         self._final[vid] = self.graph.node_rows[veh.route.node_ids[-1]] if self._is_final_leg(veh) else -1
 
-    def _constants(self) -> _Fleet:
-        if self._consts is None:
-            length, b_comf, v0_eff, delta, *idm, p, delta_a_th, b_safe, parked = zip(*self._params)
-            self._consts = _Fleet(np.array(length), np.array(b_comf), np.array(v0_eff), list(delta), np.array(idm),
-                                  np.array(p), np.array(delta_a_th), np.array(b_safe), np.array(parked))
-        return self._consts
-
-    def _lane_table(self, s: np.ndarray, lane: np.ndarray) -> _LaneTable:
+    def _lane_table(self) -> _LaneTable:
         if self._table is None:
-            self._table = _LaneTable(self._columns.slot0[self._seg] + lane, s)
+            n = len(self.vehicles)
+            self._table = _LaneTable(self._segments.slot0[self.seg[:n]] + self.lane[:n], self.s[:n])
         return self._table
 
     def _look_ahead(
@@ -728,8 +732,6 @@ class World:
         lane: np.ndarray,
         key: np.ndarray,
         slot: np.ndarray,
-        s: np.ndarray,
-        route_pos: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Closest obstruction ahead of each vehicle ``ego[k]`` in ``lane[k]`` within the horizon.
 
@@ -741,11 +743,13 @@ class World:
         route goes on: the node ahead (the horizon, a blocking signal, the
         final stop, the route's end) and the next segment's rearmost vehicle
         in lane ``min(lane, lanes - 1)``, up to ``_HOPS`` segments per pass.
+        Positions and route positions come from the columns, so ``step``
+        looks ahead before it commits any move.
         """
         horizon = self.horizon
-        seg_len, seg_end, seg_lanes, slot0, *_ = self._columns
-        seg = self._seg[ego]
-        s_ego = s[ego]
+        seg_len, seg_end, seg_lanes, slot0, *_ = self._segments
+        seg = self.seg[ego]
+        s_ego = self.s[ego]
         j = table.ahead(key, slot)
         raw = table.s[j] - s_ego
         hit = np.where((j >= 0) & (raw <= horizon), table.vid[j], _NONE)
@@ -753,7 +757,7 @@ class World:
         pair = (hit == _NONE).nonzero()[0]
         owner = ego[pair]
         q, stop = lane[pair], self._final[owner]
-        at = self._route_start[owner] + route_pos[owner]  # flat index of the segment after the end node
+        at = self._route_start[owner] + self.route_pos[owner]  # flat index of the segment after the end node
         last = self._route_start[owner] + self._route_count[owner]
         cum, node = (seg_len[seg] - s_ego)[pair], seg_end[seg[pair]]
         while True:
@@ -805,78 +809,81 @@ class World:
             route = routing.shortest_path(self.graph, node, nxt)
             if len(route.node_ids) > 1:
                 vehicle.route = route
-                vehicle.route_pos = 0
+                self.route_pos[vehicle.id] = 0
                 return True
             nxt = self.strategic_next(vehicle, node)  # destination coincides with node
         return False
 
-    def _finish(self, vehicle: Vehicle, position: float | None = None) -> None:
-        vehicle.done = True
-        vehicle.v = 0.0
-        vehicle.acc = 0.0
+    def _finish(self, vid: int, position: float | None = None) -> None:
+        self.done[vid] = True
+        self.v[vid] = 0.0
+        self.acc[vid] = 0.0
         if position is not None:
-            vehicle.s = position
+            self.s[vid] = position
 
     def _settle(self, vehicle: Vehicle) -> None:
         """Resolve the nodes a moved vehicle crossed, then a smooth final arrival."""
-        while vehicle.s > vehicle.ref.length:
-            leftover = vehicle.s - vehicle.ref.length
-            node = vehicle.route.node_ids[vehicle.route_pos]
+        vid, s, seg, lane, route_pos = vehicle.id, self.s, self.seg, self.lane, self.route_pos
+        seg_len = self._segments.length
+        while s[vid] > seg_len[seg[vid]]:
+            leftover = s[vid] - seg_len[seg[vid]]
+            node = vehicle.route.node_ids[route_pos[vid]]
             sig = self.signals.get(node)
             if sig is not None and signal_phase(sig, self.time) == "red":
-                self.signal_violations.append(SignalViolation(self.time, vehicle.id, node))
-            if vehicle.route_pos == len(vehicle.route.node_ids) - 1:
+                self.signal_violations.append(SignalViolation(self.time, vid, node))
+            if route_pos[vid] == len(vehicle.route.node_ids) - 1:
                 if not self._advance_route(vehicle, node):
                     # crossed the terminal node at speed: park at the node
-                    self._finish(vehicle, position=vehicle.ref.length)
+                    self._finish(vid, position=seg_len[seg[vid]])
                     return
-            vehicle.ref = vehicle.route.refs[vehicle.route_pos]
-            self._seg[vehicle.id] = vehicle.ref.index
-            vehicle.lane = min(vehicle.lane, vehicle.ref.lanes - 1)
-            vehicle.s = leftover
-            vehicle.route_pos += 1
+            ref = vehicle.route.refs[route_pos[vid]]
+            seg[vid] = ref.index
+            lane[vid] = min(lane[vid], ref.lanes - 1)
+            s[vid] = leftover
+            route_pos[vid] += 1
 
         # smooth final arrival: a final-leg vehicle that has braked to a stop
         # just short of its last node registers the arrival and parks there.
         if (
-            not vehicle.done
-            and vehicle.v < _ARRIVAL_SPEED
+            not self.done[vid]
+            and self.v[vid] < _ARRIVAL_SPEED
             and self._is_final_leg(vehicle)
             and vehicle.route is not None
-            and vehicle.route_pos == len(vehicle.route.node_ids) - 1
+            and route_pos[vid] == len(vehicle.route.node_ids) - 1
         ):
-            node = vehicle.route.node_ids[vehicle.route_pos]
-            remaining = vehicle.ref.length - vehicle.s - vehicle.length / 2.0
+            node = vehicle.route.node_ids[route_pos[vid]]
+            remaining = seg_len[seg[vid]] - s[vid] - self.length[vid] / 2.0
             if remaining <= vehicle.idm.s0 * 1.5 + 1e-9:
                 if not self._advance_route(vehicle, node):
-                    self._finish(vehicle)
+                    self._finish(vid)
 
     def step(self, dt: float) -> None:
         """Advance every vehicle by ``dt`` seconds."""
         if dt <= 0:
             raise ValueError(f"dt must be > 0, got {dt!r}")
-        order = list(self.vehicles.values())
-        if not order:
+        n = len(self.vehicles)
+        if not n:
             self.time += dt
             return
-        s, v, lane, route_pos, done = self._state()
-        table = self._lane_table(s, lane)
+        self._read_stale_routes()
+        table = self._lane_table()
         self._table = self._occupancy = None  # decisions change lanes; moves change positions
-        fleet = self._constants()
-        length = fleet.length
-        free = fleet.idm[0] * (1.0 - np.array([x ** d for x, d in zip((v / fleet.v0_eff).tolist(), fleet.delta)]))
-        seg_len, _, seg_lanes, slot0, *_ = self._columns
+        s, v, lane, done, parked, length = (column[:n] for column in (
+            self.s, self.v, self.lane, self.done, self.parked, self.length))
+        idm = self.idm[:n].T
+        free = idm[0] * (1.0 - np.array([x ** d for x, d in zip((v / self.v0_eff[:n]).tolist(),
+                                                                 self.delta[:n].tolist())]))
+        _, _, seg_lanes, slot0, *_ = self._segments
 
         # pairs (vehicle, lane) to look ahead in: every moving vehicle's own
         # lane, then the left and the right lanes of the MOBIL candidates
-        movers = (~(fleet.parked | done)).nonzero()[0]
+        movers = (~(parked | done)).nonzero()[0]
         m = len(movers)
         ego, shift, sides = movers, np.zeros(m, dtype=np.int64), ()
-        lanes_here = seg_lanes[self._seg[movers]]
+        lanes_here = seg_lanes[self.seg[movers]]
         multi = (lanes_here > 1).nonzero()[0]
         if len(multi):
-            last_change = np.array([order[k].last_lane_change for k in movers[multi].tolist()])
-            mobil = multi[~(self.time - last_change < LANE_CHANGE_COOLDOWN)]
+            mobil = multi[~(self.time - self.last_lane_change[movers[multi]] < LANE_CHANGE_COOLDOWN)]
             cand = movers[mobil]
             left = (lane[cand] + 1 < lanes_here[mobil]).nonzero()[0]
             right = (lane[cand] > 0).nonzero()[0]
@@ -884,8 +891,8 @@ class World:
             ego = np.concatenate((movers, cand[sides]))
             shift = np.concatenate((shift, np.ones(len(left), dtype=np.int64), np.full(len(right), -1)))
         target = lane[ego] + shift
-        key, slot = table.of[ego] + shift, slot0[self._seg[ego]] + target
-        hit, raw = self._look_ahead(table, self._blocking_signals(), ego, target, key, slot, s, route_pos)
+        key, slot = table.of[ego] + shift, slot0[self.seg[ego]] + target
+        hit, raw = self._look_ahead(table, self._blocking_signals(), ego, target, key, slot)
         has = hit != _NONE
         lead_v = np.concatenate((v, [0.0]))[hit]  # a standing obstruction (-1) has speed and length 0
         lead_len = np.concatenate((length, [0.0]))[hit]
@@ -909,12 +916,15 @@ class World:
             who = np.concatenate((who, fol[by_ego], fol[both]))
             ahead_v = np.concatenate((ahead_v, v[ego[by_ego]], lead_v[both]))
             gaps = np.concatenate((gaps, f_net[by_ego], f_lead[both]))
-        acc_of = _idm_behind(free[who], v[who], fleet.idm[:, who], v[who] - ahead_v, gaps)
+        acc_of = _idm_behind(free[who], v[who], idm[:, who], v[who] - ahead_v, gaps)
         a_lead = free[ego]
         a_lead[by_lead] = acc_of[:len(by_lead)]
-        acc = np.zeros(len(order))
-        stopped = (done & ~fleet.parked).nonzero()[0]
-        acc[stopped] = np.where(v[stopped] > 0, -fleet.b_comf[stopped], 0.0)
+        # every acceleration is set before any vehicle moves, so a step that
+        # aborts below keeps them all
+        acc = self.acc[:n]
+        acc.fill(0.0)
+        stopped = (done & ~parked).nonzero()[0]
+        acc[stopped] = np.where(v[stopped] > 0, -self.b_comf[stopped], 0.0)
         acc[movers] = a_lead[:m]
         if len(sides):
             # MOBIL per side pair, as _change_gain: the ego behind the target
@@ -928,20 +938,16 @@ class World:
             pair, own, e = m + np.arange(len(sides)), mobil[sides], cand[sides]
             with_f = fol[pair] >= 0
             ok = ~(has[pair] & (net[pair] <= 0.0)) & ~(
-                with_f & ((f_net[pair] <= 0.0) | (a_f_ego[pair] < -fleet.b_safe[e])))
+                with_f & ((f_net[pair] <= 0.0) | (a_f_ego[pair] < -self.b_safe[e])))
             terms = np.where(with_f, 0.0 + (a_f_lead[pair] - a_f_ego[pair]), 0.0)
             terms = np.where(fol[own] >= 0, terms + (a_f_ego[own] - a_f_lead[own]), terms)
-            surplus = (a_lead[pair] - a_lead[own]) - fleet.p[e] * terms - fleet.delta_a_th[e]
-            self._change_lanes(lane, cand, sides, len(left), ok & (surplus > 0.0), surplus, fol[pair], a_f_ego[pair])
+            surplus = (a_lead[pair] - a_lead[own]) - self.p[e] * terms - self.delta_a_th[e]
+            self._change_lanes(cand, sides, len(left), ok & (surplus > 0.0), surplus, fol[pair], a_f_ego[pair])
 
-        # every acceleration is set before any vehicle moves, so a step that
-        # aborts below keeps them all; then the ballistic update with its
-        # stopping clamp, element-wise, for every unparked vehicle; a done
-        # one stays put and bleeds off any speed left (a rare clamp-stop
-        # case) as max(0.0, v + acc * dt)
-        for veh, a_k in zip(order, acc.tolist()):
-            veh.acc = a_k
-        active = (~fleet.parked).nonzero()[0]
+        # the ballistic update with its stopping clamp, element-wise, for
+        # every unparked vehicle; a done one stays put and bleeds off any
+        # speed left (a rare clamp-stop case) as max(0.0, v + acc * dt)
+        active = (~parked).nonzero()[0]
         a = acc[active]
         v_now = v[active]
         v_new = v_now + a * dt
@@ -962,37 +968,33 @@ class World:
             s_new[halt] = s[active][halt]
 
         # topology, for the vehicles that crossed a node or may register a
-        # final arrival; vehicle by vehicle in ascending id, moves included,
-        # so a step that fails in one vehicle's topology leaves the vehicles
-        # after it unmoved
-        settle = (s_new > seg_len[self._seg[active]]) | (
+        # final arrival, in ascending id: each one's move is committed with
+        # those of the vehicles before it, then its topology is resolved
+        settle = (s_new > self._segments.length[self.seg[active]]) | (
             (v_new < _ARRIVAL_SPEED) & (self._final[active] >= 0)
-            & (route_pos[active] == self._route_count[active]))
+            & (self.route_pos[active] == self._route_count[active]))
         settle &= ~halt
-        moved = order if len(active) == len(order) else [order[k] for k in active.tolist()]
-        for veh, s_k, v_k, ds_k, go in zip(moved, s_new.tolist(), v_new.tolist(), ds.tolist(), settle.tolist()):
-            veh.s = s_k
-            veh.v = v_k
-            veh.odometer += ds_k
-            if go:
-                self._settle(veh)
-        s[active] = s_new
-        for k in settle.nonzero()[0].tolist():
-            veh = moved[k]
-            s[veh.id] = veh.s
-            lane[veh.id] = veh.lane
+        lo = 0
+        for k in settle.nonzero()[0].tolist() + [None]:
+            part = slice(lo, None if k is None else k + 1)
+            ids = active[part]
+            self.s[ids] = s_new[part]
+            self.v[ids] = v_new[part]
+            self.odometer[ids] += ds[part]
+            if k is not None:
+                self._settle(self.vehicles[int(active[k])])
+                lo = k + 1
         self.time += dt
-        self._scan_collisions(s, lane, length)
+        self._scan_collisions()
 
-    def _change_lanes(self, lane, cand, sides, n_left, ok, surplus, follower, follower_acc) -> None:
+    def _change_lanes(self, cand, sides, n_left, ok, surplus, follower, follower_acc) -> None:
         """Apply and record MOBIL's choice for every candidate, as :func:`mobil_decide` chooses.
 
         Side ``t`` belongs to candidate ``cand[sides[t]]`` (left sides first,
         ``n_left`` of them); it passes where ``ok[t]``, with ``surplus[t]``,
         and its target lane's follower (-1: none) would get ``follower_acc[t]``.
         The larger passing surplus wins and an exact tie keeps right.  Changes
-        are made in ``lane`` and on the vehicles and recorded in ascending id
-        order.
+        are made in the ``lane`` column and recorded in ascending id order.
         """
         n, k = len(cand), len(sides)
         row = (np.arange(k) >= n_left).astype(np.int64)  # 0: left, 1: right
@@ -1004,34 +1006,35 @@ class World:
         side[row, sides] = np.arange(k)
         go_right = passes[1] & (~passes[0] | (gain[1] >= gain[0]))
         go_left = passes[0] & ~go_right
-        vehicles, time = self.vehicles, self.time
+        lane, time = self.lane, self.time
         for r in (go_left | go_right).nonzero()[0].tolist():
             direction = 1 if go_left[r] else -1
             t = side[0 if direction == 1 else 1, r]
             fid = int(follower[t])
-            vehicle = vehicles[int(cand[r])]
+            vid = int(cand[r])
+            from_lane = lane.item(vid)
             self.lane_changes.append(
                 LaneChangeRecord(
                     time=time,
-                    vehicle_id=vehicle.id,
-                    from_lane=vehicle.lane,
-                    to_lane=vehicle.lane + direction,
+                    vehicle_id=vid,
+                    from_lane=from_lane,
+                    to_lane=from_lane + direction,
                     follower_id=fid if fid >= 0 else None,
                     follower_acc_after=float(follower_acc[t]) if fid >= 0 else None,
                 )
             )
-            vehicle.lane += direction
-            vehicle.last_lane_change = time
-            lane[vehicle.id] = vehicle.lane
+            lane[vid] = from_lane + direction
+            self.last_lane_change[vid] = time
 
-    def _scan_collisions(self, s: np.ndarray, lane: np.ndarray, length: np.ndarray) -> None:
+    def _scan_collisions(self) -> None:
         """Sort the moved vehicles into the next step's lane table and record overlapping neighbours.
 
         Records go lane by lane, in the order of each lane's lowest vehicle
         id, and rear to front within a lane.
         """
-        table = self._lane_table(s, lane)
-        n = len(s)
+        table = self._lane_table()
+        n = len(self.vehicles)
+        length = self.length[:n]
         slot, vid = table.slot[:n], table.vid[:n]
         gap = (table.s[1:n] - table.s[:n - 1]) - (length[vid[:-1]] + length[vid[1:]]) / 2.0
         hits = ((slot[1:] == slot[:-1]) & (gap <= 0.0)).nonzero()[0]

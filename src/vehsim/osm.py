@@ -2,7 +2,7 @@
 
 Supported input is the plain OSM XML subset: ``<node id lat lon>`` elements and
 ``<way id>`` elements carrying ``<nd ref>`` children plus ``<tag>`` entries for
-``highway``, ``lanes``, ``maxspeed`` and ``oneway``.  Ways tagged with any
+``highway``, ``lanes`` and ``oneway``.  Ways tagged with any
 ``highway`` value are drivable except footways, paths, cycleways and steps.
 Nodes referenced by no drivable way are dropped.
 
@@ -18,12 +18,10 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
 EARTH_RADIUS_M = 6_371_000.0
-DEFAULT_MAX_SPEED = 13.89  # m/s, urban default (50 km/h)
 DEFAULT_GREEN_S = 30.0
 DEFAULT_YELLOW_S = 5.0
 DEFAULT_RED_S = 25.0
 NON_DRIVABLE = frozenset({"footway", "path", "cycleway", "steps"})
-MPH_TO_MS = 0.44704
 MAX_LANES = 32  # per direction; a larger lane count is taken as bad input
 
 
@@ -79,7 +77,6 @@ class Way:
     node_refs: tuple[int, ...]
     lanes_forward: int = 1
     lanes_backward: int = 1
-    max_speed: float = DEFAULT_MAX_SPEED  # m/s
     one_way: bool = False
 
 
@@ -99,8 +96,8 @@ class Segment:
 class SegmentRef:
     """A directed traversal of a segment.
 
-    ``forward`` follows the way's drawing order; the lane count and speed
-    limit are those that apply to this direction of travel.  ``start_node``,
+    ``forward`` follows the way's drawing order; the lane count is the one
+    that applies to this direction of travel.  ``start_node``,
     ``end_node``, ``length`` and ``key`` follow from ``segment`` and
     ``forward``; they are stored rather than derived because the step loop
     reads them at every look-ahead hop; ``index`` numbers the graph's refs
@@ -116,7 +113,6 @@ class SegmentRef:
     segment: Segment
     forward: bool
     lanes: int
-    max_speed: float
     start_node: int = field(compare=False, repr=False)
     end_node: int = field(compare=False, repr=False)
     length: float = field(compare=False, repr=False)
@@ -217,14 +213,12 @@ def _finish_graph(
             segments[(way.id, i)] = seg
             if way.lanes_forward >= 1:
                 key = (way.id, i, True)
-                fwd = SegmentRef(seg, True, way.lanes_forward, way.max_speed,
-                                 a.id, b.id, length, key, len(refs))
+                fwd = SegmentRef(seg, True, way.lanes_forward, a.id, b.id, length, key, len(refs))
                 refs[key] = fwd
                 out.setdefault(a.id, []).append(fwd)
             if way.lanes_backward >= 1:
                 key = (way.id, i, False)
-                back = SegmentRef(seg, False, way.lanes_backward, way.max_speed,
-                                  b.id, a.id, length, key, len(refs))
+                back = SegmentRef(seg, False, way.lanes_backward, b.id, a.id, length, key, len(refs))
                 refs[key] = back
                 out.setdefault(b.id, []).append(back)
     adjacency = {
@@ -233,18 +227,6 @@ def _finish_graph(
     }
     rows = {node_id: row for row, node_id in enumerate(nodes)}
     return RoadGraph(nodes, ways, segments, signals, origin, adjacency, refs, rows)
-
-
-def _parse_max_speed(raw: str) -> float | None:
-    text = raw.strip().lower()
-    try:
-        if text.endswith("mph"):
-            return float(text[:-3].strip()) * MPH_TO_MS
-        if text.endswith("km/h"):
-            return float(text[:-4].strip()) / 3.6
-        return float(text) / 3.6  # bare numbers are km/h in OSM
-    except ValueError:
-        return None  # unparsable optional tag: fall back to the default
 
 
 def _split_lanes(total: int, one_way: bool) -> tuple[int, int]:
@@ -309,12 +291,7 @@ def parse_osm(document: str) -> RoadGraph:
                 total = 0
             if total >= 1:
                 lanes_forward, lanes_backward = _split_lanes(total, one_way)
-        max_speed = DEFAULT_MAX_SPEED
-        if "maxspeed" in tags:
-            parsed = _parse_max_speed(tags["maxspeed"])
-            if parsed is not None and parsed > 0:
-                max_speed = parsed
-        ways[way_id] = Way(way_id, tuple(refs), lanes_forward, lanes_backward, max_speed, one_way)
+        ways[way_id] = Way(way_id, tuple(refs), lanes_forward, lanes_backward, one_way)
         used.update(refs)
 
     if not ways:
@@ -355,7 +332,7 @@ def build_graph(
 
     ``nodes`` is a list of (id, x, y); ``ways`` entries are (id, node_refs) or
     (id, node_refs, options) where options may set lanes_forward,
-    lanes_backward, max_speed and one_way.
+    lanes_backward and one_way.
     """
     origin = (0.0, 0.0)
     node_map: dict[int, OsmNode] = {}
@@ -375,7 +352,6 @@ def build_graph(
             tuple(refs),
             lanes_forward=int(opts.pop("lanes_forward", 1)),
             lanes_backward=0 if one_way else int(opts.pop("lanes_backward", 1)),
-            max_speed=float(opts.pop("max_speed", DEFAULT_MAX_SPEED)),
             one_way=one_way,
         )
         if opts:

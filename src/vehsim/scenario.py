@@ -747,8 +747,7 @@ class Simulation:
         if observer is None and not sample:
             return
         world = self.world
-        vehicles = list(world.vehicles.values())  # spawn order, which is ascending id
-        ids = list(world.vehicles)
+        ids = list(world.vehicles)  # spawn order, which is ascending id
         xs, ys = world.positions()
         if observer is not None:
             window = self.config.radio.pingpong_window_s
@@ -762,11 +761,13 @@ class Simulation:
             stamp = _fmt_seconds(t_ns)
             write = self._trace.write
             currents = observer.current_all(ids) if observer is not None else repeat(None)
-            for veh, x, y, current in zip(vehicles, xs.tolist(), ys.tolist(), currents):
+            n = len(ids)
+            for vid, x, y, v, acc, current in zip(ids, xs.tolist(), ys.tolist(), world.v[:n].tolist(),
+                                                  world.acc[:n].tolist(), currents):
                 serving = level = ""
                 if current is not None:
                     serving, level = current[0], f"{current[1]:.2f}"
-                write(f"{stamp},{veh.id},{x:.3f},{y:.3f},{veh.v:.3f},{veh.acc:.3f},{serving},{level}\n")
+                write(f"{stamp},{vid},{x:.3f},{y:.3f},{v:.3f},{acc:.3f},{serving},{level}\n")
 
     def finish(self, failure: Exception | None = None) -> RunArtifacts:
         """Close the trace, write ``events.csv`` and ``summary.json``; ``failure`` marks an aborted run."""
@@ -785,18 +786,17 @@ class Simulation:
                 )
 
         kinds = Counter(row[1] for row in rows)
-        total_distance = sum(v.odometer for v in world.vehicles.values())
+        n = len(world.vehicles)
+        total_distance = sum(world.odometer[:n].tolist())  # in id order, as the per-vehicle sum
         summary = {
             "seed": config.seed,
             "duration_s": config.duration_s,
             "dt_s": config.dt_s,
             "sampling_s": config.sampling_s,
-            "vehicles": len(world.vehicles),
+            "vehicles": n,
             "distance_driven_m": round(total_distance, 3),
-            "mean_speed_ms": round(total_distance / (len(world.vehicles) * config.duration_s), 3)
-            if world.vehicles
-            else 0.0,
-            "completed_trips": sum(1 for v in world.vehicles.values() if v.done),
+            "mean_speed_ms": round(total_distance / (n * config.duration_s), 3) if n else 0.0,
+            "completed_trips": int(world.done[:n].sum()),
             "handover_count": kinds["handover"],
             "ping_pong_count": kinds["ping_pong"],
             "collision_count": len(world.collisions),

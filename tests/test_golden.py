@@ -16,7 +16,7 @@ import pytest
 
 from vehsim.kernel import EventKernel
 from vehsim.mobility import VEHICLE_LENGTH, IdmParams, RandomDirection, StrandedError, Trip, World, equilibrium_gap
-from vehsim.osm import TrafficSignal
+from vehsim.osm import TrafficSignal, parse_osm
 from vehsim.scenario import Simulation, load_config, run
 
 from conftest import (
@@ -363,10 +363,12 @@ def _record_digests(world) -> dict[str, str]:
     }
 
 
+def _state_fields(world) -> list[tuple]:
+    return [(v.id, v.ref.key, v.lane, v.s, v.v, v.acc, v.route_pos, v.done) for v in world.vehicles.values()]
+
+
 def _state_line(world) -> bytes:
-    return repr(
-        [(v.id, v.ref.key, v.lane, v.s, v.v, v.acc, v.route_pos, v.done) for v in world.vehicles.values()]
-    ).encode()
+    return repr(_state_fields(world)).encode()
 
 
 def _stepped(world, dt: float, steps: int) -> str:
@@ -538,3 +540,31 @@ def test_aborted_step_leaves_the_vehicles_after_the_stranded_one_unmoved():
     states.update(repr([(v.id, v.s, v.v, v.acc, v.odometer) for v in world.vehicles.values()]).encode())
     assert world.time == pytest.approx(7.6)  # the aborted step does not advance the clock
     assert states.hexdigest() == STRANDED_CONVOY_STATE
+
+
+
+# vehicles spawned between steps on a 5 x 5, 200 m one-lane grid: 1, then 2,
+# then 70 more (73 in all, past every doubling of a per-vehicle store up to
+# 128), each alone on its directed segment at spawn; per-step state, then
+# every vehicle's (s, v, acc, odometer)
+SPAWNS_BETWEEN_STEPS_STATE = "c93fc655f7976999c1c456bc643524f920a30f571f1b8e61be0b0527c460e98a"
+
+
+def test_spawns_between_steps_are_pinned():
+    world = World(parse_osm(grid_osm_xml(5, 200.0)), seed=7)
+    ways = (100, 101, 102, 103, 104, 200, 201, 202, 203, 204)
+    states = hashlib.sha256()
+    for count, steps in ((1, 50), (2, 50), (70, 200)):
+        for _ in range(count):
+            k = len(world.vehicles)
+            world.spawn(way=ways[k % 10], segment=(k // 10) % 4, forward=k < 40, offset=10.0 + 2.5 * k,
+                        speed=5.0 + k % 7, strategic=RandomDirection())
+        for _ in range(steps):
+            world.step(0.1)
+            fields = _state_fields(world)
+            # plain Python scalars: a NumPy scalar's repr differs between NumPy versions
+            assert {type(x) for row in fields for x in row} <= {int, float, bool, tuple}
+            states.update(repr(fields).encode())
+    assert len(world.vehicles) == 73
+    states.update(repr([(v.id, v.s, v.v, v.acc, v.odometer) for v in world.vehicles.values()]).encode())
+    assert states.hexdigest() == SPAWNS_BETWEEN_STEPS_STATE

@@ -18,7 +18,6 @@ from vehsim.mobility import (
     RandomDirection,
     StrandedError,
     Trip,
-    Vehicle,
     World,
     ballistic_update,
     equilibrium_gap,
@@ -226,8 +225,8 @@ def test_trip_final_stop_appears_as_standing_obstruction():
 
 
 def _ego(v=15.0, p=0.5, th=0.2, b_safe=4.0):
-    return Vehicle(
-        id=0, ref=corridor_graph().ref(1, 0, True), lane=0, s=0.0, v=v, length=5.0,
+    return World(corridor_graph()).spawn(
+        way=1, lane=0, offset=0.0, speed=v, length=5.0, speed_factor=1.0,
         idm=IdmParams(v0=20.0), mobil=MobilParams(p=p, delta_a_th=th, b_safe=b_safe),
     )
 
@@ -489,13 +488,16 @@ def test_parked_vehicles_never_move_and_done_vehicles_bleed_out():
 def test_trip_records_arrivals_and_odometer():
     world = World(chain_graph(200.0, 5))
     veh = world.spawn(way=1, segment=0, offset=0.0, speed=0.0, speed_factor=1.0, strategic=Trip([3, 5]))
+    trip, arrivals = veh.strategic, []
     for _ in range(1500):
+        cursor, t = trip.cursor, world.time
         world.step(0.1)
+        arrivals += [(t, node) for node in trip.destinations[cursor:trip.cursor]]  # the trip's cursor records them
         if veh.done:
             break
     assert veh.done
-    assert [node for _, node in veh.arrivals] == [3, 5]
-    t3, t5 = veh.arrivals[0][0], veh.arrivals[1][0]
+    assert [node for _, node in arrivals] == [3, 5]
+    t3, t5 = arrivals[0][0], arrivals[1][0]
     assert 0.0 < t3 < t5 <= world.time
     # total driving distance: 800 m to the end, minus the standstill shortfall
     assert 790.0 < veh.odometer <= 800.0
@@ -626,6 +628,22 @@ def test_lane_is_clear_sees_vehicles_spawned_and_moved():
     assert not world.lane_is_clear(ref, 0, 110.0, 8.0)
     world.spawn(way=1, lane=1, offset=500.0)
     assert not world.lane_is_clear(ref, 1, 495.0, 8.0)
+
+
+def test_a_vehicle_is_a_view_of_the_world_columns():
+    world = World(corridor_graph(1000.0, lanes=2))
+    ego = world.spawn(way=1, offset=100.0, speed=10.0, speed_factor=1.0, strategic=RandomDirection())
+    other = world.spawn(way=1, lane=1, offset=300.0, speed=10.0, speed_factor=1.0, strategic=RandomDirection())
+    world.step(0.1)
+    assert (ego.s, other.s) == (world.s[0], world.s[1])
+    assert {type(ego.s), type(ego.lane), type(ego.done)} == {float, int, bool}
+    # a write goes to the column and drops the lane table and the placement index built from it
+    assert world.perceive_leader(ego) is None and world.lane_is_clear(world.graph.ref(1, 0), 0, 301.0, 8.0)
+    other.lane = 0
+    assert world.lane[1] == 0
+    gap, _ = world.perceive_leader(ego)
+    assert gap == other.s - ego.s - 5.0
+    assert not world.lane_is_clear(world.graph.ref(1, 0), 0, 301.0, 8.0)
 
 
 def test_perception_reaches_many_short_segments_ahead():

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vehsim.osm import (
-    DEFAULT_MAX_SPEED,
     MAX_LANES,
     DanglingReferenceError,
     MapError,
@@ -107,15 +106,11 @@ def test_parse_filters_non_drivable_ways(parsed):
 def test_parse_lane_split_and_speeds(parsed):
     way = parsed.ways[10]
     assert (way.lanes_forward, way.lanes_backward) == (2, 1)
-    assert way.max_speed == pytest.approx(50.0 / 3.6)
     assert not way.one_way
 
     one_way = parsed.ways[11]
     assert one_way.one_way
     assert (one_way.lanes_forward, one_way.lanes_backward) == (1, 0)
-    assert one_way.max_speed == pytest.approx(30.0 * 0.44704)  # mph
-
-    assert parsed.ways[12].max_speed == DEFAULT_MAX_SPEED  # unparsable tag falls back
 
 
 def test_parse_collects_signals_with_defaults(parsed):
@@ -228,11 +223,10 @@ def test_build_graph_options_and_validation():
     nodes = [(1, 0.0, 0.0), (2, 100.0, 0.0), (3, 100.0, 50.0)]
     graph = build_graph(
         nodes,
-        [(1, [1, 2], {"lanes_forward": 2, "one_way": True, "max_speed": 20.0}), (2, [2, 3])],
+        [(1, [1, 2], {"lanes_forward": 2, "one_way": True}), (2, [2, 3])],
     )
     ref = graph.ref(1, 0)
     assert ref.lanes == 2
-    assert ref.max_speed == 20.0
     assert (1, 0, False) not in graph._refs
     assert graph.ref(2, 0, forward=False).lanes == 1  # two-way default
     assert graph.bounds() == (0.0, 0.0, 100.0, 50.0)
@@ -308,7 +302,7 @@ def test_refs_of_two_parses_are_equal_and_hash_alike():
         assert a is not b
         assert a == b and hash(a) == hash(b)
         # the stored fields follow from the others and take no part in equality or hashing
-        assert hash(a) == hash((a.segment, a.forward, a.lanes, a.max_speed))
+        assert hash(a) == hash((a.segment, a.forward, a.lanes))
         assert replace(a, length=a.length + 1.0, key=(0, 0, True), index=a.index + 1) == a
 
 

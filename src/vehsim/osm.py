@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from typing import Callable
+from xml.parsers import expat
 
 EARTH_RADIUS_M = 6_371_000.0
 DEFAULT_GREEN_S = 30.0
@@ -164,6 +166,8 @@ class RoadGraph:
     _out: dict[int, tuple[SegmentRef, ...]] = field(repr=False, default_factory=dict)
     _refs: dict[tuple[int, int, bool], SegmentRef] = field(repr=False, default_factory=dict)
     node_rows: dict[int, int] = field(repr=False, default_factory=dict)  # node id -> position in nodes
+    # vehsim.routing's compiled search graph, built on the first route query
+    _router: object = field(default=None, init=False, repr=False, compare=False)
 
     def node(self, node_id: int) -> OsmNode:
         return self.nodes[node_id]
@@ -194,21 +198,27 @@ def _finish_graph(
     ways: dict[int, Way],
     signals: dict[int, TrafficSignal],
     origin: tuple[float, float],
+    where: Callable[[int], str] = lambda way_id: "",
 ) -> RoadGraph:
-    """Build segments, directed refs and adjacency; shared by parser and builder."""
+    """Build segments, directed refs and adjacency; shared by parser and builder.
+
+    ``where(way_id)`` is appended to a way's error message (the parser's
+    ``" (line N)"``).
+    """
     segments: dict[tuple[int, int], Segment] = {}
     refs: dict[tuple[int, int, bool], SegmentRef] = {}
     out: dict[int, list[SegmentRef]] = {}
     for way in ways.values():
         for lanes in (way.lanes_forward, way.lanes_backward):
             if lanes > MAX_LANES:
-                raise MapError(f"way {way.id}: {lanes} lanes in one direction, more than {MAX_LANES}")
+                raise MapError(f"way {way.id}: {lanes} lanes in one direction, more than {MAX_LANES}"
+                               f"{where(way.id)}")
         for i in range(len(way.node_refs) - 1):
             a = nodes[way.node_refs[i]]
             b = nodes[way.node_refs[i + 1]]
             length = math.hypot(b.x - a.x, b.y - a.y)
             if length <= 0.0:
-                raise MapError(f"way {way.id}: zero-length segment at index {i}")
+                raise MapError(f"way {way.id}: zero-length segment at index {i}{where(way.id)}")
             seg = Segment(way.id, i, a.id, b.id, length, math.atan2(b.y - a.y, b.x - a.x))
             segments[(way.id, i)] = seg
             if way.lanes_forward >= 1:
@@ -236,12 +246,33 @@ def _split_lanes(total: int, one_way: bool) -> tuple[int, int]:
     return max(forward, 1), total // 2
 
 
+def _line(document: str, root: ET.Element, element: ET.Element) -> str:
+    """``" (line N)"`` for ``element`` of the parsed ``document``.
+
+    ElementTree keeps no line numbers, so this re-scans the text with expat and
+    counts start tags of the element's name in document order; it runs only on
+    the way to an error.
+    """
+    nth = next(i for i, el in enumerate(root.iter(element.tag)) if el is element)
+    parser = expat.ParserCreate(namespace_separator="}")  # names as ElementTree's parser sees them
+    lines: list[int] = []
+
+    def start(name: str, attrs: dict) -> None:
+        if name == element.tag:
+            lines.append(parser.CurrentLineNumber)
+
+    parser.StartElementHandler = start
+    parser.Parse(document, True)
+    return f" (line {lines[nth]})"
+
+
 def parse_osm(document: str) -> RoadGraph:
     """Parse an OSM XML extract into a :class:`RoadGraph`.
 
-    Raises :class:`MapError` with line information for malformed XML and
+    Raises :class:`MapError` for malformed XML and for any bad element, and
     :class:`DanglingReferenceError` naming the way and node when a ``<nd>``
-    ref points at a missing node.
+    ref points at a missing node; every one names the line, except the error
+    for a document without drivable ways.
     """
     try:
         root = ET.fromstring(document)
@@ -256,17 +287,20 @@ def parse_osm(document: str) -> RoadGraph:
             lat = float(el.attrib["lat"])
             lon = float(el.attrib["lon"])
         except (KeyError, ValueError) as exc:
-            raise MapError(f"node element missing or bad id/lat/lon: {el.attrib}") from exc
+            where = _line(document, root, el)
+            raise MapError(f"node element missing or bad id/lat/lon: {el.attrib}{where}") from exc
         tags = {t.attrib.get("k", ""): t.attrib.get("v", "") for t in el.iter("tag")}
         raw_nodes[node_id] = (lat, lon, tags)
 
     ways: dict[int, Way] = {}
+    way_elements: dict[int, ET.Element] = {}
     used: set[int] = set()
     for el in root.iter("way"):
         try:
             way_id = int(el.attrib["id"])
         except (KeyError, ValueError) as exc:
-            raise MapError(f"way element missing or bad id: {el.attrib}") from exc
+            where = _line(document, root, el)
+            raise MapError(f"way element missing or bad id: {el.attrib}{where}") from exc
         tags = {t.attrib.get("k", ""): t.attrib.get("v", "") for t in el.iter("tag")}
         highway = tags.get("highway")
         if highway is None or highway in NON_DRIVABLE:
@@ -276,9 +310,11 @@ def parse_osm(document: str) -> RoadGraph:
             try:
                 ref = int(nd.attrib["ref"])
             except (KeyError, ValueError) as exc:
-                raise MapError(f"way {way_id}: bad nd element {nd.attrib}") from exc
+                where = _line(document, root, nd)
+                raise MapError(f"way {way_id}: bad nd element {nd.attrib}{where}") from exc
             if ref not in raw_nodes:
-                raise DanglingReferenceError(f"way {way_id} references missing node {ref}")
+                raise DanglingReferenceError(
+                    f"way {way_id} references missing node {ref}{_line(document, root, nd)}")
             refs.append(ref)
         if len(refs) < 2:
             continue  # degenerate way, nothing drivable
@@ -292,6 +328,7 @@ def parse_osm(document: str) -> RoadGraph:
             if total >= 1:
                 lanes_forward, lanes_backward = _split_lanes(total, one_way)
         ways[way_id] = Way(way_id, tuple(refs), lanes_forward, lanes_backward, one_way)
+        way_elements[way_id] = el
         used.update(refs)
 
     if not ways:
@@ -304,8 +341,10 @@ def parse_osm(document: str) -> RoadGraph:
     for node_id in used:
         lat, lon, _ = raw_nodes[node_id]
         if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+            last = [el for el in root.iter("node") if int(el.attrib["id"]) == node_id][-1]
             raise MapError(
                 f"node {node_id}: coordinate not finite or out of range: lat={lat!r} lon={lon!r}"
+                f"{_line(document, root, last)}"
             )
         lats.append(lat)
         lons.append(lon)
@@ -320,7 +359,8 @@ def parse_osm(document: str) -> RoadGraph:
         if tags.get("highway") == "traffic_signals":
             signals[node_id] = TrafficSignal(node_id)
 
-    return _finish_graph(nodes, ways, signals, origin)
+    return _finish_graph(nodes, ways, signals, origin,
+                         lambda way_id: _line(document, root, way_elements[way_id]))
 
 
 def build_graph(

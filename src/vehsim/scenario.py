@@ -26,7 +26,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import chain, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -57,6 +57,7 @@ from .routing import NoRouteError
 logger = logging.getLogger(__name__)
 
 TRACE_HEADER = "t,vehicle_id,x,y,v,acc,serving_cell,rssi"
+_TRACE_ROW = "%s,%s,%.3f,%.3f,%.3f,%.3f,%s\n"  # the last field is "serving_cell,rssi"
 EVENTS_HEADER = "t,type,vehicle_id,from_cell,to_cell,x,y"
 _PLACEMENT_ATTEMPTS = 200
 _PLACEMENT_MARGIN_M = VEHICLE_LENGTH + 2.0
@@ -757,17 +758,14 @@ class Simulation:
                 # a ping-pong is this handover reversing the vehicle's previous one
                 for t, cell_a, cell_b in detect_ping_pong(observer.attachments[vid].history[-2:], window):
                     self._rows.append((t, "ping_pong", vid, cell_a, cell_b, ho.x, ho.y))
-        if sample:
-            stamp = _fmt_seconds(t_ns)
-            write = self._trace.write
-            currents = observer.current_all(ids) if observer is not None else repeat(None)
+        if sample:  # one format and one write for the step's rows
             n = len(ids)
-            for vid, x, y, v, acc, current in zip(ids, xs.tolist(), ys.tolist(), world.v[:n].tolist(),
-                                                  world.acc[:n].tolist(), currents):
-                serving = level = ""
-                if current is not None:
-                    serving, level = current[0], f"{current[1]:.2f}"
-                write(f"{stamp},{vid},{x:.3f},{y:.3f},{v:.3f},{acc:.3f},{serving},{level}\n")
+            cells = repeat(",")  # serving cell and level, empty without an observer or attachment
+            if observer is not None:
+                cells = ["," if c is None else f"{c[0]},{c[1]:.2f}" for c in observer.current_all(ids)]
+            rows = zip(repeat(_fmt_seconds(t_ns)), ids, xs.tolist(), ys.tolist(), world.v[:n].tolist(),
+                       world.acc[:n].tolist(), cells)
+            self._trace.write(_TRACE_ROW * n % tuple(chain.from_iterable(rows)))
 
     def finish(self, failure: Exception | None = None) -> RunArtifacts:
         """Close the trace, write ``events.csv`` and ``summary.json``; ``failure`` marks an aborted run."""

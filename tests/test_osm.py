@@ -204,6 +204,49 @@ def test_bad_coordinate_of_an_unused_node_is_ignored():
     assert set(parse_osm(doc).nodes) == {1, 2}
 
 
+_LOCATED = """<osm>
+  <node id="1" lat="0.0" lon="0.0"/>
+  <node id="2" lat="0.001" lon="0.0"/>
+  <node id="3" lat="0.002" lon="0.0"/>
+  <way id="7">
+    <nd ref="1"/>
+    <nd ref="2"/>
+    <tag k="highway" v="residential"/>
+  </way>
+  <way id="8"><nd ref="2"/><nd ref="3"/><tag k="highway" v="residential"/></way>
+</osm>"""
+
+
+@pytest.mark.parametrize(
+    "old, new, message, line",
+    [
+        ('<node id="2" lat="0.001"', '<node id="x2" lat="0.001"', "node element missing or bad", 3),
+        ('lat="0.002" lon="0.0"', 'lat="0.002"', "node element missing or bad", 4),
+        ('<way id="8">', '<way id="">', "way element missing or bad id", 10),
+        ('<nd ref="2"/>\n', '<nd ref="two"/>\n', "way 7: bad nd element", 7),
+        ('<nd ref="3"/>', '<nd ref="9"/>', "way 8 references missing node 9", 10),
+        ('lat="0.002" lon="0.0"', 'lat="0.002" lon="nan"', "node 3: coordinate not finite", 4),
+        ('lat="0.002" lon="0.0"', 'lat="0.001" lon="0.0"', "way 8: zero-length segment at index 0", 10),
+        ('<tag k="highway" v="residential"/>\n  </way>',
+         '<tag k="highway" v="residential"/>\n    <tag k="lanes" v="99"/>\n  </way>',
+         "way 7: 50 lanes in one direction", 5),
+    ],
+    ids=["node-id", "node-lon", "way-id", "nd-ref", "dangling", "non-finite", "zero-length", "lane-cap"],
+)
+def test_element_level_map_errors_name_the_line(old, new, message, line):
+    assert old in _LOCATED
+    with pytest.raises(MapError, match=f"^{message}.* \\(line {line}\\)$"):
+        parse_osm(_LOCATED.replace(old, new, 1))
+
+
+def test_error_line_counts_only_elements_elementtree_sees_under_that_name():
+    # a namespaced <node> is not an OSM node: the located one is the second plain <node>
+    doc = _LOCATED.replace('<node id="1"', '<node xmlns="urn:other" id="0"/>\n  <node id="1"').replace(
+        '<node id="2" lat', '<node id="2" lat="x" lon="0"/><node id="22" lat')
+    with pytest.raises(MapError, match=r"\(line 4\)$"):
+        parse_osm(doc)
+
+
 def test_malformed_xml_reports_position():
     with pytest.raises(MapError, match="line"):
         parse_osm("<osm>\n  <node id='1' lat='0' lon='0'\n</osm>")
@@ -377,6 +420,8 @@ def _osm_mutations(draw):
 def test_any_mutated_map_is_a_map_error_or_a_graph(text):
     try:
         graph = parse_osm(text)
-    except MapError:
+    except MapError as exc:
+        if str(exc) != "document contains no drivable ways":
+            assert re.search(r"\bline [1-9][0-9]*\b", str(exc)), str(exc)
         return
     assert isinstance(graph, RoadGraph) and graph.ways

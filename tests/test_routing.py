@@ -1,14 +1,17 @@
-"""Shortest paths: correctness against brute force, tie-breaks, route helpers."""
+"""Shortest paths: correctness against brute force and a Dijkstra oracle, tie-breaks, route helpers."""
 
+import heapq
 import itertools
+import math
+import struct
 
 import numpy as np
 import pytest
 
-from vehsim.osm import build_graph
-from vehsim.routing import NoRouteError, Route, connecting_ref, shortest_path
+from vehsim.osm import build_graph, parse_osm
+from vehsim.routing import _EPS, NoRouteError, Route, connecting_ref, shortest_path
 
-from conftest import chain_graph
+from conftest import chain_graph, grid_osm_xml
 
 
 def test_identity_route():
@@ -153,3 +156,226 @@ def test_custom_cost_function_reroutes():
 
     assert shortest_path(graph, 1, 2).node_ids == (1, 2)
     assert shortest_path(graph, 1, 2, cost=avoid_way_11).node_ids == (1, 3, 2)
+
+
+# --- differential tests against the plain Dijkstra search ---------------------
+
+
+def _reference_shortest_path(graph, from_node, to_node, cost=None):
+    """The dict-based Dijkstra search ``shortest_path`` replaced, kept verbatim as the oracle."""
+    for node in (from_node, to_node):
+        if node not in graph.nodes:
+            raise ValueError(f"unknown node {node}")
+    if from_node == to_node:
+        return Route((from_node,), 0.0)
+    weight = cost if cost is not None else (lambda ref: ref.length)
+
+    dist: dict[int, float] = {from_node: 0.0}
+    pred: dict[int, int] = {}
+    done: set[int] = set()
+    heap: list[tuple[float, int]] = [(0.0, from_node)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        if u == to_node:
+            break
+        for ref in graph.outgoing(u):
+            v = ref.end_node
+            if v in done:
+                continue
+            nd = d + weight(ref)
+            if v not in dist or nd < dist[v]:
+                dist[v] = nd
+                pred[v] = u
+                heapq.heappush(heap, (nd, v))
+            elif nd == dist[v] and u < pred[v]:
+                pred[v] = u  # deterministic tie-break among equal-cost paths
+    if to_node not in done:
+        raise NoRouteError(from_node, to_node)
+
+    path = [to_node]
+    while path[-1] != from_node:
+        path.append(pred[path[-1]])
+    path.reverse()
+    refs = tuple(connecting_ref(graph, a, b) for a, b in zip(path, path[1:]))
+    return Route(tuple(path), dist[to_node], refs)
+
+
+def _outcome(search, graph, a, b, cost=None):
+    """Route nodes, total cost as bytes and refs; or the error's type and text."""
+    try:
+        route = search(graph, a, b, cost)
+    except (NoRouteError, ValueError) as exc:
+        return type(exc), str(exc)
+    return route.node_ids, struct.pack("<d", route.total_cost), route.refs
+
+
+def _assert_matches_reference(graph, pairs, cost=None):
+    checked = 0
+    for a, b in pairs:
+        expected = _outcome(_reference_shortest_path, graph, a, b, cost)
+        assert _outcome(shortest_path, graph, a, b, cost) == expected, (a, b)
+        checked += 1
+    return checked
+
+
+def _heuristic_on(graph):
+    """Whether the graph's compiled router searches with the straight-line heuristic."""
+    scale = graph._router.scale
+    assert scale in (0.0, 1.0 - _EPS)
+    return scale > 0.0
+
+
+def _all_pairs(graph):
+    return itertools.permutations(sorted(graph.nodes), 2)
+
+
+def _grid_graph(n, spacing, lanes):
+    ids = [[7 * (r * n + c) % (n * n) + 1 for c in range(n)] for r in range(n)]  # ids unlike rows
+    nodes = [(ids[r][c], c * spacing, r * spacing) for r in range(n) for c in range(n)]
+    opts = {"lanes_forward": lanes, "lanes_backward": lanes}
+    ways = [(100 + r, ids[r], opts) for r in range(n)]
+    ways += [(200 + c, [ids[r][c] for r in range(n)], opts) for c in range(n)]
+    return build_graph(nodes, ways)
+
+
+def _jittered_lattice(rng, n, spacing):
+    """An n x n street lattice with jittered corners and a bent shape node on every street."""
+    node_ids = iter(rng.permutation(np.arange(1, 4 * n * n)).tolist())
+    corner, nodes = {}, []
+    for r, c in itertools.product(range(n), range(n)):
+        corner[r, c] = next(node_ids)
+        nodes.append((corner[r, c], c * spacing + rng.uniform(-0.2, 0.2) * spacing,
+                      r * spacing + rng.uniform(-0.2, 0.2) * spacing))
+    xy = {node_id: (x, y) for node_id, x, y in nodes}
+    ways = []
+    for r, c in itertools.product(range(n), range(n)):
+        for r2, c2 in ((r, c + 1), (r + 1, c)):
+            if r2 == n or c2 == n:
+                continue
+            a, b = corner[r, c], corner[r2, c2]
+            shape = next(node_ids)
+            (ax, ay), (bx, by) = xy[a], xy[b]
+            nodes.append((shape, (ax + bx) / 2 + rng.uniform(-5, 5), (ay + by) / 2 + rng.uniform(-5, 5)))
+            refs = [a, shape, b] if rng.random() < 0.5 else [b, shape, a]
+            ways.append((len(ways) + 1, refs, {"one_way": bool(rng.random() < 0.2)}))
+    return build_graph(nodes, ways)
+
+
+def _random_multigraph(rng, scale, offset):
+    """Random digraph on integer points times ``scale``, shifted by ``offset``: one-way,
+    two-way and parallel ways (equal-length duplicates and detours through a shape node)."""
+    n = int(rng.integers(4, 13))
+    coords = set()
+    while len(coords) < n:
+        coords.add((int(rng.integers(0, 500)), int(rng.integers(0, 500))))
+    points = rng.permutation(sorted(coords)).tolist()
+    nodes = [(i + 1, offset + x * scale, offset + y * scale) for i, (x, y) in enumerate(points)]
+    ids = [node_id for node_id, _, _ in nodes]
+    ways, way_id = [], 100
+    for a, b in itertools.permutations(ids, 2):
+        if rng.random() < 0.2:
+            copies = 2 if rng.random() < 0.3 else 1  # an equal-length parallel way
+            for _ in range(copies):
+                ways.append((way_id, [a, b], {"one_way": bool(rng.random() < 0.7)}))
+                way_id += 1
+            if rng.random() < 0.2:  # a parallel detour through a shape node
+                shape = len(nodes) + 1
+                nodes.append((shape, offset + int(rng.integers(0, 500)) * scale,
+                              offset + int(rng.integers(0, 500)) * scale))
+                ways.append((way_id, [a, shape, b], {"one_way": True}))
+                way_id += 1
+    if not ways:
+        ways.append((way_id, ids[:2], {"one_way": True}))
+    return build_graph(nodes, ways)
+
+
+def test_grid_all_pairs_match_dijkstra_with_exact_ties():
+    graph = parse_osm(grid_osm_xml(8, 200.0))
+    assert _assert_matches_reference(graph, _all_pairs(graph)) == 64 * 63
+    assert _heuristic_on(graph)
+
+
+def test_four_lane_grid_all_pairs_match_dijkstra_with_exact_ties():
+    graph = _grid_graph(5, 100.0, lanes=2)
+    assert _assert_matches_reference(graph, _all_pairs(graph)) == 25 * 24
+    assert _heuristic_on(graph)
+
+
+def test_jittered_lattice_with_shape_nodes_matches_dijkstra():
+    rng = np.random.default_rng(17)
+    for _ in range(2):
+        graph = _jittered_lattice(rng, 5, 120.0)
+        assert _assert_matches_reference(graph, _all_pairs(graph)) == 65 * 64
+        assert _heuristic_on(graph)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-2, 1e-6])
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_random_multigraphs_match_dijkstra(scale, offset):
+    rng = np.random.default_rng([31, int(-math.log10(scale)), int(offset)])
+    checked, heuristic = 0, set()
+    for _ in range(40):
+        graph = _random_multigraph(rng, scale, offset)
+        checked += _assert_matches_reference(graph, _all_pairs(graph))
+        heuristic.add(_heuristic_on(graph))
+    assert checked > 2000
+    # the heuristic stays on unless the segments are micrometres long a kilometre off the origin
+    assert heuristic == {not (scale == 1e-6 and offset == 1e6)}
+
+
+def _micro_map(step):
+    """A 4 x 4 lattice of ``step``-long streets, ids running against the geometry, tied to a node
+    1 km east by a two-way road, so keys toward that node are a million steps large."""
+    n = 4
+    nodes = [(100 - (r * n + c), c * step, r * step) for r in range(n) for c in range(n)]
+    ways = [(10 + r, [100 - (r * n + c) for c in range(n)]) for r in range(n)]
+    ways += [(20 + c, [100 - (r * n + c) for r in range(n)]) for c in range(n)]
+    nodes.append((1, 1000.0, 0.0))
+    ways.append((30, [100 - (n - 1), 1]))
+    return build_graph(nodes, ways)
+
+
+def test_micro_segment_map_turns_the_heuristic_off_and_matches_dijkstra():
+    graph = _micro_map(1e-9)
+    assert _assert_matches_reference(graph, _all_pairs(graph)) == 17 * 16
+    assert not _heuristic_on(graph)
+    # the same map with millimetre streets keeps it
+    graph = _micro_map(1e-3)
+    assert _assert_matches_reference(graph, _all_pairs(graph)) == 17 * 16
+    assert _heuristic_on(graph)
+
+
+def test_custom_costs_match_dijkstra_including_zero_and_infinite_costs():
+    graph = parse_osm(grid_osm_xml(6, 200.0))
+    sources = sorted(graph.nodes)[::5]
+    pairs = [(a, b) for a in sources for b in sorted(graph.nodes) if a != b]
+    costs = [
+        lambda ref: 0.0,  # every label ties: only the settle order separates them
+        lambda ref: 0.0 if ref.segment.way_id == 102 else ref.length,
+        lambda ref: 1,  # hop counts, integer-valued
+        lambda ref: ref.length * (25.0 if ref.segment.way_id % 2 else 1.0),
+        lambda ref: math.inf if ref.segment.way_id == 201 else ref.length,
+    ]
+    for cost in costs:
+        _assert_matches_reference(graph, pairs, cost)
+    lattice = _jittered_lattice(np.random.default_rng(5), 4, 90.0)
+    _assert_matches_reference(lattice, _all_pairs(lattice), lambda ref: round(ref.length / 50.0))
+
+
+def test_errors_match_dijkstra():
+    graph = build_graph([(1, 0.0, 0.0), (2, 100.0, 0.0), (3, 200.0, 0.0)],
+                        [(11, [1, 2], {"one_way": True})])
+    for a, b in [(1, 3), (3, 1), (2, 1), (1, 42), (42, 1), (42, 42), (3, 3)]:
+        assert _outcome(shortest_path, graph, a, b) == _outcome(_reference_shortest_path, graph, a, b)
+
+
+def test_router_is_compiled_once_on_the_first_query():
+    graph = parse_osm(grid_osm_xml(3, 100.0))
+    assert graph._router is None  # parsing, drawing or stepping a map does not build it
+    shortest_path(graph, 1000, 1202)
+    router = graph._router
+    shortest_path(graph, 1202, 1000)
+    assert graph._router is router

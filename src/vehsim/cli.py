@@ -73,16 +73,27 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+class _TraceError(Exception):
+    """A malformed trace file, an input problem like a bad config or map."""
+
+
+def _read_trace(path: str) -> list:
+    try:
+        return read_trace(path)
+    except ValueError as exc:
+        raise _TraceError(f"{path}: {exc}") from None
+
+
 def _cmd_map_svg(args: argparse.Namespace) -> int:
     graph = parse_osm(Path(args.map).read_text())
-    overlay = read_trace(args.trace) if args.trace else None
+    overlay = _read_trace(args.trace) if args.trace else None
     Path(args.out).write_text(export_svg(graph, overlay))
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_spacetime(args: argparse.Namespace) -> int:
-    rows = export_spacetime(read_trace(args.trace))
+    rows = export_spacetime(_read_trace(args.trace))
     write_spacetime_csv(rows, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -97,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "map-svg":
             return _cmd_map_svg(args)
         return _cmd_spacetime(args)
-    except (ConfigError, MapError, PlacementError, FileNotFoundError) as exc:
+    except (ConfigError, MapError, PlacementError, FileNotFoundError, _TraceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SimulationError, KernelError, ExportError) as exc:

@@ -16,6 +16,7 @@ accepts and returns seconds.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Protocol
 
@@ -23,7 +24,10 @@ NS_PER_SECOND = 1_000_000_000
 
 
 def to_ns(seconds: float) -> int:
-    return round(seconds * NS_PER_SECOND)
+    """Seconds as integer nanoseconds; ``ValueError`` when that is not a finite number."""
+    if not math.isfinite(ns := seconds * NS_PER_SECOND):
+        raise ValueError(f"time {seconds!r} s is not finite or overflows the nanosecond clock")
+    return round(ns)
 
 
 def to_seconds(ns: int) -> float:

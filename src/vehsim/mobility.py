@@ -136,8 +136,9 @@ class RandomDirection:
     """Pick a uniformly random outgoing direction at every reached node.
 
     The reverse of the arrival segment is excluded unless it is the only
-    option (dead ends allow U-turns).  Draws come from the vehicle's own
-    stream, so trajectories are reproducible per (run seed, vehicle id).
+    option (dead ends allow U-turns); parallel ways are distinct directions,
+    and the one drawn is driven.  Draws come from the vehicle's own stream,
+    so trajectories are reproducible per (run seed, vehicle id).
     """
 
     def __repr__(self) -> str:
@@ -178,16 +179,17 @@ class Vehicle:
     ``lane`` counts from 0 at the rightmost lane of that direction.  The
     numeric fields (``_VIEW_FIELDS``) read and write ``world.<field>[id]``,
     and ``ref`` is the graph's directed segment numbered ``world.seg[id]``.
-    The driver's parameters, strategic model, route and random stream are
-    plain attributes.  Vehicles are made by :meth:`World.spawn`.
+    The driver's parameters, strategic model and random stream are plain
+    attributes; the world keeps the route.  Vehicles are made by
+    :meth:`World.spawn`.
     """
 
-    __slots__ = ("world", "id", "idm", "mobil", "speed_factor", "strategic", "route", "rng")
+    __slots__ = ("world", "id", "idm", "mobil", "speed_factor", "strategic", "rng")
 
     def __init__(self, world: World, vid: int, *, idm: IdmParams, mobil: MobilParams, speed_factor: float,
-                 strategic: Strategic, route: routing.Route, rng: np.random.Generator) -> None:
+                 strategic: Strategic, rng: np.random.Generator) -> None:
         self.world, self.id, self.idm, self.mobil = world, vid, idm, mobil
-        self.speed_factor, self.strategic, self.route, self.rng = speed_factor, strategic, route, rng
+        self.speed_factor, self.strategic, self.rng = speed_factor, strategic, rng
 
     @property
     def ref(self) -> SegmentRef:
@@ -198,7 +200,7 @@ class Vehicle:
 
 
 # ``v0_eff`` is the effective desired speed: v0 scaled by the per-driver speed
-# factor; ``route_pos`` indexes ``route.node_ids`` at the node being approached
+# factor; ``route_pos`` counts the segments of the route entered so far
 _VIEW_FIELDS = ("s", "v", "acc", "lane", "route_pos", "done", "parked", "odometer", "last_lane_change",
                 "length", "v0_eff")
 for _field in _VIEW_FIELDS:
@@ -485,10 +487,12 @@ class World:
     acceleration first, then commits the moves in ascending id, each vehicle
     that crosses a node together with the ones before it, just before its
     topology is resolved: a step that fails there leaves the vehicles after
-    it unmoved.  Segments are numbered by the graph (``SegmentRef.index``),
-    nodes in graph order, and the constructor reads every segment's columns
-    once (:class:`_Segments`).  The lane table sorted after one step's moves
-    is kept as the next step's start-of-step table; ``spawn`` and a write
+    it unmoved.  A vehicle's route is the list of segments it drives after
+    its current one; its stop follows that list and the trip's cursor.
+    Segments are numbered by the graph (``SegmentRef.index``), nodes in
+    graph order, and the constructor reads every segment's columns once
+    (:class:`_Segments`).  The lane table sorted after one step's moves is
+    kept as the next step's start-of-step table; ``spawn`` and a write
     through a :class:`Vehicle` view discard it.  The set of nodes whose
     signal blocks (yellow or red) is built once per ``step`` and once per
     ``perceive_leader`` call, so a signal added or retimed between steps
@@ -517,12 +521,11 @@ class World:
         self._segments = _Segments.of(graph)
         for name, dtype in _COLUMNS.items():
             setattr(self, name, np.empty(16, dtype))
-        # per vehicle, its route's segments (a run of ``_flat``, rebuilt
-        # whenever a route changed); vehicles whose route or trip cursor
-        # changed are "stale" until their route is read
+        # per vehicle, its route's segments (a run of ``_flat``, repacked
+        # after a route was installed)
         self._route_segs: list[list[int]] = []
         self._flat = self._route_start = self._route_count = np.zeros(0, dtype=np.int64)
-        self._stale: set[int] = set()
+        self._packed = True
 
     # -- population ---------------------------------------------------------
 
@@ -577,11 +580,10 @@ class World:
         mobil = mobil if mobil is not None else MobilParams()
         if isinstance(strategic, Trip):
             strategic = Trip(strategic.destinations, strategic.cursor)
-        end = ref.end_node
+        route = []
         if isinstance(strategic, Trip) and strategic.cursor < len(strategic.destinations):
-            route = routing.shortest_path(self.graph, end, strategic.destinations[strategic.cursor])
-        else:
-            route = routing.Route((end,), 0.0)
+            target = strategic.destinations[strategic.cursor]
+            route = [hop.index for hop in routing.shortest_path(self.graph, ref.end_node, target).refs]
 
         if vid == len(self.s):  # full: double every column's capacity
             for name in _COLUMNS:
@@ -599,9 +601,9 @@ class World:
         for name in _COLUMNS:
             getattr(self, name)[vid] = row[name]
         vehicle = self.vehicles[vid] = Vehicle(self, vid, idm=idm, mobil=mobil, speed_factor=speed_factor,
-                                               strategic=strategic, route=route, rng=stream)
-        self._route_segs.append([])
-        self._stale.add(vid)
+                                               strategic=strategic, rng=stream)
+        self._route_segs.append(route)
+        self._install(vehicle, route)
         self._table = None
         if self._occupancy is not None:
             self._occupancy.setdefault((ref.index, lane), []).append(vehicle)
@@ -621,14 +623,6 @@ class World:
 
     # -- perception -----------------------------------------------------------
 
-    def _is_final_leg(self, vehicle: Vehicle) -> bool:
-        sm = vehicle.strategic
-        if isinstance(sm, RandomDirection):
-            return False
-        if isinstance(sm, Trip):
-            return sm.cursor >= len(sm.destinations) - 1
-        return True  # no strategic model: stop at the end of the route
-
     def _blocking_signals(self) -> np.ndarray:
         """Per node index: True where the node's signal is yellow or red at the current time."""
         t, graph = self.time, self.graph
@@ -645,7 +639,7 @@ class World:
         the perception horizon.  Yellow/red signals at upcoming nodes count as
         standing leaders at the stop line; green signals are invisible.
         """
-        self._read_stale_routes()
+        self._pack_routes()
         table = self._lane_table()
         ego = np.array([vehicle.id])
         lane = self.lane[ego]
@@ -682,41 +676,43 @@ class World:
             return None
         if isinstance(sm, Trip):
             sm.cursor += 1
-            self._stale.add(vehicle.id)  # the cursor decides the final leg
-            if sm.cursor >= len(sm.destinations):
-                return None
-            return sm.destinations[sm.cursor]
-        options = list(self.graph.outgoing(arrived_at))
+            self._set_stop(vehicle)  # the cursor decides the final leg
+            return sm.destinations[sm.cursor] if sm.cursor < len(sm.destinations) else None
+        return self._draw(vehicle, arrived_at).end_node
+
+    def _draw(self, vehicle: Vehicle, arrived_at: int) -> SegmentRef:
+        """The outgoing segment a RandomDirection vehicle drives on from ``arrived_at``."""
+        options = self.graph.outgoing(arrived_at)
         if not options:
             raise StrandedError(f"vehicle {vehicle.id}: no outgoing segment at node {arrived_at}")
-        arrival_key = vehicle.ref.key
-        reverse_key = (arrival_key[0], arrival_key[1], not arrival_key[2])
-        candidates = [ref for ref in options if ref.key != reverse_key]
-        if not candidates:
-            candidates = options  # dead end: the U-turn is the only way out
-        if vehicle.rng is None:
-            raise SimulationError(f"vehicle {vehicle.id} has no random stream for direction choice")
-        pick = candidates[int(vehicle.rng.integers(len(candidates)))]
-        return pick.end_node
+        way, index, forward = vehicle.ref.key
+        # the reverse of the arrival segment only at a dead end, where the U-turn is the only way out
+        candidates = [ref for ref in options if ref.key != (way, index, not forward)] or options
+        return candidates[int(vehicle.rng.integers(len(candidates)))]
 
     # -- arrays -----------------------------------------------------------------
 
-    def _read_stale_routes(self) -> None:
-        """Re-read the routes of the vehicles whose route or trip cursor changed."""
-        if self._stale:
-            for vid in self._stale:
-                self._read_route(vid)
-            self._stale.clear()
+    def _install(self, vehicle: Vehicle, route: list[int]) -> None:
+        """Set the segments ``vehicle`` drives after its current one, from ``route_pos`` 0."""
+        self._route_segs[vehicle.id] = route
+        self.route_pos[vehicle.id] = 0
+        self._set_stop(vehicle)
+        self._packed = False
+
+    def _set_stop(self, vehicle: Vehicle) -> None:
+        """On its last leg (no strategic model, or a trip's last destination) a vehicle stops where its route ends."""
+        vid, sm, route = vehicle.id, vehicle.strategic, self._route_segs[vehicle.id]
+        final = sm is None or isinstance(sm, Trip) and sm.cursor >= len(sm.destinations) - 1
+        self._final[vid] = self._segments.end[route[-1] if route else self.seg[vid]] if final else -1
+
+    def _pack_routes(self) -> None:
+        """Pack every route into ``_flat`` after one was installed."""
+        if not self._packed:
+            self._packed = True
             runs = self._route_segs
             self._route_count = np.fromiter(map(len, runs), np.int64, len(runs))
             self._route_start = np.cumsum(self._route_count) - self._route_count
             self._flat = np.fromiter(chain.from_iterable(runs), np.int64)
-
-    def _read_route(self, vid: int) -> None:
-        """Record a vehicle's route segments and the node its trip stops at."""
-        veh = self.vehicles[vid]
-        self._route_segs[vid] = [ref.index for ref in veh.route.refs]
-        self._final[vid] = self.graph.node_rows[veh.route.node_ids[-1]] if self._is_final_leg(veh) else -1
 
     def _lane_table(self) -> _LaneTable:
         if self._table is None:
@@ -798,18 +794,21 @@ class World:
     # -- stepping ---------------------------------------------------------------
 
     def _advance_route(self, vehicle: Vehicle, node: int) -> bool:
-        """Resolve the strategic layer at a route's terminal node.
+        """Resolve the strategic layer at the route's last node, ``node``.
 
-        Returns True when a fresh multi-node route was installed, False when
-        the vehicle is done (no further destination).
+        A RandomDirection vehicle's route becomes the segment it draws; a
+        trip's, the shortest path to its next destination other than
+        ``node``.  Returns True when a route was installed, False when the
+        vehicle is done (no further destination).
         """
-        self._stale.add(vehicle.id)
+        if isinstance(vehicle.strategic, RandomDirection):
+            self._install(vehicle, [self._draw(vehicle, node).index])
+            return True
         nxt = self.strategic_next(vehicle, node)
         while nxt is not None:
-            route = routing.shortest_path(self.graph, node, nxt)
-            if len(route.node_ids) > 1:
-                vehicle.route = route
-                self.route_pos[vehicle.id] = 0
+            refs = routing.shortest_path(self.graph, node, nxt).refs
+            if refs:
+                self._install(vehicle, [ref.index for ref in refs])
                 return True
             nxt = self.strategic_next(vehicle, node)  # destination coincides with node
         return False
@@ -827,34 +826,26 @@ class World:
         seg_len = self._segments.length
         while s[vid] > seg_len[seg[vid]]:
             leftover = s[vid] - seg_len[seg[vid]]
-            node = vehicle.route.node_ids[route_pos[vid]]
+            node = self._refs[seg[vid]].end_node
             sig = self.signals.get(node)
             if sig is not None and signal_phase(sig, self.time) == "red":
                 self.signal_violations.append(SignalViolation(self.time, vid, node))
-            if route_pos[vid] == len(vehicle.route.node_ids) - 1:
-                if not self._advance_route(vehicle, node):
-                    # crossed the terminal node at speed: park at the node
-                    self._finish(vid, position=seg_len[seg[vid]])
-                    return
-            ref = vehicle.route.refs[route_pos[vid]]
-            seg[vid] = ref.index
-            lane[vid] = min(lane[vid], ref.lanes - 1)
+            if route_pos[vid] == len(self._route_segs[vid]) and not self._advance_route(vehicle, node):
+                # crossed the terminal node at speed: park at the node
+                self._finish(vid, position=seg_len[seg[vid]])
+                return
+            seg[vid] = self._route_segs[vid][route_pos[vid]]
+            lane[vid] = min(lane[vid], self._segments.lanes[seg[vid]] - 1)
             s[vid] = leftover
             route_pos[vid] += 1
 
         # smooth final arrival: a final-leg vehicle that has braked to a stop
         # just short of its last node registers the arrival and parks there.
-        if (
-            not self.done[vid]
-            and self.v[vid] < _ARRIVAL_SPEED
-            and self._is_final_leg(vehicle)
-            and vehicle.route is not None
-            and route_pos[vid] == len(vehicle.route.node_ids) - 1
-        ):
-            node = vehicle.route.node_ids[route_pos[vid]]
+        if (not self.done[vid] and self.v[vid] < _ARRIVAL_SPEED and self._final[vid] >= 0
+                and route_pos[vid] == len(self._route_segs[vid])):
             remaining = seg_len[seg[vid]] - s[vid] - self.length[vid] / 2.0
             if remaining <= vehicle.idm.s0 * 1.5 + 1e-9:
-                if not self._advance_route(vehicle, node):
+                if not self._advance_route(vehicle, self._refs[seg[vid]].end_node):
                     self._finish(vid)
 
     def step(self, dt: float) -> None:
@@ -865,7 +856,7 @@ class World:
         if not n:
             self.time += dt
             return
-        self._read_stale_routes()
+        self._pack_routes()
         table = self._lane_table()
         self._table = self._occupancy = None  # decisions change lanes; moves change positions
         s, v, lane, done, parked, length = (column[:n] for column in (

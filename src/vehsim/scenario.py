@@ -390,7 +390,7 @@ def _check_clock(config: ScenarioConfig, line: Callable[[str], int | None] = lam
     for name, seconds in (("dt", config.dt_s), ("duration", config.duration_s), ("sampling", config.sampling_s)):
         try:
             ns[name] = to_ns(seconds)
-        except (OverflowError, ValueError):  # inf, nan or beyond the nanosecond clock
+        except ValueError:  # inf, nan or beyond the nanosecond clock
             raise ConfigError(f"{seconds!r} s is not finite or overflows the nanosecond clock",
                               key=name, line=line(name)) from None
         if ns[name] <= 0 or ns[name] % ns["dt"] != 0:
@@ -425,8 +425,6 @@ def load_config(text: str, *, base_dir: str | Path | None = None) -> ScenarioCon
             raise ConfigError("empty key", line=lineno)
         if not value:
             raise ConfigError("empty value", key=key, line=lineno)
-        if key in key_lines:
-            raise ConfigError("duplicate key", key=key, line=lineno)
         key_lines[key] = lineno
 
         section, _, name = key.partition(".")
@@ -542,26 +540,21 @@ def dumps_config(config: ScenarioConfig) -> str:
 
 
 def read_trace(path: str | Path) -> list[TraceSample]:
-    """Load a trace.csv back into samples (blank optionals become None)."""
+    """Load a trace.csv back into samples (blank optionals become None); a malformed
+    file (header, field count, a value) raises ``ValueError`` naming the line."""
     samples = []
     with open(path, newline="") as fh:
         header = fh.readline().rstrip("\n")
         if header != TRACE_HEADER:
-            raise ValueError(f"unexpected trace header {header!r}")
-        for raw in fh:
-            row = raw.rstrip("\n").split(",")
-            samples.append(
-                TraceSample(
-                    t=float(row[0]),
-                    vehicle_id=int(row[1]),
-                    x=float(row[2]),
-                    y=float(row[3]),
-                    v=float(row[4]),
-                    acc=float(row[5]),
-                    serving_cell=row[6] or None,
-                    rssi=float(row[7]) if row[7] else None,
-                )
-            )
+            raise ValueError(f"line 1: unexpected trace header {header!r}")
+        try:
+            for raw in fh:
+                t, vid, x, y, v, acc, cell, rssi = raw.rstrip("\n").split(",")
+                samples.append(TraceSample(t=float(t), vehicle_id=int(vid), x=float(x), y=float(y), v=float(v),
+                                           acc=float(acc), serving_cell=cell or None,
+                                           rssi=float(rssi) if rssi else None))
+        except ValueError as exc:  # each line before the failing one added one sample
+            raise ValueError(f"line {len(samples) + 2}: {exc}") from None
     return samples
 
 

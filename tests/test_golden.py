@@ -1,5 +1,5 @@
 """Golden pins: SHA-256 digests of the deterministic artifacts of seven scenarios,
-and of the in-memory records and full-precision per-step state of five more.
+and of the in-memory records and full-precision per-step state of seven more.
 
 Two of the seven also run host-driven, sharing the kernel with a foreign module,
 and must give the same bytes.  A refactor that is meant to keep behaviour
@@ -568,3 +568,30 @@ def test_spawns_between_steps_are_pinned():
     assert len(world.vehicles) == 73
     states.update(repr([(v.id, v.s, v.v, v.acc, v.odometer) for v in world.vehicles.values()]).encode())
     assert states.hexdigest() == SPAWNS_BETWEEN_STEPS_STATE
+
+
+# on a 4 x 4, 200 m two-way grid: a Trip whose last destination repeats (its
+# last leg ends without being the final one, so it stops where the repeat
+# finds it done), a Trip to one node twice and a vehicle with no strategic
+# model; per step, every vehicle's route position, done flag, position and
+# what it perceives ahead, until all three are done
+ROUTE_ENDS_STATE = "6cf9e3bf9f31344b8b0d61dce40a57fe0a0b5917d8c9f939a1a93d93062a1d80"
+
+
+def test_route_ends_are_pinned():
+    world = World(parse_osm(grid_osm_xml(4, 200.0)), seed=4)
+    world.spawn(way=100, offset=20.0, speed=5.0, strategic=Trip((1102, 1202, 1202)))
+    world.spawn(way=201, segment=1, offset=60.0, speed=8.0, strategic=Trip((1303, 1303)))
+    world.spawn(way=200, offset=50.0, speed=6.0)
+    states = hashlib.sha256()
+    for _ in range(2000):
+        world.step(0.1)
+        states.update(repr([(v.id, v.ref.key, v.route_pos, v.done, v.s, world.perceive_leader(v))
+                            for v in world.vehicles.values()]).encode())
+        if all(v.done for v in world.vehicles.values()):
+            break
+    assert all(v.done for v in world.vehicles.values())
+    # a done vehicle stands at its last node, which it still sees as its stop
+    assert all(world.perceive_leader(v) is not None for v in world.vehicles.values())
+    assert world.vehicles[0].ref.end_node == 1202 and world.vehicles[1].ref.end_node == 1303
+    assert states.hexdigest() == ROUTE_ENDS_STATE

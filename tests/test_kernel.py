@@ -1,6 +1,8 @@
 """Event kernel: ordering, cancellation, host mapping."""
 
 import gc
+import math
+import re
 import weakref
 
 import numpy as np
@@ -81,6 +83,21 @@ def test_negative_delay_rejected():
     kernel.bind("a", lambda e: None)
     with pytest.raises(ValueError):
         kernel.schedule("a", "x", -0.001)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1e300])
+def test_non_finite_times_rejected_without_side_effects(bad):
+    kernel = EventKernel()
+    kernel.bind("a", lambda e: None)
+    kernel.schedule("a", "x", 1.0)
+    kernel.run_until(0.5)
+    before = (kernel._seq, dict(kernel._pending), list(kernel._heap), kernel.now_ns)
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        kernel.schedule("a", "x", bad)
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        kernel.run_until(bad)
+    assert (kernel._seq, dict(kernel._pending), list(kernel._heap), kernel.now_ns) == before
+    assert kernel.run_until(2.0).events_fired == 1
 
 
 def test_run_until_backwards_rejected():

@@ -417,6 +417,34 @@ def test_strategic_random_direction_is_uniform_and_excludes_reverse():
         assert counts[node] / 9999 == pytest.approx(1.0 / 3.0, abs=0.02)
 
 
+def test_random_direction_drives_the_parallel_way_it_drew():
+    # two equally long ways from node 2 to node 3 behind a one-way approach:
+    # the vehicle drives the segment it drew, so both occur across seeds
+    nodes = [(1, 0.0, 0.0), (2, 100.0, 0.0), (3, 200.0, 0.0)]
+    ways = [(10, [1, 2], {"one_way": True}), (11, [2, 3]), (12, [2, 3])]
+    graph = build_graph(nodes, ways)
+    driven = set()
+    for seed in range(40):
+        world = World(graph, seed=seed)
+        veh = world.spawn(way=10, offset=95.0, speed=10.0, speed_factor=1.0, strategic=RandomDirection())
+        while veh.ref.key[0] == 10:
+            world.step(0.1)
+        driven.add(veh.ref.key)
+    assert driven == {(11, 0, True), (12, 0, True)}
+
+
+def test_trip_advanced_by_hand_stops_where_its_route_now_ends():
+    # strategic_next moves the trip on: heading for its last destination,
+    # the vehicle brakes to a stop at the end of the route it is driving
+    world = World(chain_graph(300.0, 4), seed=0)
+    veh = world.spawn(way=1, offset=50.0, speed=10.0, speed_factor=1.0, strategic=Trip((3, 4)))
+    assert world.strategic_next(veh, 2) == 4
+    for _ in range(1000):
+        world.step(0.1)
+    assert veh.done and veh.ref.end_node == 3
+    assert 0.0 < 300.0 - veh.s - veh.length / 2.0 <= veh.idm.s0 * 1.5  # stopped short of node 3, not parked on it
+
+
 def test_dead_end_allows_u_turn():
     world = World(corridor_graph(500.0, lanes=1, way_id=1), seed=0)
     # corridor_graph is one-way; build a two-way dead end instead

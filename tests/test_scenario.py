@@ -117,8 +117,15 @@ def test_required_scalars():
 
 
 def test_duplicate_key_rejected():
-    with pytest.raises(ConfigError, match="duplicate"):
-        load_config(MINIMAL + "way = 1\nway = 2\n")
+    # one repeated key per block kind, as typed and with another spelling of its index
+    for first, again in [("seed = 1", "seed = 2"), ("way = 1", "way = 2"),
+                         ("vehicle.0.way = 1", "vehicle.0.way = 2"), ("vehicle.0.way = 1", "vehicle.00.way = 2"),
+                         ("station.0.x = 1", "station.0.x = 2"), ("signal.5.green = 9", "signal.05.green = 8"),
+                         ("radio.shadowing_sigma = 1", "radio.shadowing_sigma = 2"),
+                         ("interference.count = 1", "interference.count = 2")]:
+        with pytest.raises(ConfigError, match="duplicate key") as err:
+            load_config(MINIMAL + f"{first}\n# lines 1-2 are MINIMAL's\n{again}\n")
+        assert (err.value.key, err.value.line) == (again.split(" =")[0], 5), first
 
 
 def test_line_syntax_errors():
@@ -490,6 +497,32 @@ def test_read_trace_rejects_foreign_files(tmp_path):
     bad.write_text("time,id\n1,2\n")
     with pytest.raises(ValueError, match="header"):
         read_trace(bad)
+
+
+_GOOD_ROW = "0,0,1.000,2.000,3.000,0.000,,"
+_MALFORMED_TRACES = {
+    "short-row": (f"{TRACE_HEADER}\n{_GOOD_ROW}\n0,1,1.0\n", "line 3"),
+    "long-row": (f"{TRACE_HEADER}\n{_GOOD_ROW},7\n", "line 2"),
+    "bad-header": ("t,id,x\n0,0,1\n", "line 1"),
+    "bad-id": (f"{TRACE_HEADER}\n{_GOOD_ROW}\n{_GOOD_ROW}\n0,1.5,1,2,3,0,,\n", "line 4"),
+    "bad-number": (f"{TRACE_HEADER}\n0,0,1,2,x,0,,\n", "line 2"),
+    "bad-rssi": (f"{TRACE_HEADER}\n0,0,1,2,3,0,a,dbm\n", "line 2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_TRACES))
+def test_malformed_trace_is_a_located_input_error(corridor_map, tmp_path, capsys, caplog, name):
+    text, where = _MALFORMED_TRACES[name]
+    trace = tmp_path / "trace.csv"
+    trace.write_text(text)
+    with pytest.raises(ValueError, match=where):
+        read_trace(trace)
+    for argv in (["spacetime", str(trace), "--out", str(tmp_path / "st.csv")],
+                 ["map-svg", str(corridor_map), "--trace", str(trace), "--out", str(tmp_path / "m.svg")]):
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert where in err and str(trace) in err and len(err.splitlines()) == 1
+        assert "Traceback" not in err + caplog.text
 
 
 # -- running ------------------------------------------------------------------

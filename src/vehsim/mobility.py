@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -357,13 +356,14 @@ class SignalViolation:
 
 # World's vehicle columns, indexed by vehicle id: name -> dtype of one entry.
 # The state, then the constants recorded at spawn.  ``seg`` is the directed
-# segment (``SegmentRef.index``), ``_final`` the node row a trip stops at (-1:
-# none), ``delta`` is raised element-wise on Python floats, and ``idm`` holds
-# the rows a_max, s0, T and 2 * sqrt(a_max * b_comf).
+# segment (``SegmentRef.index``), ``route_len`` the number of segments in the
+# vehicle's row of ``World.route``, ``_final`` the node row a trip stops at
+# (-1: none), ``delta`` is raised element-wise on Python floats, and ``idm``
+# holds the rows a_max, s0, T and 2 * sqrt(a_max * b_comf).
 _COLUMNS = {
     "s": float, "v": float, "acc": float, "lane": np.int64, "seg": np.int64, "route_pos": np.int64,
-    "done": bool, "parked": bool, "odometer": float, "last_lane_change": float, "_final": np.int64,
-    "length": float, "v0_eff": float, "b_comf": float, "delta": float, "idm": (float, 4),
+    "route_len": np.int64, "done": bool, "parked": bool, "odometer": float, "last_lane_change": float,
+    "_final": np.int64, "length": float, "v0_eff": float, "b_comf": float, "delta": float, "idm": (float, 4),
     "p": float, "delta_a_th": float, "b_safe": float,
 }
 
@@ -487,8 +487,11 @@ class World:
     acceleration first, then commits the moves in ascending id, each vehicle
     that crosses a node together with the ones before it, just before its
     topology is resolved: a step that fails there leaves the vehicles after
-    it unmoved.  A vehicle's route is the list of segments it drives after
-    its current one; its stop follows that list and the trip's cursor.
+    it unmoved.  A vehicle's route is row ``id`` of ``route``, one array
+    for the fleet: its first ``route_len[id]`` entries are the segments it
+    drives after its current one, written once when the route is installed.
+    The array is as wide as the longest route installed (widened by
+    doubling).  The stop follows the route and the trip's cursor.
     Segments are numbered by the graph (``SegmentRef.index``), nodes in
     graph order, and the constructor reads every segment's columns once
     (:class:`_Segments`).  The lane table sorted after one step's moves is
@@ -521,11 +524,7 @@ class World:
         self._segments = _Segments.of(graph)
         for name, dtype in _COLUMNS.items():
             setattr(self, name, np.empty(16, dtype))
-        # per vehicle, its route's segments (a run of ``_flat``, repacked
-        # after a route was installed)
-        self._route_segs: list[list[int]] = []
-        self._flat = self._route_start = self._route_count = np.zeros(0, dtype=np.int64)
-        self._packed = True
+        self.route = np.empty((16, 1), np.int64)
 
     # -- population ---------------------------------------------------------
 
@@ -585,24 +584,23 @@ class World:
             target = strategic.destinations[strategic.cursor]
             route = [hop.index for hop in routing.shortest_path(self.graph, ref.end_node, target).refs]
 
-        if vid == len(self.s):  # full: double every column's capacity
-            for name in _COLUMNS:
+        if vid == len(self.s):  # full: double every column's capacity, and the routes'
+            for name in (*_COLUMNS, "route"):
                 old = getattr(self, name)
                 new = np.empty((2 * vid,) + old.shape[1:], old.dtype)
                 new[:vid] = old
                 setattr(self, name, new)
-        row = {
+        row = {  # every column but route_pos, route_len and _final, which ``_install`` writes
             "s": offset, "v": 0.0 if parked else speed, "acc": 0.0, "lane": lane, "seg": ref.index,
-            "route_pos": 0, "done": False, "parked": parked, "odometer": 0.0, "last_lane_change": -math.inf,
-            "_final": -1, "length": length, "v0_eff": idm.v0 * speed_factor, "b_comf": idm.b_comf,
-            "delta": idm.delta, "idm": (idm.a_max, idm.s0, idm.T, 2.0 * math.sqrt(idm.a_max * idm.b_comf)),
+            "done": False, "parked": parked, "odometer": 0.0, "last_lane_change": -math.inf, "length": length,
+            "v0_eff": idm.v0 * speed_factor, "b_comf": idm.b_comf, "delta": idm.delta,
+            "idm": (idm.a_max, idm.s0, idm.T, 2.0 * math.sqrt(idm.a_max * idm.b_comf)),
             "p": mobil.p, "delta_a_th": mobil.delta_a_th, "b_safe": mobil.b_safe,
         }
-        for name in _COLUMNS:
-            getattr(self, name)[vid] = row[name]
+        for name, value in row.items():
+            getattr(self, name)[vid] = value
         vehicle = self.vehicles[vid] = Vehicle(self, vid, idm=idm, mobil=mobil, speed_factor=speed_factor,
                                                strategic=strategic, rng=stream)
-        self._route_segs.append(route)
         self._install(vehicle, route)
         self._table = None
         if self._occupancy is not None:
@@ -639,7 +637,6 @@ class World:
         the perception horizon.  Yellow/red signals at upcoming nodes count as
         standing leaders at the stop line; green signals are invisible.
         """
-        self._pack_routes()
         table = self._lane_table()
         ego = np.array([vehicle.id])
         lane = self.lane[ego]
@@ -693,26 +690,22 @@ class World:
     # -- arrays -----------------------------------------------------------------
 
     def _install(self, vehicle: Vehicle, route: list[int]) -> None:
-        """Set the segments ``vehicle`` drives after its current one, from ``route_pos`` 0."""
-        self._route_segs[vehicle.id] = route
-        self.route_pos[vehicle.id] = 0
+        """Write the segments ``vehicle`` drives after its current one to its ``route`` row, from ``route_pos`` 0."""
+        vid, k = vehicle.id, len(route)
+        if k:
+            width = self.route.shape[1]
+            if k > width:  # widen to the next power of two, keeping every row
+                self.route = np.pad(self.route, ((0, 0), (0, (1 << (k - 1).bit_length()) - width)))
+            self.route[vid, :k] = route
+        self.route_len[vid] = k
+        self.route_pos[vid] = 0
         self._set_stop(vehicle)
-        self._packed = False
 
     def _set_stop(self, vehicle: Vehicle) -> None:
         """On its last leg (no strategic model, or a trip's last destination) a vehicle stops where its route ends."""
-        vid, sm, route = vehicle.id, vehicle.strategic, self._route_segs[vehicle.id]
+        vid, sm, k = vehicle.id, vehicle.strategic, self.route_len[vehicle.id]
         final = sm is None or isinstance(sm, Trip) and sm.cursor >= len(sm.destinations) - 1
-        self._final[vid] = self._segments.end[route[-1] if route else self.seg[vid]] if final else -1
-
-    def _pack_routes(self) -> None:
-        """Pack every route into ``_flat`` after one was installed."""
-        if not self._packed:
-            self._packed = True
-            runs = self._route_segs
-            self._route_count = np.fromiter(map(len, runs), np.int64, len(runs))
-            self._route_start = np.cumsum(self._route_count) - self._route_count
-            self._flat = np.fromiter(chain.from_iterable(runs), np.int64)
+        self._final[vid] = self._segments.end[self.route[vid, k - 1] if k else self.seg[vid]] if final else -1
 
     def _lane_table(self) -> _LaneTable:
         if self._table is None:
@@ -753,8 +746,7 @@ class World:
         pair = (hit == _NONE).nonzero()[0]
         owner = ego[pair]
         q, stop = lane[pair], self._final[owner]
-        at = self._route_start[owner] + self.route_pos[owner]  # flat index of the segment after the end node
-        last = self._route_start[owner] + self._route_count[owner]
+        at, last = self.route_pos[owner], self.route_len[owner]  # route index of the segment after the end node
         cum, node = (seg_len[seg] - s_ego)[pair], seg_end[seg[pair]]
         while True:
             # the node ahead, ``cum`` away: past the horizon, a blocking
@@ -767,12 +759,12 @@ class World:
             go = ~settled
             if not go.any():
                 return hit, raw
-            pair, q, stop, at, last, cum = pair[go], q[go], stop[go], at[go], last[go], cum[go]
+            pair, owner, q, stop, at, last, cum = pair[go], owner[go], q[go], stop[go], at[go], last[go], cum[go]
             # the next segments, row h being hop h (up to _HOPS at once): the
             # rearmost vehicle in lane min(lane, lanes - 1), then the node at
             # the segment's end, with distances summed in route order
             hop = at + np.arange(min(_HOPS, (last - at).max()))[:, None]
-            nxt = self._flat[np.where(hop < last, hop, 0)]
+            nxt = self.route[owner, np.where(hop < last, hop, 0)]
             reach = np.concatenate((cum[None], seg_len[nxt])).cumsum(axis=0)
             k = table.first(slot0[nxt] + np.minimum(q, seg_lanes[nxt] - 1))
             d = reach[:-1] + table.s[k]
@@ -787,7 +779,7 @@ class World:
             hit[pair[settled]] = found[settled]
             raw[pair[settled]] = np.where(k[first, col] >= 0, d[first, col], end[first, col])[settled]
             go = ~settled
-            pair, q, stop, at, last = pair[go], q[go], stop[go], at[go] + len(hop), last[go]
+            pair, owner, q, stop, at, last = pair[go], owner[go], q[go], stop[go], at[go] + len(hop), last[go]
             cum, node = reach[-1, go], node[-1, go]
         return hit, raw
 
@@ -830,11 +822,11 @@ class World:
             sig = self.signals.get(node)
             if sig is not None and signal_phase(sig, self.time) == "red":
                 self.signal_violations.append(SignalViolation(self.time, vid, node))
-            if route_pos[vid] == len(self._route_segs[vid]) and not self._advance_route(vehicle, node):
+            if route_pos[vid] == self.route_len[vid] and not self._advance_route(vehicle, node):
                 # crossed the terminal node at speed: park at the node
                 self._finish(vid, position=seg_len[seg[vid]])
                 return
-            seg[vid] = self._route_segs[vid][route_pos[vid]]
+            seg[vid] = self.route[vid, route_pos[vid]]
             lane[vid] = min(lane[vid], self._segments.lanes[seg[vid]] - 1)
             s[vid] = leftover
             route_pos[vid] += 1
@@ -842,7 +834,7 @@ class World:
         # smooth final arrival: a final-leg vehicle that has braked to a stop
         # just short of its last node registers the arrival and parks there.
         if (not self.done[vid] and self.v[vid] < _ARRIVAL_SPEED and self._final[vid] >= 0
-                and route_pos[vid] == len(self._route_segs[vid])):
+                and route_pos[vid] == self.route_len[vid]):
             remaining = seg_len[seg[vid]] - s[vid] - self.length[vid] / 2.0
             if remaining <= vehicle.idm.s0 * 1.5 + 1e-9:
                 if not self._advance_route(vehicle, self._refs[seg[vid]].end_node):
@@ -850,13 +842,12 @@ class World:
 
     def step(self, dt: float) -> None:
         """Advance every vehicle by ``dt`` seconds."""
-        if dt <= 0:
-            raise ValueError(f"dt must be > 0, got {dt!r}")
+        if not 0 < dt < math.inf:  # also false for nan
+            raise ValueError(f"dt must be finite and > 0, got {dt!r}")
         n = len(self.vehicles)
         if not n:
             self.time += dt
             return
-        self._pack_routes()
         table = self._lane_table()
         self._table = self._occupancy = None  # decisions change lanes; moves change positions
         s, v, lane, done, parked, length = (column[:n] for column in (
@@ -963,7 +954,7 @@ class World:
         # those of the vehicles before it, then its topology is resolved
         settle = (s_new > self._segments.length[self.seg[active]]) | (
             (v_new < _ARRIVAL_SPEED) & (self._final[active] >= 0)
-            & (self.route_pos[active] == self._route_count[active]))
+            & (self.route_pos[active] == self.route_len[active]))
         settle &= ~halt
         lo = 0
         for k in settle.nonzero()[0].tolist() + [None]:

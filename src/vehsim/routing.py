@@ -1,8 +1,6 @@
 """Shortest-path routing over the road graph.
 
-Costs default to segment length in meters.  A custom cost function is applied
-at request time, so a scenario can reroute against live state (e.g.
-congestion-aware weights) without rebuilding the graph.
+Costs are segment lengths in meters.
 
 The first query on a graph compiles it once into an integer graph
 (:class:`_Compiled`): node rows in ascending id order, each row's outgoing
@@ -16,10 +14,9 @@ the target, and equal keys pop in ascending node id.  ``scale`` is
 ``1 - ε`` (``_EPS``): the slack ``ε * length`` on every segment keeps the keys
 strictly increasing along a shortest path even after rounding, so every node
 settles with its exact Dijkstra label, and before every node it can precede on
-a shortest path.  ``scale`` is zero, and the search is Dijkstra's, in two
-cases: under a custom cost, which need not be bounded by geometry, and on a
-graph whose shortest segment is too short for that slack to cover rounding
-(see :func:`_heuristic_scale`).  The search stops when the target settles.
+a shortest path.  ``scale`` is zero, and the search is Dijkstra's, on a graph
+whose shortest segment is too short for that slack to cover rounding (see
+:func:`_heuristic_scale`).  The search stops when the target settles.
 
 The route is rebuilt from the labels by one rule on them: walking back from
 the target, the predecessor of ``v`` is the smallest-id node ``u`` that
@@ -35,7 +32,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .osm import RoadGraph, SegmentRef
 
@@ -111,35 +107,12 @@ def _compile(graph: RoadGraph) -> _Compiled:
     return _Compiled(ids, rows, tuple(out), tuple(map(tuple, into)), tuple(xs), tuple(ys), scale)
 
 
-class _Costed(dict):
-    """Row -> ``((end row, cost), ...)`` under a custom cost, like ``_Compiled.out``;
-    a row's costs are taken when the search first reads it."""
-
-    def __init__(self, graph: RoadGraph, compiled: _Compiled, cost: Callable[[SegmentRef], float]) -> None:
-        super().__init__()
-        self.graph, self.compiled, self.cost = graph, compiled, cost
-
-    def __missing__(self, row: int) -> tuple[tuple[int, float], ...]:
-        edges: dict[int, float] = {}
-        for ref in self.graph.outgoing(self.compiled.ids[row]):
-            v, c = self.compiled.rows[ref.end_node], self.cost(ref)
-            if v not in edges or c < edges[v]:
-                edges[v] = c
-        self[row] = found = tuple(edges.items())
-        return found
-
-
-def shortest_path(
-    graph: RoadGraph,
-    from_node: int,
-    to_node: int,
-    cost: Callable[[SegmentRef], float] | None = None,
-) -> Route:
-    """Minimal-cost directed path from ``from_node`` to ``to_node``.
+def shortest_path(graph: RoadGraph, from_node: int, to_node: int) -> Route:
+    """Shortest directed path from ``from_node`` to ``to_node``.
 
     A* over the compiled graph with a straight-line heuristic, or Dijkstra's
-    order (the same loop with a zero heuristic) under ``cost`` or on a map with
-    a segment too short for the heuristic's slack; see the module docstring.
+    order (the same loop with a zero heuristic) on a map with a segment too
+    short for the heuristic's slack; see the module docstring.
     Equal-cost alternatives are broken by a rule on the labels: each node's
     predecessor is the smallest-id node, settled before it, whose label plus
     the connecting cost equals its own.  So a grid with symmetric geometry
@@ -156,10 +129,7 @@ def shortest_path(
     g = graph._router
     if g is None:
         g = graph._router = _compile(graph)
-    if cost is None:
-        out, scale = g.out, g.scale
-    else:
-        out, scale = _Costed(graph, g, cost), 0.0
+    out, scale = g.out, g.scale
     src, dst = g.rows[from_node], g.rows[to_node]
 
     n = len(g.ids)

@@ -539,9 +539,17 @@ def dumps_config(config: ScenarioConfig) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def read_trace(path: str | Path) -> list[TraceSample]:
     """Load a trace.csv back into samples (blank optionals become None); a malformed
-    file (header, field count, a value) raises ``ValueError`` naming the line."""
+    file (header, field count, a value, a non-finite number) raises ``ValueError``
+    naming the line."""
     samples = []
     with open(path, newline="") as fh:
         header = fh.readline().rstrip("\n")
@@ -550,9 +558,8 @@ def read_trace(path: str | Path) -> list[TraceSample]:
         try:
             for raw in fh:
                 t, vid, x, y, v, acc, cell, rssi = raw.rstrip("\n").split(",")
-                samples.append(TraceSample(t=float(t), vehicle_id=int(vid), x=float(x), y=float(y), v=float(v),
-                                           acc=float(acc), serving_cell=cell or None,
-                                           rssi=float(rssi) if rssi else None))
+                samples.append(TraceSample(_finite(t), int(vid), _finite(x), _finite(y), _finite(v), _finite(acc),
+                                           cell or None, _finite(rssi) if rssi else None))
         except ValueError as exc:  # each line before the failing one added one sample
             raise ValueError(f"line {len(samples) + 2}: {exc}") from None
     return samples

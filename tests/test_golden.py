@@ -1,5 +1,5 @@
 """Golden pins: SHA-256 digests of the deterministic artifacts of seven scenarios,
-and of the in-memory records and full-precision per-step state of seven more.
+and of the in-memory records and full-precision per-step state of eight more.
 
 Two of the seven also run host-driven, sharing the kernel with a foreign module,
 and must give the same bytes.  A refactor that is meant to keep behaviour
@@ -595,3 +595,32 @@ def test_route_ends_are_pinned():
     assert all(world.perceive_leader(v) is not None for v in world.vehicles.values())
     assert world.vehicles[0].ref.end_node == 1202 and world.vehicles[1].ref.end_node == 1303
     assert states.hexdigest() == ROUTE_ENDS_STATE
+
+
+# on a 5 x 5, 200 m two-way grid: Trip A's first leg is one segment and its
+# second crosses the grid in six, so its route outgrows every route before it
+# during a step, while Trip B (slow, one segment) still has its leg ahead;
+# 20 RandomDirection vehicles, then 20 more spawns while A's long leg is ahead
+# (past the doubling of every per-vehicle store from 32 to 64); per-step state
+ROUTE_GROWTH_STATE = "534160d434f4308b64623bccbb9ca26ca948f5a3af80afcda6d7799b36c23c43"
+
+
+def test_route_growth_is_pinned():
+    world = World(parse_osm(grid_osm_xml(5, 200.0)), seed=11)
+    ways = (100, 101, 102, 103, 104, 200, 201, 202, 203, 204)
+    a = world.spawn(way=100, offset=190.0, speed=10.0, strategic=Trip((1002, 1404)))
+    b = world.spawn(way=204, segment=1, offset=5.0, idm=IdmParams(v0=5.0), strategic=Trip((1304,)))
+    states = hashlib.sha256()
+    for steps in (300, 800):
+        for _ in range(20):
+            k = len(world.vehicles)
+            world.spawn(way=ways[k % 10], segment=(k // 10) % 4, forward=k < 30, offset=20.0 + 7.0 * (k % 20),
+                        speed=5.0 + k % 7, strategic=RandomDirection())
+        for _ in range(steps):
+            world.step(0.1)
+            states.update(_state_line(world))
+        if steps == 300:
+            # A drives its second leg's first segment; B has not reached its leg yet
+            assert (a.strategic.cursor, a.route_pos, b.route_pos) == (1, 1, 0)
+    assert len(world.vehicles) == 42 and a.done and b.done
+    assert states.hexdigest() == ROUTE_GROWTH_STATE

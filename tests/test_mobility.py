@@ -345,10 +345,15 @@ def test_perceive_leader_between_steps_uses_the_phase_at_world_time():
     assert closing == pytest.approx(ego.v)
 
 
-def test_step_requires_positive_dt():
+@pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf, -math.inf])
+def test_step_requires_positive_dt(dt):
     world = World(corridor_graph(100.0))
-    with pytest.raises(ValueError):
-        world.step(0.0)
+    veh = world.spawn(way=1, offset=10.0, speed=5.0)
+    world.step(0.1)
+    before = (world.time, veh.s, veh.v)
+    with pytest.raises(ValueError, match=repr(dt)):
+        world.step(dt)
+    assert (world.time, veh.s, veh.v) == before  # rejected before any state changed
 
 
 def test_segment_crossing_carries_leftover_distance():

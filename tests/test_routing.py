@@ -141,34 +141,16 @@ def test_connecting_ref_breaks_parallel_way_ties_by_key():
     assert shortest_path(graph, 1, 2).refs[0].key == (15, 0, True)
 
 
-def test_custom_cost_function_reroutes():
-    # Geometrically longer top route becomes cheapest when the direct way is penalized.
-    nodes = [(1, 0.0, 0.0), (2, 100.0, 0.0), (3, 50.0, 60.0)]
-    ways = [
-        (11, [1, 2], {"one_way": True}),
-        (12, [1, 3], {"one_way": True}),
-        (13, [3, 2], {"one_way": True}),
-    ]
-    graph = build_graph(nodes, ways)
-
-    def avoid_way_11(ref):
-        return ref.length * (100.0 if ref.segment.way_id == 11 else 1.0)
-
-    assert shortest_path(graph, 1, 2).node_ids == (1, 2)
-    assert shortest_path(graph, 1, 2, cost=avoid_way_11).node_ids == (1, 3, 2)
-
-
 # --- differential tests against the plain Dijkstra search ---------------------
 
 
-def _reference_shortest_path(graph, from_node, to_node, cost=None):
-    """The dict-based Dijkstra search ``shortest_path`` replaced, kept verbatim as the oracle."""
+def _reference_shortest_path(graph, from_node, to_node):
+    """The dict-based Dijkstra search ``shortest_path`` replaced, kept as the oracle (over lengths only)."""
     for node in (from_node, to_node):
         if node not in graph.nodes:
             raise ValueError(f"unknown node {node}")
     if from_node == to_node:
         return Route((from_node,), 0.0)
-    weight = cost if cost is not None else (lambda ref: ref.length)
 
     dist: dict[int, float] = {from_node: 0.0}
     pred: dict[int, int] = {}
@@ -185,7 +167,7 @@ def _reference_shortest_path(graph, from_node, to_node, cost=None):
             v = ref.end_node
             if v in done:
                 continue
-            nd = d + weight(ref)
+            nd = d + ref.length
             if v not in dist or nd < dist[v]:
                 dist[v] = nd
                 pred[v] = u
@@ -203,20 +185,20 @@ def _reference_shortest_path(graph, from_node, to_node, cost=None):
     return Route(tuple(path), dist[to_node], refs)
 
 
-def _outcome(search, graph, a, b, cost=None):
+def _outcome(search, graph, a, b):
     """Route nodes, total cost as bytes and refs; or the error's type and text."""
     try:
-        route = search(graph, a, b, cost)
+        route = search(graph, a, b)
     except (NoRouteError, ValueError) as exc:
         return type(exc), str(exc)
     return route.node_ids, struct.pack("<d", route.total_cost), route.refs
 
 
-def _assert_matches_reference(graph, pairs, cost=None):
+def _assert_matches_reference(graph, pairs):
     checked = 0
     for a, b in pairs:
-        expected = _outcome(_reference_shortest_path, graph, a, b, cost)
-        assert _outcome(shortest_path, graph, a, b, cost) == expected, (a, b)
+        expected = _outcome(_reference_shortest_path, graph, a, b)
+        assert _outcome(shortest_path, graph, a, b) == expected, (a, b)
         checked += 1
     return checked
 
@@ -346,23 +328,6 @@ def test_micro_segment_map_turns_the_heuristic_off_and_matches_dijkstra():
     graph = _micro_map(1e-3)
     assert _assert_matches_reference(graph, _all_pairs(graph)) == 17 * 16
     assert _heuristic_on(graph)
-
-
-def test_custom_costs_match_dijkstra_including_zero_and_infinite_costs():
-    graph = parse_osm(grid_osm_xml(6, 200.0))
-    sources = sorted(graph.nodes)[::5]
-    pairs = [(a, b) for a in sources for b in sorted(graph.nodes) if a != b]
-    costs = [
-        lambda ref: 0.0,  # every label ties: only the settle order separates them
-        lambda ref: 0.0 if ref.segment.way_id == 102 else ref.length,
-        lambda ref: 1,  # hop counts, integer-valued
-        lambda ref: ref.length * (25.0 if ref.segment.way_id % 2 else 1.0),
-        lambda ref: math.inf if ref.segment.way_id == 201 else ref.length,
-    ]
-    for cost in costs:
-        _assert_matches_reference(graph, pairs, cost)
-    lattice = _jittered_lattice(np.random.default_rng(5), 4, 90.0)
-    _assert_matches_reference(lattice, _all_pairs(lattice), lambda ref: round(ref.length / 50.0))
 
 
 def test_errors_match_dijkstra():

@@ -507,6 +507,12 @@ _MALFORMED_TRACES = {
     "bad-id": (f"{TRACE_HEADER}\n{_GOOD_ROW}\n{_GOOD_ROW}\n0,1.5,1,2,3,0,,\n", "line 4"),
     "bad-number": (f"{TRACE_HEADER}\n0,0,1,2,x,0,,\n", "line 2"),
     "bad-rssi": (f"{TRACE_HEADER}\n0,0,1,2,3,0,a,dbm\n", "line 2"),
+    "nan-x": (f"{TRACE_HEADER}\n{_GOOD_ROW}\n0,1,nan,2,3,0,,\n", "line 3"),
+    "inf-y": (f"{TRACE_HEADER}\n0,0,1,inf,3,0,,\n", "line 2"),
+    "minus-inf-t": (f"{TRACE_HEADER}\n{_GOOD_ROW}\n{_GOOD_ROW}\n-inf,1,1,2,3,0,,\n", "line 4"),
+    "nan-v": (f"{TRACE_HEADER}\n0,0,1,2,NaN,0,,\n", "line 2"),
+    "inf-acc": (f"{TRACE_HEADER}\n0,0,1,2,3,Infinity,,\n", "line 2"),
+    "nan-rssi": (f"{TRACE_HEADER}\n0,0,1,2,3,0,a,nan\n", "line 2"),
 }
 
 

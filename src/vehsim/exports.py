@@ -158,11 +158,11 @@ def export_svg(
         f'viewBox="0 0 {width:.1f} {height:.1f}">',
         f'<rect width="{width:.1f}" height="{height:.1f}" fill="white"/>',
     ]
+    xs, ys, rows = graph.x.tolist(), graph.y.tolist(), graph.nodes
     for way_id in sorted(graph.ways):
-        way = graph.ways[way_id]
         pts = " ".join(
-            "{:.2f},{:.2f}".format(*to_svg(graph.node(ref).x, graph.node(ref).y))
-            for ref in way.node_refs
+            "{:.2f},{:.2f}".format(*to_svg(xs[row], ys[row]))
+            for row in map(rows.__getitem__, graph.ways[way_id].node_refs)
         )
         parts.append(
             f'<polyline fill="none" stroke="#555555" stroke-width="2" points="{pts}"/>'

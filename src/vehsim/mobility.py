@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -192,7 +191,7 @@ class Vehicle:
 
     @property
     def ref(self) -> SegmentRef:
-        return self.world._refs[self.world.seg.item(self.id)]
+        return SegmentRef(self.world.graph, self.world.seg.item(self.id))
 
     def __repr__(self) -> str:
         return f"Vehicle(id={self.id}, ref={self.ref.key}, lane={self.lane}, s={self.s!r}, v={self.v!r})"
@@ -368,36 +367,6 @@ _COLUMNS = {
 }
 
 
-class _Segments(NamedTuple):
-    """What the step reads of every directed segment, as arrays indexed by ``SegmentRef.index``.
-
-    ``end`` is the row of the segment's end node (nodes are numbered in graph
-    order), ``slot0`` the first of its ``lanes`` lane slots, and ``(x0, dx,
-    y0, dy)`` run from its start node to its end node.
-    """
-
-    length: np.ndarray
-    end: np.ndarray
-    lanes: np.ndarray
-    slot0: np.ndarray
-    x0: np.ndarray
-    dx: np.ndarray
-    y0: np.ndarray
-    dy: np.ndarray
-
-    @classmethod
-    def of(cls, graph: RoadGraph) -> _Segments:
-        refs = graph.refs()
-        n = len(refs)
-        x = np.fromiter((node.x for node in graph.nodes.values()), float, len(graph.nodes))
-        y = np.fromiter((node.y for node in graph.nodes.values()), float, len(graph.nodes))
-        start = np.fromiter((graph.node_rows[ref.start_node] for ref in refs), np.int64, n)
-        end = np.fromiter((graph.node_rows[ref.end_node] for ref in refs), np.int64, n)
-        lanes = np.fromiter((ref.lanes for ref in refs), np.int64, n)
-        return cls(np.fromiter((ref.length for ref in refs), float, n), end, lanes, np.cumsum(lanes) - lanes,
-                   x[start], x[end] - x[start], y[start], y[end] - y[start])
-
-
 def _idm_behind(free: np.ndarray, v: np.ndarray, idm: np.ndarray, delta_v: np.ndarray, gap: np.ndarray) -> np.ndarray:
     """:func:`idm_acceleration` of followers at speed ``v`` with free-road acceleration ``free``.
 
@@ -492,12 +461,12 @@ class World:
     drives after its current one, written once when the route is installed.
     The array is as wide as the longest route installed (widened by
     doubling).  The stop follows the route and the trip's cursor.
-    Segments are numbered by the graph (``SegmentRef.index``), nodes in
-    graph order, and the constructor reads every segment's columns once
-    (:class:`_Segments`).  The lane table sorted after one step's moves is
-    kept as the next step's start-of-step table; ``spawn`` and a write
-    through a :class:`Vehicle` view discard it.  The set of nodes whose
-    signal blocks (yellow or red) is built once per ``step`` and once per
+    Segments and nodes are the graph's rows (``SegmentRef.index`` and
+    ``RoadGraph.nodes``), and the step reads the graph's segment columns.
+    The lane table sorted after one step's moves is kept as the next
+    step's start-of-step table; ``spawn`` and a write through a
+    :class:`Vehicle` view discard it.  The set of nodes whose signal blocks
+    (yellow or red) is built once per ``step`` and once per
     ``perceive_leader`` call, so a signal added or retimed between steps
     takes effect at the next step.
     """
@@ -520,8 +489,9 @@ class World:
         self.signal_violations: list[SignalViolation] = []
         self._table: _LaneTable | None = None  # lane table of the current state
         self._occupancy: dict | None = None  # (ref index, lane) -> vehicles, for placement checks
-        self._refs = graph.refs()
-        self._segments = _Segments.of(graph)
+        x, y, start, end = graph.x, graph.y, graph.start, graph.end
+        # (x0, dx, y0, dy) of every segment, from its start node to its end node
+        self._geometry = x[start], x[end] - x[start], y[start], y[end] - y[start]
         for name, dtype in _COLUMNS.items():
             setattr(self, name, np.empty(16, dtype))
         self.route = np.empty((16, 1), np.int64)
@@ -627,7 +597,7 @@ class World:
         blocked = np.zeros(len(graph.nodes) + 1, dtype=bool)  # the extra entry is "no node"
         for node, sig in self.signals.items():
             if node in graph.nodes and signal_phase(sig, t) != "green":
-                blocked[graph.node_rows[node]] = True
+                blocked[graph.nodes[node]] = True
         return blocked
 
     def perceive_leader(self, vehicle: Vehicle) -> tuple[float, float] | None:
@@ -640,7 +610,7 @@ class World:
         table = self._lane_table()
         ego = np.array([vehicle.id])
         lane = self.lane[ego]
-        slot = self._segments.slot0[self.seg[ego]] + lane
+        slot = self.graph.slot0[self.seg[ego]] + lane
         hit, raw = self._look_ahead(table, self._blocking_signals(), ego, lane, table.of[ego], slot)
         other = int(hit[0])
         if other == _NONE:
@@ -650,16 +620,16 @@ class World:
 
     def position(self, vehicle: Vehicle) -> tuple[float, float]:
         """World coordinates of the vehicle center (lane offsets are ignored)."""
-        segments, i = self._segments, vehicle.ref.index
+        (x0, dx, y0, dy), i = self._geometry, vehicle.ref.index
         frac = min(max(vehicle.s / vehicle.ref.length, 0.0), 1.0)
-        return float(segments.x0[i] + frac * segments.dx[i]), float(segments.y0[i] + frac * segments.dy[i])
+        return float(x0[i] + frac * dx[i]), float(y0[i] + frac * dy[i])
 
     def positions(self) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`position` of every vehicle, in id order, as one array evaluation (same bits)."""
         n = len(self.vehicles)
-        length, _, _, _, x0, dx, y0, dy = self._segments
+        x0, dx, y0, dy = self._geometry
         seg = self.seg[:n]
-        ratio = self.s[:n] / length[seg]
+        ratio = self.s[:n] / self.graph.length[seg]
         ratio = np.where(0.0 > ratio, 0.0, ratio)  # max(ratio, 0.0)
         frac = np.where(1.0 < ratio, 1.0, ratio)  # min(ratio, 1.0)
         return x0[seg] + frac * dx[seg], y0[seg] + frac * dy[seg]
@@ -675,16 +645,19 @@ class World:
             sm.cursor += 1
             self._set_stop(vehicle)  # the cursor decides the final leg
             return sm.destinations[sm.cursor] if sm.cursor < len(sm.destinations) else None
-        return self._draw(vehicle, arrived_at).end_node
+        return self.graph.ids[self.graph.end.item(self._draw(vehicle, arrived_at))]
 
-    def _draw(self, vehicle: Vehicle, arrived_at: int) -> SegmentRef:
-        """The outgoing segment a RandomDirection vehicle drives on from ``arrived_at``."""
-        options = self.graph.outgoing(arrived_at)
+    def _draw(self, vehicle: Vehicle, arrived_at: int) -> int:
+        """The outgoing segment (``SegmentRef.index``) a RandomDirection vehicle drives on from ``arrived_at``."""
+        graph, row = self.graph, self.graph.nodes[arrived_at]
+        options = graph.out_seg[graph.out_start[row]:graph.out_start[row + 1]].tolist()
         if not options:
             raise StrandedError(f"vehicle {vehicle.id}: no outgoing segment at node {arrived_at}")
-        way, index, forward = vehicle.ref.key
-        # the reverse of the arrival segment only at a dead end, where the U-turn is the only way out
-        candidates = [ref for ref in options if ref.key != (way, index, not forward)] or options
+        # the arrival segment's piece in the other direction only at a dead end, where the U-turn is
+        # the only way out
+        here = self.seg.item(vehicle.id)
+        piece = graph.way.item(here), graph.way_index.item(here)
+        candidates = [k for k in options if (graph.way.item(k), graph.way_index.item(k)) != piece] or options
         return candidates[int(vehicle.rng.integers(len(candidates)))]
 
     # -- arrays -----------------------------------------------------------------
@@ -705,12 +678,12 @@ class World:
         """On its last leg (no strategic model, or a trip's last destination) a vehicle stops where its route ends."""
         vid, sm, k = vehicle.id, vehicle.strategic, self.route_len[vehicle.id]
         final = sm is None or isinstance(sm, Trip) and sm.cursor >= len(sm.destinations) - 1
-        self._final[vid] = self._segments.end[self.route[vid, k - 1] if k else self.seg[vid]] if final else -1
+        self._final[vid] = self.graph.end[self.route[vid, k - 1] if k else self.seg[vid]] if final else -1
 
     def _lane_table(self) -> _LaneTable:
         if self._table is None:
             n = len(self.vehicles)
-            self._table = _LaneTable(self._segments.slot0[self.seg[:n]] + self.lane[:n], self.s[:n])
+            self._table = _LaneTable(self.graph.slot0[self.seg[:n]] + self.lane[:n], self.s[:n])
         return self._table
 
     def _look_ahead(
@@ -735,8 +708,8 @@ class World:
         Positions and route positions come from the columns, so ``step``
         looks ahead before it commits any move.
         """
-        horizon = self.horizon
-        seg_len, seg_end, seg_lanes, slot0, *_ = self._segments
+        horizon, graph = self.horizon, self.graph
+        seg_len, seg_end, seg_lanes, slot0 = graph.length, graph.end, graph.lanes, graph.slot0
         seg = self.seg[ego]
         s_ego = self.s[ego]
         j = table.ahead(key, slot)
@@ -794,7 +767,7 @@ class World:
         vehicle is done (no further destination).
         """
         if isinstance(vehicle.strategic, RandomDirection):
-            self._install(vehicle, [self._draw(vehicle, node).index])
+            self._install(vehicle, [self._draw(vehicle, node)])
             return True
         nxt = self.strategic_next(vehicle, node)
         while nxt is not None:
@@ -815,10 +788,10 @@ class World:
     def _settle(self, vehicle: Vehicle) -> None:
         """Resolve the nodes a moved vehicle crossed, then a smooth final arrival."""
         vid, s, seg, lane, route_pos = vehicle.id, self.s, self.seg, self.lane, self.route_pos
-        seg_len = self._segments.length
+        graph, seg_len = self.graph, self.graph.length
         while s[vid] > seg_len[seg[vid]]:
             leftover = s[vid] - seg_len[seg[vid]]
-            node = self._refs[seg[vid]].end_node
+            node = graph.ids[graph.end[seg[vid]]]
             sig = self.signals.get(node)
             if sig is not None and signal_phase(sig, self.time) == "red":
                 self.signal_violations.append(SignalViolation(self.time, vid, node))
@@ -827,7 +800,7 @@ class World:
                 self._finish(vid, position=seg_len[seg[vid]])
                 return
             seg[vid] = self.route[vid, route_pos[vid]]
-            lane[vid] = min(lane[vid], self._segments.lanes[seg[vid]] - 1)
+            lane[vid] = min(lane[vid], graph.lanes[seg[vid]] - 1)
             s[vid] = leftover
             route_pos[vid] += 1
 
@@ -837,7 +810,7 @@ class World:
                 and route_pos[vid] == self.route_len[vid]):
             remaining = seg_len[seg[vid]] - s[vid] - self.length[vid] / 2.0
             if remaining <= vehicle.idm.s0 * 1.5 + 1e-9:
-                if not self._advance_route(vehicle, self._refs[seg[vid]].end_node):
+                if not self._advance_route(vehicle, graph.ids[graph.end[seg[vid]]]):
                     self._finish(vid)
 
     def step(self, dt: float) -> None:
@@ -855,7 +828,7 @@ class World:
         idm = self.idm[:n].T
         free = idm[0] * (1.0 - np.array([x ** d for x, d in zip((v / self.v0_eff[:n]).tolist(),
                                                                  self.delta[:n].tolist())]))
-        _, _, seg_lanes, slot0, *_ = self._segments
+        seg_lanes, slot0 = self.graph.lanes, self.graph.slot0
 
         # pairs (vehicle, lane) to look ahead in: every moving vehicle's own
         # lane, then the left and the right lanes of the MOBIL candidates
@@ -952,7 +925,7 @@ class World:
         # topology, for the vehicles that crossed a node or may register a
         # final arrival, in ascending id: each one's move is committed with
         # those of the vehicles before it, then its topology is resolved
-        settle = (s_new > self._segments.length[self.seg[active]]) | (
+        settle = (s_new > self.graph.length[self.seg[active]]) | (
             (v_new < _ARRIVAL_SPEED) & (self._final[active] >= 0)
             & (self.route_pos[active] == self.route_len[active]))
         settle &= ~halt

@@ -7,17 +7,24 @@ Supported input is the plain OSM XML subset: ``<node id lat lon>`` elements and
 Nodes referenced by no drivable way are dropped.
 
 Coordinates are projected to a local metric plane with an equirectangular
-projection about the bounding-box centroid of the used nodes.  The graph is
-immutable after parsing.
+projection about the bounding-box centroid of the used nodes.
+
+The parser and :func:`build_graph` write the road network once, as the
+columns of :class:`RoadGraph`: node rows, directed segment rows and their
+outgoing and incoming adjacency.  Routing, the vehicle step and the exporters
+read those columns; a :class:`SegmentRef` is a view of one segment row.  The
+graph is immutable after parsing.
 """
 
 from __future__ import annotations
 
 import math
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 from xml.parsers import expat
+
+import numpy as np
 
 EARTH_RADIUS_M = 6_371_000.0
 DEFAULT_GREEN_S = 30.0
@@ -51,28 +58,6 @@ def project(lat: float, lon: float, origin: tuple[float, float]) -> tuple[float,
     return x, y
 
 
-def unproject(x: float, y: float, origin: tuple[float, float] = (0.0, 0.0)) -> tuple[float, float]:
-    """Inverse of :func:`project`; used when synthesizing graphs from metric coords."""
-    lat0, lon0 = origin
-    k = math.pi / 180.0
-    lat = lat0 + y / (EARTH_RADIUS_M * k)
-    lon = lon0 + x / (EARTH_RADIUS_M * math.cos(lat0 * k) * k)
-    return lat, lon
-
-
-@dataclass(frozen=True)
-class OsmNode:
-    id: int
-    lat: float
-    lon: float
-    x: float
-    y: float
-
-    @property
-    def position(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
-
 @dataclass(frozen=True)
 class Way:
     id: int
@@ -82,44 +67,40 @@ class Way:
     one_way: bool = False
 
 
-@dataclass(frozen=True, slots=True)
-class Segment:
-    """One directed-drawable piece of a way between consecutive node refs."""
-
-    way_id: int
-    index: int  # 0-based position within the way
-    from_node: int
-    to_node: int
-    length: float  # m, Euclidean in projected plane
-    heading: float  # rad, atan2(dy, dx) of the drawing direction
-
-
-@dataclass(slots=True, unsafe_hash=True)
 class SegmentRef:
-    """A directed traversal of a segment.
+    """A directed segment: a view of row ``index`` of ``graph``'s segment columns.
 
-    ``forward`` follows the way's drawing order; the lane count is the one
-    that applies to this direction of travel.  ``start_node``,
-    ``end_node``, ``length`` and ``key`` follow from ``segment`` and
-    ``forward``; they are stored rather than derived because the step loop
-    reads them at every look-ahead hop; ``index`` numbers the graph's refs
-    (:meth:`RoadGraph.refs`).  They take no part in equality, hashing or ``repr``.
-
-    Refs are shared by the graph, routes and vehicles and must be treated as
-    read-only.  The class is not frozen only because a frozen ``__init__``
-    sets every field through ``object.__setattr__``, which doubled the cost
-    of building the refs of a large map; the hash is the one a frozen class
-    would have.
+    ``forward`` follows the way's drawing order, ``lanes`` is the lane count
+    of this direction of travel and ``key`` is (way id, index in the way,
+    forward).  Views are made on demand, so two views of one segment need not
+    be one object: they compare and hash by value (key, end nodes, length
+    and lanes), also across graphs.
     """
 
-    segment: Segment
-    forward: bool
-    lanes: int
-    start_node: int = field(compare=False, repr=False)
-    end_node: int = field(compare=False, repr=False)
-    length: float = field(compare=False, repr=False)
-    key: tuple[int, int, bool] = field(compare=False, repr=False)  # (way, index, forward)
-    index: int = field(compare=False, repr=False)
+    __slots__ = ("graph", "index")
+
+    def __init__(self, graph: RoadGraph, index: int) -> None:
+        self.graph, self.index = graph, index
+
+    forward = property(lambda self: self.graph.forward.item(self.index))
+    lanes = property(lambda self: self.graph.lanes.item(self.index))
+    length = property(lambda self: self.graph.length.item(self.index))
+    start_node = property(lambda self: self.graph.ids[self.graph.start.item(self.index)])
+    end_node = property(lambda self: self.graph.ids[self.graph.end.item(self.index)])
+    key = property(lambda self: (self.graph.way_ids[self.graph.way.item(self.index)],
+                                 self.graph.way_index.item(self.index), self.forward))
+
+    def _value(self) -> tuple:
+        return self.key, self.start_node, self.end_node, self.length, self.lanes
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SegmentRef) and self._value() == other._value()
+
+    def __hash__(self) -> int:
+        return hash(self._value())
+
+    def __repr__(self) -> str:
+        return f"SegmentRef(key={self.key}, lanes={self.lanes}, length={self.length!r})"
 
 
 @dataclass(frozen=True)
@@ -154,89 +135,123 @@ def signal_phase(signal: TrafficSignal, t: float) -> str:
     return "red"
 
 
-@dataclass
 class RoadGraph:
-    """Immutable routable road network in local metric coordinates."""
+    """Immutable routable road network in local metric coordinates, held as columns.
 
-    nodes: dict[int, OsmNode]
-    ways: dict[int, Way]
-    segments: dict[tuple[int, int], Segment]
-    signals: dict[int, TrafficSignal]
-    origin: tuple[float, float]
-    _out: dict[int, tuple[SegmentRef, ...]] = field(repr=False, default_factory=dict)
-    _refs: dict[tuple[int, int, bool], SegmentRef] = field(repr=False, default_factory=dict)
-    node_rows: dict[int, int] = field(repr=False, default_factory=dict)  # node id -> position in nodes
-    # vehsim.routing's compiled search graph, built on the first route query
-    _router: object = field(default=None, init=False, repr=False, compare=False)
+    Nodes are rows in ascending id order: row ``r`` is node ``ids[r]`` at
+    ``(x[r], y[r])``, and ``nodes`` maps each id to its row.  Directed
+    segments are rows too, numbered way by way in the order of ``ways``,
+    each way's pieces in drawing order, forward before backward; segment
+    ``k`` is ``SegmentRef(graph, k)``.  It runs from node row ``start[k]``
+    to ``end[k]`` over ``length[k]`` metres, along piece ``way_index[k]`` of
+    way ``way_ids[way[k]]`` (``way_ids`` ascending), in its drawing direction
+    where ``forward[k]``.  Its ``lanes[k]`` lanes are the lane slots
+    ``slot0[k]`` onwards, one slot per lane of the map.  The segments leaving
+    row ``r`` are ``out_seg[out_start[r]:out_start[r + 1]]`` and those
+    entering it ``in_seg[in_start[r]:in_start[r + 1]]``, both ordered by
+    (way id, index in the way, backward).  Ids stay Python ints outside the
+    columns, so negative ids and ids beyond 64 bits work as any other.
 
-    def node(self, node_id: int) -> OsmNode:
-        return self.nodes[node_id]
+    The constructor, which :func:`parse_osm` and :func:`build_graph` share,
+    writes the columns from each node's (x, y) and the ways.  Lengths are
+    ``math.hypot`` on Python floats, since NumPy's ``hypot`` can differ in
+    the last ulp.  ``where(way_id)`` is appended to a way's error message
+    (the parser's ``" (line N)"``).
+    """
+
+    def __init__(
+        self,
+        coords: dict[int, tuple[float, float]],
+        ways: dict[int, Way],
+        signals: dict[int, TrafficSignal],
+        origin: tuple[float, float],
+        where: Callable[[int], str] = lambda way_id: "",
+    ) -> None:
+        self.ways, self.signals, self.origin = ways, signals, origin
+        self.ids = ids = sorted(coords)
+        self.nodes = nodes = {node_id: row for row, node_id in enumerate(ids)}
+        self.x, self.y = x, y = np.array([coords[node_id] for node_id in ids], float).reshape(-1, 2).T.copy()
+        way_list = list(ways.values())
+        # piece i of a way joins its node refs i and i + 1
+        n_refs = np.array([len(way.node_refs) for way in way_list], np.int64)
+        pieces = np.maximum(n_refs - 1, 0)
+        of_way = np.repeat(np.arange(len(way_list)), pieces)
+        i = np.arange(len(of_way)) - (np.cumsum(pieces) - pieces)[of_way]
+        at = (np.cumsum(n_refs) - n_refs)[of_way] + i
+        refs = np.array([nodes[node_id] for way in way_list for node_id in way.node_refs], np.int64)
+        a, b = refs[at], refs[at + 1]
+        length = np.array(list(map(math.hypot, (x[b] - x[a]).tolist(), (y[b] - y[a]).tolist())), float)
+
+        # errors in way order, a way's lane counts before its pieces
+        zero = (length <= 0.0).nonzero()[0]
+        last = int(of_way[zero[0]]) if len(zero) else len(way_list) - 1
+        for way in way_list[:last + 1]:
+            for count in (way.lanes_forward, way.lanes_backward):
+                if count > MAX_LANES:
+                    raise MapError(f"way {way.id}: {count} lanes in one direction, more than {MAX_LANES}"
+                                   f"{where(way.id)}")
+        if len(zero):
+            way_id = way_list[last].id
+            raise MapError(f"way {way_id}: zero-length segment at index {i[zero[0]]}{where(way_id)}")
+
+        # every piece forward, then backward; a direction without lanes has no segment
+        lanes = np.array([(way.lanes_forward, way.lanes_backward) for way in way_list], np.int64)
+        lanes = lanes.reshape(-1, 2)[of_way].ravel()
+        keep = lanes >= 1
+        piece = np.repeat(np.arange(len(of_way)), 2)[keep]
+        self.forward = forward = np.tile([True, False], len(of_way))[keep]
+        self.lanes = lanes = lanes[keep]
+        self.slot0 = np.cumsum(lanes) - lanes
+        self.start = start = np.where(forward, a[piece], b[piece])
+        self.end = end = np.where(forward, b[piece], a[piece])
+        self.length, self.way_index = length[piece], i[piece]
+        self.way_ids = sorted(ways)
+        rank = {way_id: r for r, way_id in enumerate(self.way_ids)}
+        self.way = np.array([rank[way.id] for way in way_list], np.int64)[of_way[piece]]
+        first = np.searchsorted(of_way[piece], np.arange(len(way_list)))
+        self._first = dict(zip(ways, first.tolist()))  # way id -> the way's first segment
+        # adjacency order, (way id, index in the way, backward): each way's segments are in it already
+        by_key = np.argsort(self.way, kind="stable")
+        self.out_seg = by_key[np.argsort(start[by_key], kind="stable")]
+        self.in_seg = by_key[np.argsort(end[by_key], kind="stable")]
+        self.out_start = np.searchsorted(start[self.out_seg], np.arange(len(ids) + 1))
+        self.in_start = np.searchsorted(end[self.in_seg], np.arange(len(ids) + 1))
+        self._router = None  # vehsim.routing's compiled search graph, built on the first route query
+
+    def position(self, node_id: int) -> tuple[float, float]:
+        """Map coordinates (x, y) of node ``node_id``."""
+        row = self.nodes[node_id]
+        return self.x.item(row), self.y.item(row)
 
     def outgoing(self, node_id: int) -> tuple[SegmentRef, ...]:
-        """Directed segment traversals leaving ``node_id``, in deterministic order."""
-        return self._out.get(node_id, ())
-
-    def segments_of(self, way_id: int) -> list[Segment]:
-        way = self.ways[way_id]
-        return [self.segments[(way_id, i)] for i in range(len(way.node_refs) - 1)]
+        """Directed segments leaving ``node_id``, in adjacency order."""
+        row = self.nodes.get(node_id)
+        if row is None:
+            return ()
+        return tuple(SegmentRef(self, k) for k in self.out_seg[self.out_start[row]:self.out_start[row + 1]].tolist())
 
     def ref(self, way_id: int, index: int, forward: bool = True) -> SegmentRef:
-        return self._refs[(way_id, index, forward)]
+        """The directed segment keyed ``(way_id, index, forward)``; ``KeyError`` when there is none."""
+        way = self.ways.get(way_id)
+        if (way is None or not 0 <= index < len(way.node_refs) - 1
+                or (way.lanes_forward if forward else way.lanes_backward) < 1):
+            raise KeyError((way_id, index, forward))
+        both = way.lanes_forward >= 1 and way.lanes_backward >= 1
+        return SegmentRef(self, self._first[way_id] + (2 * index + (not forward) if both else index))
 
     def refs(self) -> list[SegmentRef]:
         """Every directed segment, in ``SegmentRef.index`` order."""
-        return list(self._refs.values())
+        return [SegmentRef(self, k) for k in range(len(self.length))]
+
+    @property
+    def segments(self) -> dict[tuple[int, int], float]:
+        """Length of every undirected segment by (way id, index in the way); built on each call."""
+        return {(self.way_ids[w], i): d
+                for w, i, d in zip(self.way.tolist(), self.way_index.tolist(), self.length.tolist())}
 
     def bounds(self) -> tuple[float, float, float, float]:
-        xs = [n.x for n in self.nodes.values()]
-        ys = [n.y for n in self.nodes.values()]
+        xs, ys = self.x.tolist(), self.y.tolist()
         return min(xs), min(ys), max(xs), max(ys)
-
-
-def _finish_graph(
-    nodes: dict[int, OsmNode],
-    ways: dict[int, Way],
-    signals: dict[int, TrafficSignal],
-    origin: tuple[float, float],
-    where: Callable[[int], str] = lambda way_id: "",
-) -> RoadGraph:
-    """Build segments, directed refs and adjacency; shared by parser and builder.
-
-    ``where(way_id)`` is appended to a way's error message (the parser's
-    ``" (line N)"``).
-    """
-    segments: dict[tuple[int, int], Segment] = {}
-    refs: dict[tuple[int, int, bool], SegmentRef] = {}
-    out: dict[int, list[SegmentRef]] = {}
-    for way in ways.values():
-        for lanes in (way.lanes_forward, way.lanes_backward):
-            if lanes > MAX_LANES:
-                raise MapError(f"way {way.id}: {lanes} lanes in one direction, more than {MAX_LANES}"
-                               f"{where(way.id)}")
-        for i in range(len(way.node_refs) - 1):
-            a = nodes[way.node_refs[i]]
-            b = nodes[way.node_refs[i + 1]]
-            length = math.hypot(b.x - a.x, b.y - a.y)
-            if length <= 0.0:
-                raise MapError(f"way {way.id}: zero-length segment at index {i}{where(way.id)}")
-            seg = Segment(way.id, i, a.id, b.id, length, math.atan2(b.y - a.y, b.x - a.x))
-            segments[(way.id, i)] = seg
-            if way.lanes_forward >= 1:
-                key = (way.id, i, True)
-                fwd = SegmentRef(seg, True, way.lanes_forward, a.id, b.id, length, key, len(refs))
-                refs[key] = fwd
-                out.setdefault(a.id, []).append(fwd)
-            if way.lanes_backward >= 1:
-                key = (way.id, i, False)
-                back = SegmentRef(seg, False, way.lanes_backward, b.id, a.id, length, key, len(refs))
-                refs[key] = back
-                out.setdefault(b.id, []).append(back)
-    adjacency = {
-        node_id: tuple(sorted(lst, key=lambda r: (r.segment.way_id, r.segment.index, not r.forward)))
-        for node_id, lst in out.items()
-    }
-    rows = {node_id: row for row, node_id in enumerate(nodes)}
-    return RoadGraph(nodes, ways, segments, signals, origin, adjacency, refs, rows)
 
 
 def _split_lanes(total: int, one_way: bool) -> tuple[int, int]:
@@ -350,17 +365,15 @@ def parse_osm(document: str) -> RoadGraph:
         lons.append(lon)
     origin = ((min(lats) + max(lats)) / 2.0, (min(lons) + max(lons)) / 2.0)
 
-    nodes: dict[int, OsmNode] = {}
+    coords: dict[int, tuple[float, float]] = {}
     signals: dict[int, TrafficSignal] = {}
     for node_id in used:
         lat, lon, tags = raw_nodes[node_id]
-        x, y = project(lat, lon, origin)
-        nodes[node_id] = OsmNode(node_id, lat, lon, x, y)
+        coords[node_id] = project(lat, lon, origin)
         if tags.get("highway") == "traffic_signals":
             signals[node_id] = TrafficSignal(node_id)
 
-    return _finish_graph(nodes, ways, signals, origin,
-                         lambda way_id: _line(document, root, way_elements[way_id]))
+    return RoadGraph(coords, ways, signals, origin, lambda way_id: _line(document, root, way_elements[way_id]))
 
 
 def build_graph(
@@ -374,11 +387,7 @@ def build_graph(
     (id, node_refs, options) where options may set lanes_forward,
     lanes_backward and one_way.
     """
-    origin = (0.0, 0.0)
-    node_map: dict[int, OsmNode] = {}
-    for node_id, x, y in nodes:
-        lat, lon = unproject(x, y, origin)
-        node_map[node_id] = OsmNode(node_id, lat, lon, x, y)
+    node_map = {node_id: (x, y) for node_id, x, y in nodes}
     way_map: dict[int, Way] = {}
     for entry in ways:
         way_id, refs = entry[0], entry[1]
@@ -397,4 +406,4 @@ def build_graph(
         if opts:
             raise ValueError(f"way {way_id}: unknown options {sorted(opts)}")
     signal_map = {s.node_id: s for s in signals}
-    return _finish_graph(node_map, way_map, signal_map, origin)
+    return RoadGraph(node_map, way_map, signal_map, (0.0, 0.0))

@@ -2,11 +2,12 @@
 
 Costs are segment lengths in meters.
 
-The first query on a graph compiles it once into an integer graph
-(:class:`_Compiled`): node rows in ascending id order, each row's outgoing
-``(end row, length)`` pairs with parallel segments collapsed to the shortest,
-the reverse adjacency, and the coordinates the heuristic reads.  It is kept
-on the graph, so a map that is never routed never builds it.
+The first query on a graph compiles it once into Python tuples for the search
+loop (:class:`_Compiled`), over the graph's own node rows (ascending id): each
+row's outgoing ``(end row, length)`` pairs with parallel segments collapsed to
+the shortest, each row's incoming edges with the segment that drives them, and
+the coordinates the heuristic reads.  It is kept on the graph, so a map that
+is never routed never builds it.
 
 The search is A* (Hart, Nilsson & Raphael, IEEE TSSC 1968).  A heap entry's
 key is its distance label plus ``scale`` times the straight-line distance to
@@ -33,6 +34,8 @@ import heapq
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .osm import RoadGraph, SegmentRef
 
 _EPS = 2.0**-16  # relative slack taken off the straight-line heuristic
@@ -48,7 +51,7 @@ class NoRouteError(Exception):
 @dataclass(frozen=True)
 class Route:
     """A directed path; ``refs[i]`` is the segment that drives ``node_ids[i]`` to
-    ``node_ids[i + 1]``, resolved once by :func:`connecting_ref` (n nodes, n - 1 refs)."""
+    ``node_ids[i + 1]``, the one :func:`connecting_ref` picks (n nodes, n - 1 refs)."""
 
     node_ids: tuple[int, ...]
     total_cost: float
@@ -57,12 +60,10 @@ class Route:
 
 @dataclass(frozen=True)
 class _Compiled:
-    """A road graph as integer rows; row order is ascending node id."""
+    """A road graph's node rows as the search loop reads them."""
 
-    ids: tuple[int, ...]
-    rows: dict[int, int]  # node id -> row
     out: tuple[tuple[tuple[int, float], ...], ...]  # row -> ((end row, shortest length), ...)
-    into: tuple[tuple[int, ...], ...]  # row -> rows with a segment into it, ascending
+    into: tuple[tuple[tuple[int, float, int], ...], ...]  # row -> ((start row, length, segment), ...), ascending
     xs: tuple[float, ...]
     ys: tuple[float, ...]
     scale: float  # heuristic factor: 1 - ε, or 0.0 when the heuristic is off
@@ -85,26 +86,27 @@ def _heuristic_scale(xs: list[float], ys: list[float], lengths: list[float]) -> 
     return 0.0
 
 
+def _rows(row: np.ndarray, items: list, n: int) -> tuple[tuple, ...]:
+    """``items`` grouped by ``row``, which is sorted, into one tuple for each of ``n`` rows."""
+    cut = np.searchsorted(row, np.arange(n + 1)).tolist()
+    return tuple(tuple(items[a:b]) for a, b in zip(cut, cut[1:]))
+
+
 def _compile(graph: RoadGraph) -> _Compiled:
-    ids = tuple(sorted(graph.nodes))
-    rows = {node_id: row for row, node_id in enumerate(ids)}
-    out: list[tuple[tuple[int, float], ...]] = []
-    into: list[list[int]] = [[] for _ in ids]
-    for u, node_id in enumerate(ids):  # ascending u, so each into[v] is sorted
-        edges: dict[int, float] = {}
-        for ref in graph.outgoing(node_id):
-            v = rows[ref.end_node]
-            if v not in edges or ref.length < edges[v]:
-                edges[v] = ref.length
-        for v in edges:
-            into[v].append(u)
-        out.append(tuple(edges.items()))
-    xs = [graph.nodes[node_id].x for node_id in ids]
-    ys = [graph.nodes[node_id].y for node_id in ids]
-    scale = _heuristic_scale(xs, ys, [w for edges in out for _, w in edges])
+    n = len(graph.ids)
+    # one edge per (start, end) pair: the shortest segment, then the smallest
+    # key (way, index, forward), as connecting_ref picks it
+    order = np.lexsort((graph.forward, graph.way_index, graph.way, graph.length, graph.end, graph.start))
+    seg = order[np.unique(graph.start[order] * n + graph.end[order], return_index=True)[1]]
+    u, v, w = graph.start[seg], graph.end[seg], graph.length[seg]
+    out = _rows(u, list(zip(v.tolist(), w.tolist())), n)
+    back = np.lexsort((u, v))
+    into = _rows(v[back], list(zip(u[back].tolist(), w[back].tolist(), seg[back].tolist())), n)
+    xs, ys = graph.x.tolist(), graph.y.tolist()
+    scale = _heuristic_scale(xs, ys, w.tolist())
     if not scale:  # off: zeros keep every key equal to its label, even at a non-finite coordinate
-        xs = ys = [0.0] * len(ids)
-    return _Compiled(ids, rows, tuple(out), tuple(map(tuple, into)), tuple(xs), tuple(ys), scale)
+        xs = ys = [0.0] * n
+    return _Compiled(out, into, tuple(xs), tuple(ys), scale)
 
 
 def shortest_path(graph: RoadGraph, from_node: int, to_node: int) -> Route:
@@ -130,9 +132,9 @@ def shortest_path(graph: RoadGraph, from_node: int, to_node: int) -> Route:
     if g is None:
         g = graph._router = _compile(graph)
     out, scale = g.out, g.scale
-    src, dst = g.rows[from_node], g.rows[to_node]
+    src, dst = graph.nodes[from_node], graph.nodes[to_node]
 
-    n = len(g.ids)
+    n = len(out)
     dist: list[float | None] = [None] * n
     rank: list[int | None] = [None] * n  # settle order
     xs, ys, xt, yt = g.xs, g.ys, g.xs[dst], g.ys[dst]
@@ -160,16 +162,15 @@ def shortest_path(graph: RoadGraph, from_node: int, to_node: int) -> Route:
     if rank[dst] is None:
         raise NoRouteError(from_node, to_node)
 
-    path = [dst]
+    path, segs = [dst], []
     v = dst
     while v != src:
         dv, rv = dist[v], rank[v]
-        v = next(u for u in g.into[v]
-                 if rank[u] is not None and rank[u] < rv and dist[u] + dict(out[u])[v] == dv)
+        v, k = next((u, k) for u, w, k in g.into[v] if rank[u] is not None and rank[u] < rv and dist[u] + w == dv)
         path.append(v)
-    node_ids = [g.ids[row] for row in reversed(path)]
-    refs = tuple(connecting_ref(graph, a, b) for a, b in zip(node_ids, node_ids[1:]))
-    return Route(tuple(node_ids), dist[dst], refs)
+        segs.append(k)
+    return Route(tuple(graph.ids[row] for row in reversed(path)), dist[dst],
+                 tuple(SegmentRef(graph, k) for k in reversed(segs)))
 
 
 def connecting_ref(graph: RoadGraph, a: int, b: int) -> SegmentRef | None:

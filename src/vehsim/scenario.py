@@ -624,24 +624,15 @@ def _spawn_interference(world: World, config: ScenarioConfig) -> None:
     graph = world.graph
     way_ids = sorted(graph.ways)
 
-    def directions_of(way_id: int, segment: int) -> list[bool]:
-        found = []
-        for forward in (True, False):
-            try:
-                graph.ref(way_id, segment, forward)
-            except KeyError:
-                continue
-            found.append(forward)
-        return found
-
     for _ in range(config.interference.count):
         vid = world.next_vehicle_id
         stream = substream(config.seed, "vehicle", vid)
         for _attempt in range(_PLACEMENT_ATTEMPTS):
             way_id = way_ids[int(stream.integers(len(way_ids)))]
-            n_segments = len(graph.ways[way_id].node_refs) - 1
-            segment = int(stream.integers(n_segments))
-            directions = directions_of(way_id, segment)
+            way = graph.ways[way_id]
+            segment = int(stream.integers(len(way.node_refs) - 1))
+            directions = [forward for forward, lanes in ((True, way.lanes_forward), (False, way.lanes_backward))
+                          if lanes >= 1]  # the directions the graph has a segment for
             forward = directions[int(stream.integers(len(directions)))]
             ref = graph.ref(way_id, segment, forward)
             lane = int(stream.integers(ref.lanes))
@@ -773,8 +764,8 @@ class Simulation:
         config, world, out = self.config, self.world, self.out_dir
         rows = list(self._rows)
         for violation in world.signal_violations:
-            node = world.graph.node(violation.node_id)
-            rows.append((violation.time, "signal_violation", violation.vehicle_id, "", "", node.x, node.y))
+            x, y = world.graph.position(violation.node_id)
+            rows.append((violation.time, "signal_violation", violation.vehicle_id, "", "", x, y))
         rows.sort(key=lambda row: (row[0], row[2], row[1]))
         with open(out / "events.csv", "w", newline="") as events_fh:
             events_fh.write(EVENTS_HEADER + "\n")

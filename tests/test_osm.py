@@ -2,8 +2,10 @@
 
 import math
 import re
-from dataclasses import replace
+import struct
+from itertools import accumulate
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,15 +15,16 @@ from vehsim.osm import (
     DanglingReferenceError,
     MapError,
     RoadGraph,
+    SegmentRef,
     TrafficSignal,
     build_graph,
     parse_osm,
     project,
     signal_phase,
-    unproject,
 )
 
 from conftest import corridor_osm_xml, grid_osm_xml
+from test_routing import _grid_graph, _jittered_lattice, _random_multigraph
 
 # One degree of latitude on the spherical earth model, in meters.
 METERS_PER_DEGREE = 111194.92664455873
@@ -40,15 +43,6 @@ def test_projection_shrinks_longitude_with_latitude():
     x, _ = project(60.0, 1.0, origin=(60.0, 0.0))
     assert x == pytest.approx(METERS_PER_DEGREE * math.cos(math.radians(60.0)), rel=1e-12)
     assert x == pytest.approx(55597.463322279365, rel=1e-12)
-
-
-def test_unproject_round_trip():
-    origin = (51.48, 7.55)
-    for lat, lon in [(51.4803, 7.5511), (51.4795, 7.5488), (51.48, 7.55)]:
-        x, y = project(lat, lon, origin)
-        back = unproject(x, y, origin)
-        assert back[0] == pytest.approx(lat, abs=1e-12)
-        assert back[1] == pytest.approx(lon, abs=1e-12)
 
 
 def test_out_of_range_coordinates_rejected():
@@ -127,13 +121,16 @@ def test_junction_adjacency_order_and_one_way(parsed):
         parsed.ref(11, 0, False)  # one-way: no reverse traversal exists
 
 
-def test_segments_of_and_geometry(parsed):
-    segs = parsed.segments_of(10)
-    assert [s.index for s in segs] == [0, 1]
-    assert segs[0].from_node == 1 and segs[0].to_node == 2
-    # nodes 1..3 lie on a meridian 0.001 degrees apart
-    assert segs[0].length == pytest.approx(0.001 * METERS_PER_DEGREE, rel=1e-9)
-    assert segs[0].heading == pytest.approx(math.pi / 2)  # due north
+def test_segment_rows_and_geometry(parsed):
+    first, second, back = parsed.ref(10, 0), parsed.ref(10, 1), parsed.ref(10, 0, False)
+    assert [ref.key for ref in (first, second, back)] == [(10, 0, True), (10, 1, True), (10, 0, False)]
+    assert (first.start_node, first.end_node, back.start_node, back.end_node) == (1, 2, 2, 1)
+    # nodes 1..3 lie on a meridian 0.001 degrees apart, 1 to 3 due north
+    assert first.length == back.length == parsed.segments[(10, 0)]
+    assert first.length == pytest.approx(0.001 * METERS_PER_DEGREE, rel=1e-9)
+    (x1, y1), (x2, y2), (x3, y3) = map(parsed.position, (1, 2, 3))
+    assert x1 == x2 == x3 and y1 < y2 < y3
+    assert len(parsed.segments) == 4  # pieces: two of way 10, one each of ways 11 and 12
 
 
 def test_parse_is_element_order_invariant(parsed):
@@ -146,8 +143,17 @@ def test_parse_is_element_order_invariant(parsed):
         if "</way>" in line or ("<node" in line and "/>" in line):
             blocks.append(current)
             current = []
-    shuffled = "\n".join([header] + [ln for blk in reversed(blocks) for ln in blk] + [footer])
-    assert parse_osm(shuffled) == parsed
+    shuffled = parse_osm("\n".join([header] + [ln for blk in reversed(blocks) for ln in blk] + [footer]))
+    # the same network, with the segment rows numbered in the other way order
+    assert _network(shuffled) == _network(parsed)
+    pairs = [(ref, shuffled.ref(*ref.key)) for ref in parsed.refs()]
+    assert all(a == b for a, b in pairs) and any(a.index != b.index for a, b in pairs)
+
+
+def _network(graph):
+    """What a graph describes, free of its row numbering: node positions, ways, signals, origin and adjacency."""
+    nodes = {node_id: graph.position(node_id) for node_id in graph.nodes}
+    return nodes, graph.ways, graph.signals, graph.origin, {node_id: graph.outgoing(node_id) for node_id in nodes}
 
 
 def test_dangling_node_reference_names_way_and_node():
@@ -270,10 +276,11 @@ def test_build_graph_options_and_validation():
     )
     ref = graph.ref(1, 0)
     assert ref.lanes == 2
-    assert (1, 0, False) not in graph._refs
+    with pytest.raises(KeyError):
+        graph.ref(1, 0, False)
     assert graph.ref(2, 0, forward=False).lanes == 1  # two-way default
     assert graph.bounds() == (0.0, 0.0, 100.0, 50.0)
-    assert graph.node(3).position == (100.0, 50.0)
+    assert graph.position(3) == (100.0, 50.0)
 
     with pytest.raises(ValueError, match="unknown options"):
         build_graph(nodes, [(1, [1, 2], {"bogus": 1})])
@@ -301,52 +308,97 @@ def test_lane_counts_beyond_the_cap_are_map_errors_naming_the_way():
 
 def test_build_graph_round_trips_metric_coordinates():
     graph = build_graph([(1, -250.0, 40.0), (2, 750.0, 40.0)], [(1, [1, 2])])
-    assert graph.node(1).x == pytest.approx(-250.0, abs=1e-6)
-    assert graph.node(1).y == pytest.approx(40.0, abs=1e-6)
-    assert graph.segments[(1, 0)].length == pytest.approx(1000.0, abs=1e-6)
+    assert graph.position(1) == (-250.0, 40.0)
+    assert graph.segments[(1, 0)] == 1000.0
 
 
-def _all_refs(graph):
-    return [ref for node_id in graph.nodes for ref in graph.outgoing(node_id)]
+def _reference_segments(graph):
+    """The object construction that the graph's columns replaced, kept as their oracle.
+
+    Every piece of every way in order, forward then backward, as (start node,
+    end node, length, lanes, key) with the length ``math.hypot`` of the node
+    coordinates; and each node's outgoing and incoming segments sorted by
+    (way, index, backward).
+    """
+    refs, out, into = [], {}, {}
+    for way in graph.ways.values():
+        for i in range(len(way.node_refs) - 1):
+            a, b = way.node_refs[i], way.node_refs[i + 1]
+            (ax, ay), (bx, by) = graph.position(a), graph.position(b)
+            length = math.hypot(bx - ax, by - ay)
+            for forward, lanes, start, end in ((True, way.lanes_forward, a, b), (False, way.lanes_backward, b, a)):
+                if lanes >= 1:
+                    ref = (start, end, struct.pack("<d", length), lanes, (way.id, i, forward))
+                    refs.append(ref)
+                    out.setdefault(start, []).append(ref)
+                    into.setdefault(end, []).append(ref)
+
+    def order(lst):
+        return [ref[4] for ref in sorted(lst, key=lambda ref: (ref[4][0], ref[4][1], not ref[4][2]))]
+
+    return refs, {node: order(lst) for node, lst in out.items()}, {node: order(lst) for node, lst in into.items()}
 
 
-def test_stored_ref_fields_agree_with_their_segment(parsed):
-    graphs = [
-        parse_osm(grid_osm_xml(4, 120.0)),
-        parsed,
-        build_graph(
-            [(1, 0.0, 0.0), (2, 100.0, 0.0), (3, 100.0, 50.0), (4, -30.0, 80.0)],
-            [(1, [1, 2, 3], {"lanes_forward": 2, "lanes_backward": 3}),
-             (2, [3, 4, 1], {"one_way": True})],
-        ),
-    ]
-    for graph in graphs:
-        refs = _all_refs(graph)
-        assert len(refs) == len(graph._refs)
-        for node_id in graph.nodes:
-            assert all(ref.start_node == node_id for ref in graph.outgoing(node_id))
-        for ref in refs:
-            seg = ref.segment
-            start, end = (seg.from_node, seg.to_node) if ref.forward else (seg.to_node, seg.from_node)
-            assert (ref.start_node, ref.end_node) == (start, end)
-            assert ref.length == seg.length
-            assert ref.key == (seg.way_id, seg.index, ref.forward)
-            assert graph.ref(*ref.key) is ref
-        assert [ref.index for ref in graph.refs()] == list(range(len(refs)))
-        assert list(graph.node_rows.items()) == [(node_id, row) for row, node_id in enumerate(graph.nodes)]
+def _assert_store_matches_reference(graph):
+    refs, out, into = _reference_segments(graph)
+    got = graph.refs()
+    assert [(r.start_node, r.end_node, struct.pack("<d", r.length), r.lanes, r.key) for r in got] == refs
+    assert [r.index for r in got] == list(range(len(refs)))
+    assert all(graph.ref(*ref.key) == ref and graph.ref(*ref.key).index == ref.index for ref in got)
+    for way in graph.ways.values():  # a direction without lanes, or a piece past the way's end, has no segment
+        for key, lanes in (((way.id, 0, True), way.lanes_forward), ((way.id, 0, False), way.lanes_backward),
+                           ((way.id, len(way.node_refs) - 1, True), 0), ((way.id, -1, True), 0)):
+            if lanes < 1:
+                with pytest.raises(KeyError):
+                    graph.ref(*key)
+    assert graph.ids == sorted(graph.nodes)
+    assert [graph.nodes[node_id] for node_id in graph.ids] == list(range(len(graph.ids)))
+    for node_id, row in graph.nodes.items():
+        assert [ref.key for ref in graph.outgoing(node_id)] == out.get(node_id, [])
+        assert all(ref.start_node == node_id for ref in graph.outgoing(node_id))
+        incoming = graph.in_seg[graph.in_start[row]:graph.in_start[row + 1]].tolist()
+        assert [got[k].key for k in incoming] == into.get(node_id, [])
+    lanes = [ref[3] for ref in refs]
+    assert graph.slot0.tolist() == list(accumulate(lanes, initial=0))[:-1]
+
+
+def _store_maps():
+    rng = np.random.default_rng(5)
+    yield parse_osm(grid_osm_xml(4, 120.0))
+    yield parse_osm(FIXTURE)
+    yield build_graph(
+        [(1, 0.0, 0.0), (2, 100.0, 0.0), (3, 100.0, 50.0), (4, -30.0, 80.0), (5, -10**25, 3.0)],
+        [(1, [1, 2, 3], {"lanes_forward": 2, "lanes_backward": 3}), (2, [3, 4, 1], {"one_way": True}),
+         (-7, [4, 2, 3, 2], {"lanes_forward": 0, "lanes_backward": 2}), (10**25, [5]), (3, [])],
+    )
+    yield _grid_graph(5, 100.0, lanes=4)
+    for _ in range(2):
+        yield _jittered_lattice(rng, 5, 120.0)
+    for scale, offset in ((1.0, 0.0), (1e-6, 1e6)):
+        for _ in range(10):
+            yield _random_multigraph(rng, scale, offset)
+
+
+def test_store_matches_the_object_construction_reference():
+    checked = 0
+    for graph in _store_maps():
+        _assert_store_matches_reference(graph)
+        checked += len(graph.length)
+    assert checked > 900
 
 
 def test_refs_of_two_parses_are_equal_and_hash_alike():
     text = grid_osm_xml(3, 150.0)
     first, second = parse_osm(text), parse_osm(text)
-    pairs = [(ref, second.ref(*ref.key)) for ref in _all_refs(first)]
+    pairs = [(ref, second.ref(*ref.key)) for ref in first.refs()]
     assert pairs
     for a, b in pairs:
-        assert a is not b
+        assert a is not b and a.graph is not b.graph
         assert a == b and hash(a) == hash(b)
-        # the stored fields follow from the others and take no part in equality or hashing
-        assert hash(a) == hash((a.segment, a.forward, a.lanes))
-        assert replace(a, length=a.length + 1.0, key=(0, 0, True), index=a.index + 1) == a
+        # equal by value: key, end nodes, length and lanes; the other direction of the piece differs
+        assert hash(a) == hash((a.key, a.start_node, a.end_node, a.length, a.lanes))
+        assert a != first.ref(a.key[0], a.key[1], not a.key[2]) and a != a.key
+    assert SegmentRef(first, 0) == SegmentRef(first, 0) and len(set(first.refs())) == len(pairs)
 
 
 def test_signal_validation():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -857,3 +858,18 @@ def test_cli_spacetime_rejects_branching_trace(grid_map, tmp_path, capsys):
     code = cli_main(["spacetime", str(out / "trace.csv"), "--out", str(tmp_path / "st.csv")])
     assert code == 2
     assert "corridor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rewrite", [lambda n: -n, lambda n: 10**25 + n], ids=["negative", "beyond-int64"])
+def test_negative_and_huge_osm_ids_run_and_draw(tmp_path, capsys, rewrite):
+    # negative ids (as JOSM writes new elements) and ids wider than 64 bits stay Python ints
+    text = re.sub(r'\b(id|ref)="(\d+)"', lambda m: f'{m[1]}="{rewrite(int(m[2]))}"', grid_osm_xml(4, 150.0))
+    (tmp_path / "grid.osm").write_text(text)
+    config = _write_config(tmp_path, f"map = grid.osm\nduration = 30\nseed = 3\ninterference.count = 8\n"
+                                     f"way = {rewrite(100)}\nsegment = 0\nstrategicModel = Trip\n"
+                                     f"trip = {rewrite(grid_node_id(3, 3))}, {rewrite(grid_node_id(0, 2))}\n")
+    out = tmp_path / "out"
+    assert cli_main(["run", str(config), "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["vehicles"] == 9
+    assert cli_main(["map-svg", str(tmp_path / "grid.osm"), "--trace", str(out / "trace.csv"),
+                     "--out", str(tmp_path / "map.svg")]) == 0

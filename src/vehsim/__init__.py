@@ -40,7 +40,7 @@ from .osm import (
 )
 from .radio import BaseStation, HandoverEvent, RadioObserver, detect_ping_pong, rssi
 from .routing import NoRouteError, Route, shortest_path
-from .scenario import ConfigError, ScenarioConfig, Simulation, dumps_config, load_config, read_trace, run
+from .scenario import ConfigError, ScenarioConfig, Simulation, Trace, dumps_config, load_config, read_trace, run
 from .exports import ExportError, export_spacetime, export_svg
 
 __version__ = "0.1.0"
@@ -67,6 +67,7 @@ __all__ = [
     "Simulation",
     "SimulationError",
     "StrandedError",
+    "Trace",
     "TrafficSignal",
     "Trip",
     "Vehicle",

@@ -19,7 +19,7 @@ from .exports import ExportError, export_spacetime, export_svg, write_spacetime_
 from .kernel import KernelError
 from .mobility import PlacementError, SimulationError
 from .osm import MapError, parse_osm
-from .scenario import ConfigError, dumps_config, load_config, read_trace, run
+from .scenario import ConfigError, Trace, dumps_config, load_config, read_trace, run
 
 logger = logging.getLogger(__name__)
 
@@ -77,7 +77,7 @@ class _TraceError(Exception):
     """A malformed trace file, an input problem like a bad config or map."""
 
 
-def _read_trace(path: str) -> list:
+def _read_trace(path: str) -> Trace:
     try:
         return read_trace(path)
     except ValueError as exc:
@@ -85,7 +85,7 @@ def _read_trace(path: str) -> list:
 
 
 def _cmd_map_svg(args: argparse.Namespace) -> int:
-    graph = parse_osm(Path(args.map).read_text())
+    graph = parse_osm(Path(args.map).read_bytes())
     overlay = _read_trace(args.trace) if args.trace else None
     Path(args.out).write_text(export_svg(graph, overlay))
     print(f"wrote {args.out}")

@@ -1,16 +1,21 @@
 """Post-processing exports: space-time tables and SVG map rendering.
 
-Both exporters work from plain data (trace samples, a parsed road graph) and
-know nothing about the simulation loop, so they can be applied to stored
-trace files long after a run.
+Both exporters work from plain data (a :class:`~vehsim.scenario.Trace`, a
+parsed road graph) and know nothing about the simulation loop, so they can be
+applied to stored trace files long after a run.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Protocol
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .osm import RoadGraph
+
+if TYPE_CHECKING:
+    from .scenario import Trace
 
 DEFAULT_MAX_RESIDUAL_M = 15.0
 _POINT_EPS = 1e-6
@@ -20,11 +25,13 @@ class ExportError(Exception):
     """The requested export is not applicable to the given data."""
 
 
-class _PositionedSample(Protocol):
-    t: float
-    vehicle_id: int
-    x: float
-    y: float
+def _by_vehicle(trace: Trace) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Rows grouped by ascending vehicle id, each vehicle's by time (file order
+    among equal times), and each vehicle's ``(start, stop)`` span in that order."""
+    order = np.lexsort((trace.t, trace.vehicle_id))
+    vids = trace.vehicle_id[order]
+    bounds = [0, *(np.flatnonzero(vids[1:] != vids[:-1]) + 1).tolist(), len(order)] if len(order) else []
+    return order, list(zip(bounds, bounds[1:]))
 
 
 def _polyline_of(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -69,7 +76,7 @@ def _project_to_polyline(
 
 
 def export_spacetime(
-    samples: Iterable[_PositionedSample],
+    trace: Trace,
     *,
     max_residual_m: float = DEFAULT_MAX_RESIDUAL_M,
 ) -> list[tuple[float, int, float]]:
@@ -83,39 +90,36 @@ def export_spacetime(
     monotone (projection jitter near the axis ends cannot move a vehicle
     backwards).  Rows come out sorted by (t, vehicle_id).
     """
-    by_vehicle: dict[int, list[_PositionedSample]] = {}
-    for s in samples:
-        by_vehicle.setdefault(s.vehicle_id, []).append(s)
-    if not by_vehicle:
+    if not len(trace):
         raise ExportError("no trace samples to export")
-    for rows in by_vehicle.values():
-        rows.sort(key=lambda s: s.t)
+    order, spans = _by_vehicle(trace)
+    x, y = trace.x[order], trace.y[order]
+    ts, vids, xs, ys = trace.t[order].tolist(), trace.vehicle_id[order].tolist(), x.tolist(), y.tolist()
 
-    def path_length(rows: list[_PositionedSample]) -> float:
-        return sum(
-            math.hypot(b.x - a.x, b.y - a.y) for a, b in zip(rows, rows[1:])
-        )
+    def path_length(span: tuple[int, int]) -> float:
+        a, b = span
+        return sum(map(math.hypot, np.diff(x[a:b]).tolist(), np.diff(y[a:b]).tolist()))
 
-    ref_id = max(by_vehicle, key=lambda vid: (path_length(by_vehicle[vid]), -vid))
-    poly = _polyline_of([(s.x, s.y) for s in by_vehicle[ref_id]])
+    a, b = max(spans, key=lambda span: (path_length(span), -vids[span[0]]))
+    poly = _polyline_of(list(zip(xs[a:b], ys[a:b])))
 
     out: list[tuple[float, int, float]] = []
-    for vid in sorted(by_vehicle):
+    for a, b in spans:
         arc_prev = -math.inf
-        for s in by_vehicle[vid]:
+        for t, vid, px, py in zip(ts[a:b], vids[a:b], xs[a:b], ys[a:b]):
             if len(poly) < 2:
-                arc = math.hypot(s.x - poly[0][0], s.y - poly[0][1])
+                arc = math.hypot(px - poly[0][0], py - poly[0][1])
             else:
-                arc, residual = _project_to_polyline(poly, s.x, s.y)
+                arc, residual = _project_to_polyline(poly, px, py)
                 if residual > max_residual_m:
                     raise ExportError(
-                        f"vehicle {vid} at t={s.t:g} lies {residual:.1f} m off the "
+                        f"vehicle {vid} at t={t:g} lies {residual:.1f} m off the "
                         "corridor axis; space-time export only supports "
                         "single-corridor scenarios"
                     )
             arc = max(arc, arc_prev)
             arc_prev = arc
-            out.append((s.t, vid, arc))
+            out.append((t, vid, arc))
     out.sort(key=lambda row: (row[0], row[1]))
     return out
 
@@ -129,7 +133,7 @@ def write_spacetime_csv(rows: list[tuple[float, int, float]], path: str) -> None
 
 def export_svg(
     graph: RoadGraph,
-    trace: Iterable[_PositionedSample] | None = None,
+    trace: Trace | None = None,
     *,
     size: float = 1000.0,
     margin: float = 20.0,
@@ -139,15 +143,17 @@ def export_svg(
     One polyline per way, drawn through all its node refs in map coordinates
     (y axis flipped to screen orientation); the longer map extent is scaled to
     ``size`` pixels.  Trace samples, when given, appear as one colored
-    polyline per vehicle.
+    polyline per vehicle, in ascending vehicle id.
     """
     if not graph.ways:
         raise ExportError("graph has no ways to draw")
     min_x, min_y, max_x, max_y = graph.bounds()
     scale = size / max(max_x - min_x, max_y - min_y, 1e-9)
 
-    def to_svg(x: float, y: float) -> tuple[float, float]:
-        return margin + (x - min_x) * scale, margin + (max_y - y) * scale
+    def to_svg(x: np.ndarray, y: np.ndarray) -> list[str]:
+        """Each map point (x[i], y[i]) as an ``"x,y"`` screen point."""
+        return list(map("{:.2f},{:.2f}".format,
+                        (margin + (x - min_x) * scale).tolist(), (margin + (max_y - y) * scale).tolist()))
 
     width = (max_x - min_x) * scale + 2 * margin
     height = (max_y - min_y) * scale + 2 * margin
@@ -158,24 +164,17 @@ def export_svg(
         f'viewBox="0 0 {width:.1f} {height:.1f}">',
         f'<rect width="{width:.1f}" height="{height:.1f}" fill="white"/>',
     ]
-    xs, ys, rows = graph.x.tolist(), graph.y.tolist(), graph.nodes
+    nodes, rows = to_svg(graph.x, graph.y), graph.nodes  # one screen point per node row
     for way_id in sorted(graph.ways):
-        pts = " ".join(
-            "{:.2f},{:.2f}".format(*to_svg(xs[row], ys[row]))
-            for row in map(rows.__getitem__, graph.ways[way_id].node_refs)
-        )
+        pts = " ".join(nodes[rows[node_id]] for node_id in graph.ways[way_id].node_refs)
         parts.append(
             f'<polyline fill="none" stroke="#555555" stroke-width="2" points="{pts}"/>'
         )
     if trace is not None:
-        by_vehicle: dict[int, list[_PositionedSample]] = {}
-        for s in trace:
-            by_vehicle.setdefault(s.vehicle_id, []).append(s)
-        for vid in sorted(by_vehicle):
-            rows = sorted(by_vehicle[vid], key=lambda s: s.t)
-            pts = " ".join(
-                "{:.2f},{:.2f}".format(*to_svg(s.x, s.y)) for s in rows
-            )
+        order, spans = _by_vehicle(trace)
+        x, y = trace.x[order], trace.y[order]
+        for a, b in spans:
+            pts = " ".join(to_svg(x[a:b], y[a:b]))
             parts.append(
                 f'<polyline fill="none" stroke="#cc2222" stroke-width="1" points="{pts}"/>'
             )

@@ -19,7 +19,7 @@ graph is immutable after parsing.
 from __future__ import annotations
 
 import math
-import xml.etree.ElementTree as ET
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 from xml.parsers import expat
@@ -42,15 +42,17 @@ class DanglingReferenceError(MapError):
     """A way references a node id that is not present in the document."""
 
 
-def project(lat: float, lon: float, origin: tuple[float, float]) -> tuple[float, float]:
+def project(lat: float | np.ndarray, lon: float | np.ndarray, origin: tuple[float, float]) -> tuple:
     """Equirectangular projection of (lat, lon) about ``origin`` = (lat0, lon0).
 
     Returns local metric (x, y): x grows eastward scaled by cos(lat0), y grows
     northward.  Accurate to well under a meter across a few kilometers, which
-    is the intended extract size.
+    is the intended extract size.  ``lat`` and ``lon`` are floats or NumPy
+    arrays of them; an array is projected point by point, bit for bit as
+    each float would be.
     """
     lat0, lon0 = origin
-    if not (-90.0 <= lat <= 90.0) or not (-180.0 <= lon <= 180.0):
+    if not (np.all((-90.0 <= lat) & (lat <= 90.0)) and np.all((-180.0 <= lon) & (lon <= 180.0))):
         raise MapError(f"coordinate out of range: lat={lat!r} lon={lon!r}")
     k = math.pi / 180.0
     x = EARTH_RADIUS_M * (lon - lon0) * math.cos(lat0 * k) * k
@@ -261,75 +263,107 @@ def _split_lanes(total: int, one_way: bool) -> tuple[int, int]:
     return max(forward, 1), total // 2
 
 
-def _line(document: str, root: ET.Element, element: ET.Element) -> str:
-    """``" (line N)"`` for ``element`` of the parsed ``document``.
-
-    ElementTree keeps no line numbers, so this re-scans the text with expat and
-    counts start tags of the element's name in document order; it runs only on
-    the way to an error.
-    """
-    nth = next(i for i, el in enumerate(root.iter(element.tag)) if el is element)
-    parser = expat.ParserCreate(namespace_separator="}")  # names as ElementTree's parser sees them
-    lines: list[int] = []
-
-    def start(name: str, attrs: dict) -> None:
-        if name == element.tag:
-            lines.append(parser.CurrentLineNumber)
-
-    parser.StartElementHandler = start
-    parser.Parse(document, True)
-    return f" (line {lines[nth]})"
+def _attrib(attrs: dict[str, str]) -> dict[str, str]:
+    """An element's attributes as ElementTree names them (``{uri}name`` when namespaced), for messages."""
+    return {"{" + name if "}" in name else name: value for name, value in attrs.items()}
 
 
-def parse_osm(document: str) -> RoadGraph:
+def parse_osm(document: bytes | str) -> RoadGraph:
     """Parse an OSM XML extract into a :class:`RoadGraph`.
 
-    Raises :class:`MapError` for malformed XML and for any bad element, and
+    ``document`` is the file's bytes, decoded as its XML declaration says
+    (UTF-8 when it names none), or text already decoded.  One expat pass
+    records every node and way with the line of its start tag, and the
+    records are checked only once the whole document has parsed.  Raises
+    :class:`MapError` for malformed XML (bytes that do not decode included)
+    and for any bad element, nodes before ways, and
     :class:`DanglingReferenceError` naming the way and node when a ``<nd>``
     ref points at a missing node; every one names the line, except the error
     for a document without drivable ways.
     """
-    try:
-        root = ET.fromstring(document)
-    except ET.ParseError as exc:
-        line, column = exc.position
-        raise MapError(f"malformed OSM XML at line {line}, column {column}: {exc.msg}") from exc
+    # element names as ElementTree sees them: a namespaced <node> is "uri}node", not a node
+    parser = expat.ParserCreate(namespace_separator="}")
+    node_rows: dict[int, int] = {}  # node id -> row of its last definition
+    lats, lons, node_lines = array("d"), array("d"), array("q")
+    node_highway: list[str | None] = []  # each row's last highway tag
+    bad_node: tuple[dict[str, str], int] | None = None
+    # per way: id (its attributes when bad), line, tags, and its nds' refs (attributes when bad) and lines
+    way_records: list[tuple[int | dict, int, dict[str, str], list[int | dict], list[int]]] = []
+    open_nodes: list[int] = []
+    open_ways: list[tuple] = []
 
-    raw_nodes: dict[int, tuple[float, float, dict[str, str]]] = {}
-    for el in root.iter("node"):
-        try:
-            node_id = int(el.attrib["id"])
-            lat = float(el.attrib["lat"])
-            lon = float(el.attrib["lon"])
-        except (KeyError, ValueError) as exc:
-            where = _line(document, root, el)
-            raise MapError(f"node element missing or bad id/lat/lon: {el.attrib}{where}") from exc
-        tags = {t.attrib.get("k", ""): t.attrib.get("v", "") for t in el.iter("tag")}
-        raw_nodes[node_id] = (lat, lon, tags)
+    # an element's tags and nds are all those inside it, at any depth, as ElementTree's iter() finds them
+    def start(name: str, attrs: dict[str, str]) -> None:
+        nonlocal bad_node
+        if name == "nd":
+            try:
+                ref = int(attrs["ref"])
+            except (KeyError, ValueError):
+                ref = _attrib(attrs)
+            for way in open_ways:
+                way[3].append(ref)
+                way[4].append(parser.CurrentLineNumber)
+        elif name == "tag":
+            key, value = attrs.get("k", ""), attrs.get("v", "")
+            for way in open_ways:
+                way[2][key] = value
+            if key == "highway":
+                for row in open_nodes:
+                    node_highway[row] = value
+        elif name == "node":
+            row = len(node_highway)
+            try:
+                node_id, lat, lon = int(attrs["id"]), float(attrs["lat"]), float(attrs["lon"])
+            except (KeyError, ValueError):
+                bad_node = bad_node or (_attrib(attrs), parser.CurrentLineNumber)
+                lat = lon = math.nan
+            else:
+                node_rows[node_id] = row
+            lats.append(lat)
+            lons.append(lon)
+            node_lines.append(parser.CurrentLineNumber)
+            node_highway.append(None)
+            open_nodes.append(row)
+        elif name == "way":
+            try:
+                way_id = int(attrs["id"])
+            except (KeyError, ValueError):
+                way_id = _attrib(attrs)
+            way_records.append((way_id, parser.CurrentLineNumber, {}, [], []))
+            open_ways.append(way_records[-1])
+
+    def end(name: str) -> None:
+        if name == "node":
+            open_nodes.pop()
+        elif name == "way":
+            open_ways.pop()
+
+    parser.StartElementHandler, parser.EndElementHandler = start, end
+    try:
+        parser.Parse(document, True)
+    except (expat.ExpatError, LookupError, ValueError) as exc:  # the latter two: an encoding expat cannot read
+        raise MapError(f"malformed OSM XML at line {parser.ErrorLineNumber}, column {parser.ErrorColumnNumber}:"
+                       f" {exc}") from exc
+    finally:
+        parser.StartElementHandler = parser.EndElementHandler = None  # they close over the parser: a cycle
+    if bad_node is not None:
+        raise MapError(f"node element missing or bad id/lat/lon: {bad_node[0]} (line {bad_node[1]})")
 
     ways: dict[int, Way] = {}
-    way_elements: dict[int, ET.Element] = {}
+    way_lines: dict[int, int] = {}
     used: set[int] = set()
-    for el in root.iter("way"):
-        try:
-            way_id = int(el.attrib["id"])
-        except (KeyError, ValueError) as exc:
-            where = _line(document, root, el)
-            raise MapError(f"way element missing or bad id: {el.attrib}{where}") from exc
-        tags = {t.attrib.get("k", ""): t.attrib.get("v", "") for t in el.iter("tag")}
+    for way_id, line, tags, nd_refs, nd_lines in way_records:
+        if isinstance(way_id, dict):
+            raise MapError(f"way element missing or bad id: {way_id} (line {line})")
         highway = tags.get("highway")
         if highway is None or highway in NON_DRIVABLE:
             continue
         refs = []
-        for nd in el.iter("nd"):
-            try:
-                ref = int(nd.attrib["ref"])
-            except (KeyError, ValueError) as exc:
-                where = _line(document, root, nd)
-                raise MapError(f"way {way_id}: bad nd element {nd.attrib}{where}") from exc
-            if ref not in raw_nodes:
-                raise DanglingReferenceError(
-                    f"way {way_id} references missing node {ref}{_line(document, root, nd)}")
+        for ref, nd_line in zip(nd_refs, nd_lines):
+            if isinstance(ref, dict):
+                raise MapError(f"way {way_id}: bad nd element {ref} (line {nd_line})")
+            if ref not in node_rows:
+                raise DanglingReferenceError(f"way {way_id} references missing node {ref} (line {nd_line})")
             refs.append(ref)
         if len(refs) < 2:
             continue  # degenerate way, nothing drivable
@@ -343,7 +377,7 @@ def parse_osm(document: str) -> RoadGraph:
             if total >= 1:
                 lanes_forward, lanes_backward = _split_lanes(total, one_way)
         ways[way_id] = Way(way_id, tuple(refs), lanes_forward, lanes_backward, one_way)
-        way_elements[way_id] = el
+        way_lines[way_id] = line
         used.update(refs)
 
     if not ways:
@@ -351,29 +385,22 @@ def parse_osm(document: str) -> RoadGraph:
 
     # every used coordinate is checked before the origin is taken from them:
     # one non-finite value would make the origin, and so every node, non-finite
-    lats: list[float] = []
-    lons: list[float] = []
-    for node_id in used:
-        lat, lon, _ = raw_nodes[node_id]
-        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-            last = [el for el in root.iter("node") if int(el.attrib["id"]) == node_id][-1]
-            raise MapError(
-                f"node {node_id}: coordinate not finite or out of range: lat={lat!r} lon={lon!r}"
-                f"{_line(document, root, last)}"
-            )
-        lats.append(lat)
-        lons.append(lon)
-    origin = ((min(lats) + max(lats)) / 2.0, (min(lons) + max(lons)) / 2.0)
+    ids = list(used)
+    rows = [node_rows[node_id] for node_id in ids]
+    lat, lon = np.frombuffer(lats)[rows], np.frombuffer(lons)[rows]
+    bad = ~((-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0))
+    if bad.any():
+        i = int(bad.argmax())
+        raise MapError(f"node {ids[i]}: coordinate not finite or out of range: lat={lat[i].item()!r}"
+                       f" lon={lon[i].item()!r} (line {node_lines[rows[i]]})")
+    lat_list, lon_list = lat.tolist(), lon.tolist()
+    origin = ((min(lat_list) + max(lat_list)) / 2.0, (min(lon_list) + max(lon_list)) / 2.0)
 
-    coords: dict[int, tuple[float, float]] = {}
-    signals: dict[int, TrafficSignal] = {}
-    for node_id in used:
-        lat, lon, tags = raw_nodes[node_id]
-        coords[node_id] = project(lat, lon, origin)
-        if tags.get("highway") == "traffic_signals":
-            signals[node_id] = TrafficSignal(node_id)
-
-    return RoadGraph(coords, ways, signals, origin, lambda way_id: _line(document, root, way_elements[way_id]))
+    x, y = project(lat, lon, origin)
+    coords = dict(zip(ids, zip(x.tolist(), y.tolist())))
+    signals = {node_id: TrafficSignal(node_id)
+               for node_id, row in zip(ids, rows) if node_highway[row] == "traffic_signals"}
+    return RoadGraph(coords, ways, signals, origin, lambda way_id: f" (line {way_lines[way_id]})")
 
 
 def build_graph(

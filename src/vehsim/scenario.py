@@ -24,12 +24,15 @@ import json
 import logging
 import math
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .kernel import NS_PER_SECOND, Event, EventKernel, to_ns
 from .mobility import (
@@ -131,16 +134,28 @@ class ScenarioConfig:
     key_lines: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class TraceSample:
-    t: float
-    vehicle_id: int
-    x: float
-    y: float
-    v: float
-    acc: float
-    serving_cell: str | None = None
-    rssi: float | None = None
+class Trace:
+    """A ``trace.csv`` held as columns, one row per sample in file order.
+
+    ``t``, ``x``, ``y``, ``v`` and ``acc`` are float64 and ``vehicle_id`` is
+    int64.  ``rssi`` is float64, NaN where the file leaves it blank (a file
+    never holds a non-finite number), and ``serving_cell`` holds None where
+    blank and otherwise one string object per distinct cell.  ``len()`` is
+    the number of rows.
+    """
+
+    __slots__ = ("t", "vehicle_id", "x", "y", "v", "acc", "rssi", "serving_cell")
+
+    def __init__(self, t, vehicle_id, x, y, v, acc, rssi, serving_cell) -> None:
+        self.t, self.x, self.y, self.v, self.acc, self.rssi = (
+            np.asarray(column, float) for column in (t, x, y, v, acc, rssi))
+        self.vehicle_id = np.asarray(vehicle_id, np.int64)
+        self.serving_cell = np.asarray(serving_cell, object)
+        if any(getattr(self, name).shape != self.t.shape for name in self.__slots__) or self.t.ndim != 1:
+            raise ValueError("trace columns must be one-dimensional and of one length")
+
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 @dataclass(frozen=True)
@@ -546,11 +561,24 @@ def _finite(text: str) -> float:
     return value
 
 
-def read_trace(path: str | Path) -> list[TraceSample]:
-    """Load a trace.csv back into samples (blank optionals become None); a malformed
-    file (header, field count, a value, a non-finite number) raises ``ValueError``
-    naming the line."""
-    samples = []
+def _check_fields(raw: str) -> None:
+    """Check a trace line field by field, in column order, raising the ``ValueError`` of its first fault."""
+    t, vid, x, y, v, acc, _, rssi = raw.rstrip("\n").split(",")
+    _finite(t), int(vid), _finite(x), _finite(y), _finite(v), _finite(acc), rssi and _finite(rssi)
+
+
+def read_trace(path: str | Path) -> Trace:
+    """Load a trace.csv back as a :class:`Trace`; a malformed file (header,
+    field count, a value, a non-finite number) raises ``ValueError`` naming
+    the line of its first fault.
+
+    Each line's numbers are parsed at once and checked to be finite by one
+    sum; only a line that fails is checked again field by field
+    (:func:`_check_fields`), to name its first fault.
+    """
+    values = array("d")  # t, x, y, v, acc, rssi of each row in turn
+    keys = array("q")  # vehicle id and cell code of each row in turn
+    cells = {"": 0}  # cell name -> code; blank is 0
     with open(path, newline="") as fh:
         header = fh.readline().rstrip("\n")
         if header != TRACE_HEADER:
@@ -558,11 +586,24 @@ def read_trace(path: str | Path) -> list[TraceSample]:
         try:
             for raw in fh:
                 t, vid, x, y, v, acc, cell, rssi = raw.rstrip("\n").split(",")
-                samples.append(TraceSample(_finite(t), int(vid), _finite(x), _finite(y), _finite(v), _finite(acc),
-                                           cell or None, _finite(rssi) if rssi else None))
-        except ValueError as exc:  # each line before the failing one added one sample
-            raise ValueError(f"line {len(samples) + 2}: {exc}") from None
-    return samples
+                try:
+                    t, vid, x, y, v, acc = float(t), int(vid), float(x), float(y), float(v), float(acc)
+                    level = float(rssi) if rssi else 0.0
+                    # n - n is 0.0 for a finite n and nan for inf or nan, so the sum is 0.0 only if all are finite
+                    if (t - t) + (x - x) + (y - y) + (v - v) + (acc - acc) + (level - level):
+                        raise ValueError("a number is not finite")
+                except ValueError:
+                    _check_fields(raw)  # raises: a line that fails the parse has a fault
+                    raise
+                keys.fromlist([vid, cells.setdefault(cell, len(cells))])
+                values.fromlist([t, x, y, v, acc, level if rssi else math.nan])
+        except (ValueError, OverflowError) as exc:  # OverflowError: a vehicle id beyond 64 bits
+            # each line before the failing one added one row, the failing one none
+            raise ValueError(f"line {len(keys) // 2 + 2}: {exc}") from None
+    t, x, y, v, acc, rssi = np.frombuffer(values).reshape(-1, 6).T.copy()
+    vehicle_id, cell = np.frombuffer(keys, np.int64).reshape(-1, 2).T.copy()
+    names = np.array([name or None for name in cells], object)
+    return Trace(t, vehicle_id, x, y, v, acc, rssi, names[cell])
 
 
 # -- execution -----------------------------------------------------------------
@@ -682,7 +723,7 @@ class Simulation:
         out.mkdir(parents=True, exist_ok=True)
         (out / "config.ini").write_text(echo_text if echo_text is not None else dumps_config(config))
 
-        graph = parse_osm(Path(config.map_path).read_text())
+        graph = parse_osm(Path(config.map_path).read_bytes())
         logger.info("parsed map %s: %d nodes, %d ways", config.map_path, len(graph.nodes), len(graph.ways))
         self.world = world = World(graph, seed=config.seed)
         for signal in config.signals:

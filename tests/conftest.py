@@ -1,4 +1,4 @@
-"""Shared builders for the test suite: synthetic corridors and grid maps, a host queue."""
+"""Shared builders for the test suite: synthetic corridors and grid maps, traces, a host queue."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import heapq
 import math
 
 from vehsim.osm import EARTH_RADIUS_M, TrafficSignal, build_graph
+from vehsim.scenario import Trace
 
 _DEG = math.pi / 180.0
 
@@ -18,6 +19,13 @@ def corridor_graph(length_m: float = 1000.0, *, lanes: int = 1, way_id: int = 1,
         ways=[(way_id, [node_a, node_b], {"one_way": True, "lanes_forward": lanes})],
         signals=signals,
     )
+
+
+def trace_of(samples) -> Trace:
+    """A :class:`Trace` of (t, vehicle_id, x, y[, v, acc]) rows, without radio values."""
+    rows = [(*row, 0.0, 0.0)[:6] for row in samples]  # v and acc default to 0
+    t, vid, x, y, v, acc = zip(*rows) if rows else ((),) * 6
+    return Trace(t, vid, x, y, v, acc, [math.nan] * len(rows), [None] * len(rows))
 
 
 def chain_graph(spacing_m: float, count: int, *, way_id: int = 1, lanes: int = 1,

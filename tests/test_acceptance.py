@@ -25,9 +25,9 @@ from vehsim.mobility import (
 from vehsim.osm import TrafficSignal, build_graph
 from vehsim.radio import BaseStation, RadioObserver, detect_ping_pong
 from vehsim.routing import NoRouteError, shortest_path
-from vehsim.scenario import TraceSample, dumps_config, load_config, read_trace, run
+from vehsim.scenario import dumps_config, load_config, read_trace, run
 
-from conftest import RADIO_GRID_CONFIG, HeapHost, chain_graph, corridor_graph, grid_osm_xml
+from conftest import RADIO_GRID_CONFIG, HeapHost, chain_graph, corridor_graph, grid_osm_xml, trace_of
 
 
 def _verdict(criterion, ok, detail):
@@ -124,9 +124,7 @@ def test_criterion_2_corridor_jam_dissolves_and_reforms_at_obstacle():
             if veh.v < 0.1 and x > 300.0:
                 stopped.append(x)
             if step % 10 == 9:
-                samples.append(
-                    TraceSample(world.time, vid, x, y, veh.v, veh.acc, None, None)
-                )
+                samples.append((world.time, vid, x, y, veh.v, veh.acc))
         if stopped:
             front = min(stopped)
             if front > last_front + 0.5:
@@ -138,7 +136,7 @@ def test_criterion_2_corridor_jam_dissolves_and_reforms_at_obstacle():
     finals = [(world.position(world.vehicles[v])[0], world.vehicles[v].v) for v in vids]
     all_rest_upstream = all(v < 0.1 and x < 700.0 for x, v in finals)
     no_collisions = not world.collisions
-    arcs = [row[2] for row in export_spacetime(samples)]
+    arcs = [row[2] for row in export_spacetime(trace_of(samples))]
     spacetime_ok = all(0.0 <= arc <= 1000.0 for arc in arcs)
 
     _verdict(
@@ -178,9 +176,8 @@ def test_criterion_3_grid_scenario_completes_trip_with_radio_trace(grid_first_ru
     artifacts, elapsed = grid_first_run
     summary = artifacts.summary
     samples = read_trace(artifacts.trace_path)
-    populated = samples and all(
-        s.serving_cell is not None and s.rssi is not None for s in samples
-    )
+    populated = len(samples) and all(cell is not None for cell in samples.serving_cell) and not np.isnan(
+        samples.rssi).any()
     trip_done = summary["completed_trips"] == 1
     has_handover = summary["handover_count"] >= 1
     _verdict(

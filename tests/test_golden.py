@@ -1,5 +1,6 @@
 """Golden pins: SHA-256 digests of the deterministic artifacts of seven scenarios,
-and of the in-memory records and full-precision per-step state of eight more.
+of the ``map-svg --trace`` (and, on a corridor, ``spacetime``) output of three of
+them, and of the in-memory records and full-precision per-step state of eight more.
 
 Two of the seven also run host-driven, sharing the kernel with a foreign module,
 and must give the same bytes.  A refactor that is meant to keep behaviour
@@ -14,6 +15,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from vehsim.cli import main as cli_main
 from vehsim.kernel import EventKernel
 from vehsim.mobility import VEHICLE_LENGTH, IdmParams, RandomDirection, StrandedError, Trip, World, equilibrium_gap
 from vehsim.osm import TrafficSignal, parse_osm
@@ -176,6 +178,10 @@ ARTERIAL_DIGESTS = {
     "summary.json": "c13185af6f0cf3053b76f3392543eebacaf7f02da5edf74792de6df2aa718a64",
 }
 
+# the exporters' output on the runs above, read back from their trace.csv
+RADIO_EXPORT_DIGESTS = {"map.svg": "0935ac2ddc3aa62e8121e40374dd461f61bef7a8b1ab1dc73791783706c2d6ad"}
+ARTERIAL_EXPORT_DIGESTS = {"map.svg": "bd96f1471bb576c3bec1bbe110d48253ff955e97681580e00d3c9e00132f8515"}
+
 # criterion 3 of the acceptance suite: 101 vehicles, three stations, 240 s
 RADIO_GRID_DIGESTS = {
     "trace.csv": "cc4bc3f99402962daf9ba220435d50963c30bf4e19158a191efcfb7b2eeca3b9",
@@ -221,6 +227,16 @@ def _digests(out_dir) -> dict[str, str]:
     return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in _ARTIFACTS}
 
 
+def _export_digests(tmp_path, *, spacetime: bool = False) -> dict[str, str]:
+    """Digests of ``map-svg --trace`` (and of ``spacetime`` where asked) on the run in ``tmp_path``."""
+    out, files = tmp_path / "out", {"map.svg": ["map-svg", str(tmp_path / "grid.osm"), "--trace"]}
+    if spacetime:
+        files["spacetime.csv"] = ["spacetime"]
+    for name, argv in files.items():
+        assert cli_main(argv + [str(out / "trace.csv"), "--out", str(tmp_path / name)]) == 0
+    return {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in files}
+
+
 def _run(tmp_path, osm_text: str, config_text: str):
     (tmp_path / "grid.osm").write_text(osm_text)
     artifacts = run(load_config(config_text, base_dir=tmp_path), tmp_path / "out")
@@ -231,6 +247,7 @@ def test_shadowed_radio_grid_bytes_are_pinned(tmp_path):
     summary, digests = _run(tmp_path, grid_osm_xml(4, 300.0), RADIO_CONFIG)
     assert summary["handover_count"] >= 1
     assert digests == RADIO_DIGESTS
+    assert _export_digests(tmp_path) == RADIO_EXPORT_DIGESTS
 
 
 def test_multilane_grid_without_stations_bytes_are_pinned(tmp_path):
@@ -253,6 +270,7 @@ def test_arterials_signals_and_trips_bytes_are_pinned(tmp_path):
     summary, digests = _run(tmp_path, _arterial_grid_xml(), ARTERIAL_CONFIG)
     assert summary["lane_change_count"] >= 1
     assert digests == ARTERIAL_DIGESTS
+    assert _export_digests(tmp_path) == ARTERIAL_EXPORT_DIGESTS
 
 
 def test_criterion_3_radio_grid_bytes_are_pinned(tmp_path):
@@ -297,11 +315,17 @@ STRANDED_CONVOY_DIGESTS = {
     "events.csv": "0b52bd1d3b5a1553562e7730005ef8d485039b92bbac1a4f9574b14b3afa1fdd",
     "summary.json": "f2642a91c3311960c103313f6315191f9990a48d8ca9b573b02b7efb54576ce7",
 }
+# the convoy's trace drawn and flattened onto the corridor
+STRANDED_CONVOY_EXPORT_DIGESTS = {
+    "map.svg": "308b2ae923256c632409bc8a8a1774b098101736c1adaf5b4f85134dcab8bb0c",
+    "spacetime.csv": "4905e5eed3c9eea5fca9837c15824148c1096adb8aa902eaaf4f16afbaa4f91e",
+}
 
 def test_aborted_stranded_convoy_bytes_are_pinned(tmp_path):
     with pytest.raises(StrandedError):
         _run(tmp_path, corridor_osm_xml(1000.0), STRANDED_CONVOY_CONFIG)
     assert _digests(tmp_path / "out") == STRANDED_CONVOY_DIGESTS
+    assert _export_digests(tmp_path, spacetime=True) == STRANDED_CONVOY_EXPORT_DIGESTS
 
 
 BEACON_PERIOD_S = 0.1

@@ -3,7 +3,9 @@
 import math
 import re
 import struct
+import xml.etree.ElementTree as ET
 from itertools import accumulate
+from xml.parsers import expat
 
 import numpy as np
 import pytest
@@ -12,11 +14,14 @@ from hypothesis import strategies as st
 
 from vehsim.osm import (
     MAX_LANES,
+    NON_DRIVABLE,
     DanglingReferenceError,
     MapError,
     RoadGraph,
     SegmentRef,
     TrafficSignal,
+    Way,
+    _split_lanes,
     build_graph,
     parse_osm,
     project,
@@ -223,20 +228,23 @@ _LOCATED = """<osm>
 </osm>"""
 
 
+_LOCATED_ERRORS = [
+    ('<node id="2" lat="0.001"', '<node id="x2" lat="0.001"', "node element missing or bad", 3),
+    ('lat="0.002" lon="0.0"', 'lat="0.002"', "node element missing or bad", 4),
+    ('<way id="8">', '<way id="">', "way element missing or bad id", 10),
+    ('<nd ref="2"/>\n', '<nd ref="two"/>\n', "way 7: bad nd element", 7),
+    ('<nd ref="3"/>', '<nd ref="9"/>', "way 8 references missing node 9", 10),
+    ('lat="0.002" lon="0.0"', 'lat="0.002" lon="nan"', "node 3: coordinate not finite", 4),
+    ('lat="0.002" lon="0.0"', 'lat="0.001" lon="0.0"', "way 8: zero-length segment at index 0", 10),
+    ('<tag k="highway" v="residential"/>\n  </way>',
+     '<tag k="highway" v="residential"/>\n    <tag k="lanes" v="99"/>\n  </way>',
+     "way 7: 50 lanes in one direction", 5),
+]
+
+
 @pytest.mark.parametrize(
     "old, new, message, line",
-    [
-        ('<node id="2" lat="0.001"', '<node id="x2" lat="0.001"', "node element missing or bad", 3),
-        ('lat="0.002" lon="0.0"', 'lat="0.002"', "node element missing or bad", 4),
-        ('<way id="8">', '<way id="">', "way element missing or bad id", 10),
-        ('<nd ref="2"/>\n', '<nd ref="two"/>\n', "way 7: bad nd element", 7),
-        ('<nd ref="3"/>', '<nd ref="9"/>', "way 8 references missing node 9", 10),
-        ('lat="0.002" lon="0.0"', 'lat="0.002" lon="nan"', "node 3: coordinate not finite", 4),
-        ('lat="0.002" lon="0.0"', 'lat="0.001" lon="0.0"', "way 8: zero-length segment at index 0", 10),
-        ('<tag k="highway" v="residential"/>\n  </way>',
-         '<tag k="highway" v="residential"/>\n    <tag k="lanes" v="99"/>\n  </way>',
-         "way 7: 50 lanes in one direction", 5),
-    ],
+    _LOCATED_ERRORS,
     ids=["node-id", "node-lon", "way-id", "nd-ref", "dangling", "non-finite", "zero-length", "lane-cap"],
 )
 def test_element_level_map_errors_name_the_line(old, new, message, line):
@@ -251,6 +259,224 @@ def test_error_line_counts_only_elements_elementtree_sees_under_that_name():
         '<node id="2" lat', '<node id="2" lat="x" lon="0"/><node id="22" lat')
     with pytest.raises(MapError, match=r"\(line 4\)$"):
         parse_osm(doc)
+
+
+# -- the ElementTree oracle ------------------------------------------------------
+#
+# parse_osm reads the document in one expat pass.  The parser it replaced
+# built an ElementTree and walked it, finding error lines by a second expat
+# scan; it is kept here as the reference that the streaming parser must
+# match: the same graph, or the same error type and message.
+
+
+def _reference_line(document, root, element):
+    nth = next(i for i, el in enumerate(root.iter(element.tag)) if el is element)
+    parser = expat.ParserCreate(namespace_separator="}")
+    lines = []
+
+    def start(name, attrs):
+        if name == element.tag:
+            lines.append(parser.CurrentLineNumber)
+
+    parser.StartElementHandler = start
+    parser.Parse(document, True)
+    return f" (line {lines[nth]})"
+
+
+def _reference_parse_osm(document):
+    try:
+        root = ET.fromstring(document)
+    except ET.ParseError as exc:
+        line, column = exc.position
+        raise MapError(f"malformed OSM XML at line {line}, column {column}: {exc.msg}") from exc
+
+    raw_nodes = {}
+    for el in root.iter("node"):
+        try:
+            node_id = int(el.attrib["id"])
+            lat = float(el.attrib["lat"])
+            lon = float(el.attrib["lon"])
+        except (KeyError, ValueError) as exc:
+            where = _reference_line(document, root, el)
+            raise MapError(f"node element missing or bad id/lat/lon: {el.attrib}{where}") from exc
+        tags = {t.attrib.get("k", ""): t.attrib.get("v", "") for t in el.iter("tag")}
+        raw_nodes[node_id] = (lat, lon, tags)
+
+    ways, way_elements, used = {}, {}, set()
+    for el in root.iter("way"):
+        try:
+            way_id = int(el.attrib["id"])
+        except (KeyError, ValueError) as exc:
+            where = _reference_line(document, root, el)
+            raise MapError(f"way element missing or bad id: {el.attrib}{where}") from exc
+        tags = {t.attrib.get("k", ""): t.attrib.get("v", "") for t in el.iter("tag")}
+        highway = tags.get("highway")
+        if highway is None or highway in NON_DRIVABLE:
+            continue
+        refs = []
+        for nd in el.iter("nd"):
+            try:
+                ref = int(nd.attrib["ref"])
+            except (KeyError, ValueError) as exc:
+                where = _reference_line(document, root, nd)
+                raise MapError(f"way {way_id}: bad nd element {nd.attrib}{where}") from exc
+            if ref not in raw_nodes:
+                raise DanglingReferenceError(
+                    f"way {way_id} references missing node {ref}{_reference_line(document, root, nd)}")
+            refs.append(ref)
+        if len(refs) < 2:
+            continue
+        one_way = tags.get("oneway", "no").strip().lower() in {"yes", "true", "1"}
+        lanes_forward, lanes_backward = 1, 0 if one_way else 1
+        if "lanes" in tags:
+            try:
+                total = int(tags["lanes"])
+            except ValueError:
+                total = 0
+            if total >= 1:
+                lanes_forward, lanes_backward = _split_lanes(total, one_way)
+        ways[way_id] = Way(way_id, tuple(refs), lanes_forward, lanes_backward, one_way)
+        way_elements[way_id] = el
+        used.update(refs)
+
+    if not ways:
+        raise MapError("document contains no drivable ways")
+
+    lats, lons = [], []
+    for node_id in used:
+        lat, lon, _ = raw_nodes[node_id]
+        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+            last = [el for el in root.iter("node") if int(el.attrib["id"]) == node_id][-1]
+            raise MapError(
+                f"node {node_id}: coordinate not finite or out of range: lat={lat!r} lon={lon!r}"
+                f"{_reference_line(document, root, last)}"
+            )
+        lats.append(lat)
+        lons.append(lon)
+    origin = ((min(lats) + max(lats)) / 2.0, (min(lons) + max(lons)) / 2.0)
+
+    coords, signals = {}, {}
+    for node_id in used:
+        lat, lon, tags = raw_nodes[node_id]
+        coords[node_id] = project(lat, lon, origin)
+        if tags.get("highway") == "traffic_signals":
+            signals[node_id] = TrafficSignal(node_id)
+    return RoadGraph(coords, ways, signals, origin,
+                     lambda way_id: _reference_line(document, root, way_elements[way_id]))
+
+
+_COLUMNS = ("x", "y", "start", "end", "length", "lanes", "way", "way_index", "forward", "slot0",
+            "out_seg", "in_seg", "out_start", "in_start")
+
+
+def _outcome(parse, document):
+    """What ``parse`` makes of ``document``: the graph's rows, bit for bit, or the error's type and message."""
+    try:
+        graph = parse(document)
+    except MapError as exc:
+        return type(exc), str(exc)
+    return (graph.ids, list(graph.ways.items()), list(graph.signals.items()), repr(graph.origin),
+            graph.way_ids, [getattr(graph, name).tobytes() for name in _COLUMNS])
+
+
+def _assert_parses_as_the_reference(document):
+    outcome = _outcome(parse_osm, document)
+    assert outcome == _outcome(_reference_parse_osm, document)
+    return outcome
+
+
+def _nested(way_body: str) -> str:
+    return f"""<osm>
+  <node id="1" lat="0.0" lon="0.0"/>
+  <way id="7">
+    <nd ref="1"/>{way_body}
+  </way>
+</osm>"""
+
+
+# documents that put the parsers' precedence and nesting rules to the test
+_ORACLE_CASES = {
+    "malformed-after-bad-element": (
+        _LOCATED.replace('<node id="2" lat', '<node id="x" lat').replace("</way>\n  <way", "</wa>\n  <way"),
+        MapError, r"^malformed OSM XML at line 9, column 4: mismatched tag"),
+    "bad-node-after-bad-way": (
+        _LOCATED.replace('<way id="7">', '<way id="w7">').replace('<node id="3" lat="0.002" lon="0.0"/>', "")
+        .replace("</osm>", '  <node id="3" lat="0.002"/>\n</osm>'),
+        MapError, r"^node element missing or bad id/lat/lon: \{'id': '3', 'lat': '0.002'\} \(line 11\)$"),
+    "default-namespace": (
+        _LOCATED.replace("<osm>", '<osm xmlns="http://openstreetmap.org/osm/0.6">'),
+        MapError, "^document contains no drivable ways$"),
+    "namespaced-attribute": (
+        _LOCATED.replace("<osm>", '<osm xmlns:x="urn:x">').replace('<node id="2"', '<node x:id="2"'),
+        MapError, r"^node element missing or bad id/lat/lon: \{'\{urn:x\}id': '2', .* \(line 3\)$"),
+    "node-nested-in-way": (
+        _nested('\n    <node id="2" lat="0.001" lon="0.0"><tag k="highway" v="traffic_signals"/></node>'
+                '\n    <nd ref="2"/>\n    <tag k="highway" v="residential"/>'),
+        None, None),
+    "node-nested-in-way-tags-it": (
+        _nested('\n    <nd ref="2"/>\n    <tag k="lanes" v="4"/>'
+                '\n    <node id="2" lat="0.001" lon="0.0"><tag k="highway" v="traffic_signals"/></node>'),
+        None, None),
+    "way-nested-in-way": (
+        _LOCATED.replace('  </way>\n  <way id="8"><nd ref="2"/><nd ref="3"/><tag k="highway" v="residential"/></way>',
+                         '    <way id="8"><nd ref="3"/><tag k="oneway" v="yes"/></way>\n  </way>'),
+        None, None),
+    "duplicate-node-bad-last": (
+        _LOCATED.replace('<way id="7">', '<node id="2" lat="-91.5" lon="0.0"/>\n  <way id="7">'),
+        MapError, r"^node 2: coordinate not finite or out of range: lat=-91.5 lon=0.0 \(line 5\)$"),
+    "duplicate-node-good-last": (
+        _LOCATED.replace('<node id="1"', '<node id="2" lat="1e999" lon="0.0"/>\n  <node id="1"'),
+        None, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
+def test_streaming_parser_matches_the_elementtree_reference(name):
+    document, error, message = _ORACLE_CASES[name]
+    outcome = _assert_parses_as_the_reference(document)
+    if error is None:
+        assert isinstance(outcome[0], list), outcome
+    else:
+        assert outcome[0] is error and re.search(message, outcome[1]), outcome
+
+
+def test_nested_node_is_a_node_and_its_tags_are_the_ways_too():
+    graph = parse_osm(_ORACLE_CASES["node-nested-in-way"][0])
+    assert graph.ways[7].node_refs == (1, 2) and set(graph.signals) == {2}
+    # the nested node's highway tag is the way's last one, so the way is drivable (and four lanes wide)
+    graph = parse_osm(_ORACLE_CASES["node-nested-in-way-tags-it"][0])
+    assert graph.ways[7].lanes_forward == 2 and set(graph.signals) == {2}
+    # a way inside a way gives the outer one its nds and tags too
+    graph = parse_osm(_ORACLE_CASES["way-nested-in-way"][0])
+    assert list(graph.ways) == [7] and graph.ways[7].node_refs == (1, 2, 3) and graph.ways[7].one_way
+
+
+def test_bytes_are_decoded_as_the_xml_declaration_says():
+    # a name that is not ASCII, in a file that declares Latin-1: read as bytes, it decodes; as UTF-8 it could not
+    named = _LOCATED.replace('v="residential"/>\n  </way>', 'v="residential"/>\n    <tag k="name" v="Straße"/>\n  </way>')
+    document = '<?xml version="1.0" encoding="ISO-8859-1"?>\n' + named
+    data = document.encode("latin-1")
+    with pytest.raises(UnicodeDecodeError):
+        data.decode()
+    assert set(_assert_parses_as_the_reference(data)[0]) == {1, 2, 3}
+    assert _outcome(parse_osm, data) == _outcome(parse_osm, _LOCATED)
+    # bytes that are not what the declaration says are a located MapError
+    outcome = _assert_parses_as_the_reference(data.replace(b"ISO-8859-1", b"UTF-8"))
+    assert outcome[0] is MapError and outcome[1].startswith("malformed OSM XML at line 10, column 25: not well-formed")
+    # so is an encoding expat cannot read (ElementTree raised LookupError or ValueError here)
+    for declared, message in ((b"no-such-codec", "unknown encoding: no-such-codec"),
+                              (b"Shift_JIS", "multi-byte encodings are not supported")):
+        with pytest.raises(MapError, match=f"^malformed OSM XML at line 1, column 30: {message}$"):
+            parse_osm(data.replace(b"ISO-8859-1", declared))
+
+
+def test_fixtures_parse_as_the_reference():
+    documents = [FIXTURE, _LOCATED, grid_osm_xml(4, 120.0), corridor_osm_xml(400.0, count=4),
+                 corridor_osm_xml(300.0, count=3, one_way=False)]
+    documents += [_LOCATED.replace(old, new, 1) for old, new, _, _ in _LOCATED_ERRORS]
+    for document in documents:
+        _assert_parses_as_the_reference(document)
+        _assert_parses_as_the_reference(document.encode())
 
 
 def test_malformed_xml_reports_position():
@@ -470,6 +696,7 @@ def _osm_mutations(draw):
 @settings(max_examples=400, deadline=None)
 @given(_osm_mutations())
 def test_any_mutated_map_is_a_map_error_or_a_graph(text):
+    _assert_parses_as_the_reference(text)
     try:
         graph = parse_osm(text)
     except MapError as exc:

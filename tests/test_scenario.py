@@ -1,11 +1,13 @@
 """Config parsing, run orchestration, artifacts, CLI behavior."""
 
+import gc
 import json
 import math
 import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,8 @@ from hypothesis import strategies as st
 from vehsim.cli import main as cli_main
 from vehsim.kernel import EventKernel, KernelError
 from vehsim.mobility import StrandedError
-from vehsim.osm import TrafficSignal
+from vehsim.exports import export_svg
+from vehsim.osm import TrafficSignal, parse_osm
 from vehsim.radio import BaseStation
 from vehsim.scenario import (
     EVENTS_HEADER,
@@ -514,6 +517,14 @@ _MALFORMED_TRACES = {
     "nan-v": (f"{TRACE_HEADER}\n0,0,1,2,NaN,0,,\n", "line 2"),
     "inf-acc": (f"{TRACE_HEADER}\n0,0,1,2,3,Infinity,,\n", "line 2"),
     "nan-rssi": (f"{TRACE_HEADER}\n0,0,1,2,3,0,a,nan\n", "line 2"),
+    # the first fault in the file is the one reported, and within a line the first field's
+    "nan-before-short-row": (f"{TRACE_HEADER}\n{_GOOD_ROW}\n0,1,nan,2,3,0,,\n{_GOOD_ROW}\n0,1,1.0\n", "line 3"),
+    "nan-before-bad-number": (f"{TRACE_HEADER}\n0,0,1,inf,x,0,,\n", "line 2: expected a finite number, got 'inf'"),
+    "bad-id-before-bad-number": (f"{TRACE_HEADER}\n0,1.5,x,2,3,0,,\n", "line 2: invalid literal for int"),
+    "nan-before-bad-rssi": (f"{TRACE_HEADER}\n0,0,1,2,nan,0,a,dbm\n", "line 2: expected a finite number, got 'nan'"),
+    "blank-line": (f"{TRACE_HEADER}\n{_GOOD_ROW}\n\n{_GOOD_ROW}\n", "line 3"),
+    "crlf": (f"{TRACE_HEADER}\r\n{_GOOD_ROW}\r\n", "line 1"),
+    "id-beyond-int64": (f"{TRACE_HEADER}\n{_GOOD_ROW}\n0,{2 ** 63},1,2,3,0,,\n", "line 3"),
 }
 
 
@@ -530,6 +541,126 @@ def test_malformed_trace_is_a_located_input_error(corridor_map, tmp_path, capsys
         err = capsys.readouterr().err
         assert where in err and str(trace) in err and len(err.splitlines()) == 1
         assert "Traceback" not in err + caplog.text
+
+
+def _reference_read_trace(path):
+    """The per-sample reader that :class:`Trace` replaced, kept as its oracle:
+    one (t, vehicle_id, x, y, v, acc, serving_cell, rssi) tuple per line, blanks None."""
+    def finite(text):
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"expected a finite number, got {text!r}")
+        return value
+
+    rows = []
+    with open(path, newline="") as fh:
+        header = fh.readline().rstrip("\n")
+        if header != TRACE_HEADER:
+            raise ValueError(f"line 1: unexpected trace header {header!r}")
+        try:
+            for raw in fh:
+                t, vid, x, y, v, acc, cell, rssi = raw.rstrip("\n").split(",")
+                rows.append((finite(t), int(vid), finite(x), finite(y), finite(v), finite(acc),
+                             cell or None, finite(rssi) if rssi else None))
+        except ValueError as exc:
+            raise ValueError(f"line {len(rows) + 2}: {exc}") from None
+    return rows
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+_NUMBERS = ("0", "-0", "1.5", "-3.250", "1e308", "-1e308", "2.5e-300", " 7", "1_0", "+4.", "nan", "NaN", "inf",
+            "-inf", "Infinity", "1e999", "x", "", "0x10", "1.5.2")
+_IDS = ("0", "7", "-3", "0012", "1.5", "x", "", "1e3")
+_CELLS = ("", "eNB1", "cell 2", "é")
+_RSSI = ("", "-70.25", "-112.91", "nan", "inf", "dbm", " -3")
+
+
+@st.composite
+def _trace_texts(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        fields = [draw(st.sampled_from(_NUMBERS)), draw(st.sampled_from(_IDS))]
+        fields += [draw(st.sampled_from(_NUMBERS)) for _ in range(4)]
+        fields += [draw(st.sampled_from(_CELLS)), draw(st.sampled_from(_RSSI))]
+        if draw(st.integers(0, 9)) == 0:  # a row one field short or long
+            fields = fields[:-1] if draw(st.booleans()) else fields + ["1"]
+        lines.append(",".join(fields))
+    ending = draw(st.sampled_from(("\n", "\n", "\r\n", "\n\n")))
+    return TRACE_HEADER + "\n" + ending.join(lines) + draw(st.sampled_from(("", "\n")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trace_texts())
+def test_read_trace_matches_the_per_sample_reference(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "oracle_trace.csv"
+    path.write_bytes(text.encode())
+    got, want = _outcome(read_trace, path), _outcome(_reference_read_trace, path)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    assert len(got) == len(want)
+    columns = [got.t, got.vehicle_id, got.x, got.y, got.v, got.acc, got.serving_cell,
+               np.where(np.isnan(got.rssi), None, got.rssi)]
+    assert list(zip(*(column.tolist() for column in columns))) == want
+
+
+def test_read_trace_columns(tmp_path):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(f"{TRACE_HEADER}\n0.5,3,1.000,-2.000,3.500,-0.250,eNB1,-71.25\n1,-4,0,0,0,0,,\n"
+                     f"1.5,3,1,2,3,4,eNB1,-80\n")
+    columns = read_trace(trace)
+    assert len(columns) == 3
+    assert columns.t.tolist() == [0.5, 1.0, 1.5] and columns.vehicle_id.tolist() == [3, -4, 3]
+    assert columns.x.tolist() == [1.0, 0.0, 1.0] and columns.y.tolist() == [-2.0, 0.0, 2.0]
+    assert columns.v.tolist() == [3.5, 0.0, 3.0] and columns.acc.tolist() == [-0.25, 0.0, 4.0]
+    assert columns.vehicle_id.dtype == np.int64 and columns.t.dtype == columns.rssi.dtype == np.float64
+    assert columns.rssi[0] == -71.25 and np.isnan(columns.rssi[1]) and columns.rssi[2] == -80.0
+    assert columns.serving_cell.tolist() == ["eNB1", None, "eNB1"]
+    assert columns.serving_cell[0] is columns.serving_cell[2]  # one string object per distinct cell
+
+
+def test_read_trace_accepts_finite_numbers_whose_sum_overflows(tmp_path):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(f"{TRACE_HEADER}\n1e308,0,1e308,-1e308,1e308,1e308,,\n")
+    columns = read_trace(trace)
+    assert columns.x.tolist() == [1e308] and columns.y.tolist() == [-1e308] and np.isnan(columns.rssi[0])
+
+
+def test_map_and_trace_io_leave_no_garbage_cycles(corridor_map, handover_run):
+    # the expat handlers close over their parser: left set, parser, handlers
+    # and every record they reach would wait for a full collection
+    artifacts, _ = handover_run
+    gc.collect()
+    graph = parse_osm(corridor_map.read_bytes())
+    trace = read_trace(artifacts.trace_path)
+    assert export_svg(graph, trace).count("#cc2222") == 1
+    del graph, trace
+    assert gc.collect() == 0
+
+
+def test_map_declaring_latin1_runs_and_draws(tmp_path, capsys, caplog):
+    # the map is read as bytes, so expat decodes it as its XML declaration says
+    text = grid_osm_xml(3, 300.0).replace('encoding="UTF-8"', 'encoding="ISO-8859-1"').replace(
+        '<tag k="highway" v="residential"/>', '<tag k="highway" v="residential"/><tag k="name" v="Straße"/>')
+    (tmp_path / "grid.osm").write_bytes(text.encode("latin-1"))
+    config = _write_config(tmp_path, "map = grid.osm\nduration = 5\nseed = 2\ninterference.count = 3\n")
+    assert cli_main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert cli_main(["map-svg", str(tmp_path / "grid.osm"), "--trace", str(tmp_path / "out" / "trace.csv"),
+                     "--out", str(tmp_path / "map.svg")]) == 0
+    assert (tmp_path / "map.svg").read_text().count("#cc2222") == 3
+    # bytes that do not decode as declared are an input error naming the line
+    (tmp_path / "grid.osm").write_bytes(text.replace("ISO-8859-1", "UTF-8").encode("latin-1"))
+    assert cli_main(["map-svg", str(tmp_path / "grid.osm"), "--out", str(tmp_path / "map.svg")]) == 1
+    err = capsys.readouterr().err
+    assert "malformed OSM XML at line" in err and "not well-formed (invalid token)" in err
+    assert "Traceback" not in err + caplog.text
 
 
 # -- running ------------------------------------------------------------------
@@ -558,7 +689,8 @@ def test_trace_fencepost_and_blank_radio_columns(corridor_map, tmp_path):
     assert lines[1].split(",")[0] == "0"
     assert lines[2].split(",")[0] == "1"
     samples = read_trace(artifacts.trace_path)
-    assert all(s.serving_cell is None and s.rssi is None for s in samples)
+    assert len(samples) == 61
+    assert all(cell is None for cell in samples.serving_cell) and np.isnan(samples.rssi).all()
     assert artifacts.summary["events_fired"] == 600
     assert artifacts.summary["vehicles"] == 1
     assert artifacts.summary["aborted"] is False
@@ -668,11 +800,11 @@ def handover_run(corridor_map, tmp_path_factory):
 def test_radio_columns_fully_populated(handover_run):
     artifacts, _ = handover_run
     samples = read_trace(artifacts.trace_path)
-    assert samples
-    assert all(s.serving_cell in ("west", "east") for s in samples)
-    assert all(isinstance(s.rssi, float) for s in samples)
-    assert samples[0].serving_cell == "west"
-    assert samples[-1].serving_cell == "east"
+    assert len(samples)
+    assert set(samples.serving_cell) == {"west", "east"}
+    assert samples.rssi.dtype == float and np.isfinite(samples.rssi).all()
+    assert samples.serving_cell[0] == "west"
+    assert samples.serving_cell[-1] == "east"
 
 
 def test_handover_recorded_in_events_and_summary(handover_run):

@@ -155,7 +155,8 @@ class RoadGraph:
     columns, so negative ids and ids beyond 64 bits work as any other.
 
     The constructor, which :func:`parse_osm` and :func:`build_graph` share,
-    writes the columns from each node's (x, y) and the ways.  Lengths are
+    writes the columns from the node ids (Python ints, ascending), their
+    ``x`` and ``y`` float arrays in that order, and the ways.  Lengths are
     ``math.hypot`` on Python floats, since NumPy's ``hypot`` can differ in
     the last ulp.  ``where(way_id)`` is appended to a way's error message
     (the parser's ``" (line N)"``).
@@ -163,16 +164,18 @@ class RoadGraph:
 
     def __init__(
         self,
-        coords: dict[int, tuple[float, float]],
+        ids: list[int],
+        x: np.ndarray,
+        y: np.ndarray,
         ways: dict[int, Way],
         signals: dict[int, TrafficSignal],
         origin: tuple[float, float],
         where: Callable[[int], str] = lambda way_id: "",
     ) -> None:
         self.ways, self.signals, self.origin = ways, signals, origin
-        self.ids = ids = sorted(coords)
+        self.ids = ids
         self.nodes = nodes = {node_id: row for row, node_id in enumerate(ids)}
-        self.x, self.y = x, y = np.array([coords[node_id] for node_id in ids], float).reshape(-1, 2).T.copy()
+        self.x, self.y = x, y = np.asarray(x, float), np.asarray(y, float)
         way_list = list(ways.values())
         # piece i of a way joins its node refs i and i + 1
         n_refs = np.array([len(way.node_refs) for way in way_list], np.int64)
@@ -385,22 +388,23 @@ def parse_osm(document: bytes | str) -> RoadGraph:
 
     # every used coordinate is checked before the origin is taken from them:
     # one non-finite value would make the origin, and so every node, non-finite
-    ids = list(used)
+    ids = sorted(used)  # Python's sort: ids beyond 64 bits are ids too
     rows = [node_rows[node_id] for node_id in ids]
     lat, lon = np.frombuffer(lats)[rows], np.frombuffer(lons)[rows]
     bad = ~((-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0))
     if bad.any():
-        i = int(bad.argmax())
-        raise MapError(f"node {ids[i]}: coordinate not finite or out of range: lat={lat[i].item()!r}"
-                       f" lon={lon[i].item()!r} (line {node_lines[rows[i]]})")
+        bad_ids = {ids[i] for i in bad.nonzero()[0].tolist()}
+        node_id = next(node_id for node_id in used if node_id in bad_ids)  # the first in the set's order
+        row = node_rows[node_id]
+        raise MapError(f"node {node_id}: coordinate not finite or out of range: lat={lats[row]!r}"
+                       f" lon={lons[row]!r} (line {node_lines[row]})")
     lat_list, lon_list = lat.tolist(), lon.tolist()
     origin = ((min(lat_list) + max(lat_list)) / 2.0, (min(lon_list) + max(lon_list)) / 2.0)
 
     x, y = project(lat, lon, origin)
-    coords = dict(zip(ids, zip(x.tolist(), y.tolist())))
     signals = {node_id: TrafficSignal(node_id)
-               for node_id, row in zip(ids, rows) if node_highway[row] == "traffic_signals"}
-    return RoadGraph(coords, ways, signals, origin, lambda way_id: f" (line {way_lines[way_id]})")
+               for node_id in used if node_highway[node_rows[node_id]] == "traffic_signals"}
+    return RoadGraph(ids, x, y, ways, signals, origin, lambda way_id: f" (line {way_lines[way_id]})")
 
 
 def build_graph(
@@ -433,4 +437,6 @@ def build_graph(
         if opts:
             raise ValueError(f"way {way_id}: unknown options {sorted(opts)}")
     signal_map = {s.node_id: s for s in signals}
-    return RoadGraph(node_map, way_map, signal_map, (0.0, 0.0))
+    ids = sorted(node_map)
+    x, y = np.array([node_map[node_id] for node_id in ids], float).reshape(-1, 2).T.copy()
+    return RoadGraph(ids, x, y, way_map, signal_map, (0.0, 0.0))

@@ -5,9 +5,11 @@ Costs are segment lengths in meters.
 The first query on a graph compiles it once into Python tuples for the search
 loop (:class:`_Compiled`), over the graph's own node rows (ascending id): each
 row's outgoing ``(end row, length)`` pairs with parallel segments collapsed to
-the shortest, each row's incoming edges with the segment that drives them, and
-the coordinates the heuristic reads.  It is kept on the graph, so a map that
-is never routed never builds it.
+the shortest, each row's incoming edges with the segment that drives them, the
+coordinates the heuristic reads, and one byte per row that marks the through
+nodes.  A through node has exactly two distinct neighbours, counting both
+directions, and no self-loop: most such nodes only shape a street.  It is kept
+on the graph, so a map that is never routed never builds it.
 
 The search is A* (Hart, Nilsson & Raphael, IEEE TSSC 1968).  A heap entry's
 key is its distance label plus ``scale`` times the straight-line distance to
@@ -19,13 +21,34 @@ a shortest path.  ``scale`` is zero, and the search is Dijkstra's, on a graph
 whose shortest segment is too short for that slack to cover rounding (see
 :func:`_heuristic_scale`).  The search stops when the target settles.
 
+Only junctions enter the heap: every node that is not a through node, and the
+query's source and target.  This is the degree-2 case of node contraction
+(Geisberger et al., "Contraction Hierarchies", WEA 2008), done at query time.
+When a settled node relaxes a segment into a through node, the label is
+carried along the chain with the same left-to-right additions,
+``((d[u] + w1) + w2) + ...``, and written to each through node it lowers; the
+first junction after the chain is relaxed as usual.  A carry ends early at a
+through node whose label is already no larger (the source holds 0.0) or where
+the chain only leads back.  A through node's label is the smaller of the two
+sums carried in from its chain's ends, and the larger sum reaches only nodes
+with smaller labels still, so every label is bit for bit the one the all-node
+search computes, and the junctions settle in its (key, id) order.  The compile
+marks no through node on a graph with the heuristic off: there an addition may
+absorb a segment (``d + w == d``, at the latest once a sum overflows to
+infinity), and carrying would reorder equal labels.
+
 The route is rebuilt from the labels by one rule on them: walking back from
 the target, the predecessor of ``v`` is the smallest-id node ``u`` that
 settled before ``v`` and has ``d[u] + w(u, v) == d[v]``.  This is the
 predecessor a Dijkstra search keeps when it breaks equal-cost ties toward the
-smaller id, so both search orders give the same route, bit for bit.  With
-positive costs that no addition absorbs, "settled before ``v``" is the same as
-``(d[u], u) < (d[v], v)``.
+smaller id, so both search orders give the same route, bit for bit.  Where no
+addition absorbs, which holds on every graph with through nodes, the equation
+gives ``d[u] < d[v]``, and the all-node search settles a smaller label first:
+so the rule needs no settle rank, which through nodes do not have.  A label
+the search has not made final is larger than the exact one, and it meets the
+equation only if the exact one does, for a node that has then settled and
+holds it.  Where an addition absorbs, labels can be equal; every node there is
+a junction, and settle rank orders them.
 """
 
 from __future__ import annotations
@@ -64,6 +87,7 @@ class _Compiled:
 
     out: tuple[tuple[tuple[int, float], ...], ...]  # row -> ((end row, shortest length), ...)
     into: tuple[tuple[tuple[int, float, int], ...], ...]  # row -> ((start row, length, segment), ...), ascending
+    through: bytes  # row -> 1 for a through node, else 0
     xs: tuple[float, ...]
     ys: tuple[float, ...]
     scale: float  # heuristic factor: 1 - ε, or 0.0 when the heuristic is off
@@ -79,7 +103,10 @@ def _heuristic_scale(xs: list[float], ys: list[float], lengths: list[float]) -> 
     a factor of about four over the worst case.
     """
     extent = max(map(abs, xs + ys), default=0.0)
-    total = math.fsum(lengths)
+    try:
+        total = math.fsum(lengths)
+    except OverflowError:  # finite lengths whose sum passes the largest float
+        total = math.inf
     shortest = min(lengths, default=math.inf)
     if math.isfinite(extent + total) and _EPS * shortest > 2.0**-46 * (extent + total):
         return 1.0 - _EPS
@@ -94,19 +121,30 @@ def _rows(row: np.ndarray, items: list, n: int) -> tuple[tuple, ...]:
 
 def _compile(graph: RoadGraph) -> _Compiled:
     n = len(graph.ids)
-    # one edge per (start, end) pair: the shortest segment, then the smallest
-    # key (way, index, forward), as connecting_ref picks it
-    order = np.lexsort((graph.forward, graph.way_index, graph.way, graph.length, graph.end, graph.start))
-    seg = order[np.unique(graph.start[order] * n + graph.end[order], return_index=True)[1]]
+    # one edge per (start, end) pair: the shortest segment, then the first in adjacency
+    # order, which is the smallest key (way, index, forward) as connecting_ref picks it
+    # (two segments of one piece of a way never share a start and an end)
+    adj = graph.out_seg
+    pair = graph.start[adj] * n + graph.end[adj]
+    order = np.lexsort((graph.length[adj], pair))  # stable: ties keep adjacency order
+    pair = pair[order]
+    seg = adj[order][np.diff(pair, prepend=-1) != 0]
     u, v, w = graph.start[seg], graph.end[seg], graph.length[seg]
     out = _rows(u, list(zip(v.tolist(), w.tolist())), n)
     back = np.lexsort((u, v))
     into = _rows(v[back], list(zip(u[back].tolist(), w[back].tolist(), seg[back].tolist())), n)
     xs, ys = graph.x.tolist(), graph.y.tolist()
     scale = _heuristic_scale(xs, ys, w.tolist())
+    # through nodes: two distinct neighbours over both directions (a graph has no
+    # self-loop: a segment that ends where it starts has zero length)
+    pairs = np.concatenate((u * n + v, v * n + u))
+    pairs.sort()
+    distinct = pairs[np.diff(pairs, prepend=-1) != 0]
+    through = np.bincount(distinct // n, minlength=n) == 2
     if not scale:  # off: zeros keep every key equal to its label, even at a non-finite coordinate
         xs = ys = [0.0] * n
-    return _Compiled(out, into, tuple(xs), tuple(ys), scale)
+        through[:] = False  # a sum may absorb a segment here, so labels alone do not give the settle order
+    return _Compiled(out, into, through.tobytes(), tuple(xs), tuple(ys), scale)
 
 
 def shortest_path(graph: RoadGraph, from_node: int, to_node: int) -> Route:
@@ -114,7 +152,8 @@ def shortest_path(graph: RoadGraph, from_node: int, to_node: int) -> Route:
 
     A* over the compiled graph with a straight-line heuristic, or Dijkstra's
     order (the same loop with a zero heuristic) on a map with a segment too
-    short for the heuristic's slack; see the module docstring.
+    short for the heuristic's slack; only junctions settle, and labels are
+    carried through chains of through nodes.  See the module docstring.
     Equal-cost alternatives are broken by a rule on the labels: each node's
     predecessor is the smallest-id node, settled before it, whose label plus
     the connecting cost equals its own.  So a grid with symmetric geometry
@@ -136,8 +175,9 @@ def shortest_path(graph: RoadGraph, from_node: int, to_node: int) -> Route:
 
     n = len(out)
     dist: list[float | None] = [None] * n
-    rank: list[int | None] = [None] * n  # settle order
+    rank: list[int | None] = [None] * n  # settle order of the junctions
     xs, ys, xt, yt = g.xs, g.ys, g.xs[dst], g.ys[dst]
+    through = g.through
     hypot, push, pop = math.hypot, heapq.heappush, heapq.heappop
     dist[src] = 0.0
     heap: list[tuple[float, int]] = [(0.0, src)]
@@ -152,13 +192,27 @@ def shortest_path(graph: RoadGraph, from_node: int, to_node: int) -> Route:
             break
         du = dist[u]
         for v, w in out[u]:
-            if rank[v] is not None:
-                continue
-            nd = du + w
-            dv = dist[v]
-            if dv is None or nd < dv:
+            nd, p = du + w, u
+            # carry the label along a chain of through nodes to the junction that ends it; a through
+            # node that already holds a label no larger ends the carry (the source holds 0.0)
+            while through[v] and v != dst:
+                dv = dist[v]
+                if dv is not None and nd >= dv:
+                    break
                 dist[v] = nd
-                push(heap, (nd + scale * hypot(xs[v] - xt, ys[v] - yt), v))
+                for x, w in out[v]:
+                    if x != p:
+                        nd, p, v = nd + w, v, x
+                        break
+                else:
+                    break  # the chain's end leads nowhere new
+            else:
+                if rank[v] is not None:
+                    continue
+                dv = dist[v]
+                if dv is None or nd < dv:
+                    dist[v] = nd
+                    push(heap, (nd + scale * hypot(xs[v] - xt, ys[v] - yt), v))
     if rank[dst] is None:
         raise NoRouteError(from_node, to_node)
 
@@ -166,7 +220,9 @@ def shortest_path(graph: RoadGraph, from_node: int, to_node: int) -> Route:
     v = dst
     while v != src:
         dv, rv = dist[v], rank[v]
-        v, k = next((u, k) for u, w, k in g.into[v] if rank[u] is not None and rank[u] < rv and dist[u] + w == dv)
+        v, k = next((u, k) for u, w, k in g.into[v]
+                    if (du := dist[u]) is not None and du + w == dv
+                    and (du < dv or rank[u] is not None and rank[u] < rv))
         path.append(v)
         segs.append(k)
     return Route(tuple(graph.ids[row] for row in reversed(path)), dist[dst],

@@ -800,9 +800,16 @@ class Simulation:
             self._trace.write(_TRACE_ROW * n % tuple(chain.from_iterable(rows)))
 
     def finish(self, failure: Exception | None = None) -> RunArtifacts:
-        """Close the trace, write ``events.csv`` and ``summary.json``; ``failure`` marks an aborted run."""
+        """Close the trace, write ``events.csv`` and ``summary.json``; ``failure`` marks an aborted run.
+
+        The map's compiled router (the largest part of a routed run's state) is
+        dropped, and a later route query builds it again: the world and its
+        vehicle views form a reference cycle, so without this the router would
+        stay in memory until the next full garbage collection.
+        """
         self._trace.close()
         config, world, out = self.config, self.world, self.out_dir
+        world.graph._router = None
         rows = list(self._rows)
         for violation in world.signal_violations:
             x, y = world.graph.position(violation.node_id)

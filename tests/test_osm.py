@@ -361,7 +361,9 @@ def _reference_parse_osm(document):
         coords[node_id] = project(lat, lon, origin)
         if tags.get("highway") == "traffic_signals":
             signals[node_id] = TrafficSignal(node_id)
-    return RoadGraph(coords, ways, signals, origin,
+    ids = sorted(coords)
+    return RoadGraph(ids, np.array([coords[node_id][0] for node_id in ids]),
+                     np.array([coords[node_id][1] for node_id in ids]), ways, signals, origin,
                      lambda way_id: _reference_line(document, root, way_elements[way_id]))
 
 

@@ -8,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+import vehsim.routing as vehsim_routing
 from vehsim.osm import build_graph, parse_osm
 from vehsim.routing import _EPS, NoRouteError, Route, connecting_ref, shortest_path
 
@@ -344,3 +345,173 @@ def test_router_is_compiled_once_on_the_first_query():
     router = graph._router
     shortest_path(graph, 1202, 1000)
     assert graph._router is router
+
+
+# --- chains of through nodes ---------------------------------------------------
+
+
+def _through_ids(graph):
+    """Ids of the nodes the compiled router carries labels through."""
+    router = graph._router
+    return {graph.ids[row] for row, flag in enumerate(router.through) if flag}
+
+
+def _street_network(rng):
+    """A 3 x 3 lattice of junctions whose streets carry 0-5 shape nodes each, drawn either way and
+    two-way, one-way or one-way against the drawing order; plus a chain that loops back to its own
+    junction, a dead-end chain, a chain tied with a direct segment of equal length, and an isolated
+    ring of shape nodes."""
+    node_ids = iter(rng.permutation(np.arange(1, 200)).tolist())
+    nodes, ways = [], []
+    junction = {}
+    for r, c in itertools.product(range(3), range(3)):
+        junction[r, c] = next(node_ids)
+        nodes.append((junction[r, c], c * 100.0 + rng.uniform(-10, 10), r * 100.0 + rng.uniform(-10, 10)))
+    xy = {node_id: (x, y) for node_id, x, y in nodes}
+
+    def street(a, b, shapes, opts):
+        (ax, ay), (bx, by) = xy[a], xy[b]
+        refs = [a]
+        for i in range(1, shapes + 1):
+            node_id = next(node_ids)
+            f = i / (shapes + 1)
+            nodes.append((node_id, ax + f * (bx - ax) + rng.uniform(-3, 3), ay + f * (by - ay) + rng.uniform(-3, 3)))
+            refs.append(node_id)
+        refs.append(b)
+        ways.append((len(ways) + 1, refs, opts))
+        return refs
+
+    directions = [{}, {"one_way": True}, {"lanes_forward": 0, "lanes_backward": 1}]
+    for r, c in itertools.product(range(3), range(3)):
+        for r2, c2 in ((r, c + 1), (r + 1, c)):
+            if r2 < 3 and c2 < 3:
+                a, b = junction[r, c], junction[r2, c2]
+                if rng.random() < 0.5:
+                    a, b = b, a
+                street(a, b, int(rng.integers(0, 6)), dict(directions[int(rng.integers(0, 3))]))
+    # a chain from the centre back to itself
+    centre = junction[1, 1]
+    loop = [next(node_ids) for _ in range(3)]
+    cx, cy = xy[centre]
+    nodes += [(loop[0], cx + 30, cy + 10), (loop[1], cx + 40, cy + 40), (loop[2], cx + 10, cy + 30)]
+    ways.append((len(ways) + 1, [centre, *loop, centre], {"one_way": bool(rng.random() < 0.5)}))
+    # a dead end off a corner
+    ends = [next(node_ids) for _ in range(3)]
+    x0, y0 = xy[junction[0, 0]]
+    nodes += [(node_id, x0 - 40.0 * (i + 1), y0 - 5.0 * i) for i, node_id in enumerate(ends)]
+    ways.append((len(ways) + 1, [junction[0, 0], *ends], {}))
+    # a shape node exactly halfway along a direct segment: both routes between its ends cost 200 m
+    a, mid, b = next(node_ids), next(node_ids), next(node_ids)
+    x2, y2 = xy[junction[2, 2]]
+    nodes += [(a, x2 + 100.0, y2), (mid, x2 + 200.0, y2), (b, x2 + 300.0, y2)]
+    ways += [(len(ways) + 1, [junction[2, 2], a], {}), (len(ways) + 2, [a, b], {}),
+             (len(ways) + 3, [a, mid, b], {}), (len(ways) + 4, [b, junction[2, 2]], {"one_way": True})]
+    # a ring nothing else reaches
+    ring = [next(node_ids) for _ in range(5)]
+    nodes += [(node_id, 1000.0 + 50.0 * math.cos(i), 50.0 * math.sin(i)) for i, node_id in enumerate(ring)]
+    ways.append((len(ways) + 1, [*ring, ring[0]], {"one_way": bool(rng.random() < 0.5)}))
+    return build_graph(nodes, ways), ring, loop, ends
+
+
+def test_street_chains_of_shape_nodes_match_dijkstra():
+    rng = np.random.default_rng(2008)
+    checked = 0
+    for _ in range(6):
+        graph, ring, loop, ends = _street_network(rng)
+        checked += _assert_matches_reference(graph, _all_pairs(graph))
+        assert _heuristic_on(graph)
+        through = _through_ids(graph)
+        assert set(ring) | set(loop) | set(ends[:-1]) <= through and ends[-1] not in through
+        assert len(through) > len(graph.nodes) // 2
+        # the ring is reached from nowhere and reaches nowhere
+        for a, b in ((ring[0], ends[-1]), (ends[-1], ring[0])):
+            with pytest.raises(NoRouteError):
+                shortest_path(graph, a, b)
+    assert checked > 6 * 2000
+
+
+def test_grid_corner_target_is_a_through_node():
+    graph = _grid_graph(4, 100.0, lanes=1)
+    corners = {7 * k % 16 + 1 for k in (0, 3, 12, 15)}  # _grid_graph's id of row-major cell k
+    route = shortest_path(graph, 7 * 5 % 16 + 1, 1)  # from cell (1, 1) to the corner at the origin
+    assert _through_ids(graph) == corners
+    assert route.total_cost == 200.0
+    assert _assert_matches_reference(graph, [(a, b) for a in graph.nodes for b in corners if a != b]) == 60
+
+
+def test_infinite_segment_in_a_chain_matches_dijkstra():
+    # 1.5e308 apart on both axes: the chain's middle segment is infinitely long, so the heuristic is off
+    nodes = [(1, 0.0, 0.0), (2, 100.0, 0.0), (3, 0.0, 100.0), (4, 100.0, 100.0),
+             (5, -1e308, 50.0), (6, 0.5e308, 1.5e308), (7, 0.5e308, 1.4e308)]
+    ways = [(11, [1, 2, 4, 3, 1]), (12, [1, 5, 6, 7, 4]), (13, [2, 7], {"one_way": True}),
+            (14, [3, 6], {"one_way": True})]
+    graph = build_graph(nodes, ways)
+    assert graph.length.max() == math.inf
+    assert _assert_matches_reference(graph, _all_pairs(graph)) == 7 * 6
+    assert not _heuristic_on(graph)
+    assert shortest_path(graph, 5, 6).total_cost == math.inf
+
+
+def test_only_junctions_and_the_query_ends_leave_the_heap(monkeypatch):
+    graph = _jittered_lattice(np.random.default_rng(5), 5, 120.0)
+    shortest_path(graph, graph.ids[0], graph.ids[1])
+    through = {graph.nodes[node_id] for node_id in _through_ids(graph)}
+    assert len(through) == 40 + 4  # the bent shape node of every street, and the four corners
+    popped, pop = [], heapq.heappop
+
+    def counting_pop(heap):
+        item = pop(heap)
+        popped.append(item[1])
+        return item
+
+    pairs = list(_all_pairs(graph))
+    with monkeypatch.context() as patch:
+        patch.setattr(vehsim_routing.heapq, "heappop", counting_pop)
+        for a, b in pairs:
+            popped.clear()
+            try:
+                shortest_path(graph, a, b)
+            except NoRouteError:
+                pass
+            assert set(popped) & through <= {graph.nodes[a], graph.nodes[b]}, (a, b)
+
+
+def _shaped_way(shapes):
+    """One two-way street of ``shapes`` shape nodes between two junctions of a small cross."""
+    nodes = [(i, 10.0 * i, 0.5 * (i % 3)) for i in range(1, shapes + 3)]
+    last = shapes + 2
+    nodes += [(1000, 10.0, 50.0), (1001, 10.0, -50.0), (1002, 10.0 * last, 50.0), (1003, 10.0 * last, -50.0)]
+    ways = [(1, list(range(1, last + 1))), (2, [1000, 1, 1001]), (3, [1002, last, 1003])]
+    return build_graph(nodes, ways)
+
+
+def _stored_entries(router):
+    """Values the compiled router holds: every adjacency entry's fields and the per-row columns."""
+    adjacency = sum(len(entry) for rows in (router.out, router.into) for row in rows for entry in row)
+    return adjacency + len(router.through) + len(router.xs) + len(router.ys)
+
+
+def test_compiled_router_grows_linearly_with_a_long_way():
+    sizes = {}
+    for shapes in (25, 50, 100, 200):
+        graph = _shaped_way(shapes)
+        route = shortest_path(graph, 1000, 1003)
+        assert len(route.node_ids) == shapes + 4
+        assert _through_ids(graph) == set(range(2, shapes + 2))
+        sizes[len(graph.length)] = _stored_entries(graph._router)
+    segments = sorted(sizes)
+    per_segment = [(sizes[b] - sizes[a]) / (b - a) for a, b in zip(segments, segments[1:])]
+    assert len(set(per_segment)) == 1 and per_segment[0] < 8
+
+
+def test_overflowing_multigraphs_match_dijkstra():
+    # points up to 1.5e308 apart: segment lengths and route sums reach inf, where adding a segment
+    # leaves a label unchanged; no node is carried there, since labels alone then do not order
+    # equal-label nodes as the search settles them
+    rng = np.random.default_rng(1968)
+    checked = 0
+    for _ in range(100):
+        graph = _random_multigraph(rng, 3e305, 0.0)
+        checked += _assert_matches_reference(graph, _all_pairs(graph))
+        assert not _heuristic_on(graph) and not _through_ids(graph)
+    assert checked > 5000

@@ -18,6 +18,7 @@ from vehsim.mobility import StrandedError
 from vehsim.exports import export_svg
 from vehsim.osm import TrafficSignal, parse_osm
 from vehsim.radio import BaseStation
+from vehsim.routing import shortest_path
 from vehsim.scenario import (
     EVENTS_HEADER,
     TRACE_HEADER,
@@ -1005,3 +1006,19 @@ def test_negative_and_huge_osm_ids_run_and_draw(tmp_path, capsys, rewrite):
     assert json.loads((out / "summary.json").read_text())["vehicles"] == 9
     assert cli_main(["map-svg", str(tmp_path / "grid.osm"), "--trace", str(out / "trace.csv"),
                      "--out", str(tmp_path / "map.svg")]) == 0
+
+
+def test_finish_drops_the_compiled_router(tmp_path):
+    (tmp_path / "grid.osm").write_text(grid_osm_xml(4, 100.0))
+    config = load_config("map = grid.osm\nduration = 1\nway = 100\nstrategicModel = Trip\n"
+                         f"trip = {grid_node_id(3, 3)}\n", base_dir=tmp_path)
+    simulation = Simulation(config, tmp_path / "out")
+    graph = simulation.world.graph
+    router = graph._router
+    assert router is not None  # the trip was routed at spawn
+    route = shortest_path(graph, grid_node_id(0, 0), grid_node_id(3, 3))
+    simulation.finish()
+    # released at once, not at the next full collection; a later query builds it again
+    assert graph._router is None
+    assert shortest_path(graph, grid_node_id(0, 0), grid_node_id(3, 3)) == route
+    assert graph._router is not None and graph._router.through == router.through

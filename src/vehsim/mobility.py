@@ -392,13 +392,17 @@ class _LaneTable:
     arithmetic on ``s``.  ``of`` holds each vehicle's own key; a key moved to
     another lane of the same segment is ``of + lane difference``.  Queries
     return indices into the sorted arrays, or -1, which selects a sentinel
-    entry in no slot (vehicle id -1).  ``first`` reads, per slot up to the
-    highest occupied one, its rearmost entry; a slot numbered later is empty.
+    entry in no slot (vehicle id -1).  ``rearmost`` is the world's per-slot
+    index buffer, which ``first`` fills on its first call with each
+    occupied slot's first entry.  The buffer is never cleared.  An entry an
+    earlier table left is overwritten where its slot is occupied now, and
+    fails the slot check where it is not; it stays in range, since vehicles
+    are never removed.
     """
 
-    __slots__ = ("of", "key", "vid", "slot", "s", "rearmost")
+    __slots__ = ("of", "key", "vid", "slot", "s", "rearmost", "filled")
 
-    def __init__(self, slot: np.ndarray, s: np.ndarray) -> None:
+    def __init__(self, slot: np.ndarray, s: np.ndarray, rearmost: np.ndarray) -> None:
         self.of = np.empty(len(slot), dtype=complex)
         self.of.real = slot
         self.of.imag = s
@@ -407,7 +411,7 @@ class _LaneTable:
         self.vid = np.concatenate((order, [-1]))
         self.slot = np.concatenate((slot[order], [_NO_SLOT]))
         self.s = np.concatenate((s[order], [0.0]))
-        self.rearmost: np.ndarray | None = None  # built by the first call of ``first``
+        self.rearmost, self.filled = rearmost, False
 
     def _in(self, j: np.ndarray, slot: np.ndarray) -> np.ndarray:
         return np.where(self.slot[j] == slot, j, -1)
@@ -421,19 +425,23 @@ class _LaneTable:
         return self._in(np.searchsorted(self.key, key, "left") - 1, slot)
 
     def first(self, slot: np.ndarray) -> np.ndarray:
-        """Rearmost entry of ``slot``: positions are never negative, so the first one past -1 m."""
-        if self.rearmost is None:
+        """Rearmost entry of ``slot``: the first of its run in the sorted slot column."""
+        if not self.filled:
             starts = np.concatenate(([True], self.slot[1:-1] != self.slot[:-2])).nonzero()[0]
-            self.rearmost = np.full(self.slot[-2] + 2, -1)  # the last entry serves every higher slot
             self.rearmost[self.slot[starts]] = starts
-        return self.rearmost[np.minimum(slot, len(self.rearmost) - 1)]
+            self.filled = True
+        return self._in(self.rearmost[slot], slot)
 
 
 _NONE, _STANDING, _OPEN = -2, -1, -3  # look-ahead results other than a vehicle id
-# route hops the look-ahead evaluates per pass: on the city-trips benchmark a
-# pair settles within 12 hops, so one pass serves it, while evaluating every
-# hop left on a route (median 115 there) would mostly read past the horizon
+# route hops a look-ahead pass evaluates.  Route rows end with at least _HOPS
+# sentinel entries, so a pass reads _HOPS rows from any route position with no
+# clipping, and settles each pair at its first settling row.  On the
+# city-trips benchmark (seeds 77, 5 and 901) every pair settles in the first
+# pass, 75-83 % of them at hop 9 or 10 and none past hop 12, so a shallower
+# pass would send pairs into a second one
 _HOPS = 16
+_HOP_ROWS = np.arange(_HOPS)[:, None]
 
 
 class World:
@@ -458,11 +466,16 @@ class World:
     topology is resolved: a step that fails there leaves the vehicles after
     it unmoved.  A vehicle's route is row ``id`` of ``route``, one array
     for the fleet: its first ``route_len[id]`` entries are the segments it
-    drives after its current one, written once when the route is installed.
-    The array is as wide as the longest route installed (widened by
-    doubling).  The stop follows the route and the trip's cursor.
+    drives after its current one, written once when the route is installed,
+    and at least ``_HOPS`` entries of a sentinel segment follow them (the
+    array widens by doubling).  The sentinel, one row past the graph's
+    segments in ``World``'s own copies of the segment columns the
+    look-ahead reads, is infinitely long, ends at no node and has one lane
+    that no vehicle occupies.  The stop follows the route and the trip's
+    cursor.
     Segments and nodes are the graph's rows (``SegmentRef.index`` and
-    ``RoadGraph.nodes``), and the step reads the graph's segment columns.
+    ``RoadGraph.nodes``); the step reads the graph's segment columns, and
+    the look-ahead the sentinel-padded copies.
     The lane table sorted after one step's moves is kept as the next
     step's start-of-step table; ``spawn`` and a write through a
     :class:`Vehicle` view discard it.  The set of nodes whose signal blocks
@@ -478,6 +491,8 @@ class World:
         seed: int = 0,
         perception_horizon: float = PERCEPTION_HORIZON,
     ) -> None:
+        if not perception_horizon > 0:  # also true for nan
+            raise ValueError(f"perception_horizon must be > 0, got {perception_horizon!r}")
         self.graph = graph
         self.seed = seed
         self.time = 0.0
@@ -492,9 +507,18 @@ class World:
         x, y, start, end = graph.x, graph.y, graph.start, graph.end
         # (x0, dx, y0, dy) of every segment, from its start node to its end node
         self._geometry = x[start], x[end] - x[start], y[start], y[end] - y[start]
+        # the segment columns the look-ahead reads (length, end node, lanes - 1,
+        # first slot), with one more row: the sentinel segment that pads every
+        # route row.  It is infinitely long, ends at the "no node" row of
+        # ``_blocking_signals`` and has one lane, in the slot after the map's
+        # last, which no vehicle occupies.
+        self._sentinel = len(graph.length)
+        self._hop_columns = (np.append(graph.length, math.inf), np.append(end, len(graph.nodes)),
+                             np.append(graph.lanes - 1, 0), np.append(graph.slot0, graph.lanes.sum()))
+        self._rearmost = np.full(graph.lanes.sum() + 1, -1)  # the lane tables' buffer, the sentinel slot's too
         for name, dtype in _COLUMNS.items():
             setattr(self, name, np.empty(16, dtype))
-        self.route = np.empty((16, 1), np.int64)
+        self.route = np.full((16, _HOPS), self._sentinel, np.int64)
 
     # -- population ---------------------------------------------------------
 
@@ -665,11 +689,13 @@ class World:
     def _install(self, vehicle: Vehicle, route: list[int]) -> None:
         """Write the segments ``vehicle`` drives after its current one to its ``route`` row, from ``route_pos`` 0."""
         vid, k = vehicle.id, len(route)
+        width = self.route.shape[1]
+        if k + _HOPS > width:  # widen to the next power of two, keeping every row
+            self.route = np.pad(self.route, ((0, 0), (0, (1 << (k + _HOPS - 1).bit_length()) - width)),
+                                constant_values=self._sentinel)
         if k:
-            width = self.route.shape[1]
-            if k > width:  # widen to the next power of two, keeping every row
-                self.route = np.pad(self.route, ((0, 0), (0, (1 << (k - 1).bit_length()) - width)))
             self.route[vid, :k] = route
+        self.route[vid, k:k + _HOPS] = self._sentinel
         self.route_len[vid] = k
         self.route_pos[vid] = 0
         self._set_stop(vehicle)
@@ -683,7 +709,7 @@ class World:
     def _lane_table(self) -> _LaneTable:
         if self._table is None:
             n = len(self.vehicles)
-            self._table = _LaneTable(self.graph.slot0[self.seg[:n]] + self.lane[:n], self.s[:n])
+            self._table = _LaneTable(self.graph.slot0[self.seg[:n]] + self.lane[:n], self.s[:n], self._rearmost)
         return self._table
 
     def _look_ahead(
@@ -701,59 +727,58 @@ class World:
         per pair what blocks (a vehicle id, ``_STANDING`` for a blocking
         signal or the trip's final stop, ``_NONE`` when free) and the center
         distance to it along the route.  On the ego's segment that is the
-        nearest vehicle strictly ahead.  Then the scan alternates, as the
-        route goes on: the node ahead (the horizon, a blocking signal, the
-        final stop, the route's end) and the next segment's rearmost vehicle
-        in lane ``min(lane, lanes - 1)``, up to ``_HOPS`` segments per pass.
-        Positions and route positions come from the columns, so ``step``
-        looks ahead before it commits any move.
+        nearest vehicle strictly ahead, then the node ahead (the horizon, a
+        blocking signal, the final stop, the route's end).  The pairs still
+        open go through passes of ``_HOPS`` route rows.  A row is one
+        segment: its rearmost vehicle in lane ``min(lane, lanes - 1)``, then
+        the node at its end.  One mask marks the rows that settle (a
+        vehicle, the horizon, a blocking signal, the final stop); each pair
+        is decided at its first such row, and a row past its route's end is
+        the sentinel segment, past any finite horizon.  Positions and route
+        positions come from the columns, so ``step`` looks ahead before it
+        commits any move.
         """
-        horizon, graph = self.horizon, self.graph
-        seg_len, seg_end, seg_lanes, slot0 = graph.length, graph.end, graph.lanes, graph.slot0
-        seg = self.seg[ego]
-        s_ego = self.s[ego]
+        horizon = self.horizon
+        seg_len, seg_end, top, slot0 = self._hop_columns
+        seg, s_ego = self.seg[ego], self.s[ego]
+        at, stop = self.route_pos[ego], self._final[ego]  # route index of the segment after the node
         j = table.ahead(key, slot)
-        raw = table.s[j] - s_ego
-        hit = np.where((j >= 0) & (raw <= horizon), table.vid[j], _NONE)
-
-        pair = (hit == _NONE).nonzero()[0]
-        owner = ego[pair]
-        q, stop = lane[pair], self._final[owner]
-        at, last = self.route_pos[owner], self.route_len[owner]  # route index of the segment after the end node
-        cum, node = (seg_len[seg] - s_ego)[pair], seg_end[seg[pair]]
-        while True:
-            # the node ahead, ``cum`` away: past the horizon, a blocking
-            # signal or the final stop, or the route's end settles the pair
-            found = np.where(cum > horizon, _NONE, np.where(
-                blocked[node] | (node == stop), _STANDING, np.where(at == last, _NONE, _OPEN)))
-            settled = found != _OPEN
-            hit[pair[settled]] = found[settled]
-            raw[pair[settled]] = cum[settled]
-            go = ~settled
-            if not go.any():
-                return hit, raw
-            pair, owner, q, stop, at, last, cum = pair[go], owner[go], q[go], stop[go], at[go], last[go], cum[go]
-            # the next segments, row h being hop h (up to _HOPS at once): the
-            # rearmost vehicle in lane min(lane, lanes - 1), then the node at
-            # the segment's end, with distances summed in route order
-            hop = at + np.arange(min(_HOPS, (last - at).max()))[:, None]
-            nxt = self.route[owner, np.where(hop < last, hop, 0)]
+        ahead = j >= 0
+        # a vehicle ahead on the ego's segment settles the pair, seen within
+        # the horizon; otherwise the node at the segment's end, ``cum`` away:
+        # past the horizon, a blocking signal or the final stop, or the route's end
+        raw, cum, node = table.s[j] - s_ego, seg_len[seg] - s_ego, seg_end[seg]
+        hit = np.where(ahead, np.where(raw <= horizon, table.vid[j], _NONE), np.where(
+            cum > horizon, _NONE, np.where(blocked[node] | (node == stop), _STANDING, np.where(
+                at == self.route_len[ego], _NONE, _OPEN))))
+        raw = np.where(ahead, raw, cum)
+        pair = (hit == _OPEN).nonzero()[0]
+        owner, q, stop, at, cum = ego[pair], lane[pair], stop[pair], at[pair], cum[pair]
+        while len(pair):
+            # the next _HOPS route segments, row h being hop h: the rearmost
+            # vehicle in lane min(lane, lanes - 1), then the node at the
+            # segment's end, with distances summed in route order.  A row past
+            # the route's end is the sentinel, which is past any finite horizon.
+            nxt = self.route[owner, at + _HOP_ROWS]
             reach = np.concatenate((cum[None], seg_len[nxt])).cumsum(axis=0)
-            k = table.first(slot0[nxt] + np.minimum(q, seg_lanes[nxt] - 1))
-            d = reach[:-1] + table.s[k]
-            end, node = reach[1:], seg_end[nxt]
-            found = np.where(k >= 0, np.where(d <= horizon, table.vid[k], _NONE), np.where(
-                end > horizon, _NONE, np.where(blocked[node] | (node == stop), _STANDING,
-                                               np.where(hop + 1 == last, _NONE, _OPEN))))
-            first = (found != _OPEN).argmax(axis=0)  # rows past the route's end come after it settles
-            col = np.arange(len(pair))
-            found = found[first, col]
-            settled = found != _OPEN
-            hit[pair[settled]] = found[settled]
-            raw[pair[settled]] = np.where(k[first, col] >= 0, d[first, col], end[first, col])[settled]
+            k = table.first(slot0[nxt] + np.minimum(q, top[nxt]))
+            node = seg_end[nxt]
+            settle = (k >= 0) | (reach[1:] > horizon) | blocked[node] | (node == stop)
+            row = settle.argmax(axis=0), np.arange(len(pair))  # each pair's first settling row
+            settled, k, end = settle[row], k[row], reach[1:][row]
+            seen, d = k >= 0, reach[row] + table.s[k]
+            found = np.where(seen, np.where(d <= horizon, table.vid[k], _NONE),
+                             np.where(end > horizon, _NONE, _STANDING))
+            dist = np.where(seen, d, end)
+            if settled.all():
+                hit[pair], raw[pair] = found, dist
+                break
+            # a pair open at a sentinel row has an infinite horizon and a route that ends free
+            found[~settled] = _NONE
+            settled |= at + _HOPS > self.route_len[owner]
+            hit[pair[settled]], raw[pair[settled]] = found[settled], dist[settled]
             go = ~settled
-            pair, owner, q, stop, at, last = pair[go], owner[go], q[go], stop[go], at[go] + len(hop), last[go]
-            cum, node = reach[-1, go], node[-1, go]
+            pair, owner, q, stop, at, cum = pair[go], owner[go], q[go], stop[go], at[go] + _HOPS, reach[-1, go]
         return hit, raw
 
     # -- stepping ---------------------------------------------------------------
@@ -951,6 +976,8 @@ class World:
         The larger passing surplus wins and an exact tie keeps right.  Changes
         are made in the ``lane`` column and recorded in ascending id order.
         """
+        if not ok.any():
+            return
         n, k = len(cand), len(sides)
         row = (np.arange(k) >= n_left).astype(np.int64)  # 0: left, 1: right
         passes = np.zeros((2, n), dtype=bool)

@@ -60,7 +60,8 @@ from .routing import NoRouteError
 logger = logging.getLogger(__name__)
 
 TRACE_HEADER = "t,vehicle_id,x,y,v,acc,serving_cell,rssi"
-_TRACE_ROW = "%s,%s,%.3f,%.3f,%.3f,%.3f,%s\n"  # the last field is "serving_cell,rssi"
+_TRACE_ROW = "%s,%s,%.3f,%.3f,%.3f,%.3f,%s,%.2f\n"
+_TRACE_ROW_BLANK = "%s,%s,%.3f,%.3f,%.3f,%.3f,,\n"  # no observer: empty serving cell and rssi
 EVENTS_HEADER = "t,type,vehicle_id,from_cell,to_cell,x,y"
 _PLACEMENT_ATTEMPTS = 200
 _PLACEMENT_MARGIN_M = VEHICLE_LENGTH + 2.0
@@ -792,12 +793,13 @@ class Simulation:
                     self._rows.append((t, "ping_pong", vid, cell_a, cell_b, ho.x, ho.y))
         if sample:  # one format and one write for the step's rows
             n = len(ids)
-            cells = repeat(",")  # serving cell and level, empty without an observer or attachment
-            if observer is not None:
-                cells = ["," if c is None else f"{c[0]},{c[1]:.2f}" for c in observer.current_all(ids)]
-            rows = zip(repeat(_fmt_seconds(t_ns)), ids, xs.tolist(), ys.tolist(), world.v[:n].tolist(),
-                       world.acc[:n].tolist(), cells)
-            self._trace.write(_TRACE_ROW * n % tuple(chain.from_iterable(rows)))
+            columns = [repeat(_fmt_seconds(t_ns)), ids, xs.tolist(), ys.tolist(), world.v[:n].tolist(),
+                       world.acc[:n].tolist()]
+            template = _TRACE_ROW_BLANK
+            if observer is not None:  # observe_all has attached every vehicle: its cell and level
+                template = _TRACE_ROW
+                columns += zip(*observer.current_all(ids))
+            self._trace.write(template * n % tuple(chain.from_iterable(zip(*columns))))
 
     def finish(self, failure: Exception | None = None) -> RunArtifacts:
         """Close the trace, write ``events.csv`` and ``summary.json``; ``failure`` marks an aborted run.

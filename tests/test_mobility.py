@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vehsim.mobility import (
@@ -689,3 +689,129 @@ def test_perception_reaches_many_short_segments_ahead():
     world.spawn(way=1, segment=25, offset=3.0, speed=4.0)
     gap, closing = world.perceive_leader(ego)
     assert gap == 25 * 12.0 - 6.0 + 3.0 - 5.0 and closing == 6.0
+
+
+@pytest.mark.parametrize("destination", [5, 20])  # a route of 3 or 18 segments: ends in the first or second pass
+def test_infinite_horizon_sees_a_non_final_route_end_free(destination):
+    world = World(chain_graph(12.0, 41, one_way=False), perception_horizon=math.inf)
+    ego = world.spawn(way=1, segment=0, offset=6.0, speed=10.0, strategic=Trip([destination, 1]))
+    assert world.perceive_leader(ego) is None  # the trip goes on past its first destination
+    free = idm_acceleration(ego.v, ego.v0_eff, 0.0, math.inf, ego.idm)
+    world.step(0.1)
+    assert ego.acc == free
+
+
+@pytest.mark.parametrize("horizon", [math.nan, 0.0, -1.0])
+def test_perception_horizon_must_be_positive(horizon):
+    with pytest.raises(ValueError, match="perception_horizon"):
+        World(corridor_graph(), perception_horizon=horizon)
+
+
+def _walk_leader(world, ego, route, stop):
+    """What blocks ``ego``, by walking its route in plain Python: (vehicle or "standing", distance) or None.
+
+    ``route`` lists the segments (``SegmentRef``) after the ego's own and ``stop`` is the node id a
+    final leg stops at (None: none).  On the ego's segment the nearest vehicle strictly ahead in its
+    lane; then, node by node, the horizon, a blocking signal or the stop, the route's end, and the
+    next segment's rearmost vehicle in lane min(lane, lanes - 1), ties to the smaller id.
+    """
+    others = [veh for veh in world.vehicles.values() if veh is not ego]
+
+    def rearmost(ref, lane, beyond=-math.inf):
+        in_lane = [veh for veh in others if veh.ref == ref and veh.lane == lane and veh.s > beyond]
+        return min(in_lane, key=lambda veh: (veh.s, veh.id), default=None)
+
+    lead = rearmost(ego.ref, ego.lane, ego.s)
+    if lead is not None and lead.s - ego.s <= world.horizon:
+        return lead, lead.s - ego.s
+    dist, ref = ego.ref.length - ego.s, ego.ref
+    for nxt in [*route, None]:
+        node = ref.end_node
+        signal = world.signals.get(node)
+        if dist > world.horizon:
+            return None
+        if signal is not None and signal_phase(signal, world.time) != "green" or node == stop:
+            return "standing", dist
+        if nxt is None:
+            return None
+        lead = rearmost(nxt, min(ego.lane, nxt.lanes - 1))
+        if lead is not None:
+            dist = dist + lead.s
+            return (lead, dist) if dist <= world.horizon else None
+        dist, ref = dist + nxt.length, nxt
+
+
+@st.composite
+def _long_chains(draw):
+    """A one-way chain of 20-60 short segments in up to four ways of one or two lanes, with signals and vehicles.
+
+    Vehicle 0 starts on the first segment with a trip to the chain's end, so that its walk can span
+    up to four look-ahead passes.
+    """
+    n = draw(st.integers(20, 60))
+    lengths = draw(st.lists(st.floats(2.0, 10.0), min_size=n, max_size=n))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=3)))
+    lanes = [draw(st.integers(1, 2)) for _ in range(len(cuts) + 1)]
+    signals = [
+        TrafficSignal(node, green_s=draw(st.floats(1.0, 30.0)), yellow_s=draw(st.floats(0.5, 5.0)),
+                      red_s=draw(st.floats(1.0, 30.0)), offset_s=draw(st.floats(0.0, 60.0)))
+        for node in draw(st.sets(st.integers(2, n + 1), max_size=3))
+    ]
+    # (segment, lane, offset kind, offset fraction, speed, length, parked, leg, destination fraction)
+    scout = (0, draw(st.integers(0, 1)), "inside", draw(st.floats(0.0, 1.0)), 10.0, 5.0, False, "final", 1.0)
+    vehicles = [scout] + draw(st.lists(st.tuples(
+        st.integers(0, n - 1), st.integers(0, 1), st.sampled_from(["start", "end", "inside"]), st.floats(0.0, 1.0),
+        st.floats(0.0, 20.0), st.floats(3.0, 8.0), st.booleans(), st.sampled_from(["stop", "final", "on"]),
+        st.floats(0.0, 1.0)), max_size=8))
+    horizon = draw(st.one_of(st.sampled_from([500.0, math.inf]), st.floats(10.0, 300.0)))
+    return lengths, cuts, lanes, signals, vehicles, horizon, draw(st.floats(0.0, 100.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_long_chains())
+@example(([10.0] * 20, [], [1], [], [  # the rearmost vehicle of segment 5 is 50 m ahead, past the horizon
+    (0, 0, "inside", 0.5, 10.0, 5.0, False, "final", 1.0), (5, 0, "inside", 0.5, 0.0, 5.0, False, "stop", 0.0),
+], 47.0, 0.0))
+def test_perceive_leader_is_the_plain_route_walk(case):
+    lengths, cuts, lanes, signals, vehicles, horizon, t0 = case
+    n = len(lengths)
+    xs = [0.0]
+    for length in lengths:
+        xs.append(xs[-1] + length)
+    bounds = [0, *cuts, n]  # way w holds segments bounds[w]..bounds[w + 1] - 1
+    ways = [(w + 1, list(range(bounds[w] + 1, bounds[w + 1] + 2)), {"one_way": True, "lanes_forward": lanes[w]})
+            for w in range(len(lanes))]
+    graph = build_graph([(i + 1, x, 0.0) for i, x in enumerate(xs)], ways, signals)
+    world = World(graph, perception_horizon=horizon)
+    world.time = t0
+    place = [(w + 1, k) for w in range(len(lanes)) for k in range(bounds[w + 1] - bounds[w])]
+    chain = [graph.ref(way, k) for way, k in place]  # segment k runs from node k + 1 to node k + 2
+    for k, lane, where, frac, speed, length, parked, leg, extra in vehicles:
+        ref = chain[k]
+        offset = {"start": 0.0, "end": ref.length, "inside": frac * ref.length}[where]
+        target = k + 2 + int(extra * (n - 1 - k))  # a node from the segment's end to the chain's
+        strategic = None if leg == "stop" else Trip([target] if leg == "final" or target == n + 1 else [target, n + 1])
+        world.spawn(way=place[k][0], segment=place[k][1], lane=min(lane, ref.lanes - 1), offset=offset,
+                    speed=speed, length=length, parked=parked, strategic=strategic)
+    # again after steps: vehicles move, change lanes and reach destinations, and each step's lane
+    # table takes over the per-slot buffer the one before it filled
+    for steps in (0, 5, 10):
+        for _ in range(steps):
+            world.step(0.5)
+        for ego in world.vehicles.values():
+            if ego.done:
+                continue
+            k, sm = chain.index(ego.ref), ego.strategic
+            if sm is None:  # no strategic model: stop at the segment's end
+                route, stop = [], k + 2
+            else:
+                target = sm.destinations[sm.cursor]
+                route, stop = chain[k + 1:target - 1], target if sm.cursor == len(sm.destinations) - 1 else None
+            walked = _walk_leader(world, ego, route, stop)
+            if walked is None:
+                expected = None
+            else:
+                lead, dist = walked
+                lead_length, lead_v = (0.0, 0.0) if lead == "standing" else (lead.length, lead.v)
+                expected = abs(dist) - (ego.length + lead_length) / 2.0, ego.v - lead_v
+            assert world.perceive_leader(ego) == expected

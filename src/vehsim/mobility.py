@@ -63,8 +63,8 @@ class IdmParams:
 
     def __post_init__(self) -> None:
         for name in ("v0", "T", "a_max", "b_comf", "delta", "s0"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"IdmParams.{name} must be > 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"IdmParams.{name} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -545,10 +545,12 @@ class World:
     ) -> Vehicle:
         """Place a new vehicle at (way, segment, lane, offset).
 
-        Unresolvable placements raise :class:`PlacementError` naming the
-        offending key.  Each vehicle gets its own random stream derived from
-        (world seed, vehicle id); the driver's speed factor is drawn from it
-        once, uniformly in [0.8, 1.2], unless given explicitly.
+        Unresolvable placements, a non-finite or negative ``speed`` and a
+        non-finite or non-positive ``length`` or ``speed_factor`` raise
+        :class:`PlacementError` naming the offending key.  Each vehicle gets
+        its own random stream derived from (world seed, vehicle id); the
+        driver's speed factor is drawn from it once, uniformly in
+        [0.8, 1.2], unless given explicitly.
         """
         if way not in self.graph.ways:
             raise PlacementError("way", f"unknown way id {way}")
@@ -563,6 +565,11 @@ class World:
             raise PlacementError("lane", f"segment has lanes 0..{ref.lanes - 1}, got {lane}")
         if not 0.0 <= offset <= ref.length:
             raise PlacementError("offset", f"offset {offset} outside segment length {ref.length:.2f}")
+        if not 0.0 <= speed < math.inf:
+            raise PlacementError("speed", f"must be finite and >= 0, got {speed!r}")
+        for key, value in (("length", length), ("speed_factor", speed_factor)):
+            if value is not None and not 0.0 < value < math.inf:
+                raise PlacementError(key, f"must be finite and > 0, got {value!r}")
 
         vid = len(self.vehicles)
         stream = rng if rng is not None else substream(self.seed, "vehicle", vid)

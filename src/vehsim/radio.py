@@ -1,4 +1,4 @@
-"""Passive cellular layer: RSSI, cell attachment, handover bookkeeping.
+"""Passive cellular layer: RSSI, cell attachment, handover detection.
 
 Signal strength follows a log-distance path-loss law anchored at a 1 m
 free-space reference; attachment is strongest-cell with hysteresis and a
@@ -44,7 +44,7 @@ k scalar draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -125,19 +125,11 @@ class HandoverEvent:
             raise ValueError("handover must change the serving cell")
 
 
-@dataclass
-class Attachment:
-    """Current serving cell of one vehicle plus its handover history."""
-
-    vehicle_id: int
-    serving_cell: str
-    history: list[HandoverEvent] = field(default_factory=list)
-
-
 def detect_ping_pong(history: list[HandoverEvent], window_s: float) -> list[tuple[float, str, str]]:
     """Flag every A→B followed by B→A within ``window_s``.
 
-    ``history`` must be time-ordered (as produced by :class:`RadioObserver`).
+    ``history`` must be one vehicle's handovers in time order, as
+    :class:`RadioObserver` returns them.
     Returns (time of the returning handover, cell A, cell B) per occurrence.
     """
     flagged = []
@@ -178,15 +170,14 @@ class RadioObserver:
 
     State is kept in columns over vehicle rows, in the order vehicles are
     first seen: serving and candidate station index (-1 for none), candidate
-    start time, serving level, last position and shadowing row, and each
-    row's shadowing block with its read pointer.  Stations are ranked with
-    NumPy, then the levels that are compared or stored are computed exactly
-    (see the module docstring).  ``attachments`` is written only at first
-    attachments and completed handovers.
+    start time, serving level, and each row's shadowing block with its read
+    pointer.  Stations are ranked with NumPy, then the levels that are
+    compared or stored are computed exactly (see the module docstring).
+    Handovers are returned, not stored: a caller that wants ping-pongs
+    collects each vehicle's events for :func:`detect_ping_pong`.
     """
 
-    _COLUMNS = ("_serving", "_candidate", "_since", "_level", "_px", "_py", "_shadow", "_block",
-                "_block_len", "_pointer")
+    _COLUMNS = ("_serving", "_candidate", "_since", "_level", "_block", "_block_len", "_pointer")
 
     def __init__(
         self,
@@ -218,7 +209,6 @@ class RadioObserver:
         self.path_loss_exponent = path_loss_exponent
         self.shadowing_sigma_db = shadowing_sigma_db
         self.seed = seed
-        self.attachments: dict[int, Attachment] = {}
         # per-station constants of rssi(), in id order, as columns over vehicles
         self._ids = [s.id for s in self.stations]
         self._x = np.array([[s.x] for s in self.stations], dtype=float)
@@ -230,7 +220,7 @@ class RadioObserver:
         self._terms = float(np.abs(self._tx).max() + np.abs(self._ref).max()) + self._k * (_LOG_D_MAX + 1.0)
         self._shadow_max = 0.0
         # per-vehicle columns, row = order of first observation, grown by doubling
-        n_st, rows = len(self.stations), 16
+        rows = 16
         depth = _SHADOW_ROWS if shadowing_sigma_db > 0.0 else 0
         self._row: dict[int, int] = {}
         self._streams: list[np.random.Generator] = []  # shadowing stream per row
@@ -238,10 +228,7 @@ class RadioObserver:
         self._candidate = np.empty(rows, dtype=np.intp)
         self._since = np.empty(rows)
         self._level = np.empty(rows)  # serving level at the last update
-        self._px = np.empty(rows)
-        self._py = np.empty(rows)
-        self._shadow = np.empty((rows, n_st))  # shadowing row of the last update
-        self._block = np.empty((rows, depth, n_st))
+        self._block = np.empty((rows, depth, len(self._ids)))
         self._block_len = np.empty(rows, dtype=np.intp)
         self._pointer = np.empty(rows, dtype=np.intp)  # next unread row of the block
 
@@ -293,36 +280,27 @@ class RadioObserver:
             levels += shadow
         return levels
 
-    def measure(self, vehicle_id: int, x: float, y: float) -> dict[str, float]:
-        """RSSI per station id at (x, y), including shadowing when enabled."""
-        shadow = self._draw(self._rows((vehicle_id,)))
-        levels = self._levels(_exact_log_d(x - self._x, y - self._y), shadow)
-        return dict(zip(self._ids, levels[:, 0].tolist()))
-
-    def last_levels(self, vehicle_id: int) -> list[float] | None:
-        """RSSI per station, in id order, at the vehicle's last update; None before any."""
-        row = self._row.get(vehicle_id)
-        if row is None or self._serving[row] < 0:
-            return None
-        shadow = self._shadow[row][:, None] if self.shadowing_sigma_db > 0.0 else None
-        return self._levels(_exact_log_d(self._px[row] - self._x, self._py[row] - self._y), shadow)[:, 0].tolist()
-
     def observe_all(self, ids, xs, ys, t: float) -> list[HandoverEvent]:
         """Re-evaluate the attachment of every listed vehicle at time ``t``.
 
         ``ids``, ``xs`` and ``ys`` are parallel sequences, and no id may be
         listed twice.  The result equals calling ``update`` for each row in
-        order: the handovers completed at ``t``, in row order.
+        order: the handovers completed at ``t``, in row order.  A bad batch
+        raises ``ValueError`` before any state changes.
         """
         ids = list(ids)
         n = len(ids)
         x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
         if not n == len(x) == len(y):
             raise ValueError("ids, xs and ys must have the same length")
+        if not math.isfinite(t):
+            raise ValueError(f"time must be finite, got {t!r}")
         if not n:
             return []
         if len(set(ids)) != n:
             raise ValueError("duplicate vehicle ids in one batch")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("positions must be finite")
         rows = self._rows(ids)
         shadow = self._draw(rows)
         dx, dy = x - self._x, y - self._y  # (stations x vehicles)
@@ -352,22 +330,9 @@ class RadioObserver:
         self._since[rows] = since
         self._serving[rows] = np.where(switch, best, serving)
         self._level[rows] = np.where(switch, best_level, serving_level)
-        self._px[rows], self._py[rows] = x, y
-        if shadow is not None:
-            self._shadow[rows] = shadow.T
-
-        events = []
-        for i in np.flatnonzero(switch).tolist():
-            vid, cell = ids[i], self._ids[best[i]]
-            if not attached[i]:
-                self.attachments[vid] = Attachment(vid, cell)
-                continue
-            event = HandoverEvent(t, vid, self._ids[serving[i]], cell, float(x[i]), float(y[i]))
-            att = self.attachments[vid]
-            att.serving_cell = cell
-            att.history.append(event)
-            events.append(event)
-        return events
+        cells = self._ids
+        return [HandoverEvent(t, ids[i], cells[serving[i]], cells[best[i]], float(x[i]), float(y[i]))
+                for i in np.flatnonzero(fire).tolist()]
 
     def update(self, vehicle_id: int, x: float, y: float, t: float) -> HandoverEvent | None:
         """Re-evaluate the attachment of one vehicle; returns a completed handover."""

@@ -51,6 +51,7 @@ from .radio import (
     DEFAULT_PINGPONG_WINDOW_S,
     DEFAULT_TIME_TO_TRIGGER_S,
     BaseStation,
+    HandoverEvent,
     RadioObserver,
     detect_ping_pong,
 )
@@ -132,7 +133,7 @@ class ScenarioConfig:
     stations: tuple[BaseStation, ...] = ()
     signals: tuple[TrafficSignal, ...] = ()
     radio: RadioParams = field(default_factory=RadioParams)
-    key_lines: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
+    key_lines: dict[str, int] = field(default_factory=dict, compare=False, repr=False)  # normalised key -> line
 
 
 class Trace:
@@ -441,7 +442,6 @@ def load_config(text: str, *, base_dir: str | Path | None = None) -> ScenarioCon
             raise ConfigError("empty key", line=lineno)
         if not value:
             raise ConfigError("empty value", key=key, line=lineno)
-        key_lines[key] = lineno
 
         section, _, name = key.partition(".")
         if key in _NAMES["scalar"]:
@@ -456,6 +456,7 @@ def load_config(text: str, *, base_dir: str | Path | None = None) -> ScenarioCon
         else:
             raise ConfigError("unknown key", key=key, line=lineno)
         block.put(name, value, key, lineno)
+        key_lines[block.prefix + name] = lineno  # vehicle.00.x is recorded as vehicle.0.x
 
     # scalars
     for required in ("map", "duration"):
@@ -616,17 +617,12 @@ def _fmt_seconds(t_ns: int) -> str:
 
 
 def _typed_line(config: ScenarioConfig, *keys: str) -> int | None:
-    """First line that sets one of ``keys`` (normalised spelling) as typed in the text.
+    """First line that sets one of ``keys`` (normalised spelling, as ``key_lines`` records them).
 
-    Indices compare as numbers, so ``vehicle.00.offset`` matches
-    ``vehicle.0.offset``; a key ending in ``.`` matches every key of its block.
+    A key ending in ``.`` matches every key of its block.
     """
-    lines = []
-    for typed, line in config.key_lines.items():
-        if m := _INDEXED_RE.match(typed):
-            typed = f"{m.group(1)}.{int(m.group(2))}.{m.group(3)}"
-        if any(typed == key or (key.endswith(".") and typed.startswith(key)) for key in keys):
-            lines.append(line)
+    lines = [line for typed, line in config.key_lines.items()
+             if any(typed == key or (key.endswith(".") and typed.startswith(key)) for key in keys)]
     return min(lines, default=None)
 
 
@@ -756,6 +752,7 @@ class Simulation:
         self._total_steps = to_ns(config.duration_s) // self._dt_ns
         self._steps_per_sample = to_ns(config.sampling_s) // self._dt_ns
         self._rows: list[tuple[float, str, int, str, str, float, float]] = []  # events.csv
+        self._last_handover: dict[int, HandoverEvent] = {}  # per vehicle, for ping-pong detection
         self._trace = open(out / "trace.csv", "w", newline="")
         self._trace.write(TRACE_HEADER + "\n")
         self._observe(0, True)
@@ -788,9 +785,11 @@ class Simulation:
             for ho in observer.observe_all(ids, xs, ys, t_ns / NS_PER_SECOND):
                 vid = ho.vehicle_id
                 self._rows.append((ho.time, "handover", vid, ho.from_cell, ho.to_cell, ho.x, ho.y))
-                # a ping-pong is this handover reversing the vehicle's previous one
-                for t, cell_a, cell_b in detect_ping_pong(observer.attachments[vid].history[-2:], window):
+                # a ping-pong is this handover reversing the vehicle's previous one; a first
+                # handover is paired with itself, which never reverses
+                for t, cell_a, cell_b in detect_ping_pong([self._last_handover.get(vid, ho), ho], window):
                     self._rows.append((t, "ping_pong", vid, cell_a, cell_b, ho.x, ho.y))
+                self._last_handover[vid] = ho
         if sample:  # one format and one write for the step's rows
             n = len(ids)
             columns = [repeat(_fmt_seconds(t_ns)), ids, xs.tolist(), ys.tolist(), world.v[:n].tolist(),

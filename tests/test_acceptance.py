@@ -261,10 +261,9 @@ def test_criterion_4_ping_pong_windows_match_closed_form_crossings():
         and abs(events[0].x - (cx - u_in + v * ttt)) <= 2 * v * dt
         and abs(events[1].x - (cx + u_out + v * ttt)) <= 2 * v * dt
     )
-    history = observer.attachments[7].history
-    wide = detect_ping_pong(history, 10.0)
-    narrow = detect_ping_pong(history, 5.0)
-    counts_ok = set(observer.attachments) == {7} and len(wide) == 1 and narrow == []
+    wide = detect_ping_pong(events, 10.0)  # the observer returns handovers; this test collects them
+    narrow = detect_ping_pong(events, 5.0)
+    counts_ok = observer.current(7)[0] == "a" and len(wide) == 1 and narrow == []
 
     _verdict(
         4,

@@ -65,6 +65,13 @@ def test_idm_params_must_be_positive():
         IdmParams(s0=-2.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["v0", "T", "a_max", "b_comf", "delta", "s0"])
+def test_idm_params_must_be_finite(name, bad):
+    with pytest.raises(ValueError, match=f"IdmParams.{name} must be finite"):
+        IdmParams(**{name: bad})
+
+
 def test_equilibrium_gap_zeroes_the_model():
     # the returned gap must be the root of the acceleration at matched speeds
     rng = np.random.default_rng(55)
@@ -144,6 +151,25 @@ def test_spawn_placement_errors_name_the_field():
     with pytest.raises(PlacementError) as err:
         world.spawn(way=1, forward=False)  # one-way corridor
     assert err.value.key == "lane"
+
+
+@pytest.mark.parametrize(
+    "key, values",
+    [("speed", [math.nan, math.inf, -math.inf, -5.0]),
+     ("length", [math.nan, math.inf, 0.0, -1.0]),
+     ("speed_factor", [math.nan, math.inf, 0.0, -0.5])],
+)
+def test_spawn_rejects_non_finite_and_out_of_range_kinematics(key, values):
+    world = World(corridor_graph(500.0))
+    for value in values:
+        with pytest.raises(PlacementError, match=f"^{key}: ") as err:
+            world.spawn(way=1, offset=50.0, **{key: value})
+        assert err.value.key == key
+    assert world.vehicles == {}  # nothing was placed
+    veh = world.spawn(way=1, offset=50.0, speed=0.0, length=4.0, speed_factor=1.0)
+    for _ in range(50):
+        world.step(0.1)
+    assert math.isfinite(veh.v) and veh.v > 0.0
 
 
 def test_spawn_parked_overrides_speed_and_trip_is_copied():

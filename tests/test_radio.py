@@ -87,7 +87,7 @@ def test_single_station_never_hands_over():
     obs = RadioObserver([BaseStation("a", 0.0, 0.0)])
     for k in range(100):
         assert obs.update(1, 50.0 * k, 0.0, 0.1 * k) is None
-    assert obs.attachments[1].history == []
+    assert obs.current(1)[0] == "a"
 
 
 def test_margin_below_hysteresis_never_triggers():
@@ -135,24 +135,20 @@ def test_candidate_identity_change_restarts_trigger():
     obs = RadioObserver([a, b, c], hysteresis_db=3.0, time_to_trigger_s=1.0)
     near_b = (1990.0, 0.0)
     near_c = (-1990.0, 0.0)
-    obs.update(1, 1.0, 0.0, 0.0)  # attach to a
+    events = [obs.update(1, 1.0, 0.0, 0.0)]  # attach to a
     # alternate the strongest cell faster than the time-to-trigger
     t = 0.0
     for k in range(1, 13):
         t = 0.5 * k
         spot = near_b if k % 2 else near_c
-        assert obs.update(1, *spot, t) is None
+        events.append(obs.update(1, *spot, t))
+    assert events == [None] * 13
     # now hold still near b: the timer finally runs to completion
-    first = obs.update(1, *near_b, t + 0.5)
-    assert first is None  # timer restarted by the b/c flapping
-    held = None
-    for k in range(1, 30):
-        held = obs.update(1, *near_b, t + 0.5 + 0.1 * k)
-        if held:
-            break
-    assert held is not None
-    assert (held.from_cell, held.to_cell) == ("a", "b")
-    assert len(obs.attachments[1].history) == 1
+    assert obs.update(1, *near_b, t + 0.5) is None  # timer restarted by the b/c flapping
+    events = [obs.update(1, *near_b, t + 0.5 + 0.1 * k) for k in range(1, 30)]
+    held = [e for e in events if e is not None]
+    assert [(e.from_cell, e.to_cell) for e in held] == [("a", "b")]
+    assert obs.current(1)[0] == "b"
 
 
 def test_zero_hysteresis_zero_ttt_is_pure_argmax():
@@ -185,38 +181,48 @@ def test_observer_ping_pong_aggregation():
     a = BaseStation("a", 0.0, 0.0)
     b = BaseStation("b", 1000.0, 0.0)
     obs = RadioObserver([a, b], hysteresis_db=0.0, time_to_trigger_s=0.0)
-    obs.update(1, 400.0, 0.0, 0.0)
-    obs.update(1, 600.0, 0.0, 1.0)  # a -> b
-    obs.update(1, 400.0, 0.0, 3.0)  # b -> a
-    obs.update(2, 400.0, 0.0, 0.0)  # second vehicle never moves
-    obs.update(2, 400.0, 0.0, 3.0)
-    hits = {vid: detect_ping_pong(att.history, 10.0) for vid, att in obs.attachments.items()}
+    history = {1: [], 2: []}  # the observer returns handovers; the caller collects them
+    for vid, x, t in ((1, 400.0, 0.0), (1, 600.0, 1.0), (1, 400.0, 3.0), (2, 400.0, 0.0), (2, 400.0, 3.0)):
+        event = obs.update(vid, x, 0.0, t)  # vehicle 1: a -> b -> a; vehicle 2 never moves
+        history[vid] += [event] if event else []
+    assert [(e.time, e.from_cell, e.to_cell) for e in history[1]] == [(1.0, "a", "b"), (3.0, "b", "a")]
+    hits = {vid: detect_ping_pong(events, 10.0) for vid, events in history.items()}
     assert hits == {1: [(3.0, "a", "b")], 2: []}
-    assert all(detect_ping_pong(att.history, 1.0) == [] for att in obs.attachments.values())
+    assert all(detect_ping_pong(events, 1.0) == [] for events in history.values())
+    assert obs.current_all([1, 2]) == [("a", rssi(a, 400.0, 0.0))] * 2
+
+
+def _serving_after_one_update(stations, vehicle_id, seed):
+    obs = RadioObserver(stations, shadowing_sigma_db=4.0, seed=seed)
+    obs.update(vehicle_id, 100.0, 0.0, 0.0)
+    return obs.current(vehicle_id)
 
 
 def test_shadowing_is_deterministic_per_seed_and_vehicle():
     stations = [BaseStation("a", 0.0, 0.0), BaseStation("b", 500.0, 0.0)]
-    obs1 = RadioObserver(stations, shadowing_sigma_db=4.0, seed=11)
-    obs2 = RadioObserver(stations, shadowing_sigma_db=4.0, seed=11)
-    m1 = obs1.measure(3, 100.0, 0.0)
-    m2 = obs2.measure(3, 100.0, 0.0)
-    assert m1 == m2
-    other_vehicle = obs1.measure(4, 100.0, 0.0)
-    assert other_vehicle != m1
-    different_seed = RadioObserver(stations, shadowing_sigma_db=4.0, seed=12).measure(3, 100.0, 0.0)
-    assert different_seed != m1
-    # draws follow the station order: the values come from the same substream
+    first = _serving_after_one_update(stations, 3, 11)
+    assert first == _serving_after_one_update(stations, 3, 11)
+    assert first[1] != _serving_after_one_update(stations, 4, 11)[1]  # another vehicle's stream
+    assert first[1] != _serving_after_one_update(stations, 3, 12)[1]  # another seed
+    # a (21 dB closer) serves; its level takes the substream's first draw, as rssi plus that draw
     expected = substream(11, "shadowing", 3)
-    base_a = rssi(stations[0], 100.0, 0.0)
-    assert m1["a"] == pytest.approx(base_a + float(expected.normal(0.0, 4.0)))
+    assert first == ("a", rssi(stations[0], 100.0, 0.0) + float(expected.normal(0.0, 4.0)))
+
+
+def test_shadowing_draws_follow_the_station_order():
+    # at (600, 0) b (100 m away) serves: its level takes the second draw, after a's
+    stations = [BaseStation("b", 500.0, 0.0), BaseStation("a", 0.0, 0.0)]
+    obs = RadioObserver(stations, shadowing_sigma_db=4.0, seed=11)
+    obs.update(3, 600.0, 0.0, 0.0)
+    draws = substream(11, "shadowing", 3).normal(0.0, 4.0, size=2).tolist()
+    assert obs.current(3) == ("b", rssi(stations[0], 600.0, 0.0) + draws[1])
 
 
 def test_sigma_zero_is_pure_path_loss():
     stations = [BaseStation("a", 0.0, 0.0)]
     obs = RadioObserver(stations, shadowing_sigma_db=0.0, seed=99)
-    m = obs.measure(1, 250.0, 0.0)
-    assert m["a"] == rssi(stations[0], 250.0, 0.0)
+    obs.update(1, 250.0, 0.0, 0.0)
+    assert obs.current(1) == ("a", rssi(stations[0], 250.0, 0.0))
     assert obs._streams == []  # no streams were ever created
 
 
@@ -272,8 +278,7 @@ def _as_tuple(event):
 
 def _assert_same_state(obs, ref, vids):
     ids = [s.id for s in obs.stations]
-    for vid in vids:
-        assert obs.last_levels(vid) == ref.levels[vid]  # bitwise, every station
+    for vid in vids:  # bitwise: the serving cell and its level
         assert obs.current(vid) == (ref.serving[vid], ref.levels[vid][ids.index(ref.serving[vid])])
     assert obs.current_all(vids) == [obs.current(vid) for vid in vids]
 
@@ -336,12 +341,12 @@ def test_dense_random_batch_is_bitwise_scalar_rssi():
 def test_kernel_floors_distance_at_reference_on_and_near_a_station():
     a, b = BaseStation("a", 10.0, 20.0), BaseStation("b", 900.0, 20.0)
     points = [(10.0, 20.0), (10.3, 19.6), (11.0, 20.0)]  # on a, inside its floor, at 1 m
+    points += [(900.0, 20.0), (899.5, 20.5), (900.0, 21.0)]  # the same on b
     obs = RadioObserver([a, b])
-    obs.observe_all([0, 1, 2], [p[0] for p in points], [p[1] for p in points], 0.0)
+    obs.observe_all(range(6), [p[0] for p in points], [p[1] for p in points], 0.0)
     floor = rssi(a, 11.0, 20.0)
-    for vid, (x, y) in enumerate(points):
-        assert obs.last_levels(vid) == [floor, rssi(b, x, y)]
-        assert obs.current(vid) == ("a", floor)
+    assert floor == rssi(b, 900.0, 21.0)
+    assert obs.current_all(range(6)) == [("a", floor)] * 3 + [("b", floor)] * 3
 
 
 def test_equidistant_stations_tie_to_smaller_id():
@@ -450,9 +455,32 @@ def test_ranking_margin_scales_with_huge_levels(tx, exponent, sigma):
 def test_observe_all_empty_batch_and_ragged_input():
     obs = RadioObserver([BaseStation("a", 0.0, 0.0)], shadowing_sigma_db=4.0)
     assert obs.observe_all([], [], [], 1.0) == []
-    assert obs.attachments == {} and obs._streams == []
+    assert obs.current_all([1, 2]) == [None, None] and obs._streams == []
     with pytest.raises(ValueError):
         obs.observe_all([1, 2], [0.0], [0.0, 1.0], 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("argument", ["x", "y", "t"])
+def test_non_finite_positions_and_times_are_rejected_without_side_effects(argument, bad):
+    stations = [BaseStation("a", 0.0, 0.0), BaseStation("b", 1000.0, 0.0)]
+    kwargs = dict(hysteresis_db=0.5, time_to_trigger_s=0.3, shadowing_sigma_db=2.0, seed=9)
+    obs, twin = RadioObserver(stations, **kwargs), RadioObserver(stations, **kwargs)
+    for o in (obs, twin):
+        o.observe_all([1, 2], [100.0, 900.0], [0.0, 0.0], 0.0)
+    before = obs.current_all([1, 2, 3])
+    batch = {"x": [700.0, 200.0, 5.0], "y": [0.0, 0.0, 0.0], "t": 0.1}
+    batch[argument] = bad if argument == "t" else [bad if i == 1 else v for i, v in enumerate(batch[argument])]
+    with pytest.raises(ValueError, match="finite"):
+        obs.observe_all([1, 2, 3], batch["x"], batch["y"], batch["t"])
+    with pytest.raises(ValueError, match="finite"):
+        obs.update(3, *(bad if name == argument else 1.0 for name in "xyt"))
+    assert obs.current_all([1, 2, 3]) == before
+    # no timer started and no shadowing draw was taken: the observer goes on as its twin does
+    for k in range(1, 8):
+        xs, ys, t = [100.0 + 100.0 * k, 900.0 - 100.0 * k, 5.0], [0.0, 0.0, 0.0], 0.1 * k
+        assert obs.observe_all([1, 2, 3], xs, ys, t) == twin.observe_all([1, 2, 3], xs, ys, t)
+        assert obs.current_all([1, 2, 3]) == twin.current_all([1, 2, 3])
 
 
 @pytest.mark.parametrize(

@@ -830,6 +830,35 @@ def test_handover_sequence_is_sampling_invariant(handover_run, corridor_map, tmp
     assert len(coarse_lines) == 1 + 31  # 90 s at 3 s sampling
 
 
+PING_PONG_SCENARIO = (
+    "map = {map}\nduration = 60\nseed = 4\ninterference.count = 40\n"
+    "station.0.x = 0\nstation.0.y = 0\nstation.1.x = 1200\nstation.1.y = 1200\n"
+    "station.2.x = 1200\nstation.2.y = 0\n"
+    "radio.hysteresis = 0.5\nradio.ttt = 0.2\nradio.shadowing_sigma = 3\nradio.pingpong_window = {window}\n"
+)
+
+
+@pytest.mark.parametrize("window, ping_pongs", [(30, 162), (3, 139)])
+def test_ping_pong_rows_reverse_the_previous_handover_within_the_window(tmp_path_factory, window, ping_pongs):
+    grid = tmp_path_factory.mktemp("maps") / "grid5.osm"
+    grid.write_text(grid_osm_xml(5, 300.0))
+    artifacts = run(load_config(PING_PONG_SCENARIO.format(map=grid, window=window)), tmp_path_factory.mktemp("pp"))
+    rows = [line.split(",") for line in artifacts.events_path.read_text().splitlines()[1:]]
+    # rows are sorted by (time, vehicle, kind), so a ping-pong follows the handover it flags
+    previous, expected, seen = {}, [], []
+    for t, kind, vid, cell_a, cell_b, x, y in rows:
+        if kind == "handover":
+            back = previous.get(vid)
+            if back and (back[1], back[2]) == (cell_b, cell_a) and float(t) - float(back[0]) <= window:
+                expected.append([t, "ping_pong", vid, cell_b, cell_a, x, y])
+            previous[vid] = (t, cell_a, cell_b)
+        else:
+            assert kind == "ping_pong"
+            seen.append([t, kind, vid, cell_a, cell_b, x, y])
+    assert seen == expected
+    assert (artifacts.summary["handover_count"], artifacts.summary["ping_pong_count"]) == (172, ping_pongs)
+
+
 def test_same_seed_reproduces_bytes_different_seed_does_not(grid_map, tmp_path):
     text = f"map = {grid_map}\nduration = 5\nseed = 7\ninterference.count = 8\n"
     cfg = load_config(text)

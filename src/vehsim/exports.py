@@ -150,10 +150,12 @@ def export_svg(
     min_x, min_y, max_x, max_y = graph.bounds()
     scale = size / max(max_x - min_x, max_y - min_y, 1e-9)
 
-    def to_svg(x: np.ndarray, y: np.ndarray) -> list[str]:
-        """Each map point (x[i], y[i]) as an ``"x,y"`` screen point."""
-        return list(map("{:.2f},{:.2f}".format,
-                        (margin + (x - min_x) * scale).tolist(), (margin + (max_y - y) * scale).tolist()))
+    def points(x: np.ndarray, y: np.ndarray) -> str:
+        """The map points (x[i], y[i]) as space-separated ``"x,y"`` screen points, formatted by one template."""
+        flat = np.empty(2 * len(x))  # x and y interleaved
+        flat[0::2] = margin + (x - min_x) * scale
+        flat[1::2] = margin + (max_y - y) * scale
+        return ("%.2f,%.2f " * len(x) % tuple(flat.tolist()))[:-1]
 
     width = (max_x - min_x) * scale + 2 * margin
     height = (max_y - min_y) * scale + 2 * margin
@@ -164,7 +166,7 @@ def export_svg(
         f'viewBox="0 0 {width:.1f} {height:.1f}">',
         f'<rect width="{width:.1f}" height="{height:.1f}" fill="white"/>',
     ]
-    nodes, rows = to_svg(graph.x, graph.y), graph.nodes  # one screen point per node row
+    nodes, rows = points(graph.x, graph.y).split(" "), graph.nodes  # one screen point per node row
     for way_id in sorted(graph.ways):
         pts = " ".join(nodes[rows[node_id]] for node_id in graph.ways[way_id].node_refs)
         parts.append(
@@ -174,9 +176,8 @@ def export_svg(
         order, spans = _by_vehicle(trace)
         x, y = trace.x[order], trace.y[order]
         for a, b in spans:
-            pts = " ".join(to_svg(x[a:b], y[a:b]))
             parts.append(
-                f'<polyline fill="none" stroke="#cc2222" stroke-width="1" points="{pts}"/>'
+                f'<polyline fill="none" stroke="#cc2222" stroke-width="1" points="{points(x[a:b], y[a:b])}"/>'
             )
     parts.append("</svg>")
     return "\n".join(parts)

@@ -77,6 +77,8 @@ class BaseStation:
     carrier_mhz: float = DEFAULT_CARRIER_MHZ
 
     def __post_init__(self) -> None:
+        if any(c in self.id for c in ",\n\r"):  # the id is written unquoted into trace and events CSV rows
+            raise ValueError(f"station {self.id!r}: id may not contain ',', '\\n' or '\\r'")
         for name in ("x", "y", "tx_power_dbm", "carrier_mhz"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"station {self.id}: {name} must be finite")

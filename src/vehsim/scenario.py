@@ -24,6 +24,7 @@ import json
 import logging
 import math
 import re
+import warnings
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -569,15 +570,84 @@ def _check_fields(raw: str) -> None:
     _finite(t), int(vid), _finite(x), _finite(y), _finite(v), _finite(acc), rssi and _finite(rssi)
 
 
-def read_trace(path: str | Path) -> Trace:
-    """Load a trace.csv back as a :class:`Trace`; a malformed file (header,
-    field count, a value, a non-finite number) raises ``ValueError`` naming
-    the line of its first fault.
+# Bytes on which NumPy's C reader and the general reader could disagree: the C
+# reader drops a \r that ends a line, which the general reader keeps in the last
+# cell; it reads a NUL in a one-character text cell as blank; and it strips
+# \x1c-\x1f around a number as whitespace, which float() and int() refuse.
+_UNSAFE_BYTES = (b"\r", b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_SCAN_CHUNK = 1 << 20
+_NUMBER_COLUMNS = (("t", "f8"), ("vehicle_id", "i8"), ("x", "f8"), ("y", "f8"), ("v", "f8"), ("acc", "f8"))
 
-    Each line's numbers are parsed at once and checked to be finite by one
-    sum; only a line that fails is checked again field by field
-    (:func:`_check_fields`), to name its first fault.
+
+def _scan_trace(path: str | Path) -> tuple[int, bool] | None:
+    """Pre-scan a trace file as bytes: its number of rows and whether its first
+    row's rssi is blank, or None if it does not start with the header and a
+    non-blank row or holds a byte of ``_UNSAFE_BYTES``."""
+    header = TRACE_HEADER.encode() + b"\n"
+    with open(path, "rb") as fh:
+        chunk = fh.read(_SCAN_CHUNK)
+        if not chunk.startswith(header):
+            return None
+        end = chunk.find(b"\n", len(header))
+        first = chunk[len(header):end if end >= 0 else len(chunk)]
+        if not first:  # no rows, or a blank line, which the C reader would skip
+            return None
+        rows, last = -1, b""  # the header's newline ends no row
+        while chunk:
+            if any(byte in chunk for byte in _UNSAFE_BYTES):
+                return None
+            rows += chunk.count(b"\n")
+            last = chunk[-1:]
+            chunk = fh.read(_SCAN_CHUNK)
+    return rows + (last != b"\n"), first.endswith(b",")
+
+
+def _read_trace_table(path: str | Path) -> Trace | None:
+    """Read a trace in one streaming pass of NumPy's C text reader, or return
+    None unless the result provably equals the general reader's.
+
+    Cell names are interned to codes by a converter.  The rssi column is read
+    as numbers, or, when the first row leaves it blank, as one-character text
+    that must then be blank in every row.  Blank lines (which the C reader
+    skips) show as a row count short of the pre-scan's; any ``ValueError``, a
+    non-finite number or a non-blank rssi in a blank-rssi file sends the file
+    to the general reader, which accepts and refuses what it did before.
     """
+    scan = _scan_trace(path)
+    if scan is None:
+        return None
+    rows, blank_rssi = scan
+    cells = {"": 0}  # cell name -> code; blank is 0
+    dtype = [*_NUMBER_COLUMNS, ("cell", "i8"), ("rssi", "U1" if blank_rssi else "f8")]
+    try:
+        with open(path, newline="") as fh, warnings.catch_warnings():
+            # NumPy 1.x parses an integer such as "1.5" through a float, with only a
+            # DeprecationWarning, where int() refuses it
+            warnings.simplefilter("error", DeprecationWarning)
+            fh.readline()  # the header, which the pre-scan has checked
+            table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1, encoding=None,
+                               converters={6: lambda cell: cells.setdefault(cell, len(cells))})
+    except (ValueError, DeprecationWarning):
+        return None
+    numbers = ["t", "x", "y", "v", "acc"]
+    if blank_rssi:
+        if (table["rssi"] != "").any():
+            return None
+        rssi = np.full(len(table), math.nan)
+    else:
+        numbers.append("rssi")
+        rssi = table["rssi"]
+    if len(table) != rows or not all(np.isfinite(table[name]).all() for name in numbers):
+        return None
+    names = np.array([name or None for name in cells], object)
+    return Trace(table["t"], table["vehicle_id"], table["x"], table["y"], table["v"], table["acc"], rssi,
+                 names[table["cell"]])
+
+
+def _read_trace_lines(path: str | Path) -> Trace:
+    """The general reader: each line's numbers are parsed at once and checked
+    to be finite by one sum; only a line that fails is checked again field by
+    field (:func:`_check_fields`), to name its first fault."""
     values = array("d")  # t, x, y, v, acc, rssi of each row in turn
     keys = array("q")  # vehicle id and cell code of each row in turn
     cells = {"": 0}  # cell name -> code; blank is 0
@@ -606,6 +676,19 @@ def read_trace(path: str | Path) -> Trace:
     vehicle_id, cell = np.frombuffer(keys, np.int64).reshape(-1, 2).T.copy()
     names = np.array([name or None for name in cells], object)
     return Trace(t, vehicle_id, x, y, v, acc, rssi, names[cell])
+
+
+def read_trace(path: str | Path) -> Trace:
+    """Load a trace.csv back as a :class:`Trace`; a malformed file (header,
+    field count, a value, a non-finite number) raises ``ValueError`` naming
+    the line of its first fault.
+
+    A file as runs write it is read by NumPy's C reader
+    (:func:`_read_trace_table`); every other file, and so every malformed
+    one, by the general reader (:func:`_read_trace_lines`).
+    """
+    trace = _read_trace_table(path)
+    return trace if trace is not None else _read_trace_lines(path)
 
 
 # -- execution -----------------------------------------------------------------

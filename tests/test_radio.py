@@ -65,6 +65,10 @@ def test_station_validation():
                 BaseStation(**{"id": "a", "x": 0.0, "y": 0.0, **kwargs})
     with pytest.raises(ValueError):
         HandoverEvent(1.0, 0, "a", "a", 0.0, 0.0)
+    # the id is written unquoted into CSV rows, which read_trace would then refuse
+    for bad in ("a,b", "a\nb", "a\r", ","):
+        with pytest.raises(ValueError, match="id may not contain"):
+            BaseStation(bad, 0.0, 0.0)
 
 
 def test_observer_rejects_bad_station_sets():

@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vehsim import scenario
 from vehsim.cli import main as cli_main
 from vehsim.kernel import EventKernel, KernelError
 from vehsim.mobility import StrandedError
@@ -575,25 +577,36 @@ def _outcome(read, path):
         return str(exc)
 
 
-_NUMBERS = ("0", "-0", "1.5", "-3.250", "1e308", "-1e308", "2.5e-300", " 7", "1_0", "+4.", "nan", "NaN", "inf",
-            "-inf", "Infinity", "1e999", "x", "", "0x10", "1.5.2")
-_IDS = ("0", "7", "-3", "0012", "1.5", "x", "", "1e3")
-_CELLS = ("", "eNB1", "cell 2", "é")
-_RSSI = ("", "-70.25", "-112.91", "nan", "inf", "dbm", " -3")
+# values that both readers accept
+_GOOD_NUMBERS = ("0", "-0", "1.5", "-3.250", "1e308", "-1e308", "2.5e-300", " 7", "+4.", "2 ")
+_GOOD_IDS = ("0", "7", "-3", "0012", "+5", " 7")
+_GOOD_CELLS = ("", "eNB1", "cell 2", "é", " eNB1 ", "a#b", '"q"', "#")
+_GOOD_RSSI = ("-70.25", "-112.91", " -3")
+# and values that one of them refuses, or that a C text reader could read differently
+_NUMBERS = _GOOD_NUMBERS + ("1_0", "nan", "NaN", "inf", "-inf", "Infinity", "1e999", "x", "", "0x10", "1.5.2",
+                            "\x1c7", "7\x1f", "\xa07")
+_IDS = _GOOD_IDS + ("1.5", "x", "", "1e3", "7\x1c", "1_0")
+_CELLS = _GOOD_CELLS + ('"a,b"', "\x00")
+_RSSI = ("", *_GOOD_RSSI, "nan", "inf", "dbm", "\x00", " ", "-70#")
 
 
 @st.composite
 def _trace_texts(draw):
+    # half the files hold only values that both readers accept, under a blank,
+    # a numeric or a mixed rssi column, so that well-formed files are common
+    good = draw(st.booleans())
+    numbers, ids, cells = (_GOOD_NUMBERS, _GOOD_IDS, _GOOD_CELLS) if good else (_NUMBERS, _IDS, _CELLS)
+    rssi = draw(st.sampled_from((("",), _GOOD_RSSI, ("", *_GOOD_RSSI)))) if good else _RSSI
     lines = []
     for _ in range(draw(st.integers(0, 6))):
-        fields = [draw(st.sampled_from(_NUMBERS)), draw(st.sampled_from(_IDS))]
-        fields += [draw(st.sampled_from(_NUMBERS)) for _ in range(4)]
-        fields += [draw(st.sampled_from(_CELLS)), draw(st.sampled_from(_RSSI))]
-        if draw(st.integers(0, 9)) == 0:  # a row one field short or long
+        fields = [draw(st.sampled_from(numbers)), draw(st.sampled_from(ids))]
+        fields += [draw(st.sampled_from(numbers)) for _ in range(4)]
+        fields += [draw(st.sampled_from(cells)), draw(st.sampled_from(rssi))]
+        if not good and draw(st.integers(0, 9)) == 0:  # a row one field short or long
             fields = fields[:-1] if draw(st.booleans()) else fields + ["1"]
         lines.append(",".join(fields))
-    ending = draw(st.sampled_from(("\n", "\n", "\r\n", "\n\n")))
-    return TRACE_HEADER + "\n" + ending.join(lines) + draw(st.sampled_from(("", "\n")))
+    ending = draw(st.sampled_from(("\n", "\n", "\n", "\r\n", "\n\n", "\r")))
+    return TRACE_HEADER + "\n" + ending.join(lines) + draw(st.sampled_from(("", "\n", "\n\n")))
 
 
 @settings(max_examples=300, deadline=None)
@@ -632,6 +645,88 @@ def test_read_trace_accepts_finite_numbers_whose_sum_overflows(tmp_path):
     trace.write_text(f"{TRACE_HEADER}\n1e308,0,1e308,-1e308,1e308,1e308,,\n")
     columns = read_trace(trace)
     assert columns.x.tolist() == [1e308] and columns.y.tolist() == [-1e308] and np.isnan(columns.rssi[0])
+
+
+def _rows(trace):
+    """A Trace as the reference's tuples, blanks None."""
+    columns = [trace.t, trace.vehicle_id, trace.x, trace.y, trace.v, trace.acc, trace.serving_cell,
+               np.where(np.isnan(trace.rssi), None, trace.rssi)]
+    return list(zip(*(column.tolist() for column in columns)))
+
+
+_BLANK_ROW = "0,1,2,3,4,5,,"
+_VALUE_ROW = "0.1,2,3,4,5,6,a,-70.5"
+# name -> (text, whether NumPy's C reader reads it); each reads as the reference reads it
+_EDGE_TRACES = {
+    "blank-rssi": (f"{TRACE_HEADER}\n{_BLANK_ROW}\n{_BLANK_ROW}\n", True),
+    "numeric-rssi": (f"{TRACE_HEADER}\n{_VALUE_ROW}\n{_VALUE_ROW}\n", True),
+    "no-final-newline": (f"{TRACE_HEADER}\n{_VALUE_ROW}\n{_VALUE_ROW}", True),
+    "cells-with-spaces-hash-and-quotes": (f'{TRACE_HEADER}\n0,1,2,3,4,5, a ,-1\n0,2,2,3,4,5,#,-2\n0,3,2,3,4,5,"q",-3\n',
+                                          True),
+    "signed-and-spaced-ids": (f"{TRACE_HEADER}\n0,+5,2,3,4,5,,\n0, 7,2,3,4,5,,\n", True),
+    # a later non-blank rssi is kept, not dropped
+    "blank-then-value-rssi": (f"{TRACE_HEADER}\n{_BLANK_ROW}\n{_VALUE_ROW}\n", False),
+    "value-then-blank-rssi": (f"{TRACE_HEADER}\n{_VALUE_ROW}\n{_BLANK_ROW}\n", False),
+    "header-only": (f"{TRACE_HEADER}\n", False),
+    "header-then-blank-line": (f"{TRACE_HEADER}\n\n", False),
+    "blank-line-between-rows": (f"{TRACE_HEADER}\n{_VALUE_ROW}\n\n{_VALUE_ROW}\n", False),
+    "lone-cr-endings": (f"{TRACE_HEADER}\n{_VALUE_ROW}\r{_VALUE_ROW}\r", False),
+    # after a blank first rssi, a NUL or a \r (of \r\n) in the rssi cell would read as blank
+    "nul-rssi": (f"{TRACE_HEADER}\n{_BLANK_ROW}\n{_BLANK_ROW}\x00\n", False),
+    "crlf-after-blank-rssi": (f"{TRACE_HEADER}\n{_BLANK_ROW}\n{_BLANK_ROW}\r\n", False),
+    "separator-around-a-number": (f"{TRACE_HEADER}\n0,\x1c7,2,3,4,5,,\n", False),
+    "float-id": (f"{TRACE_HEADER}\n0,1.5,2,3,4,5,,\n", False),
+    "id-as-exponent": (f"{TRACE_HEADER}\n0,1e3,2,3,4,5,,\n", False),
+    "non-finite-rssi": (f"{TRACE_HEADER}\n0,1,2,3,4,5,a,inf\n", False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_TRACES))
+def test_edge_traces_read_as_the_reference_reads_them(tmp_path, name):
+    text, c_reader = _EDGE_TRACES[name]
+    path = tmp_path / "trace.csv"
+    path.write_bytes(text.encode())
+    assert (scenario._read_trace_table(path) is not None) == c_reader
+    got, want = _outcome(read_trace, path), _outcome(_reference_read_trace, path)
+    assert (got if isinstance(got, str) else _rows(got)) == want
+
+
+def test_run_traces_are_read_without_the_general_reader(handover_run, grid_map, tmp_path, monkeypatch):
+    # one run with stations, one without (blank serving cell and rssi columns)
+    config = load_config(f"map = {grid_map}\nduration = 20\nsampling = 0.1\nseed = 3\ninterference.count = 6\n")
+    blank = run(config, tmp_path / "blank")
+
+    def general_reader(path):
+        raise AssertionError(f"{path} was read by the general reader")
+
+    monkeypatch.setattr(scenario, "_read_trace_lines", general_reader)
+    for artifacts in (handover_run[0], blank):
+        trace = read_trace(artifacts.trace_path)
+        assert len(trace) > 90 and _rows(trace) == _reference_read_trace(artifacts.trace_path)
+    assert np.isnan(trace.rssi).all() and all(cell is None for cell in trace.serving_cell)
+
+
+def test_read_trace_peak_memory_is_no_higher_than_the_general_readers(tmp_path):
+    rng = np.random.default_rng(5)
+    n = 20_000
+    x, y = rng.uniform(-2000.0, 2000.0, (2, n))
+    v, rssi = rng.uniform(0.0, 20.0, n), rng.uniform(-120.0, -60.0, n)
+    path = tmp_path / "trace.csv"
+    path.write_text(TRACE_HEADER + "\n" + "".join(
+        f"{i // 40 / 10:g},{i % 40},{x[i]:.3f},{y[i]:.3f},{v[i]:.3f},0.000,site{i % 3},{rssi[i]:.2f}\n"
+        for i in range(n)))
+    assert scenario._read_trace_table(path) is not None
+
+    def peak(read):
+        read(path)  # once first, so that lazy imports and caches are not counted
+        tracemalloc.start()
+        try:
+            read(path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(read_trace) <= peak(scenario._read_trace_lines)
 
 
 def test_map_and_trace_io_leave_no_garbage_cycles(corridor_map, handover_run):

@@ -7,17 +7,17 @@ sequence does not depend on how often traces are sampled.  Nothing here
 feeds back into vehicle motion.
 
 ``RadioObserver.observe_all`` handles one batch of vehicles per step as
-arrays over vehicle rows: it first ranks the stations, then computes exactly
-only the levels it uses.  Every level that is stored, compared or returned is
-bit-identical to the scalar ``rssi`` (plus shadowing): per-station constants
-are computed once, NumPy does only IEEE basic operations (``-``, ``+``,
-``*``, ``/``, ``maximum``, comparisons) in the scalar association
-``tx - (ref + k * log10(d))``, and the distance and logarithm go element-wise
-through ``math.hypot`` and ``math.log10``.  ``np.hypot`` and ``np.log10``
-round differently: over 200 000 uniform offsets within 2 km (NumPy 2.4,
-CPython 3.11, x86-64) ``np.hypot`` differed from ``math.hypot`` on 0.6 % of
-inputs and ``np.log10`` from ``math.log10`` on 3.5 %, each by at most 1 ulp,
-and the hypot differences still moved 0.05 % of the final RSSI values.
+arrays over vehicle rows: it ranks the stations with NumPy and computes exact
+levels only where the ranking leaves a choice open.  Every level returned or
+written is bit-identical to the scalar ``rssi`` (plus shadowing), and every
+comparison has the outcome exact levels give: NumPy does only IEEE basic
+operations (``-``, ``+``, ``*``, ``/``, ``maximum``, comparisons) in the
+scalar association ``tx - (ref + k * log10(d))``, and exact distances and
+logarithms go through ``math.hypot`` and ``math.log10``.  ``np.hypot`` and
+``np.log10`` round differently: over 200 000 uniform offsets within 2 km
+(NumPy 2.4, CPython 3.11, x86-64) ``np.hypot`` differed from ``math.hypot`` on
+0.6 % of inputs and ``np.log10`` from ``math.log10`` on 3.5 %, each by at most
+1 ulp, and the hypot differences still moved 0.05 % of the final RSSI values.
 
 So the NumPy functions serve only to rank.  Over 4 M offsets from 3 m to
 30 km, under three carrier/exponent pairs, the largest |NumPy - exact| level
@@ -26,19 +26,24 @@ ulps apart, so the gap is bounded by a few ulps of the largest term summed:
 |tx|, |reference loss|, k times log10(d) (at most 309 for any finite d, plus
 one for the ulp of d) and |shadowing|.  The ranking margin is
 ``_RANK_MARGIN_DB`` (1e-6 dB, 10^7 times the measured gap) plus 2^-46 times
-the sum of those terms, the largest shadowing value drawn so far standing in
-for the last one.  With the default model that second part is about 1e-9 dB;
-it grows with absurd transmit powers, exponents or sigmas, where an ulp of a
-level exceeds 1e-6 dB.  Per vehicle, every station whose ranked level is
-within the margin of the ranked strongest one is computed exactly, and so is
-the serving station.  Every other station is ranked at least the margin
-below the strongest, so it is exactly weaker than the exact strongest level.
-The exact strongest station is therefore always among the exact values,
-exact ties included, and equal levels still resolve to the smaller station
-id.  Most rows need one or two exact values instead of one per station.
+the sum of those terms and the hysteresis, the largest shadowing value drawn
+so far standing in for the last one.  With the default model that second part
+is about 1e-9 dB; it grows with absurd transmit powers, exponents, sigmas or
+hysteresis, where an ulp of a level exceeds 1e-6 dB.
 
-Shadowing draws ``normal(size=k)`` blocks, which yield exactly the values of
-k scalar draws.
+A row is *open* when a second station ranks within the margin of its top, or
+when its hysteresis test ``top <= serving + hysteresis`` ranks within two
+margins of flipping.  Only open rows get exact levels, for their near-top
+stations and their serving station.  Every other station ranks at least the
+margin below the top, so it is exactly weaker than the exact strongest one,
+which is therefore among the exact values, exact ties included (they resolve
+to the smaller station id), and on top of a row that is not open.  Exact
+levels move each side of the hysteresis test by at most one gap, and rounding
+``serving + hysteresis`` and the sides' difference adds at most an ulp of the
+terms and the hysteresis each: less than two margins in all, so a row that is
+not open decides on ranked levels as on exact ones.  ``current_all`` computes
+the levels it returns exactly, when they are read.  Shadowing draws
+``normal(size=k)`` blocks, which yield exactly the values of k scalar draws.
 """
 
 from __future__ import annotations
@@ -172,14 +177,15 @@ class RadioObserver:
 
     State is kept in columns over vehicle rows, in the order vehicles are
     first seen: serving and candidate station index (-1 for none), candidate
-    start time, serving level, and each row's shadowing block with its read
-    pointer.  Stations are ranked with NumPy, then the levels that are
-    compared or stored are computed exactly (see the module docstring).
+    start time, position at the last update, and each row's shadowing block
+    with its read pointer.  Exact levels are computed only for the rows whose
+    choice the ranking leaves open, and by ``current_all`` from the last
+    position and the shadowing row it read (see the module docstring).
     Handovers are returned, not stored: a caller that wants ping-pongs
     collects each vehicle's events for :func:`detect_ping_pong`.
     """
 
-    _COLUMNS = ("_serving", "_candidate", "_since", "_level", "_block", "_block_len", "_pointer")
+    _COLUMNS = ("_serving", "_candidate", "_since", "_pos_x", "_pos_y", "_block", "_block_len", "_pointer")
 
     def __init__(
         self,
@@ -219,7 +225,7 @@ class RadioObserver:
         self._ref = np.array([[reference_loss_db(s.carrier_mhz)] for s in self.stations])
         self._k = 10.0 * path_loss_exponent
         # the level terms the ranking margin scales with; the shadowing term grows at each refill
-        self._terms = float(np.abs(self._tx).max() + np.abs(self._ref).max()) + self._k * (_LOG_D_MAX + 1.0)
+        self._terms = float(abs(self._tx).max() + abs(self._ref).max()) + self._k * (_LOG_D_MAX + 1.0) + hysteresis_db
         self._shadow_max = 0.0
         # per-vehicle columns, row = order of first observation, grown by doubling
         rows = 16
@@ -229,7 +235,7 @@ class RadioObserver:
         self._serving = np.empty(rows, dtype=np.intp)
         self._candidate = np.empty(rows, dtype=np.intp)
         self._since = np.empty(rows)
-        self._level = np.empty(rows)  # serving level at the last update
+        self._pos_x, self._pos_y = np.empty(rows), np.empty(rows)  # position at the last update
         self._block = np.empty((rows, depth, len(self._ids)))
         self._block_len = np.empty(rows, dtype=np.intp)
         self._pointer = np.empty(rows, dtype=np.intp)  # next unread row of the block
@@ -307,23 +313,26 @@ class RadioObserver:
         shadow = self._draw(rows)
         dx, dy = x - self._x, y - self._y  # (stations x vehicles)
 
-        # rank with NumPy, then make exact every level that may be the strongest or serves
+        # rank with NumPy, then make exact the near-top and serving levels of every open row
         log_d = np.log10(np.maximum(np.hypot(dx, dy), D_REF_M) / D_REF_M)
-        ranked = self._levels(log_d, shadow)
+        levels = self._levels(log_d, shadow)
         margin = _RANK_MARGIN_DB + _RANK_ULPS * (self._terms + self._shadow_max)
-        exact = ranked >= ranked.max(axis=0) - margin
         serving = self._serving[rows]
         served = serving * n + np.arange(n)  # flat (station, vehicle) index; -1 wraps to the last station
-        exact.ravel()[served] = True
-        at = np.flatnonzero(exact)
-        log_d.ravel()[at] = _exact_log_d(dx.ravel()[at], dy.ravel()[at])
-        levels = self._levels(log_d, shadow)
-        best = levels.argmax(axis=0)  # first maximum: the smaller id
-        best_level = levels.max(axis=0)
-        serving_level = levels.ravel()[served]
-
-        # best == serving needs no test of its own: x <= x + hysteresis when hysteresis >= 0
         attached = serving >= 0
+        best, best_level, serving_level = levels.argmax(axis=0), levels.max(axis=0), levels.ravel()[served]
+        exact = levels >= best_level - margin
+        flip = attached & (best != serving) & (abs(best_level - (serving_level + self.hysteresis_db)) <= 2.0 * margin)
+        if np.count_nonzero(exact) > n or flip.any():  # some row is open; each row's own top is in exact
+            open_rows = (exact.sum(axis=0) > 1) | flip
+            exact &= open_rows
+            exact.ravel()[served[open_rows]] = True
+            at = np.flatnonzero(exact)
+            log_d.ravel()[at] = _exact_log_d(dx.ravel()[at], dy.ravel()[at])
+            levels = self._levels(log_d, shadow)
+            best, best_level, serving_level = levels.argmax(axis=0), levels.max(axis=0), levels.ravel()[served]
+
+        # argmax takes the smaller id of equals; best == serving needs no test: x <= x + hysteresis
         candidate = np.where(attached & ~(best_level <= serving_level + self.hysteresis_db), best, -1)
         since = np.where(candidate != self._candidate[rows], t, self._since[rows])
         fire = (candidate >= 0) & (t - since >= self.time_to_trigger_s - _TTT_SLACK)
@@ -331,7 +340,7 @@ class RadioObserver:
         self._candidate[rows] = np.where(fire, -1, candidate)
         self._since[rows] = since
         self._serving[rows] = np.where(switch, best, serving)
-        self._level[rows] = np.where(switch, best_level, serving_level)
+        self._pos_x[rows], self._pos_y[rows] = x, y
         cells = self._ids
         return [HandoverEvent(t, ids[i], cells[serving[i]], cells[best[i]], float(x[i]), float(y[i]))
                 for i in np.flatnonzero(fire).tolist()]
@@ -346,7 +355,13 @@ class RadioObserver:
         return self.current_all((vehicle_id,))[0]
 
     def current_all(self, ids) -> list[tuple[str, float] | None]:
-        """:meth:`current` of every listed vehicle, read from the columns at once."""
+        """:meth:`current` of every listed vehicle, one exact level per known vehicle, at once."""
         rows = np.fromiter(map(self._row.get, ids, repeat(-1)), np.intp)
-        serving = np.where(rows >= 0, self._serving[rows], -1).tolist()
-        return [None if s < 0 else (self._ids[s], level) for s, level in zip(serving, self._level[rows].tolist())]
+        known = rows[rows >= 0]
+        cell = self._serving[known]  # every known row has been attached
+        log_d = _exact_log_d(self._pos_x[known] - self._x.take(cell), self._pos_y[known] - self._y.take(cell))
+        level = self._tx.take(cell) - (self._ref.take(cell) + self._k * log_d)
+        if self.shadowing_sigma_db > 0.0:  # the shadowing row the last update read
+            level += self._block[known, self._pointer[known] - 1, cell]
+        found = zip(map(self._ids.__getitem__, cell.tolist()), level.tolist())
+        return list(found) if known.size == rows.size else [None if row < 0 else next(found) for row in rows.tolist()]

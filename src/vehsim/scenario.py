@@ -416,6 +416,14 @@ def _check_clock(config: ScenarioConfig, line: Callable[[str], int | None] = lam
             raise ConfigError(f"must be {rule}, got {seconds!r}", key=name, line=line(name))
 
 
+def _check_echo(prefix: str, keys: tuple[_Key, ...], obj: object) -> None:
+    """Raise the :class:`ConfigError` that ``load_config`` would raise on ``obj``'s echo, without a line:
+    a block built in code gets the finiteness check and the bounds of the block it echoes to."""
+    block = _Block(prefix)
+    block.entries = {key.name: (_fmt(attrgetter(key.attr)(obj)), None) for key in keys}
+    block.parse(keys)
+
+
 def load_config(text: str, *, base_dir: str | Path | None = None) -> ScenarioConfig:
     """Parse and validate scenario text; raises :class:`ConfigError` on any problem.
 
@@ -781,7 +789,8 @@ def _spawn_interference(world: World, config: ScenarioConfig) -> None:
 class Simulation:
     """One scenario stepped by an event kernel, from set-up to its four artifacts.
 
-    The constructor applies :func:`load_config`'s time-grid rule, writes the
+    The constructor applies :func:`load_config`'s time-grid rule and its
+    ``radio.*`` checks (a config built in code may skip them), writes the
     ``config.ini`` echo (``echo_text`` verbatim when given: the CLI passes the
     pre-override file config so that seed sweeps share one echo), parses the
     map, spawns the vehicles, builds the radio observer and writes the t = 0
@@ -798,6 +807,7 @@ class Simulation:
 
     def __init__(self, config: ScenarioConfig, out_dir: str | Path, *, echo_text: str | None = None) -> None:
         _check_clock(config)
+        _check_echo("radio.", _RADIO_KEYS, config.radio)
         self.config = config
         self.out_dir = out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

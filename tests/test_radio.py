@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vehsim.radio as radio
 from vehsim.radio import (
     _RANK_MARGIN_DB,
     BaseStation,
@@ -454,6 +455,87 @@ def test_ranking_margin_scales_with_huge_levels(tx, exponent, sigma):
         expected = [ref.update(v, x, y, 0.5 * step) for v, x, y in zip(vids, xs, ys)]
         assert [_as_tuple(e) for e in events] == [e for e in expected if e is not None]
         _assert_same_state(obs, ref, vids)
+
+
+@pytest.mark.parametrize("exponent, hysteresis", [(1e11, 1e12), (3.5, None)], ids=["huge", "spread"])
+def test_ranking_margin_covers_the_hysteresis(exponent, hysteresis):
+    # at x = 1000 a is ten times farther than b, at x = 100 b ten times farther than a: the
+    # serving level plus the hysteresis (k = 10 * exponent, or the spread of the two levels there)
+    # meets the other level within a few ulps, so every step tests the hysteresis on a knife-edge
+    a, b = BaseStation("a", 0.0, 0.0), BaseStation("b", 1100.0, 0.0)
+    stations = [a, b, BaseStation("c", 550.0, 3000.0)]
+    if hysteresis is None:
+        hysteresis = rssi(b, 1000.0, 0.0, path_loss_exponent=exponent) - rssi(a, 1000.0, 0.0,
+                                                                               path_loss_exponent=exponent)
+    ys = np.random.default_rng(4).uniform(-1e-5, 1e-5, 40).tolist()
+    near_b = [(1000.0 + n * math.ulp(1000.0), y) for n in range(-6, 7) for y in ys]
+    near_a = [(1100.0 - x, y) for x, y in near_b]
+    kwargs = dict(hysteresis_db=hysteresis, time_to_trigger_s=0.0, path_loss_exponent=exponent, seed=3)
+    obs, ref = RadioObserver(stations, **kwargs), _ScalarReference(stations, **kwargs)
+    vids = list(range(len(near_b)))
+    handovers = []
+    for step in range(6):  # attach to a, then alternate between the two boundaries
+        points = [(50.0, 0.0)] * len(vids) if step == 0 else near_b if step % 2 else near_a
+        points = points[step:] + points[:step]
+        xs, ys = [p[0] for p in points], [p[1] for p in points]
+        events = obs.observe_all(vids, xs, ys, 0.5 * step)
+        expected = [ref.update(v, x, y, 0.5 * step) for v, x, y in zip(vids, xs, ys)]
+        assert [_as_tuple(e) for e in events] == [e for e in expected if e is not None]
+        _assert_same_state(obs, ref, vids)
+        handovers.append(len(events))
+    assert all(0 < count < len(vids) for count in handovers[1:])  # both outcomes on every step
+
+
+def _count_exact_levels(monkeypatch):
+    counted = []
+    exact_log_d = radio._exact_log_d
+    monkeypatch.setattr(radio, "_exact_log_d", lambda dx, dy: counted.append(dx.size) or exact_log_d(dx, dy))
+    return counted
+
+
+def test_only_open_rows_and_read_levels_are_computed_exactly(monkeypatch):
+    # every vehicle sits near one of six stations, far from any tie or hysteresis boundary:
+    # the ranking settles every choice, and a level is computed exactly only when it is read
+    stations = [BaseStation(f"cell{i}", 700.0 * math.cos(i), 700.0 * math.sin(i)) for i in range(6)]
+    kwargs = dict(shadowing_sigma_db=4.0, seed=2)
+    obs, ref = RadioObserver(stations, **kwargs), _ScalarReference(stations, **kwargs)
+    counted = _count_exact_levels(monkeypatch)
+    vids = list(range(60))
+    for step in range(3):
+        xs = [s.x + 20.0 * step for s in stations] * 10
+        ys = [s.y + v - 30.0 for v, s in zip(vids, stations * 10)]
+        expected = [ref.update(v, x, y, 0.1 * step) for v, x, y in zip(vids, xs, ys)]
+        assert obs.observe_all(vids, xs, ys, 0.1 * step) == [] and not any(expected)
+        assert sum(counted) == 0
+    listed = [5, 99, 0, 59, -1, 17]  # two of them never observed
+    levels = obs.current_all(listed)
+    assert sum(counted) == 4
+    assert levels[1] is levels[4] is None
+    _assert_same_state(obs, ref, [5, 0, 59, 17])
+
+
+def test_level_read_lazily_outlives_other_updates_and_refills():
+    # current() computes the level from the row's last position and the shadowing row that
+    # update read: other vehicles' updates, their block refills and column growth leave it be
+    stations = [BaseStation("a", 0.0, 0.0), BaseStation("b", 600.0, 0.0), BaseStation("c", 300.0, 500.0)]
+    kwargs = dict(hysteresis_db=2.0, time_to_trigger_s=0.3, shadowing_sigma_db=4.0, seed=13)
+    obs, ref = RadioObserver(stations, **kwargs), _ScalarReference(stations, **kwargs)
+    first, other = 0, 1  # vehicle 0's first shadow block is one update long
+
+    def update(vid, x, y, t):
+        event, expected = obs.update(vid, x, y, t), ref.update(vid, x, y, t)
+        assert (event and _as_tuple(event)) == expected
+
+    update(first, 120.0, 40.0, 0.0)
+    for k in range(2):
+        for step in range(1, 141):  # two of the other vehicle's blocks and more
+            update(other, 4.0 * step, 10.0, 14.0 * k + 0.1 * step)
+            _assert_same_state(obs, ref, [first])
+        if k == 0:  # joining vehicles grow the columns; the first vehicle's second update refills
+            obs.observe_all(range(2, 40), [300.0] * 38, [100.0] * 38, 14.05)
+            update(first, 480.0, -60.0, 14.05)
+            assert obs._pointer[obs._row[first]] == 1
+            _assert_same_state(obs, ref, [first])
 
 
 def test_observe_all_empty_batch_and_ragged_input():

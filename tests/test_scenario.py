@@ -1053,6 +1053,26 @@ def test_simulation_checks_the_time_grid_before_writing(corridor_map, tmp_path, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", scenario._RADIO_KEYS, ids=lambda key: key.name)
+def test_simulation_checks_code_built_radio_params_before_writing(corridor_map, tmp_path, key):
+    # RadioParams changed after load_config: a value whose echo load_config would refuse
+    # (ping-pong window nan used to run and echo radio.pingpong_window = nan) is refused
+    # before any artifact, with the key the echo would carry
+    base = load_config(f"map = {corridor_map}\nduration = 1\nway = 1\nparked = true\n"
+                       "station.0.x = 0\nstation.0.y = 0\nstation.1.x = 900\nstation.1.y = 0\n")
+    past, edge = (0.0, 5e-324) if key.bound == "> 0" else (-5e-324, 0.0)
+    for bad, message in ((math.nan, "finite"), (math.inf, "finite"), (-math.inf, "finite"), (past, "must be")):
+        cfg = replace(base, radio=replace(base.radio, **{key.attr: bad}))
+        with pytest.raises(ConfigError, match=message) as err:
+            run(cfg, tmp_path / "out")
+        assert (err.value.key, err.value.line) == ("radio." + key.name, None)
+        assert not (tmp_path / "out").exists()
+    # the bound's edge runs, and its echo loads back
+    cfg = replace(base, radio=replace(base.radio, **{key.attr: edge}))
+    run(cfg, tmp_path / "edge")
+    assert load_config((tmp_path / "edge" / "config.ini").read_text()).radio == cfg.radio
+
+
 def test_cli_config_errors_exit_1(corridor_map, tmp_path, capsys):
     bad = _write_config(tmp_path, "map = net.osm\nduration = 10\nbogus = 1\n")
     assert cli_main(["run", str(bad), "--out", str(tmp_path / "o1")]) == 1

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import routing
+from ._bounds import bounded, checked
 from .osm import RoadGraph, SegmentRef, signal_phase
 from .rng import substream
 
@@ -50,30 +51,25 @@ class PlacementError(ValueError):
         self.key = key
 
 
-@dataclass(frozen=True)
+@checked
 class IdmParams:
     """Intelligent Driver Model parameters (SI units)."""
 
-    v0: float = 13.89  # desired speed, m/s
-    T: float = 1.5  # desired time headway, s
-    a_max: float = 1.4  # maximum acceleration, m/s^2
-    b_comf: float = 2.0  # comfortable deceleration, m/s^2
-    delta: float = 4.0  # free-acceleration exponent
-    s0: float = 2.0  # standstill minimum net gap, m
-
-    def __post_init__(self) -> None:
-        for name in ("v0", "T", "a_max", "b_comf", "delta", "s0"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"IdmParams.{name} must be finite and > 0")
+    v0: float = bounded("> 0", 13.89)  # desired speed, m/s
+    T: float = bounded("> 0", 1.5)  # desired time headway, s
+    a_max: float = bounded("> 0", 1.4)  # maximum acceleration, m/s^2
+    b_comf: float = bounded("> 0", 2.0)  # comfortable deceleration, m/s^2
+    delta: float = bounded("> 0", 4.0)  # free-acceleration exponent
+    s0: float = bounded("> 0", 2.0)  # standstill minimum net gap, m
 
 
-@dataclass(frozen=True)
+@checked
 class MobilParams:
     """MOBIL lane-change parameters."""
 
-    p: float = 0.5  # politeness factor
-    delta_a_th: float = 0.2  # incentive threshold, m/s^2
-    b_safe: float = 4.0  # maximum braking imposed on the new follower, m/s^2
+    p: float = bounded("finite", 0.5)  # politeness factor; any sign here, load_config's mobil.p is >= 0
+    delta_a_th: float = bounded(">= 0", 0.2)  # incentive threshold, m/s^2
+    b_safe: float = bounded("> 0", 4.0)  # maximum braking imposed on the new follower, m/s^2
 
 
 def idm_acceleration(v: float, v0_eff: float, delta_v: float, gap: float, params: IdmParams) -> float:
@@ -565,6 +561,7 @@ class World:
             raise PlacementError("lane", f"segment has lanes 0..{ref.lanes - 1}, got {lane}")
         if not 0.0 <= offset <= ref.length:
             raise PlacementError("offset", f"offset {offset} outside segment length {ref.length:.2f}")
+        # bare keywords, so checked here, as PlacementError; VehicleSpec declares the same bounds
         if not 0.0 <= speed < math.inf:
             raise PlacementError("speed", f"must be finite and >= 0, got {speed!r}")
         for key, value in (("length", length), ("speed_factor", speed_factor)):

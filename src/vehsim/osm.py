@@ -26,6 +26,8 @@ from xml.parsers import expat
 
 import numpy as np
 
+from ._bounds import bounded, checked
+
 EARTH_RADIUS_M = 6_371_000.0
 DEFAULT_GREEN_S = 30.0
 DEFAULT_YELLOW_S = 5.0
@@ -105,20 +107,15 @@ class SegmentRef:
         return f"SegmentRef(key={self.key}, lanes={self.lanes}, length={self.length!r})"
 
 
-@dataclass(frozen=True)
+@checked
 class TrafficSignal:
     """Fixed-cycle signal head at a node: green, then yellow, then red."""
 
     node_id: int
-    green_s: float = DEFAULT_GREEN_S
-    yellow_s: float = DEFAULT_YELLOW_S
-    red_s: float = DEFAULT_RED_S
-    offset_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("green_s", "yellow_s", "red_s"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"signal {self.node_id}: {name} must be > 0")
+    green_s: float = bounded("> 0", DEFAULT_GREEN_S)
+    yellow_s: float = bounded("> 0", DEFAULT_YELLOW_S)
+    red_s: float = bounded("> 0", DEFAULT_RED_S)
+    offset_s: float = bounded("finite", 0.0)  # any sign here; load_config's signal.NODE.offset is >= 0
 
     @property
     def period(self) -> float:

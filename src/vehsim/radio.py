@@ -54,6 +54,7 @@ from itertools import repeat
 
 import numpy as np
 
+from ._bounds import bounded, checked
 from .rng import substream
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
@@ -71,26 +72,30 @@ _RANK_ULPS = 2.0**-46  # per unit of the summed level terms, added to the margin
 _LOG_D_MAX = 309.0  # log10 of the largest finite distance
 
 
-@dataclass(frozen=True)
+@checked
 class BaseStation:
     """Omnidirectional transmitter at a fixed map position."""
 
     id: str
-    x: float
-    y: float
-    tx_power_dbm: float = DEFAULT_TX_POWER_DBM
-    carrier_mhz: float = DEFAULT_CARRIER_MHZ
+    x: float = bounded("finite")
+    y: float = bounded("finite")
+    tx_power_dbm: float = bounded("> 0", DEFAULT_TX_POWER_DBM)
+    carrier_mhz: float = bounded("> 0", DEFAULT_CARRIER_MHZ)
 
     def __post_init__(self) -> None:
         if any(c in self.id for c in ",\n\r"):  # the id is written unquoted into trace and events CSV rows
             raise ValueError(f"station {self.id!r}: id may not contain ',', '\\n' or '\\r'")
-        for name in ("x", "y", "tx_power_dbm", "carrier_mhz"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"station {self.id}: {name} must be finite")
-        if self.tx_power_dbm <= 0:
-            raise ValueError(f"station {self.id}: tx_power must be > 0 dBm")
-        if self.carrier_mhz <= 0:
-            raise ValueError(f"station {self.id}: carrier must be > 0 MHz")
+
+
+@checked
+class RadioParams:
+    """A scenario's handover and propagation settings (the ``radio.*`` keys)."""
+
+    hysteresis_db: float = bounded(">= 0", DEFAULT_HYSTERESIS_DB)
+    time_to_trigger_s: float = bounded(">= 0", DEFAULT_TIME_TO_TRIGGER_S)
+    pingpong_window_s: float = bounded("> 0", DEFAULT_PINGPONG_WINDOW_S)
+    path_loss_exponent: float = bounded("> 0", DEFAULT_PATH_LOSS_EXPONENT)
+    shadowing_sigma_db: float = bounded(">= 0", 0.0)
 
 
 def reference_loss_db(carrier_mhz: float) -> float:
@@ -202,15 +207,8 @@ class RadioObserver:
         ids = [s.id for s in stations]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate station ids")
-        # the bounds load_config enforces on the radio.* keys
-        for name, value, strict in (
-            ("hysteresis_db", hysteresis_db, False),
-            ("time_to_trigger_s", time_to_trigger_s, False),
-            ("path_loss_exponent", path_loss_exponent, True),
-            ("shadowing_sigma_db", shadowing_sigma_db, False),
-        ):
-            if not math.isfinite(value) or value < 0 or (strict and value == 0):
-                raise ValueError(f"{name} must be {'>' if strict else '>='} 0, got {value!r}")
+        RadioParams(hysteresis_db=hysteresis_db, time_to_trigger_s=time_to_trigger_s,  # checks their bounds
+                    path_loss_exponent=path_loss_exponent, shadowing_sigma_db=shadowing_sigma_db)
         self.stations = sorted(stations, key=lambda s: s.id)
         self.hysteresis_db = hysteresis_db
         self.time_to_trigger_s = time_to_trigger_s

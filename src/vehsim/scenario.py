@@ -2,10 +2,12 @@
 
 Configs are flat ``key = value`` text with ``#`` comments and dotted paths
 for nested settings (``vehicle.0.idm.T = 1.2``).  Each accepted key is one
-row of a per-block key table (``_VEHICLE_KEYS`` and its siblings); parsing,
-bounds and the canonical echo are all read from those rows, and only the
-rules that span several keys are written out.  ``load_config`` validates
-text only; placements are resolved against the parsed map by a
+row of a per-block key table (``_VEHICLE_KEYS`` and its siblings), read for
+parsing and the canonical echo; every bound is declared once, on the field
+the key sets, so the config dataclasses raise ``ValueError`` when built out
+of bound and ``load_config`` raises :class:`ConfigError` with key and line.
+Only the rules that span several keys are written out.  ``load_config``
+validates text only; placements are resolved against the parsed map by a
 :class:`Simulation`, which steps the world on a standalone or host-driven
 event kernel and writes four artifacts into the output directory:
 
@@ -35,6 +37,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._bounds import RULES, bounded, checked
 from .kernel import NS_PER_SECOND, Event, EventKernel, to_ns
 from .mobility import (
     VEHICLE_LENGTH,
@@ -46,16 +49,7 @@ from .mobility import (
     World,
 )
 from .osm import TrafficSignal, parse_osm
-from .radio import (
-    DEFAULT_HYSTERESIS_DB,
-    DEFAULT_PATH_LOSS_EXPONENT,
-    DEFAULT_PINGPONG_WINDOW_S,
-    DEFAULT_TIME_TO_TRIGGER_S,
-    BaseStation,
-    HandoverEvent,
-    RadioObserver,
-    detect_ping_pong,
-)
+from .radio import BaseStation, HandoverEvent, RadioObserver, RadioParams, detect_ping_pong
 from .rng import substream
 from .routing import NoRouteError
 
@@ -87,48 +81,52 @@ class ConfigError(Exception):
 
 # -- config model --------------------------------------------------------------
 
+_TRIP, _RANDOM_DIRECTION = _STRATEGIC_MODELS = ("Trip", "RandomDirection")  # the strategicModel values
 
-@dataclass(frozen=True)
+
+@checked
 class VehicleSpec:
     index: int
     way: int
     prefix: str = field(default="", compare=False)  # error-message key prefix
-    strategic: str | None = None  # "Trip" | "RandomDirection" | None
+    strategic: str | None = None  # one of _STRATEGIC_MODELS, or None
     trip: tuple[int, ...] = ()
-    segment: int = 0
-    lane: int = 0
-    offset: float = 0.0
+    segment: int = bounded(">= 0", 0)
+    lane: int = bounded(">= 0", 0)
+    offset: float = bounded(">= 0", 0.0)
     forward: bool = True
-    speed: float = 0.0
+    speed: float = bounded(">= 0", 0.0)
     parked: bool = False
-    length: float = VEHICLE_LENGTH
-    speed_factor: float | None = None
+    length: float = bounded("> 0", VEHICLE_LENGTH)
+    speed_factor: float | None = bounded("> 0", None)  # None: drawn per vehicle
     idm: IdmParams = field(default_factory=IdmParams)
     mobil: MobilParams = field(default_factory=MobilParams)
 
-
-@dataclass(frozen=True)
-class RadioParams:
-    hysteresis_db: float = DEFAULT_HYSTERESIS_DB
-    time_to_trigger_s: float = DEFAULT_TIME_TO_TRIGGER_S
-    pingpong_window_s: float = DEFAULT_PINGPONG_WINDOW_S
-    path_loss_exponent: float = DEFAULT_PATH_LOSS_EXPONENT
-    shadowing_sigma_db: float = 0.0
+    def __post_init__(self) -> None:
+        if self.strategic not in (None, *_STRATEGIC_MODELS):
+            raise ValueError(f"VehicleSpec.strategic must be None or in {_STRATEGIC_MODELS}, got {self.strategic!r}")
+        if bool(self.trip) != (self.strategic == _TRIP):
+            raise ValueError(f"VehicleSpec.trip is required with strategic {_TRIP!r} and only valid with it")
 
 
-@dataclass(frozen=True)
+@checked
 class InterferenceSpec:
-    count: int = 0
-    strategic: str = "RandomDirection"
+    count: int = bounded(">= 0", 0)
+    strategic: str = _RANDOM_DIRECTION
+
+    def __post_init__(self) -> None:
+        if self.strategic != _RANDOM_DIRECTION:
+            raise ValueError(f"InterferenceSpec.strategic must be {_RANDOM_DIRECTION!r}, got {self.strategic!r}")
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    # unchecked when built, as replace() may leave the time grid off: Simulation checks it (_check_clock)
     map_path: str
-    duration_s: float
+    duration_s: float = bounded("> 0")
     seed: int = 0
-    dt_s: float = 0.1
-    sampling_s: float = 1.0
+    dt_s: float = bounded("> 0", 0.1)
+    sampling_s: float = bounded("> 0", 1.0)
     vehicles: tuple[VehicleSpec, ...] = ()
     interference: InterferenceSpec = field(default_factory=InterferenceSpec)
     stations: tuple[BaseStation, ...] = ()
@@ -212,20 +210,15 @@ def _to_id_list(value: str, key: str, line: int) -> tuple[int, ...]:
 
 
 def _to_strategic(value: str, key: str, line: int) -> str:
-    if value not in ("Trip", "RandomDirection"):
-        raise ConfigError(
-            f"unknown strategic model {value!r} (expected Trip or RandomDirection)",
-            key=key,
-            line=line,
-        )
+    if value not in _STRATEGIC_MODELS:
+        raise ConfigError(f"unknown strategic model {value!r} (expected {' or '.join(_STRATEGIC_MODELS)})",
+                          key=key, line=line)
     return value
 
 
 def _to_interference_model(value: str, key: str, line: int) -> str:
-    if value != "RandomDirection":
-        raise ConfigError(
-            f"unsupported interference model {value!r} (only RandomDirection)", key=key, line=line
-        )
+    if value != _RANDOM_DIRECTION:
+        raise ConfigError(f"unsupported interference model {value!r} (only {_RANDOM_DIRECTION})", key=key, line=line)
     return value
 
 
@@ -237,80 +230,81 @@ def _to_station_id(value: str, key: str, line: int) -> str:
 
 
 class _Key(NamedTuple):
-    """One config key of a block: the attribute it sets, its parser and its lower bound."""
+    """One config key of a block: the attribute it sets, its parser and its bound (see :func:`_table`)."""
 
     name: str
     attr: str  # dotted (``idm.T``) for the nested driver-model parameters of a vehicle
     parse: Callable[[str, str, int], object]
-    bound: str | None = None  # "> 0", ">= 0" or None
+    bound: str | None = None  # a key of RULES; given in a row only where the config is stricter than code
+
+
+def _table(cls: type, keys: tuple[_Key, ...]) -> tuple[_Key, ...]:
+    """The rows of a block that builds ``cls``, each with its own bound or else its attribute's field's."""
+    def declared(attr: str) -> str | None:
+        head, _, name = attr.rpartition(".")  # a dotted idm.T names a field of the class idm defaults to
+        owner = cls.__dataclass_fields__[head].default_factory if head else cls
+        return owner.__dataclass_fields__[name].metadata.get("bound")
+    return tuple(key._replace(bound=key.bound or declared(key.attr)) for key in keys)
 
 
 # Row order is the order of the canonical echo and of validation within a block.
-_SCALAR_KEYS = (
+_SCALAR_KEYS = _table(ScenarioConfig, (
     _Key("map", "map_path", _to_str),
-    _Key("duration", "duration_s", _to_float, "> 0"),
+    _Key("duration", "duration_s", _to_float),
     _Key("seed", "seed", _to_int),
-    _Key("dt", "dt_s", _to_float, "> 0"),
-    _Key("sampling", "sampling_s", _to_float, "> 0"),
-)
-_VEHICLE_KEYS = (
+    _Key("dt", "dt_s", _to_float),
+    _Key("sampling", "sampling_s", _to_float),
+))
+_VEHICLE_KEYS = _table(VehicleSpec, (
     _Key("strategicModel", "strategic", _to_strategic),
     _Key("trip", "trip", _to_id_list),
     _Key("way", "way", _to_int),
-    _Key("segment", "segment", _to_int, ">= 0"),
-    _Key("lane", "lane", _to_int, ">= 0"),
-    _Key("offset", "offset", _to_float, ">= 0"),
+    _Key("segment", "segment", _to_int),
+    _Key("lane", "lane", _to_int),
+    _Key("offset", "offset", _to_float),
     _Key("forward", "forward", _to_bool),
-    _Key("speed", "speed", _to_float, ">= 0"),
+    _Key("speed", "speed", _to_float),
     _Key("parked", "parked", _to_bool),
-    _Key("length", "length", _to_float, "> 0"),
-    _Key("speed_factor", "speed_factor", _to_float, "> 0"),
-    _Key("idm.v0", "idm.v0", _to_float, "> 0"),
-    _Key("idm.T", "idm.T", _to_float, "> 0"),
-    _Key("idm.a_max", "idm.a_max", _to_float, "> 0"),
-    _Key("idm.b_comf", "idm.b_comf", _to_float, "> 0"),
-    _Key("idm.delta", "idm.delta", _to_float, "> 0"),
-    _Key("idm.s0", "idm.s0", _to_float, "> 0"),
-    _Key("mobil.p", "mobil.p", _to_float, ">= 0"),
-    _Key("mobil.delta_a_th", "mobil.delta_a_th", _to_float, ">= 0"),
-    _Key("mobil.b_safe", "mobil.b_safe", _to_float, "> 0"),
-)
-_INTERFERENCE_KEYS = (
-    _Key("count", "count", _to_int, ">= 0"),
+    _Key("length", "length", _to_float),
+    _Key("speed_factor", "speed_factor", _to_float),
+    _Key("idm.v0", "idm.v0", _to_float),
+    _Key("idm.T", "idm.T", _to_float),
+    _Key("idm.a_max", "idm.a_max", _to_float),
+    _Key("idm.b_comf", "idm.b_comf", _to_float),
+    _Key("idm.delta", "idm.delta", _to_float),
+    _Key("idm.s0", "idm.s0", _to_float),
+    _Key("mobil.p", "mobil.p", _to_float, ">= 0"),  # config-only: MobilParams.p may be negative
+    _Key("mobil.delta_a_th", "mobil.delta_a_th", _to_float),
+    _Key("mobil.b_safe", "mobil.b_safe", _to_float),
+))
+_INTERFERENCE_KEYS = _table(InterferenceSpec, (
+    _Key("count", "count", _to_int),
     _Key("strategicModel", "strategic", _to_interference_model),
-)
-_STATION_KEYS = (
+))
+_STATION_KEYS = _table(BaseStation, (
     _Key("id", "id", _to_station_id),
     _Key("x", "x", _to_float),
     _Key("y", "y", _to_float),
-    _Key("tx_power", "tx_power_dbm", _to_float, "> 0"),
-    _Key("carrier", "carrier_mhz", _to_float, "> 0"),
-)
-_SIGNAL_KEYS = (
-    _Key("green", "green_s", _to_float, "> 0"),
-    _Key("yellow", "yellow_s", _to_float, "> 0"),
-    _Key("red", "red_s", _to_float, "> 0"),
-    _Key("offset", "offset_s", _to_float, ">= 0"),
-)
-_RADIO_KEYS = (
-    _Key("hysteresis", "hysteresis_db", _to_float, ">= 0"),
-    _Key("ttt", "time_to_trigger_s", _to_float, ">= 0"),
-    _Key("pingpong_window", "pingpong_window_s", _to_float, "> 0"),
-    _Key("path_loss_exponent", "path_loss_exponent", _to_float, "> 0"),
-    _Key("shadowing_sigma", "shadowing_sigma_db", _to_float, ">= 0"),
-)
+    _Key("tx_power", "tx_power_dbm", _to_float),
+    _Key("carrier", "carrier_mhz", _to_float),
+))
+_SIGNAL_KEYS = _table(TrafficSignal, (
+    _Key("green", "green_s", _to_float),
+    _Key("yellow", "yellow_s", _to_float),
+    _Key("red", "red_s", _to_float),
+    _Key("offset", "offset_s", _to_float, ">= 0"),  # config-only: TrafficSignal.offset_s may be negative
+))
+_RADIO_KEYS = _table(RadioParams, (
+    _Key("hysteresis", "hysteresis_db", _to_float),
+    _Key("ttt", "time_to_trigger_s", _to_float),
+    _Key("pingpong_window", "pingpong_window_s", _to_float),
+    _Key("path_loss_exponent", "path_loss_exponent", _to_float),
+    _Key("shadowing_sigma", "shadowing_sigma_db", _to_float),
+))
 _TRIP_ALIAS = "strategicModel.trip"
-_NAMES = {
-    kind: frozenset(key.name for key in keys)
-    for kind, keys in (
-        ("scalar", _SCALAR_KEYS),
-        ("vehicle", _VEHICLE_KEYS),
-        ("interference", _INTERFERENCE_KEYS),
-        ("station", _STATION_KEYS),
-        ("signal", _SIGNAL_KEYS),
-        ("radio", _RADIO_KEYS),
-    )
-}
+_TABLES = {"scalar": _SCALAR_KEYS, "vehicle": _VEHICLE_KEYS, "interference": _INTERFERENCE_KEYS,
+           "station": _STATION_KEYS, "signal": _SIGNAL_KEYS, "radio": _RADIO_KEYS}
+_NAMES = {kind: frozenset(key.name for key in keys) for kind, keys in _TABLES.items()}
 _NAMES["vehicle"] |= {_TRIP_ALIAS}  # resolved to trip in _build_vehicle
 _INDEXED_RE = re.compile(r"^(vehicle|station|signal)\.(\d+)\.(.+)$")
 
@@ -347,10 +341,8 @@ class _Block:
             text, line = self.entries[name]
             key = table[name]
             value = key.parse(text, self.prefix + name, line)
-            if (key.bound == "> 0" and value <= 0) or (key.bound == ">= 0" and value < 0):
-                raise ConfigError(
-                    f"must be {key.bound}, got {value!r}", key=self.prefix + name, line=line
-                )
+            if key.bound is not None and not RULES[key.bound](value):
+                raise ConfigError(f"must be {key.bound}, got {value!r}", key=self.prefix + name, line=line)
             values[key.attr] = value
         return values
 
@@ -371,15 +363,15 @@ def _build_vehicle(index: int, block: _Block) -> VehicleSpec:
     # rules, which are checked between them
     values = block.parse(_VEHICLE_KEYS[:1])
     strategic = values.get("strategic")
-    if "trip" in entries and strategic != "Trip":
+    if "trip" in entries and strategic != _TRIP:
         raise ConfigError(
-            "trip list is only valid with strategicModel = Trip",
+            f"trip list is only valid with strategicModel = {_TRIP}",
             key=prefix + "trip",
             line=entries["trip"][1],
         )
-    if "trip" not in entries and strategic == "Trip":
+    if "trip" not in entries and strategic == _TRIP:
         raise ConfigError(
-            "strategicModel = Trip requires a trip destination list",
+            f"strategicModel = {_TRIP} requires a trip destination list",
             key=prefix + "trip",
             line=block.first_line,
         )
@@ -414,14 +406,6 @@ def _check_clock(config: ScenarioConfig, line: Callable[[str], int | None] = lam
         if ns[name] <= 0 or ns[name] % ns["dt"] != 0:
             rule = "at least the clock's 1 ns" if name == "dt" else f"a positive multiple of dt = {config.dt_s!r}"
             raise ConfigError(f"must be {rule}, got {seconds!r}", key=name, line=line(name))
-
-
-def _check_echo(prefix: str, keys: tuple[_Key, ...], obj: object) -> None:
-    """Raise the :class:`ConfigError` that ``load_config`` would raise on ``obj``'s echo, without a line:
-    a block built in code gets the finiteness check and the bounds of the block it echoes to."""
-    block = _Block(prefix)
-    block.entries = {key.name: (_fmt(attrgetter(key.attr)(obj)), None) for key in keys}
-    block.parse(keys)
 
 
 def load_config(text: str, *, base_dir: str | Path | None = None) -> ScenarioConfig:
@@ -719,9 +703,9 @@ def _typed_line(config: ScenarioConfig, *keys: str) -> int | None:
 
 def _spawn_configured(world: World, config: ScenarioConfig) -> None:
     for spec in config.vehicles:
-        if spec.strategic == "Trip":
+        if spec.strategic == _TRIP:
             strategic = Trip(spec.trip)
-        elif spec.strategic == "RandomDirection":
+        elif spec.strategic == _RANDOM_DIRECTION:
             strategic = RandomDirection()
         else:
             strategic = None
@@ -789,25 +773,24 @@ def _spawn_interference(world: World, config: ScenarioConfig) -> None:
 class Simulation:
     """One scenario stepped by an event kernel, from set-up to its four artifacts.
 
-    The constructor applies :func:`load_config`'s time-grid rule and its
-    ``radio.*`` checks (a config built in code may skip them), writes the
-    ``config.ini`` echo (``echo_text`` verbatim when given: the CLI passes the
-    pre-override file config so that seed sweeps share one echo), parses the
-    map, spawns the vehicles, builds the radio observer and writes the t = 0
-    trace rows; a bad placement raises :class:`ConfigError` before any step.
-    :meth:`attach` binds the step handler to a standalone or host-driven
-    kernel, and each step schedules the next until ``duration`` is covered.
-    :meth:`finish` closes the trace and writes ``events.csv`` and
-    ``summary.json``.  Trace stamps, radio times and the summary's
-    ``events_fired`` count the simulation's own completed steps (``steps``),
-    so other modules sharing the kernel move no output byte.
+    The constructor applies :func:`load_config`'s time-grid rule, which a
+    config built in code may skip (its other bounds are checked when its parts
+    are built), writes the ``config.ini`` echo (``echo_text`` verbatim when
+    given: the CLI passes the pre-override file config so that seed sweeps
+    share one echo), parses the map, spawns the vehicles, builds the radio
+    observer and writes the t = 0 trace rows; a bad placement raises
+    :class:`ConfigError` before any step.  :meth:`attach` binds the step
+    handler to a standalone or host-driven kernel, and each step schedules the
+    next until ``duration`` is covered.  :meth:`finish` closes the trace and
+    writes ``events.csv`` and ``summary.json``.  Trace stamps, radio times and
+    the summary's ``events_fired`` count the simulation's own completed steps
+    (``steps``), so other modules sharing the kernel move no output byte.
     """
 
     TARGET = "runner"
 
     def __init__(self, config: ScenarioConfig, out_dir: str | Path, *, echo_text: str | None = None) -> None:
         _check_clock(config)
-        _check_echo("radio.", _RADIO_KEYS, config.radio)
         self.config = config
         self.out_dir = out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

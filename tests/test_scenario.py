@@ -4,8 +4,9 @@ import gc
 import json
 import math
 import re
+import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vehsim import scenario
+from vehsim import mobility, osm, radio, scenario
 from vehsim.cli import main as cli_main
 from vehsim.kernel import EventKernel, KernelError
-from vehsim.mobility import StrandedError
+from vehsim.mobility import MobilParams, StrandedError
 from vehsim.exports import export_svg
 from vehsim.osm import TrafficSignal, parse_osm
 from vehsim.radio import BaseStation
@@ -258,6 +259,143 @@ def test_radio_parameters():
         path_loss_exponent=3.0,
         shadowing_sigma_db=6.0,
     )
+
+
+# -- declared bounds --------------------------------------------------------------
+
+# every dataclass that declares a bound on a field; all but ScenarioConfig check them when built
+_DECLARING = sorted(
+    {cls for module in (osm, mobility, radio, scenario) for cls in vars(module).values()
+     if isinstance(cls, type) and is_dataclass(cls) and any("bound" in f.metadata for f in fields(cls))},
+    key=lambda cls: cls.__name__,
+)
+# each config block: its key table, the class it builds, its key prefix and the keys it needs
+_BLOCKS = (
+    (scenario._SCALAR_KEYS, ScenarioConfig, "", {}),
+    (scenario._VEHICLE_KEYS, VehicleSpec, "vehicle.0.", {"vehicle.0.way": "1"}),
+    (scenario._INTERFERENCE_KEYS, scenario.InterferenceSpec, "interference.", {}),
+    (scenario._STATION_KEYS, BaseStation, "station.0.", {"station.0.x": "0", "station.0.y": "0"}),
+    (scenario._SIGNAL_KEYS, TrafficSignal, "signal.7.", {}),
+    (scenario._RADIO_KEYS, RadioParams, "radio.", {}),
+)
+
+
+def _past_and_edge(rule, is_int):
+    """The values just past ``rule`` (besides nan and +-inf) and those at its edge."""
+    zero, tiny = (0, 1) if is_int else (0.0, 5e-324)
+    if rule == "finite":
+        return [], [sys.float_info.max, -sys.float_info.max]
+    return ([zero], [tiny]) if rule == "> 0" else ([-tiny], [zero])
+
+
+def _keys_setting(cls, name):
+    """(table, key, prefix, needs) of every config key that sets field ``name`` of ``cls``."""
+    found = []
+    for table, owner, prefix, needs in _BLOCKS:
+        for key in table:
+            head, _, attr = key.attr.rpartition(".")
+            row_cls = {f.name: f for f in fields(owner)}[head].default_factory if head else owner
+            if (row_cls, attr) == (cls, name):
+                found.append((table, key, prefix, needs))
+    return found
+
+
+def test_bound_declarations_are_found():
+    names = {cls.__name__ for cls in _DECLARING}
+    assert names >= {"IdmParams", "MobilParams", "TrafficSignal", "BaseStation", "RadioParams", "VehicleSpec",
+                     "InterferenceSpec", "ScenarioConfig"}
+
+
+@pytest.mark.parametrize(
+    "cls, name",
+    [(cls, f.name) for cls in _DECLARING for f in fields(cls) if "bound" in f.metadata],
+    ids=lambda value: getattr(value, "__name__", value),
+)
+def test_declared_bounds_hold_when_built_and_when_loaded(cls, name):
+    spec = {f.name: f for f in fields(cls)}[name]
+    rule = spec.metadata["bound"]
+    past, edges = _past_and_edge(rule, spec.type == "int")
+    required = {f.name: {"int": 1, "float": 0.0, "str": "a"}[f.type]
+                for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+    for bad in (math.nan, math.inf, -math.inf, *past):
+        if cls is ScenarioConfig:  # built unchecked; Simulation checks its time grid
+            assert getattr(cls(**{**required, name: bad}), name) is bad
+            continue
+        with pytest.raises(ValueError, match=rf"^{cls.__name__}\.{name} must be finite"):
+            cls(**{**required, name: bad})
+    for edge in edges:
+        assert getattr(cls(**{**required, name: edge}), name) == edge
+
+    # the same values as config text: a ConfigError with the key and its line, and the edge loads
+    keys = _keys_setting(cls, name)
+    assert keys, f"no config key sets {cls.__name__}.{name}"
+    for table, key, prefix, needs in keys:
+        if key.bound != rule:  # a config-only bound, stricter than the field's
+            assert (cls, name) in {(MobilParams, "p"), (TrafficSignal, "offset_s")}
+        past, edges = _past_and_edge(key.bound, key.parse is scenario._to_int)
+        for value in (math.nan, math.inf, -math.inf, *past, *edges):
+            loads = value in edges
+            entries = {"map": "net.osm", "duration": "10", **needs, prefix + key.name: repr(value)}
+            text = "".join(f"{k} = {v}\n" for k, v in entries.items())
+            line = list(entries).index(prefix + key.name) + 1
+            if loads and table is scenario._SCALAR_KEYS:  # the time grid is stricter: at least 1 ns
+                with pytest.raises(ConfigError, match="clock's 1 ns|positive multiple of dt") as err:
+                    load_config(text)
+            elif loads:
+                load_config(text)
+                continue
+            else:
+                with pytest.raises(ConfigError) as err:
+                    load_config(text)
+            assert (err.value.key, err.value.line) == (prefix + key.name, line), text
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: VehicleSpec(0, 1, strategic="Bogus"), "VehicleSpec.strategic"),
+        (lambda: VehicleSpec(0, 1, strategic="Trip"), "VehicleSpec.trip"),
+        (lambda: VehicleSpec(0, 1, trip=(2, 3)), "VehicleSpec.trip"),
+        (lambda: VehicleSpec(0, 1, strategic="RandomDirection", trip=(2, 3)), "VehicleSpec.trip"),
+        (lambda: scenario.InterferenceSpec(2, "Trip"), "InterferenceSpec.strategic"),
+    ],
+    ids=["unknown-model", "trip-model-without-trip", "trip-without-model", "trip-with-random", "interference-trip"],
+)
+def test_code_built_specs_check_the_strategic_model_rules(build, field):
+    # the rules load_config applies to strategicModel and trip, as a ValueError naming the field
+    with pytest.raises(ValueError, match=rf"^{field} "):
+        build()
+
+
+def test_code_built_specs_accept_every_strategic_model():
+    assert VehicleSpec(0, 1, strategic="Trip", trip=(2,)).trip == (2,)
+    assert VehicleSpec(0, 1, strategic="RandomDirection").strategic == "RandomDirection"
+    assert VehicleSpec(0, 1).strategic is None
+
+
+def _readme_bounds():
+    """Key -> bound (None where blank) of every row of the README's configuration tables."""
+    section = (Path(__file__).parents[1] / "README.md").read_text().split("## Configuration reference")[1]
+    bounds, prefix = {}, ""
+    for row in section.split("\n## ")[0].splitlines():
+        cells = [cell.strip() for cell in row.strip().strip("|").split("|")]
+        if not row.startswith("|") or set(cells[0]) <= {"-", " "}:
+            continue
+        if cells[0] in ("key", "field"):  # a table's header: vehicle fields are keys of vehicle.N.
+            prefix = "vehicle.N." if cells[0] == "field" else ""
+            continue
+        for key in re.findall(r"`([^`]+)`", cells[0]):
+            head, _, names = key.rpartition(".")
+            for name in names.split("/"):  # signal.NODE.green/yellow/red
+                bounds[prefix + (head + "." if head else "") + name] = cells[2].strip("`") or None
+    return bounds
+
+
+def test_readme_bound_column_is_the_key_tables():
+    prefixes = {"scalar": "", "vehicle": "vehicle.N.", "interference": "interference.", "station": "station.N.",
+                "signal": "signal.NODE.", "radio": "radio."}
+    tables = {prefixes[kind] + key.name: key.bound for kind, keys in scenario._TABLES.items() for key in keys}
+    assert _readme_bounds() == tables
 
 
 def test_relative_map_path_resolves_against_base_dir():
@@ -1054,20 +1192,12 @@ def test_simulation_checks_the_time_grid_before_writing(corridor_map, tmp_path, 
 
 
 @pytest.mark.parametrize("key", scenario._RADIO_KEYS, ids=lambda key: key.name)
-def test_simulation_checks_code_built_radio_params_before_writing(corridor_map, tmp_path, key):
-    # RadioParams changed after load_config: a value whose echo load_config would refuse
-    # (ping-pong window nan used to run and echo radio.pingpong_window = nan) is refused
-    # before any artifact, with the key the echo would carry
+def test_code_built_radio_params_at_their_edge_run_and_echo(corridor_map, tmp_path, key):
+    # RadioParams built in code at the edge of each declared bound runs, and its echo loads back (a value
+    # past the bound fails when built: test_declared_bounds_hold_when_built_and_when_loaded)
     base = load_config(f"map = {corridor_map}\nduration = 1\nway = 1\nparked = true\n"
                        "station.0.x = 0\nstation.0.y = 0\nstation.1.x = 900\nstation.1.y = 0\n")
-    past, edge = (0.0, 5e-324) if key.bound == "> 0" else (-5e-324, 0.0)
-    for bad, message in ((math.nan, "finite"), (math.inf, "finite"), (-math.inf, "finite"), (past, "must be")):
-        cfg = replace(base, radio=replace(base.radio, **{key.attr: bad}))
-        with pytest.raises(ConfigError, match=message) as err:
-            run(cfg, tmp_path / "out")
-        assert (err.value.key, err.value.line) == ("radio." + key.name, None)
-        assert not (tmp_path / "out").exists()
-    # the bound's edge runs, and its echo loads back
+    edge = 5e-324 if key.bound == "> 0" else 0.0
     cfg = replace(base, radio=replace(base.radio, **{key.attr: edge}))
     run(cfg, tmp_path / "edge")
     assert load_config((tmp_path / "edge" / "config.ini").read_text()).radio == cfg.radio

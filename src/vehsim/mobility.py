@@ -18,6 +18,7 @@ kinematic stopping distance and never rolls backwards.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,47 +144,50 @@ Strategic = Trip | RandomDirection | None
 
 
 class _Column:
-    """A :class:`Vehicle` field kept in its world's column of the same name.
+    """A :class:`Vehicle` field: its world's column ``name``, or field ``index`` of its record in list ``name``.
 
-    Reads return a Python ``float``, ``int`` or ``bool``, never a NumPy
-    scalar, whose ``repr`` differs between NumPy versions.  A write drops
-    the world's lane table and placement index, which it may have moved.
+    Column reads return a Python ``float``, ``int`` or ``bool``, never a NumPy
+    scalar, whose ``repr`` differs between NumPy versions.  A column write drops
+    the world's lane table and placement index; record fields are read-only.
     """
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "index")
 
-    def __init__(self, name: str) -> None:
-        self.name = name
+    def __init__(self, name: str, index: int | None = None) -> None:
+        self.name, self.index = name, index
 
     def __get__(self, vehicle, owner=None):
         if vehicle is None:
             return self
-        return getattr(vehicle.world, self.name).item(vehicle.id)
+        column = getattr(vehicle.world, self.name)
+        return column.item(vehicle.id) if self.index is None else column[vehicle.id][self.index]
 
     def __set__(self, vehicle, value) -> None:
+        if self.index is not None:
+            raise AttributeError("a driver record is set once, by World.spawn")
         world = vehicle.world
         getattr(world, self.name)[vehicle.id] = value
         world._table = world._occupancy = None
 
 
+# a vehicle's driver record, ``World._drivers[id]``: IdmParams, MobilParams, float, Strategic, np.random.Generator
+_Driver = namedtuple("_Driver", "idm mobil speed_factor strategic rng")
+
+
 class Vehicle:
-    """Simulated road user: a view of row ``id`` of its world's vehicle columns.
+    """Simulated road user: a view of vehicle ``id`` of its world, built on demand and holding no state.
 
     ``s`` is the center position along the travel direction of ``ref``;
     ``lane`` counts from 0 at the rightmost lane of that direction.  The
     numeric fields (``_VIEW_FIELDS``) read and write ``world.<field>[id]``,
-    and ``ref`` is the graph's directed segment numbered ``world.seg[id]``.
-    The driver's parameters, strategic model and random stream are plain
-    attributes; the world keeps the route.  Vehicles are made by
-    :meth:`World.spawn`.
+    ``ref`` is the graph's directed segment numbered ``world.seg[id]`` and
+    the driver's fields read ``world._drivers[id]``.  Compare views by ``id``.
     """
 
-    __slots__ = ("world", "id", "idm", "mobil", "speed_factor", "strategic", "rng")
+    __slots__ = ("world", "id")
 
-    def __init__(self, world: World, vid: int, *, idm: IdmParams, mobil: MobilParams, speed_factor: float,
-                 strategic: Strategic, rng: np.random.Generator) -> None:
-        self.world, self.id, self.idm, self.mobil = world, vid, idm, mobil
-        self.speed_factor, self.strategic, self.rng = speed_factor, strategic, rng
+    def __init__(self, world: World, vid: int) -> None:
+        self.world, self.id = world, vid
 
     @property
     def ref(self) -> SegmentRef:
@@ -199,6 +203,8 @@ _VIEW_FIELDS = ("s", "v", "acc", "lane", "route_pos", "done", "parked", "odomete
                 "length", "v0_eff")
 for _field in _VIEW_FIELDS:
     setattr(Vehicle, _field, _Column(_field))
+for _index, _field in enumerate(_Driver._fields):
+    setattr(Vehicle, _field, _Column("_drivers", _index))
 
 
 # -- neighbor views used by the MOBIL decision --------------------------------
@@ -453,25 +459,20 @@ class World:
     :func:`ballistic_update`), operation for operation, so both give the same
     bits.
 
-    Vehicle state lives in one place: the columns named in ``_COLUMNS``, one
-    array each, indexed by vehicle id and read as ``[:n]`` slices (``spawn``
-    doubles their capacity when full).  ``vehicles`` maps each id, 0..n-1 in
-    spawn order, to its :class:`Vehicle` view.  A step sets every
+    Vehicle state lives in one place, indexed by vehicle id 0..n-1 in spawn
+    order: the columns named in ``_COLUMNS``, one array each, read as
+    ``[:n]`` slices (``spawn`` doubles their capacity when full), and one
+    driver record per id in ``_drivers``.  The world holds no
+    :class:`Vehicle`; ``vehicles`` builds a view of each id.  A step sets every
     acceleration first, then commits the moves in ascending id, each vehicle
     that crosses a node together with the ones before it, just before its
     topology is resolved: a step that fails there leaves the vehicles after
-    it unmoved.  A vehicle's route is row ``id`` of ``route``, one array
-    for the fleet: its first ``route_len[id]`` entries are the segments it
-    drives after its current one, written once when the route is installed,
-    and at least ``_HOPS`` entries of a sentinel segment follow them (the
-    array widens by doubling).  The sentinel, one row past the graph's
-    segments in ``World``'s own copies of the segment columns the
-    look-ahead reads, is infinitely long, ends at no node and has one lane
-    that no vehicle occupies.  The stop follows the route and the trip's
-    cursor.
-    Segments and nodes are the graph's rows (``SegmentRef.index`` and
-    ``RoadGraph.nodes``); the step reads the graph's segment columns, and
-    the look-ahead the sentinel-padded copies.
+    it unmoved.  A vehicle's route is row ``id`` of ``route``: its first
+    ``route_len[id]`` entries are the segments it drives after its current
+    one, written once when the route is installed, and at least ``_HOPS``
+    entries of the sentinel segment (see ``__init__``) follow them.  The
+    stop follows the route and the trip's cursor.  Segments and nodes are
+    the graph's rows (``SegmentRef.index`` and ``RoadGraph.nodes``).
     The lane table sorted after one step's moves is kept as the next
     step's start-of-step table; ``spawn`` and a write through a
     :class:`Vehicle` view discard it.  The set of nodes whose signal blocks
@@ -492,14 +493,15 @@ class World:
         self.graph = graph
         self.seed = seed
         self.time = 0.0
-        self.vehicles: dict[int, Vehicle] = {}
+        self.n = 0  # vehicles spawned
+        self._drivers: list[_Driver] = []
         self.signals = dict(graph.signals)
         self.horizon = perception_horizon
         self.lane_changes: list[LaneChangeRecord] = []
         self.collisions: list[CollisionRecord] = []
         self.signal_violations: list[SignalViolation] = []
         self._table: _LaneTable | None = None  # lane table of the current state
-        self._occupancy: dict | None = None  # (ref index, lane) -> vehicles, for placement checks
+        self._occupancy: dict | None = None  # (ref index, lane) -> vehicle ids, for placement checks
         x, y, start, end = graph.x, graph.y, graph.start, graph.end
         # (x0, dx, y0, dy) of every segment, from its start node to its end node
         self._geometry = x[start], x[end] - x[start], y[start], y[end] - y[start]
@@ -519,8 +521,8 @@ class World:
     # -- population ---------------------------------------------------------
 
     @property
-    def next_vehicle_id(self) -> int:
-        return len(self.vehicles)
+    def vehicles(self) -> dict[int, Vehicle]:
+        return {vid: Vehicle(self, vid) for vid in range(self.n)}
 
     def spawn(
         self,
@@ -568,7 +570,7 @@ class World:
             if value is not None and not 0.0 < value < math.inf:
                 raise PlacementError(key, f"must be finite and > 0, got {value!r}")
 
-        vid = len(self.vehicles)
+        vid = self.n
         stream = rng if rng is not None else substream(self.seed, "vehicle", vid)
         if speed_factor is None:
             lo = 1.0 - SPEED_FACTOR_SPREAD
@@ -597,13 +599,13 @@ class World:
         }
         for name, value in row.items():
             getattr(self, name)[vid] = value
-        vehicle = self.vehicles[vid] = Vehicle(self, vid, idm=idm, mobil=mobil, speed_factor=speed_factor,
-                                               strategic=strategic, rng=stream)
-        self._install(vehicle, route)
+        self._drivers.append(_Driver(idm, mobil, speed_factor, strategic, stream))
+        self.n += 1
+        self._install(vid, route)
         self._table = None
         if self._occupancy is not None:
-            self._occupancy.setdefault((ref.index, lane), []).append(vehicle)
-        return vehicle
+            self._occupancy.setdefault((ref.index, lane), []).append(vid)
+        return Vehicle(self, vid)
 
     def lane_is_clear(self, ref: SegmentRef, lane: int, s: float, margin: float) -> bool:
         """True when no vehicle occupies (ref, lane) within ``margin`` meters of s.
@@ -611,11 +613,10 @@ class World:
         Reads a (ref index, lane) index that ``spawn`` extends and ``step`` drops.
         """
         if self._occupancy is None:
-            n = len(self.vehicles)
             self._occupancy = {}
-            for key, veh in zip(zip(self.seg[:n].tolist(), self.lane[:n].tolist()), self.vehicles.values()):
-                self._occupancy.setdefault(key, []).append(veh)
-        return not any(abs(veh.s - s) < margin for veh in self._occupancy.get((ref.index, lane), ()))
+            for vid, key in enumerate(zip(self.seg[:self.n].tolist(), self.lane[:self.n].tolist())):
+                self._occupancy.setdefault(key, []).append(vid)
+        return not any(abs(self.s.item(vid) - s) < margin for vid in self._occupancy.get((ref.index, lane), ()))
 
     # -- perception -----------------------------------------------------------
 
@@ -654,7 +655,7 @@ class World:
 
     def positions(self) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`position` of every vehicle, in id order, as one array evaluation (same bits)."""
-        n = len(self.vehicles)
+        n = self.n
         x0, dx, y0, dy = self._geometry
         seg = self.seg[:n]
         ratio = self.s[:n] / self.graph.length[seg]
@@ -666,33 +667,33 @@ class World:
 
     def strategic_next(self, vehicle: Vehicle, arrived_at: int) -> int | None:
         """Next destination node after arriving at ``arrived_at``; None when done."""
-        sm = vehicle.strategic
+        vid, sm = vehicle.id, vehicle.strategic
         if sm is None:
             return None
         if isinstance(sm, Trip):
             sm.cursor += 1
-            self._set_stop(vehicle)  # the cursor decides the final leg
+            self._set_stop(vid)  # the cursor decides the final leg
             return sm.destinations[sm.cursor] if sm.cursor < len(sm.destinations) else None
-        return self.graph.ids[self.graph.end.item(self._draw(vehicle, arrived_at))]
+        return self.graph.ids[self.graph.end.item(self._draw(vid, arrived_at))]
 
-    def _draw(self, vehicle: Vehicle, arrived_at: int) -> int:
+    def _draw(self, vid: int, arrived_at: int) -> int:
         """The outgoing segment (``SegmentRef.index``) a RandomDirection vehicle drives on from ``arrived_at``."""
         graph, row = self.graph, self.graph.nodes[arrived_at]
         options = graph.out_seg[graph.out_start[row]:graph.out_start[row + 1]].tolist()
         if not options:
-            raise StrandedError(f"vehicle {vehicle.id}: no outgoing segment at node {arrived_at}")
+            raise StrandedError(f"vehicle {vid}: no outgoing segment at node {arrived_at}")
         # the arrival segment's piece in the other direction only at a dead end, where the U-turn is
         # the only way out
-        here = self.seg.item(vehicle.id)
+        here = self.seg.item(vid)
         piece = graph.way.item(here), graph.way_index.item(here)
         candidates = [k for k in options if (graph.way.item(k), graph.way_index.item(k)) != piece] or options
-        return candidates[int(vehicle.rng.integers(len(candidates)))]
+        return candidates[int(self._drivers[vid].rng.integers(len(candidates)))]
 
     # -- arrays -----------------------------------------------------------------
 
-    def _install(self, vehicle: Vehicle, route: list[int]) -> None:
-        """Write the segments ``vehicle`` drives after its current one to its ``route`` row, from ``route_pos`` 0."""
-        vid, k = vehicle.id, len(route)
+    def _install(self, vid: int, route: list[int]) -> None:
+        """Write the segments vehicle ``vid`` drives after its current one to its ``route`` row, from ``route_pos`` 0."""
+        k = len(route)
         width = self.route.shape[1]
         if k + _HOPS > width:  # widen to the next power of two, keeping every row
             self.route = np.pad(self.route, ((0, 0), (0, (1 << (k + _HOPS - 1).bit_length()) - width)),
@@ -702,17 +703,17 @@ class World:
         self.route[vid, k:k + _HOPS] = self._sentinel
         self.route_len[vid] = k
         self.route_pos[vid] = 0
-        self._set_stop(vehicle)
+        self._set_stop(vid)
 
-    def _set_stop(self, vehicle: Vehicle) -> None:
+    def _set_stop(self, vid: int) -> None:
         """On its last leg (no strategic model, or a trip's last destination) a vehicle stops where its route ends."""
-        vid, sm, k = vehicle.id, vehicle.strategic, self.route_len[vehicle.id]
+        sm, k = self._drivers[vid].strategic, self.route_len[vid]
         final = sm is None or isinstance(sm, Trip) and sm.cursor >= len(sm.destinations) - 1
         self._final[vid] = self.graph.end[self.route[vid, k - 1] if k else self.seg[vid]] if final else -1
 
     def _lane_table(self) -> _LaneTable:
         if self._table is None:
-            n = len(self.vehicles)
+            n = self.n
             self._table = _LaneTable(self.graph.slot0[self.seg[:n]] + self.lane[:n], self.s[:n], self._rearmost)
         return self._table
 
@@ -787,7 +788,7 @@ class World:
 
     # -- stepping ---------------------------------------------------------------
 
-    def _advance_route(self, vehicle: Vehicle, node: int) -> bool:
+    def _advance_route(self, vid: int, node: int) -> bool:
         """Resolve the strategic layer at the route's last node, ``node``.
 
         A RandomDirection vehicle's route becomes the segment it draws; a
@@ -795,16 +796,16 @@ class World:
         ``node``.  Returns True when a route was installed, False when the
         vehicle is done (no further destination).
         """
-        if isinstance(vehicle.strategic, RandomDirection):
-            self._install(vehicle, [self._draw(vehicle, node)])
+        if isinstance(self._drivers[vid].strategic, RandomDirection):
+            self._install(vid, [self._draw(vid, node)])
             return True
-        nxt = self.strategic_next(vehicle, node)
+        nxt = self.strategic_next(Vehicle(self, vid), node)
         while nxt is not None:
             refs = routing.shortest_path(self.graph, node, nxt).refs
             if refs:
-                self._install(vehicle, [ref.index for ref in refs])
+                self._install(vid, [ref.index for ref in refs])
                 return True
-            nxt = self.strategic_next(vehicle, node)  # destination coincides with node
+            nxt = self.strategic_next(Vehicle(self, vid), node)  # destination coincides with node
         return False
 
     def _finish(self, vid: int, position: float | None = None) -> None:
@@ -814,9 +815,9 @@ class World:
         if position is not None:
             self.s[vid] = position
 
-    def _settle(self, vehicle: Vehicle) -> None:
-        """Resolve the nodes a moved vehicle crossed, then a smooth final arrival."""
-        vid, s, seg, lane, route_pos = vehicle.id, self.s, self.seg, self.lane, self.route_pos
+    def _settle(self, vid: int) -> None:
+        """Resolve the nodes moved vehicle ``vid`` crossed, then a smooth final arrival."""
+        s, seg, lane, route_pos = self.s, self.seg, self.lane, self.route_pos
         graph, seg_len = self.graph, self.graph.length
         while s[vid] > seg_len[seg[vid]]:
             leftover = s[vid] - seg_len[seg[vid]]
@@ -824,7 +825,7 @@ class World:
             sig = self.signals.get(node)
             if sig is not None and signal_phase(sig, self.time) == "red":
                 self.signal_violations.append(SignalViolation(self.time, vid, node))
-            if route_pos[vid] == self.route_len[vid] and not self._advance_route(vehicle, node):
+            if route_pos[vid] == self.route_len[vid] and not self._advance_route(vid, node):
                 # crossed the terminal node at speed: park at the node
                 self._finish(vid, position=seg_len[seg[vid]])
                 return
@@ -838,15 +839,15 @@ class World:
         if (not self.done[vid] and self.v[vid] < _ARRIVAL_SPEED and self._final[vid] >= 0
                 and route_pos[vid] == self.route_len[vid]):
             remaining = seg_len[seg[vid]] - s[vid] - self.length[vid] / 2.0
-            if remaining <= vehicle.idm.s0 * 1.5 + 1e-9:
-                if not self._advance_route(vehicle, graph.ids[graph.end[seg[vid]]]):
+            if remaining <= self.idm.item(vid, 1) * 1.5 + 1e-9:  # s0
+                if not self._advance_route(vid, graph.ids[graph.end[seg[vid]]]):
                     self._finish(vid)
 
     def step(self, dt: float) -> None:
         """Advance every vehicle by ``dt`` seconds."""
         if not 0 < dt < math.inf:  # also false for nan
             raise ValueError(f"dt must be finite and > 0, got {dt!r}")
-        n = len(self.vehicles)
+        n = self.n
         if not n:
             self.time += dt
             return
@@ -966,7 +967,7 @@ class World:
             self.v[ids] = v_new[part]
             self.odometer[ids] += ds[part]
             if k is not None:
-                self._settle(self.vehicles[int(active[k])])
+                self._settle(int(active[k]))
                 lo = k + 1
         self.time += dt
         self._scan_collisions()
@@ -1019,7 +1020,7 @@ class World:
         id, and rear to front within a lane.
         """
         table = self._lane_table()
-        n = len(self.vehicles)
+        n = self.n
         length = self.length[:n]
         slot, vid = table.slot[:n], table.vid[:n]
         gap = (table.s[1:n] - table.s[:n - 1]) - (length[vid[:-1]] + length[vid[1:]]) / 2.0

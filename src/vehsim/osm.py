@@ -396,7 +396,8 @@ def parse_osm(document: bytes | str) -> RoadGraph:
         raise MapError(f"node {node_id}: coordinate not finite or out of range: lat={lats[row]!r}"
                        f" lon={lons[row]!r} (line {node_lines[row]})")
     lat_list, lon_list = lat.tolist(), lon.tolist()
-    origin = ((min(lat_list) + max(lat_list)) / 2.0, (min(lon_list) + max(lon_list)) / 2.0)
+    # + 0.0 makes a zero origin +0.0: min and max keep the first of 0.0 and -0.0 they meet
+    origin = ((min(lat_list) + max(lat_list)) / 2.0 + 0.0, (min(lon_list) + max(lon_list)) / 2.0 + 0.0)
 
     x, y = project(lat, lon, origin)
     signals = {node_id: TrafficSignal(node_id)

@@ -738,7 +738,7 @@ def _spawn_interference(world: World, config: ScenarioConfig) -> None:
     way_ids = sorted(graph.ways)
 
     for _ in range(config.interference.count):
-        vid = world.next_vehicle_id
+        vid = world.n
         stream = substream(config.seed, "vehicle", vid)
         for _attempt in range(_PLACEMENT_ATTEMPTS):
             way_id = way_ids[int(stream.integers(len(way_ids)))]
@@ -781,8 +781,9 @@ class Simulation:
     observer and writes the t = 0 trace rows; a bad placement raises
     :class:`ConfigError` before any step.  :meth:`attach` binds the step
     handler to a standalone or host-driven kernel, and each step schedules the
-    next until ``duration`` is covered.  :meth:`finish` closes the trace and
-    writes ``events.csv`` and ``summary.json``.  Trace stamps, radio times and
+    next until ``duration`` is covered.  :meth:`finish` closes the trace,
+    writes ``events.csv`` and ``summary.json`` and drops the kernel, after
+    which no reference cycle holds the run.  Trace stamps, radio times and
     the summary's ``events_fired`` count the simulation's own completed steps
     (``steps``), so other modules sharing the kernel move no output byte.
     """
@@ -809,7 +810,7 @@ class Simulation:
             world.signals[signal.node_id] = signal
         _spawn_configured(world, config)
         _spawn_interference(world, config)
-        logger.info("spawned %d vehicles", len(world.vehicles))
+        logger.info("spawned %d vehicles", world.n)
 
         self.observer = None
         if config.stations:
@@ -854,7 +855,7 @@ class Simulation:
         if observer is None and not sample:
             return
         world = self.world
-        ids = list(world.vehicles)  # spawn order, which is ascending id
+        ids = range(world.n)  # spawn order, which is ascending id
         xs, ys = world.positions()
         if observer is not None:
             window = self.config.radio.pingpong_window_s
@@ -879,14 +880,11 @@ class Simulation:
     def finish(self, failure: Exception | None = None) -> RunArtifacts:
         """Close the trace, write ``events.csv`` and ``summary.json``; ``failure`` marks an aborted run.
 
-        The map's compiled router (the largest part of a routed run's state) is
-        dropped, and a later route query builds it again: the world and its
-        vehicle views form a reference cycle, so without this the router would
-        stay in memory until the next full garbage collection.
+        The kernel, which holds the step handler, is dropped: no reference cycle is left.
         """
         self._trace.close()
+        self._kernel = None
         config, world, out = self.config, self.world, self.out_dir
-        world.graph._router = None
         rows = list(self._rows)
         for violation in world.signal_violations:
             x, y = world.graph.position(violation.node_id)
@@ -900,7 +898,7 @@ class Simulation:
                 )
 
         kinds = Counter(row[1] for row in rows)
-        n = len(world.vehicles)
+        n = world.n
         total_distance = sum(world.odometer[:n].tolist())  # in id order, as the per-vehicle sum
         summary = {
             "seed": config.seed,

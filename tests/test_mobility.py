@@ -128,7 +128,7 @@ def test_spawn_ids_and_streams_are_per_vehicle():
     a = world.spawn(way=1, offset=10.0)
     b = world.spawn(way=1, offset=100.0)
     assert (a.id, b.id) == (0, 1)
-    assert world.next_vehicle_id == 2
+    assert world.n == 2
     # speed factors drawn from distinct substreams of the world seed
     expected_a = 0.8 + 0.4 * float(substream(9, "vehicle", 0).random())
     assert a.speed_factor == pytest.approx(expected_a)
@@ -703,6 +703,11 @@ def test_a_vehicle_is_a_view_of_the_world_columns():
     gap, _ = world.perceive_leader(ego)
     assert gap == other.s - ego.s - 5.0
     assert not world.lane_is_clear(world.graph.ref(1, 0), 0, 301.0, 8.0)
+    # each read builds new views; their driver fields read the one record per id, which no view assigns
+    view = world.vehicles[0]
+    assert view is not ego and view.id == ego.id and view.strategic is ego.strategic and view.rng is ego.rng
+    with pytest.raises(AttributeError):
+        ego.idm = IdmParams()
 
 
 def test_perception_reaches_many_short_segments_ahead():
@@ -741,7 +746,7 @@ def _walk_leader(world, ego, route, stop):
     lane; then, node by node, the horizon, a blocking signal or the stop, the route's end, and the
     next segment's rearmost vehicle in lane min(lane, lanes - 1), ties to the smaller id.
     """
-    others = [veh for veh in world.vehicles.values() if veh is not ego]
+    others = [veh for veh in world.vehicles.values() if veh.id != ego.id]  # views are built per read: compare ids
 
     def rearmost(ref, lane, beyond=-math.inf):
         in_lane = [veh for veh in others if veh.ref == ref and veh.lane == lane and veh.s > beyond]

@@ -353,7 +353,7 @@ def _reference_parse_osm(document):
             )
         lats.append(lat)
         lons.append(lon)
-    origin = ((min(lats) + max(lats)) / 2.0, (min(lons) + max(lons)) / 2.0)
+    origin = ((min(lats) + max(lats)) / 2.0 + 0.0, (min(lons) + max(lons)) / 2.0 + 0.0)  # never -0.0
 
     coords, signals = {}, {}
     for node_id in used:

@@ -6,6 +6,7 @@ import math
 import re
 import sys
 import tracemalloc
+import weakref
 from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -21,7 +22,6 @@ from vehsim.mobility import MobilParams, StrandedError
 from vehsim.exports import export_svg
 from vehsim.osm import TrafficSignal, parse_osm
 from vehsim.radio import BaseStation
-from vehsim.routing import shortest_path
 from vehsim.scenario import (
     EVENTS_HEADER,
     TRACE_HEADER,
@@ -37,7 +37,7 @@ from vehsim.scenario import (
     run,
 )
 
-from conftest import corridor_osm_xml, grid_node_id, grid_osm_xml
+from conftest import HeapHost, corridor_osm_xml, grid_node_id, grid_osm_xml
 
 MINIMAL = "map = net.osm\nduration = 10\n"
 
@@ -1282,17 +1282,38 @@ def test_negative_and_huge_osm_ids_run_and_draw(tmp_path, capsys, rewrite):
                      "--out", str(tmp_path / "map.svg")]) == 0
 
 
-def test_finish_drops_the_compiled_router(tmp_path):
-    (tmp_path / "grid.osm").write_text(grid_osm_xml(4, 100.0))
-    config = load_config("map = grid.osm\nduration = 1\nway = 100\nstrategicModel = Trip\n"
-                         f"trip = {grid_node_id(3, 3)}\n", base_dir=tmp_path)
-    simulation = Simulation(config, tmp_path / "out")
-    graph = simulation.world.graph
-    router = graph._router
-    assert router is not None  # the trip was routed at spawn
-    route = shortest_path(graph, grid_node_id(0, 0), grid_node_id(3, 3))
-    simulation.finish()
-    # released at once, not at the next full collection; a later query builds it again
-    assert graph._router is None
-    assert shortest_path(graph, grid_node_id(0, 0), grid_node_id(3, 3)) == route
-    assert graph._router is not None and graph._router.through == router.through
+def test_finished_and_aborted_runs_are_freed_by_reference_counting(corridor_map, grid_map, tmp_path, monkeypatch):
+    # no reference cycle holds a run's state: with collection disabled, each
+    # simulation, its world and its map (with the compiled router) are freed
+    # once the caller drops them, after a run, an aborted run and a host's finish()
+    refs = []
+    attach = Simulation.attach
+
+    def recording_attach(simulation, kernel):
+        refs.append([weakref.ref(obj) for obj in (simulation, simulation.world, simulation.world.graph)])
+        attach(simulation, kernel)
+
+    monkeypatch.setattr(Simulation, "attach", recording_attach)
+    routed = load_config(f"map = {grid_map}\nduration = 5\nseed = 3\ninterference.count = 6\n"
+                         f"way = 100\nstrategicModel = Trip\ntrip = {grid_node_id(2, 2)}\n"
+                         "station.0.id = a\nstation.0.x = 0\nstation.0.y = 0\n")
+    stranded = load_config(f"map = {corridor_map}\nduration = 30\nway = 1\noffset = 900\nspeed = 13.89\n"
+                           "strategicModel = RandomDirection\n")
+    gc.disable()
+    try:
+        run(routed, tmp_path / "run")
+        with pytest.raises(StrandedError):
+            run(stranded, tmp_path / "aborted")
+        host = HeapHost()
+        kernel = EventKernel(host=host)
+        simulation = Simulation(routed, tmp_path / "host")
+        simulation.attach(kernel)
+        vehicle = simulation.world.vehicles[0]
+        while host.heap:
+            kernel.deliver_from_host(host.pop())
+        assert simulation.world.graph._router is not None  # the trip was routed at spawn
+        assert simulation.finish().summary["events_fired"] == 50 and vehicle.odometer > 0.0
+        del kernel, simulation, vehicle
+        assert [[ref() for ref in case] for case in refs] == [[None] * 3] * 3
+    finally:
+        gc.enable()

@@ -356,15 +356,16 @@ class SignalViolation:
 
 
 # World's vehicle columns, indexed by vehicle id: name -> dtype of one entry.
-# The state, then the constants recorded at spawn.  ``seg`` is the directed
-# segment (``SegmentRef.index``), ``route_len`` the number of segments in the
-# vehicle's row of ``World.route``, ``_final`` the node row a trip stops at
-# (-1: none), ``delta`` is raised element-wise on Python floats, and ``idm``
+# The state, then the constants recorded at spawn.  A vehicle drives, or it
+# stands: ``parked`` from spawn or ``done`` after its trip.  ``seg`` is the
+# directed segment (``SegmentRef.index``), ``route_len`` the number of segments
+# in the vehicle's row of ``World.route``, ``_final`` the node row a trip stops
+# at (-1: none), ``delta`` is raised element-wise on Python floats, and ``idm``
 # holds the rows a_max, s0, T and 2 * sqrt(a_max * b_comf).
 _COLUMNS = {
     "s": float, "v": float, "acc": float, "lane": np.int64, "seg": np.int64, "route_pos": np.int64,
     "route_len": np.int64, "done": bool, "parked": bool, "odometer": float, "last_lane_change": float,
-    "_final": np.int64, "length": float, "v0_eff": float, "b_comf": float, "delta": float, "idm": (float, 4),
+    "_final": np.int64, "length": float, "v0_eff": float, "delta": float, "idm": (float, 4),
     "p": float, "delta_a_th": float, "b_safe": float,
 }
 
@@ -457,7 +458,7 @@ class World:
     physics.  The arithmetic is that of the public per-vehicle model
     (:func:`idm_acceleration`, :func:`mobil_decide`,
     :func:`ballistic_update`), operation for operation, so both give the same
-    bits.
+    bits.  Only the driving vehicles are accelerated, moved and settled.
 
     Vehicle state lives in one place, indexed by vehicle id 0..n-1 in spawn
     order: the columns named in ``_COLUMNS``, one array each, read as
@@ -593,7 +594,7 @@ class World:
         row = {  # every column but route_pos, route_len and _final, which ``_install`` writes
             "s": offset, "v": 0.0 if parked else speed, "acc": 0.0, "lane": lane, "seg": ref.index,
             "done": False, "parked": parked, "odometer": 0.0, "last_lane_change": -math.inf, "length": length,
-            "v0_eff": idm.v0 * speed_factor, "b_comf": idm.b_comf, "delta": idm.delta,
+            "v0_eff": idm.v0 * speed_factor, "delta": idm.delta,
             "idm": (idm.a_max, idm.s0, idm.T, 2.0 * math.sqrt(idm.a_max * idm.b_comf)),
             "p": mobil.p, "delta_a_th": mobil.delta_a_th, "b_safe": mobil.b_safe,
         }
@@ -816,7 +817,7 @@ class World:
             self.s[vid] = position
 
     def _settle(self, vid: int) -> None:
-        """Resolve the nodes moved vehicle ``vid`` crossed, then a smooth final arrival."""
+        """Resolve the nodes driving vehicle ``vid`` crossed, then a smooth final arrival."""
         s, seg, lane, route_pos = self.s, self.seg, self.lane, self.route_pos
         graph, seg_len = self.graph, self.graph.length
         while s[vid] > seg_len[seg[vid]]:
@@ -836,21 +837,21 @@ class World:
 
         # smooth final arrival: a final-leg vehicle that has braked to a stop
         # just short of its last node registers the arrival and parks there.
-        if (not self.done[vid] and self.v[vid] < _ARRIVAL_SPEED and self._final[vid] >= 0
-                and route_pos[vid] == self.route_len[vid]):
+        if self.v[vid] < _ARRIVAL_SPEED and self._final[vid] >= 0 and route_pos[vid] == self.route_len[vid]:
             remaining = seg_len[seg[vid]] - s[vid] - self.length[vid] / 2.0
             if remaining <= self.idm.item(vid, 1) * 1.5 + 1e-9:  # s0
                 if not self._advance_route(vid, graph.ids[graph.end[seg[vid]]]):
                     self._finish(vid)
 
     def step(self, dt: float) -> None:
-        """Advance every vehicle by ``dt`` seconds."""
+        """Advance every driving vehicle by ``dt`` seconds.
+
+        A parked or done vehicle stands with ``acc`` 0: a ``v`` written through
+        a view stays as written.
+        """
         if not 0 < dt < math.inf:  # also false for nan
             raise ValueError(f"dt must be finite and > 0, got {dt!r}")
         n = self.n
-        if not n:
-            self.time += dt
-            return
         table = self._lane_table()
         self._table = self._occupancy = None  # decisions change lanes; moves change positions
         s, v, lane, done, parked, length = (column[:n] for column in (
@@ -908,8 +909,6 @@ class World:
         # aborts below keeps them all
         acc = self.acc[:n]
         acc.fill(0.0)
-        stopped = (done & ~parked).nonzero()[0]
-        acc[stopped] = np.where(v[stopped] > 0, -self.b_comf[stopped], 0.0)
         acc[movers] = a_lead[:m]
         if len(sides):
             # MOBIL per side pair, as _change_gain: the ego behind the target
@@ -929,12 +928,10 @@ class World:
             surplus = (a_lead[pair] - a_lead[own]) - self.p[e] * terms - self.delta_a_th[e]
             self._change_lanes(cand, sides, len(left), ok & (surplus > 0.0), surplus, fol[pair], a_f_ego[pair])
 
-        # the ballistic update with its stopping clamp, element-wise, for
-        # every unparked vehicle; a done one stays put and bleeds off any
-        # speed left (a rare clamp-stop case) as max(0.0, v + acc * dt)
-        active = (~parked).nonzero()[0]
-        a = acc[active]
-        v_now = v[active]
+        # the ballistic update with its stopping clamp, element-wise, for the
+        # movers; a parked or done vehicle stands
+        a = acc[movers]
+        v_now = v[movers]
         v_new = v_now + a * dt
         ds = v_now * dt + 0.5 * a * dt * dt
         ds = np.where(ds > 0.0, ds, 0.0)
@@ -944,30 +941,23 @@ class World:
             ds[clamp] = 0.0
             braking = clamp[a[clamp] < 0.0]
             ds[braking] = v_now[braking] * v_now[braking] / (-2.0 * a[braking])
-        s_new = s[active] + ds
-        halt = done[active]
-        if len(stopped):
-            bled = v_now + a * dt
-            v_new[halt] = np.where(v_now > 0, np.where(bled > 0.0, bled, 0.0), v_now)[halt]
-            ds[halt] = 0.0
-            s_new[halt] = s[active][halt]
+        s_new = s[movers] + ds
 
         # topology, for the vehicles that crossed a node or may register a
         # final arrival, in ascending id: each one's move is committed with
         # those of the vehicles before it, then its topology is resolved
-        settle = (s_new > self.graph.length[self.seg[active]]) | (
-            (v_new < _ARRIVAL_SPEED) & (self._final[active] >= 0)
-            & (self.route_pos[active] == self.route_len[active]))
-        settle &= ~halt
+        settle = (s_new > self.graph.length[self.seg[movers]]) | (
+            (v_new < _ARRIVAL_SPEED) & (self._final[movers] >= 0)
+            & (self.route_pos[movers] == self.route_len[movers]))
         lo = 0
         for k in settle.nonzero()[0].tolist() + [None]:
             part = slice(lo, None if k is None else k + 1)
-            ids = active[part]
+            ids = movers[part]
             self.s[ids] = s_new[part]
             self.v[ids] = v_new[part]
             self.odometer[ids] += ds[part]
             if k is not None:
-                self._settle(int(active[k]))
+                self._settle(int(movers[k]))
                 lo = k + 1
         self.time += dt
         self._scan_collisions()

@@ -24,10 +24,10 @@ from vehsim.mobility import (
     idm_acceleration,
     mobil_decide,
 )
-from vehsim.osm import TrafficSignal, build_graph, signal_phase
+from vehsim.osm import TrafficSignal, build_graph, parse_osm, signal_phase
 from vehsim.rng import substream
 
-from conftest import chain_graph, corridor_graph
+from conftest import chain_graph, corridor_graph, grid_osm_xml
 
 
 # -- IDM ------------------------------------------------------------------
@@ -535,13 +535,63 @@ def test_lane_change_record_captures_follower_pressure():
     assert rec.follower_acc_after >= -ego.mobil.b_safe
 
 
-def test_parked_vehicles_never_move_and_done_vehicles_bleed_out():
-    world = World(corridor_graph(500.0))
-    parked = world.spawn(way=1, offset=250.0, parked=True)
+def test_done_vehicles_stand_like_parked_ones():
+    # test_golden's route-ends world: vehicle 0's trip ends by crossing its
+    # terminal node at speed, vehicle 2 (no strategic model) by the smooth
+    # arrival short of its last node; vehicle 3, off their routes, is parked
+    world = World(parse_osm(grid_osm_xml(4, 200.0)), seed=4)
+    world.spawn(way=100, offset=20.0, speed=5.0, strategic=Trip((1102, 1202, 1202)))
+    world.spawn(way=201, segment=1, offset=60.0, speed=8.0, strategic=Trip((1303, 1303)))
+    world.spawn(way=200, offset=50.0, speed=6.0)
+    world.spawn(way=103, offset=100.0, forward=False, speed=7.0, parked=True)
+    standing, after = {}, 0
+    while after < 50:
+        world.step(0.1)
+        for veh in world.vehicles.values():
+            if veh.done or veh.parked:
+                assert (veh.v, veh.acc) == (0.0, 0.0)
+                state = (veh.s, veh.ref.index, veh.odometer)
+                assert standing.setdefault(veh.id, state) == state
+        after = after + 1 if len(standing) == 4 else 0
+        assert world.time < 200.0
+    crossed, arrived, parked = world.vehicles[0], world.vehicles[2], world.vehicles[3]
+    assert crossed.done and crossed.s == crossed.ref.length  # put back on the node it crossed
+    assert arrived.done and arrived.s < arrived.ref.length - arrived.length / 2.0
+    assert (parked.s, parked.odometer, parked.done) == (100.0, 0.0, False)
+
+
+def test_a_speed_written_to_a_standing_vehicle_stays():
+    world = World(chain_graph(200.0, 3))
+    done = world.spawn(way=1, offset=150.0, speed=2.0)  # stops at node 2, its route's end
+    parked = world.spawn(way=1, segment=1, offset=100.0, parked=True)
+    while not done.done:
+        world.step(0.1)
+    before = [(veh.s, veh.ref.index, veh.odometer) for veh in (done, parked)]
+    done.v = parked.v = 3.0
     for _ in range(20):
         world.step(0.1)
-    assert (parked.s, parked.v, parked.acc) == (250.0, 0.0, 0.0)
-    assert parked.odometer == 0.0
+        assert [(veh.v, veh.acc) for veh in (done, parked)] == [(3.0, 0.0)] * 2
+    assert [(veh.s, veh.ref.index, veh.odometer) for veh in (done, parked)] == before
+
+
+def test_an_empty_world_steps_its_clock():
+    world, t = World(corridor_graph(1000.0)), 0.0
+    for dt in (0.1, 0.25, 0.1):
+        world.step(dt)
+        t += dt
+        assert world.time == t
+    for dt in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match=repr(dt)):
+            world.step(dt)
+    assert world.time == t
+    assert (world.lane_changes, world.collisions, world.signal_violations) == ([], [], [])
+    # a vehicle spawned now drives as in a world that had it from the start
+    fresh = World(corridor_graph(1000.0))
+    late, first = (w.spawn(way=1, offset=100.0, speed=10.0, strategic=RandomDirection()) for w in (world, fresh))
+    for _ in range(100):
+        world.step(0.1)
+        fresh.step(0.1)
+        assert (late.s, late.v, late.acc, late.odometer) == (first.s, first.v, first.acc, first.odometer)
 
 
 def test_trip_records_arrivals_and_odometer():

@@ -951,6 +951,34 @@ def test_placement_failure_names_key_and_line(corridor_map, tmp_path, prefix):
     assert f"{key} (line 4)" in str(err.value)
 
 
+def test_interference_with_no_room_left_names_key_and_line(tmp_path):
+    # a 50 m one-way lane holds at most eight vehicles 7 m apart
+    (tmp_path / "short.osm").write_text(corridor_osm_xml(50.0))
+    text = f"map = {tmp_path / 'short.osm'}\nduration = 10\ninterference.count = 20\n"
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=r"interference vehicle \d+ after 200 attempts") as err:
+        run(load_config(text), out)
+    assert (err.value.key, err.value.line) == ("interference.count", 3)
+    assert "interference.count (line 3)" in str(err.value)
+    assert not (out / "trace.csv").exists()
+
+
+def test_red_crossing_writes_a_signal_violation_row(tmp_path):
+    # as tests/test_mobility.py's: on the stop line at 10 m/s while node 2's light is red
+    path = tmp_path / "chain.osm"
+    path.write_text(corridor_osm_xml(600.0, count=3))
+    graph = parse_osm(path.read_bytes())
+    text = (
+        f"map = {path}\nduration = 1\nway = 1\noffset = {graph.ref(1, 0, True).length!r}\nspeed = 10\n"
+        "speed_factor = 1\nstrategicModel = Trip\ntrip = 3\nsignal.2.offset = 25\n"
+    )
+    artifacts = run(load_config(text), tmp_path / "out")
+    x, y = graph.position(2)
+    assert artifacts.events_path.read_text().splitlines() == [
+        EVENTS_HEADER, f"0,signal_violation,0,,,{x:.3f},{y:.3f}"]
+    assert json.loads(artifacts.summary_path.read_text())["signal_violation_count"] == 1
+
+
 @pytest.mark.parametrize(
     "prefix, trip_key",
     [("", "trip"), ("", "strategicModel.trip"),

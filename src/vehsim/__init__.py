@@ -38,7 +38,7 @@ from .osm import (
     parse_osm,
     signal_phase,
 )
-from .radio import BaseStation, HandoverEvent, RadioObserver, detect_ping_pong, rssi
+from .radio import BaseStation, HandoverEvent, RadioObserver, RadioParams, detect_ping_pong, rssi
 from .routing import NoRouteError, Route, shortest_path
 from .scenario import ConfigError, ScenarioConfig, Simulation, Trace, dumps_config, load_config, read_trace, run
 from .exports import ExportError, export_spacetime, export_svg
@@ -60,6 +60,7 @@ __all__ = [
     "NoRouteError",
     "PlacementError",
     "RadioObserver",
+    "RadioParams",
     "RandomDirection",
     "RoadGraph",
     "Route",

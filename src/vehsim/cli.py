@@ -57,6 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # built once: each build leaves its actions and formatters in reference cycles
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     text = Path(args.config).read_text()
     file_config = load_config(text, base_dir=Path(args.config).parent)
@@ -101,7 +104,7 @@ def _cmd_spacetime(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "run":
             return _cmd_run(args)

@@ -54,7 +54,7 @@ from itertools import repeat
 
 import numpy as np
 
-from ._bounds import bounded, checked
+from ._bounds import FieldError, bounded, checked
 from .rng import substream
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
@@ -62,9 +62,6 @@ D_REF_M = 1.0  # path-loss reference distance
 DEFAULT_TX_POWER_DBM = 46.0
 DEFAULT_CARRIER_MHZ = 1800.0
 DEFAULT_PATH_LOSS_EXPONENT = 3.5  # urban macro default
-DEFAULT_HYSTERESIS_DB = 3.0
-DEFAULT_TIME_TO_TRIGGER_S = 1.0
-DEFAULT_PINGPONG_WINDOW_S = 10.0
 _TTT_SLACK = 1e-12  # absorbs float drift when comparing elapsed time to TTT
 _SHADOW_ROWS = 64  # updates of shadowing drawn per vehicle at a time
 _RANK_MARGIN_DB = 1e-6  # ranked levels closer than this are settled by exact ones
@@ -84,16 +81,17 @@ class BaseStation:
 
     def __post_init__(self) -> None:
         if any(c in self.id for c in ",\n\r"):  # the id is written unquoted into trace and events CSV rows
-            raise ValueError(f"station {self.id!r}: id may not contain ',', '\\n' or '\\r'")
+            raise FieldError("BaseStation", "id", f"may not contain ',', '\\n' or '\\r', got {self.id!r}")
 
 
 @checked
 class RadioParams:
-    """A scenario's handover and propagation settings (the ``radio.*`` keys)."""
+    """A scenario's handover and propagation settings (the ``radio.*`` keys), as a :class:`RadioObserver`
+    takes them; the observer leaves ``pingpong_window_s`` to its caller's :func:`detect_ping_pong`."""
 
-    hysteresis_db: float = bounded(">= 0", DEFAULT_HYSTERESIS_DB)
-    time_to_trigger_s: float = bounded(">= 0", DEFAULT_TIME_TO_TRIGGER_S)
-    pingpong_window_s: float = bounded("> 0", DEFAULT_PINGPONG_WINDOW_S)
+    hysteresis_db: float = bounded(">= 0", 3.0)
+    time_to_trigger_s: float = bounded(">= 0", 1.0)
+    pingpong_window_s: float = bounded("> 0", 10.0)
     path_loss_exponent: float = bounded("> 0", DEFAULT_PATH_LOSS_EXPONENT)
     shadowing_sigma_db: float = bounded(">= 0", 0.0)
 
@@ -163,7 +161,8 @@ def _exact_log_d(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
 
 class RadioObserver:
-    """Tracks per-vehicle attachment against a fixed station set.
+    """Tracks per-vehicle attachment against a fixed station set, under the
+    handover and propagation settings of ``radio`` (see :class:`RadioParams`).
 
     ``observe_all`` (or ``update`` for one vehicle) must be called for every
     vehicle after every mobility step; a candidate cell must beat the serving
@@ -192,28 +191,14 @@ class RadioObserver:
 
     _COLUMNS = ("_serving", "_candidate", "_since", "_pos_x", "_pos_y", "_block", "_block_len", "_pointer")
 
-    def __init__(
-        self,
-        stations: list[BaseStation],
-        *,
-        hysteresis_db: float = DEFAULT_HYSTERESIS_DB,
-        time_to_trigger_s: float = DEFAULT_TIME_TO_TRIGGER_S,
-        path_loss_exponent: float = DEFAULT_PATH_LOSS_EXPONENT,
-        shadowing_sigma_db: float = 0.0,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, stations: list[BaseStation], radio: RadioParams = RadioParams(), *, seed: int = 0) -> None:
         if not stations:
             raise ValueError("at least one base station required")
         ids = [s.id for s in stations]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate station ids")
-        RadioParams(hysteresis_db=hysteresis_db, time_to_trigger_s=time_to_trigger_s,  # checks their bounds
-                    path_loss_exponent=path_loss_exponent, shadowing_sigma_db=shadowing_sigma_db)
         self.stations = sorted(stations, key=lambda s: s.id)
-        self.hysteresis_db = hysteresis_db
-        self.time_to_trigger_s = time_to_trigger_s
-        self.path_loss_exponent = path_loss_exponent
-        self.shadowing_sigma_db = shadowing_sigma_db
+        self.radio = radio
         self.seed = seed
         # per-station constants of rssi(), in id order, as columns over vehicles
         self._ids = [s.id for s in self.stations]
@@ -221,13 +206,14 @@ class RadioObserver:
         self._y = np.array([[s.y] for s in self.stations], dtype=float)
         self._tx = np.array([[s.tx_power_dbm] for s in self.stations], dtype=float)
         self._ref = np.array([[reference_loss_db(s.carrier_mhz)] for s in self.stations])
-        self._k = 10.0 * path_loss_exponent
+        self._k = 10.0 * radio.path_loss_exponent
         # the level terms the ranking margin scales with; the shadowing term grows at each refill
-        self._terms = float(abs(self._tx).max() + abs(self._ref).max()) + self._k * (_LOG_D_MAX + 1.0) + hysteresis_db
+        self._terms = (float(abs(self._tx).max() + abs(self._ref).max()) + self._k * (_LOG_D_MAX + 1.0)
+                       + radio.hysteresis_db)
         self._shadow_max = 0.0
         # per-vehicle columns, row = order of first observation, grown by doubling
         rows = 16
-        depth = _SHADOW_ROWS if shadowing_sigma_db > 0.0 else 0
+        depth = _SHADOW_ROWS if radio.shadowing_sigma_db > 0.0 else 0
         self._row: dict[int, int] = {}
         self._streams: list[np.random.Generator] = []  # shadowing stream per row
         self._serving = np.empty(rows, dtype=np.intp)
@@ -256,20 +242,20 @@ class RadioObserver:
         self._serving[row] = self._candidate[row] = -1
         self._since[row] = 0.0
         self._pointer[row] = 0
-        if self.shadowing_sigma_db > 0.0:
+        if self.radio.shadowing_sigma_db > 0.0:
             self._streams.append(substream(self.seed, "shadowing", vehicle_id))
             self._refill(row, 1 + vehicle_id % _SHADOW_ROWS)
         return row
 
     def _refill(self, row: int, length: int) -> None:
-        block = self._streams[row].normal(0.0, self.shadowing_sigma_db, size=(length, len(self._ids)))
+        block = self._streams[row].normal(0.0, self.radio.shadowing_sigma_db, size=(length, len(self._ids)))
         self._block[row, :length] = block
         self._block_len[row] = length
         self._shadow_max = max(self._shadow_max, float(np.abs(block).max()))
 
     def _draw(self, rows: np.ndarray) -> np.ndarray | None:
         """Next shadowing row of each listed row, as (stations x rows); None without shadowing."""
-        if self.shadowing_sigma_db <= 0.0:
+        if self.radio.shadowing_sigma_db <= 0.0:
             return None
         pointer = self._pointer[rows]
         due = pointer == self._block_len[rows]
@@ -315,12 +301,13 @@ class RadioObserver:
         log_d = np.log10(np.maximum(np.hypot(dx, dy), D_REF_M) / D_REF_M)
         levels = self._levels(log_d, shadow)
         margin = _RANK_MARGIN_DB + _RANK_ULPS * (self._terms + self._shadow_max)
+        hysteresis = self.radio.hysteresis_db
         serving = self._serving[rows]
         served = serving * n + np.arange(n)  # flat (station, vehicle) index; -1 wraps to the last station
         attached = serving >= 0
         best, best_level, serving_level = levels.argmax(axis=0), levels.max(axis=0), levels.ravel()[served]
         exact = levels >= best_level - margin
-        flip = attached & (best != serving) & (abs(best_level - (serving_level + self.hysteresis_db)) <= 2.0 * margin)
+        flip = attached & (best != serving) & (abs(best_level - (serving_level + hysteresis)) <= 2.0 * margin)
         if np.count_nonzero(exact) > n or flip.any():  # some row is open; each row's own top is in exact
             open_rows = (exact.sum(axis=0) > 1) | flip
             exact &= open_rows
@@ -331,9 +318,9 @@ class RadioObserver:
             best, best_level, serving_level = levels.argmax(axis=0), levels.max(axis=0), levels.ravel()[served]
 
         # argmax takes the smaller id of equals; best == serving needs no test: x <= x + hysteresis
-        candidate = np.where(attached & ~(best_level <= serving_level + self.hysteresis_db), best, -1)
+        candidate = np.where(attached & ~(best_level <= serving_level + hysteresis), best, -1)
         since = np.where(candidate != self._candidate[rows], t, self._since[rows])
-        fire = (candidate >= 0) & (t - since >= self.time_to_trigger_s - _TTT_SLACK)
+        fire = (candidate >= 0) & (t - since >= self.radio.time_to_trigger_s - _TTT_SLACK)
         switch = fire | ~attached
         self._candidate[rows] = np.where(fire, -1, candidate)
         self._since[rows] = since
@@ -359,7 +346,7 @@ class RadioObserver:
         cell = self._serving[known]  # every known row has been attached
         log_d = _exact_log_d(self._pos_x[known] - self._x.take(cell), self._pos_y[known] - self._y.take(cell))
         level = self._tx.take(cell) - (self._ref.take(cell) + self._k * log_d)
-        if self.shadowing_sigma_db > 0.0:  # the shadowing row the last update read
+        if self.radio.shadowing_sigma_db > 0.0:  # the shadowing row the last update read
             level += self._block[known, self._pointer[known] - 1, cell]
         found = zip(map(self._ids.__getitem__, cell.tolist()), level.tolist())
         return list(found) if known.size == rows.size else [None if row < 0 else next(found) for row in rows.tolist()]

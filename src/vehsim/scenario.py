@@ -3,11 +3,15 @@
 Configs are flat ``key = value`` text with ``#`` comments and dotted paths
 for nested settings (``vehicle.0.idm.T = 1.2``).  Each accepted key is one
 row of a per-block key table (``_VEHICLE_KEYS`` and its siblings), read for
-parsing and the canonical echo; every bound is declared once, on the field
-the key sets, so the config dataclasses raise ``ValueError`` when built out
-of bound and ``load_config`` raises :class:`ConfigError` with key and line.
-Only the rules that span several keys are written out.  ``load_config``
-validates text only; placements are resolved against the parsed map by a
+parsing and the canonical echo.  Each rule is stated once, on the record the
+block builds: its fields' bounds and its own rules (a vehicle's strategic
+model and trip, a station id's characters) raise ``FieldError``, a
+``ValueError``, when the record is built, and ``load_config`` only parses the
+text, builds the records and turns that error into a :class:`ConfigError`
+with the key and line of the field it names.  The loader keeps only what no
+one record can see (duplicate station ids, contiguous vehicle indices) and
+two config-only bounds.  ``load_config`` validates text only; placements are
+resolved against the parsed map by a
 :class:`Simulation`, which steps the world on a standalone or host-driven
 event kernel and writes four artifacts into the output directory:
 
@@ -29,7 +33,7 @@ import re
 import warnings
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, replace
 from itertools import chain, repeat
 from operator import attrgetter
 from pathlib import Path
@@ -37,7 +41,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._bounds import RULES, bounded, checked
+from ._bounds import RULES, FieldError, bounded, checked
 from .kernel import NS_PER_SECOND, Event, EventKernel, to_ns
 from .mobility import (
     VEHICLE_LENGTH,
@@ -104,9 +108,13 @@ class VehicleSpec:
 
     def __post_init__(self) -> None:
         if self.strategic not in (None, *_STRATEGIC_MODELS):
-            raise ValueError(f"VehicleSpec.strategic must be None or in {_STRATEGIC_MODELS}, got {self.strategic!r}")
-        if bool(self.trip) != (self.strategic == _TRIP):
-            raise ValueError(f"VehicleSpec.trip is required with strategic {_TRIP!r} and only valid with it")
+            raise FieldError("VehicleSpec", "strategic", f"is an unknown strategic model {self.strategic!r} "
+                                                         f"(expected {' or '.join(_STRATEGIC_MODELS)})")
+        if self.trip and self.strategic != _TRIP:
+            raise FieldError("VehicleSpec", "trip", f"is only valid with strategicModel = {_TRIP}")
+        if not self.trip and self.strategic == _TRIP:
+            raise FieldError("VehicleSpec", "trip",
+                             f"is missing: strategicModel = {_TRIP} requires a trip destination list")
 
 
 @checked
@@ -116,7 +124,8 @@ class InterferenceSpec:
 
     def __post_init__(self) -> None:
         if self.strategic != _RANDOM_DIRECTION:
-            raise ValueError(f"InterferenceSpec.strategic must be {_RANDOM_DIRECTION!r}, got {self.strategic!r}")
+            raise FieldError("InterferenceSpec", "strategic",
+                             f"is an unsupported interference model {self.strategic!r} (only {_RANDOM_DIRECTION})")
 
 
 @dataclass(frozen=True)
@@ -209,26 +218,6 @@ def _to_id_list(value: str, key: str, line: int) -> tuple[int, ...]:
     return tuple(_to_int(p, key, line) for p in parts)
 
 
-def _to_strategic(value: str, key: str, line: int) -> str:
-    if value not in _STRATEGIC_MODELS:
-        raise ConfigError(f"unknown strategic model {value!r} (expected {' or '.join(_STRATEGIC_MODELS)})",
-                          key=key, line=line)
-    return value
-
-
-def _to_interference_model(value: str, key: str, line: int) -> str:
-    if value != _RANDOM_DIRECTION:
-        raise ConfigError(f"unsupported interference model {value!r} (only {_RANDOM_DIRECTION})", key=key, line=line)
-    return value
-
-
-def _to_station_id(value: str, key: str, line: int) -> str:
-    # station ids are written unquoted into the trace and events CSV columns
-    if "," in value:
-        raise ConfigError(f"station id may not contain ',', got {value!r}", key=key, line=line)
-    return value
-
-
 class _Key(NamedTuple):
     """One config key of a block: the attribute it sets, its parser and its bound (see :func:`_table`)."""
 
@@ -256,7 +245,7 @@ _SCALAR_KEYS = _table(ScenarioConfig, (
     _Key("sampling", "sampling_s", _to_float),
 ))
 _VEHICLE_KEYS = _table(VehicleSpec, (
-    _Key("strategicModel", "strategic", _to_strategic),
+    _Key("strategicModel", "strategic", _to_str),
     _Key("trip", "trip", _to_id_list),
     _Key("way", "way", _to_int),
     _Key("segment", "segment", _to_int),
@@ -279,10 +268,10 @@ _VEHICLE_KEYS = _table(VehicleSpec, (
 ))
 _INTERFERENCE_KEYS = _table(InterferenceSpec, (
     _Key("count", "count", _to_int),
-    _Key("strategicModel", "strategic", _to_interference_model),
+    _Key("strategicModel", "strategic", _to_str),
 ))
 _STATION_KEYS = _table(BaseStation, (
-    _Key("id", "id", _to_station_id),
+    _Key("id", "id", _to_str),
     _Key("x", "x", _to_float),
     _Key("y", "y", _to_float),
     _Key("tx_power", "tx_power_dbm", _to_float),
@@ -305,7 +294,7 @@ _TRIP_ALIAS = "strategicModel.trip"
 _TABLES = {"scalar": _SCALAR_KEYS, "vehicle": _VEHICLE_KEYS, "interference": _INTERFERENCE_KEYS,
            "station": _STATION_KEYS, "signal": _SIGNAL_KEYS, "radio": _RADIO_KEYS}
 _NAMES = {kind: frozenset(key.name for key in keys) for kind, keys in _TABLES.items()}
-_NAMES["vehicle"] |= {_TRIP_ALIAS}  # resolved to trip in _build_vehicle
+_NAMES["vehicle"] |= {_TRIP_ALIAS}  # resolved to trip in load_config
 _INDEXED_RE = re.compile(r"^(vehicle|station|signal)\.(\d+)\.(.+)$")
 
 
@@ -327,14 +316,26 @@ class _Block:
     def line(self, field_name: str) -> int | None:
         return self.entries[field_name][1] if field_name in self.entries else None
 
-    def parse(self, keys: tuple[_Key, ...], *, by_line: bool = False) -> dict[str, object]:
-        """Attribute -> checked value for the entries that ``keys`` name.
+    def build(self, cls: type, keys: tuple[_Key, ...], *, by_line: bool = False, **supplied: object):
+        """``cls`` built from ``supplied`` and the entries that ``keys`` name, which take precedence;
+        ``idm.*`` and ``mobil.*`` entries build their field's class.
 
-        Entries are checked in table order, or in file order with ``by_line``;
-        the first bad one raises.  Keys without an entry keep their defaults.
+        A key whose field has no default needs an entry unless its attribute is
+        supplied.  Entries are parsed and checked against their key's bound in
+        table order, or in file order with ``by_line``.  The first missing key,
+        bad entry or :class:`FieldError` of the record raises
+        :class:`ConfigError` at the key's line, or at the block's first line
+        when the key has no entry.
         """
+        specs = cls.__dataclass_fields__
+        for key in keys:
+            spec = specs.get(key.attr)  # None for a dotted idm.T, whose fields all have defaults
+            if (spec is not None and spec.default is MISSING and spec.default_factory is MISSING
+                    and key.attr not in supplied and key.name not in self.entries):
+                raise ConfigError("required key missing", key=self.prefix + key.name, line=self.first_line)
         table = {key.name: key for key in keys}
-        values = {}
+        values = dict(supplied)
+        nested: dict[str, dict[str, object]] = {}  # idm / mobil -> attribute -> value
         for name in self.entries if by_line else table:
             if name not in table or name not in self.entries:
                 continue
@@ -343,54 +344,14 @@ class _Block:
             value = key.parse(text, self.prefix + name, line)
             if key.bound is not None and not RULES[key.bound](value):
                 raise ConfigError(f"must be {key.bound}, got {value!r}", key=self.prefix + name, line=line)
-            values[key.attr] = value
-        return values
-
-
-def _build_vehicle(index: int, block: _Block) -> VehicleSpec:
-    entries = block.entries
-    prefix = block.prefix
-    if _TRIP_ALIAS in entries:
-        if "trip" in entries:
-            raise ConfigError(
-                "trip given twice (trip and strategicModel.trip)",
-                key=prefix + _TRIP_ALIAS,
-                line=entries[_TRIP_ALIAS][1],
-            )
-        entries["trip"] = entries.pop(_TRIP_ALIAS)
-
-    # the first three rows (strategicModel, trip, way) carry the cross-key
-    # rules, which are checked between them
-    values = block.parse(_VEHICLE_KEYS[:1])
-    strategic = values.get("strategic")
-    if "trip" in entries and strategic != _TRIP:
-        raise ConfigError(
-            f"trip list is only valid with strategicModel = {_TRIP}",
-            key=prefix + "trip",
-            line=entries["trip"][1],
-        )
-    if "trip" not in entries and strategic == _TRIP:
-        raise ConfigError(
-            f"strategicModel = {_TRIP} requires a trip destination list",
-            key=prefix + "trip",
-            line=block.first_line,
-        )
-    values.update(block.parse(_VEHICLE_KEYS[1:2]))
-    if "way" not in entries:
-        raise ConfigError("required key missing", key=prefix + "way", line=block.first_line)
-    values.update(block.parse(_VEHICLE_KEYS[2:]))
-
-    nested: dict[str, dict[str, object]] = {"idm": {}, "mobil": {}}
-    for attr in [a for a in values if "." in a]:
-        group, name = attr.split(".")
-        nested[group][name] = values.pop(attr)
-    return VehicleSpec(
-        index=index,
-        prefix=prefix,
-        idm=IdmParams(**nested["idm"]),
-        mobil=MobilParams(**nested["mobil"]),
-        **values,
-    )
+            head, _, attr = key.attr.rpartition(".")
+            (nested.setdefault(head, {}) if head else values)[attr] = value
+        values.update((head, specs[head].default_factory(**group)) for head, group in nested.items())
+        try:
+            return cls(**values)
+        except FieldError as exc:
+            name = next(key.name for key in keys if key.attr == exc.field)
+            raise ConfigError(exc.reason, key=self.prefix + name, line=self.line(name) or self.first_line) from None
 
 
 def _check_clock(config: ScenarioConfig, line: Callable[[str], int | None] = lambda name: None) -> None:
@@ -451,17 +412,9 @@ def load_config(text: str, *, base_dir: str | Path | None = None) -> ScenarioCon
         block.put(name, value, key, lineno)
         key_lines[block.prefix + name] = lineno  # vehicle.00.x is recorded as vehicle.0.x
 
-    # scalars
-    for required in ("map", "duration"):
-        if required not in scalars.entries:
-            raise ConfigError("required key missing", key=required)
-    values = scalars.parse(_SCALAR_KEYS)
-    if base_dir is not None and not Path(values["map_path"]).is_absolute():
-        values["map_path"] = str(Path(base_dir) / values["map_path"])
-    config = ScenarioConfig(**values, key_lines=key_lines)
+    config = scalars.build(ScenarioConfig, _SCALAR_KEYS, key_lines=key_lines)
     _check_clock(config, scalars.line)
 
-    # vehicles
     vehicle_blocks = indexed["vehicle"]
     if shorthand.entries and 0 in vehicle_blocks:
         raise ConfigError(
@@ -472,48 +425,40 @@ def load_config(text: str, *, base_dir: str | Path | None = None) -> ScenarioCon
     if shorthand.entries:
         vehicle_blocks[0] = shorthand
     vehicles = []
-    for position, index in enumerate(sorted(vehicle_blocks)):
+    for position, (index, block) in enumerate(sorted(vehicle_blocks.items())):
         if index != position:
-            raise ConfigError(
-                "vehicle indices must be contiguous from 0",
-                key=f"vehicle.{index}",
-                line=vehicle_blocks[index].first_line,
-            )
-        vehicles.append(_build_vehicle(index, vehicle_blocks[index]))
+            raise ConfigError("vehicle indices must be contiguous from 0", key=f"vehicle.{index}",
+                              line=block.first_line)
+        if _TRIP_ALIAS in block.entries:
+            if "trip" in block.entries:
+                raise ConfigError("trip given twice (trip and strategicModel.trip)", key=block.prefix + _TRIP_ALIAS,
+                                  line=block.line(_TRIP_ALIAS))
+            block.entries["trip"] = block.entries.pop(_TRIP_ALIAS)
+        vehicles.append(block.build(VehicleSpec, _VEHICLE_KEYS, index=index, prefix=block.prefix))
 
-    interference = InterferenceSpec(**sections["interference"].parse(_INTERFERENCE_KEYS))
+    interference = sections["interference"].build(InterferenceSpec, _INTERFERENCE_KEYS)
 
-    # stations
-    stations = []
-    seen_ids: set[str] = set()
+    stations: dict[str, BaseStation] = {}  # by id
     for index, block in sorted(indexed["station"].items()):
-        for required in ("x", "y"):
-            if required not in block.entries:
-                raise ConfigError(
-                    "required key missing", key=block.prefix + required, line=block.first_line
-                )
-        sid = block.entries["id"][0] if "id" in block.entries else f"bs{index}"
-        if sid in seen_ids:
-            raise ConfigError(
-                f"duplicate station id {sid!r}",
-                key=block.prefix + "id",
-                line=block.line("id") or block.first_line,
-            )
-        seen_ids.add(sid)
-        stations.append(BaseStation(**{"id": sid, **block.parse(_STATION_KEYS)}))
+        station = block.build(BaseStation, _STATION_KEYS, id=f"bs{index}")
+        if station.id in stations:
+            raise ConfigError(f"duplicate station id {station.id!r}", key=block.prefix + "id",
+                              line=block.line("id") or block.first_line)
+        stations[station.id] = station
 
-    signals = tuple(
-        TrafficSignal(node_id=node_id, **block.parse(_SIGNAL_KEYS, by_line=True))
-        for node_id, block in sorted(indexed["signal"].items())
-    )
-    radio = RadioParams(**sections["radio"].parse(_RADIO_KEYS, by_line=True))
+    signals = tuple(block.build(TrafficSignal, _SIGNAL_KEYS, by_line=True, node_id=node_id)
+                    for node_id, block in sorted(indexed["signal"].items()))
+    map_path = config.map_path
+    if base_dir is not None and not Path(map_path).is_absolute():
+        map_path = str(Path(base_dir) / map_path)
     return replace(
         config,
+        map_path=map_path,
         vehicles=tuple(vehicles),
         interference=interference,
-        stations=tuple(stations),
+        stations=tuple(stations.values()),
         signals=signals,
-        radio=radio,
+        radio=sections["radio"].build(RadioParams, _RADIO_KEYS, by_line=True),
     )
 
 
@@ -812,16 +757,8 @@ class Simulation:
         _spawn_interference(world, config)
         logger.info("spawned %d vehicles", world.n)
 
-        self.observer = None
-        if config.stations:
-            self.observer = RadioObserver(
-                list(config.stations),
-                hysteresis_db=config.radio.hysteresis_db,
-                time_to_trigger_s=config.radio.time_to_trigger_s,
-                path_loss_exponent=config.radio.path_loss_exponent,
-                shadowing_sigma_db=config.radio.shadowing_sigma_db,
-                seed=config.seed,
-            )
+        self.observer = None if not config.stations else RadioObserver(list(config.stations), config.radio,
+                                                                       seed=config.seed)
 
         self.steps = 0  # completed steps
         self._kernel: EventKernel | None = None

@@ -23,7 +23,7 @@ from vehsim.mobility import (
     idm_acceleration,
 )
 from vehsim.osm import TrafficSignal, build_graph
-from vehsim.radio import BaseStation, RadioObserver, detect_ping_pong
+from vehsim.radio import BaseStation, RadioObserver, RadioParams, detect_ping_pong
 from vehsim.routing import NoRouteError, shortest_path
 from vehsim.scenario import dumps_config, load_config, read_trace, run
 
@@ -242,7 +242,7 @@ def test_criterion_4_ping_pong_windows_match_closed_form_crossings():
     expected_gap = expected_second - expected_first
     assert 5.0 < expected_gap <= 8.0  # geometry is built to sit between the windows
 
-    observer = RadioObserver([far, near], hysteresis_db=hysteresis, time_to_trigger_s=ttt)
+    observer = RadioObserver([far, near], RadioParams(hysteresis_db=hysteresis, time_to_trigger_s=ttt))
     events = []
     for i in range(int(round(450.0 / v / dt)) + 1):
         t = i * dt

@@ -1,6 +1,7 @@
 """Golden pins: SHA-256 digests of the deterministic artifacts of seven scenarios,
 of the ``map-svg --trace`` (and, on a corridor, ``spacetime``) output of three of
-them, and of the in-memory records and full-precision per-step state of eight more.
+them, of the in-memory records and full-precision per-step state of eight more, and
+of the full-precision radio levels of one of the seven.
 
 Two of the seven also run host-driven, sharing the kernel with a foreign module,
 and must give the same bytes.  A refactor that is meant to keep behaviour
@@ -648,3 +649,29 @@ def test_route_growth_is_pinned():
             assert (a.strategic.cursor, a.route_pos, b.route_pos) == (1, 1, 0)
     assert len(world.vehicles) == 42 and a.done and b.done
     assert states.hexdigest() == ROUTE_GROWTH_STATE
+
+
+# the shadowed radio grid stepped through a Simulation: the serving cell and
+# the full-precision level (``float.hex``) of every vehicle that ``current_all``
+# returns at t = 0 and after every step; trace.csv rounds rssi to 0.01 dB, so
+# only this pin sees a level that moves by an ulp
+RADIO_LEVELS_DIGEST = "9075ea69dfacd6e945d3a55790c6dbd1121fb31a0606c5ed1ef11632608ba1d6"
+
+
+def test_shadowed_radio_grid_levels_are_pinned(tmp_path):
+    (tmp_path / "grid.osm").write_text(grid_osm_xml(4, 300.0))
+    host = HeapHost()
+    kernel = EventKernel(host=host)
+    simulation = Simulation(load_config(RADIO_CONFIG, base_dir=tmp_path), tmp_path / "out")
+    simulation.attach(kernel)
+    levels = hashlib.sha256()
+    while True:
+        ids = range(simulation.world.n)
+        for cell, level in simulation.observer.current_all(ids):
+            levels.update(f"{cell} {level.hex()}\n".encode())
+        if not host.heap:
+            break
+        kernel.deliver_from_host(host.pop())  # one step
+    simulation.finish()
+    assert simulation.steps == 600
+    assert levels.hexdigest() == RADIO_LEVELS_DIGEST

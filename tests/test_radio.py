@@ -13,6 +13,7 @@ from vehsim.radio import (
     BaseStation,
     HandoverEvent,
     RadioObserver,
+    RadioParams,
     detect_ping_pong,
     reference_loss_db,
     rssi,
@@ -99,7 +100,7 @@ def test_margin_below_hysteresis_never_triggers():
     # static point where b is stronger than a, but by less than the margin
     a = BaseStation("a", 0.0, 0.0)
     b = BaseStation("b", 1000.0, 0.0)
-    obs = RadioObserver([a, b], hysteresis_db=3.0, time_to_trigger_s=1.0)
+    obs = RadioObserver([a, b], RadioParams(hysteresis_db=3.0, time_to_trigger_s=1.0))
     x = 520.0  # past the midpoint: b is stronger here, yet within the margin
     advantage = rssi(b, x, 0.0) - rssi(a, x, 0.0)
     assert 0.0 < advantage < 3.0
@@ -114,7 +115,7 @@ def test_two_cell_drive_hands_over_once_past_crossing():
     # r = 10^(H/(10 n)); the handover completes one time-to-trigger later
     a = BaseStation("a", 0.0, 0.0)
     b = BaseStation("b", 1000.0, 0.0)
-    obs = RadioObserver([a, b], hysteresis_db=3.0, time_to_trigger_s=1.0)
+    obs = RadioObserver([a, b], RadioParams(hysteresis_db=3.0, time_to_trigger_s=1.0))
     crossing = 549.1815663652214
     v, dt = 10.0, 0.1
     events = []
@@ -137,7 +138,7 @@ def test_candidate_identity_change_restarts_trigger():
     a = BaseStation("a", 0.0, 0.0)
     b = BaseStation("b", 2000.0, 0.0)
     c = BaseStation("c", -2000.0, 0.0)
-    obs = RadioObserver([a, b, c], hysteresis_db=3.0, time_to_trigger_s=1.0)
+    obs = RadioObserver([a, b, c], RadioParams(hysteresis_db=3.0, time_to_trigger_s=1.0))
     near_b = (1990.0, 0.0)
     near_c = (-1990.0, 0.0)
     events = [obs.update(1, 1.0, 0.0, 0.0)]  # attach to a
@@ -159,7 +160,7 @@ def test_candidate_identity_change_restarts_trigger():
 def test_zero_hysteresis_zero_ttt_is_pure_argmax():
     a = BaseStation("a", 0.0, 0.0)
     b = BaseStation("b", 1000.0, 0.0)
-    obs = RadioObserver([a, b], hysteresis_db=0.0, time_to_trigger_s=0.0)
+    obs = RadioObserver([a, b], RadioParams(hysteresis_db=0.0, time_to_trigger_s=0.0))
     obs.update(1, 400.0, 0.0, 0.0)
     assert obs.current(1)[0] == "a"
     event = obs.update(1, 501.0, 0.0, 0.1)  # strictly past the midpoint
@@ -185,7 +186,7 @@ def test_detect_ping_pong_window_semantics():
 def test_observer_ping_pong_aggregation():
     a = BaseStation("a", 0.0, 0.0)
     b = BaseStation("b", 1000.0, 0.0)
-    obs = RadioObserver([a, b], hysteresis_db=0.0, time_to_trigger_s=0.0)
+    obs = RadioObserver([a, b], RadioParams(hysteresis_db=0.0, time_to_trigger_s=0.0))
     history = {1: [], 2: []}  # the observer returns handovers; the caller collects them
     for vid, x, t in ((1, 400.0, 0.0), (1, 600.0, 1.0), (1, 400.0, 3.0), (2, 400.0, 0.0), (2, 400.0, 3.0)):
         event = obs.update(vid, x, 0.0, t)  # vehicle 1: a -> b -> a; vehicle 2 never moves
@@ -198,7 +199,7 @@ def test_observer_ping_pong_aggregation():
 
 
 def _serving_after_one_update(stations, vehicle_id, seed):
-    obs = RadioObserver(stations, shadowing_sigma_db=4.0, seed=seed)
+    obs = RadioObserver(stations, RadioParams(shadowing_sigma_db=4.0), seed=seed)
     obs.update(vehicle_id, 100.0, 0.0, 0.0)
     return obs.current(vehicle_id)
 
@@ -217,7 +218,7 @@ def test_shadowing_is_deterministic_per_seed_and_vehicle():
 def test_shadowing_draws_follow_the_station_order():
     # at (600, 0) b (100 m away) serves: its level takes the second draw, after a's
     stations = [BaseStation("b", 500.0, 0.0), BaseStation("a", 0.0, 0.0)]
-    obs = RadioObserver(stations, shadowing_sigma_db=4.0, seed=11)
+    obs = RadioObserver(stations, RadioParams(shadowing_sigma_db=4.0), seed=11)
     obs.update(3, 600.0, 0.0, 0.0)
     draws = substream(11, "shadowing", 3).normal(0.0, 4.0, size=2).tolist()
     assert obs.current(3) == ("b", rssi(stations[0], 600.0, 0.0) + draws[1])
@@ -225,7 +226,7 @@ def test_shadowing_draws_follow_the_station_order():
 
 def test_sigma_zero_is_pure_path_loss():
     stations = [BaseStation("a", 0.0, 0.0)]
-    obs = RadioObserver(stations, shadowing_sigma_db=0.0, seed=99)
+    obs = RadioObserver(stations, RadioParams(shadowing_sigma_db=0.0), seed=99)
     obs.update(1, 250.0, 0.0, 0.0)
     assert obs.current(1) == ("a", rssi(stations[0], 250.0, 0.0))
     assert obs._streams == []  # no streams were ever created
@@ -277,6 +278,11 @@ class _ScalarReference:
         return None
 
 
+def _observer(stations, *, seed=0, **settings):
+    """A RadioObserver from _ScalarReference's keywords: the RadioParams fields and the seed."""
+    return RadioObserver(stations, RadioParams(**settings), seed=seed)
+
+
 def _as_tuple(event):
     return (event.time, event.vehicle_id, event.from_cell, event.to_cell, event.x, event.y)
 
@@ -308,7 +314,7 @@ def test_observe_all_is_bitwise_scalar_rssi(stations, points, near, exponent, si
     points += [(bs[i % len(bs)].x + dx, bs[i % len(bs)].y + dy) for i, dx, dy in near]
     kwargs = dict(hysteresis_db=0.5, time_to_trigger_s=0.0, path_loss_exponent=exponent,
                   shadowing_sigma_db=sigma, seed=seed)
-    obs, ref = RadioObserver(bs, **kwargs), _ScalarReference(bs, **kwargs)
+    obs, ref = _observer(bs, **kwargs), _ScalarReference(bs, **kwargs)
     vids = list(range(len(points)))
     for step in range(3):  # attach, then two re-evaluations on rotated positions
         moved = points[step:] + points[:step]
@@ -323,7 +329,7 @@ def test_dense_random_batch_is_bitwise_scalar_rssi():
     rng = np.random.default_rng(2024)
     stations = [BaseStation(f"s{i}", *rng.uniform(-2000.0, 2000.0, 2).tolist()) for i in range(5)]
     xs, ys = rng.uniform(-2000.0, 2000.0, (2, 2000)).tolist()
-    obs = RadioObserver(stations, shadowing_sigma_db=4.0, seed=3)
+    obs = RadioObserver(stations, RadioParams(shadowing_sigma_db=4.0), seed=3)
     ref = _ScalarReference(stations, shadowing_sigma_db=4.0, seed=3)
     vids = list(range(len(xs)))
     obs.observe_all(vids, xs, ys, 0.0)
@@ -356,7 +362,7 @@ def test_kernel_floors_distance_at_reference_on_and_near_a_station():
 
 def test_equidistant_stations_tie_to_smaller_id():
     stations = [BaseStation("c", 0.0, 100.0), BaseStation("b", 100.0, 0.0), BaseStation("a", -100.0, 0.0)]
-    obs = RadioObserver(stations, hysteresis_db=0.0, time_to_trigger_s=0.0)
+    obs = RadioObserver(stations, RadioParams(hysteresis_db=0.0, time_to_trigger_s=0.0))
     assert obs.observe_all([1, 2], [0.0, 90.0], [0.0, 0.0], 0.0) == []
     assert obs.current(1)[0] == "a"
     assert obs.current(2)[0] == "b"
@@ -373,7 +379,7 @@ def test_long_shadowed_run_mixing_update_and_observe_all_matches_scalar():
     stations = [BaseStation("a", 0.0, 0.0), BaseStation("b", 600.0, 0.0),
                 BaseStation("c", 300.0, 400.0, tx_power_dbm=40.0)]
     kwargs = dict(hysteresis_db=2.0, time_to_trigger_s=0.3, shadowing_sigma_db=4.0, seed=7)
-    obs, ref = RadioObserver(stations, **kwargs), _ScalarReference(stations, **kwargs)
+    obs, ref = _observer(stations, **kwargs), _ScalarReference(stations, **kwargs)
     seen, expected = [], []
     for k in range(150):
         t = 0.1 * k
@@ -404,7 +410,7 @@ def test_close_and_tied_ranked_levels_are_settled_exactly(sigma):
     points += [(x, 0.0) for x in rng.uniform(-1500.0, 2500.0, 30).tolist()]
     kwargs = dict(hysteresis_db=0.0, time_to_trigger_s=0.0, shadowing_sigma_db=sigma, seed=5)
     for subset in (stations, stations[:1]):
-        obs, ref = RadioObserver(subset, **kwargs), _ScalarReference(subset, **kwargs)
+        obs, ref = _observer(subset, **kwargs), _ScalarReference(subset, **kwargs)
         vids = list(range(len(points)))
         handovers = 0
         for step in range(4):  # attach, then three re-evaluations on rotated positions
@@ -427,7 +433,7 @@ def test_close_and_tied_ranked_levels_are_settled_exactly(sigma):
             assert on_x.sum() == on_y.sum() == 30
             assert (levels[on_x, 0] == levels[on_x, 1]).all() and (levels[on_y, 2] == levels[on_y, 4]).all()
 
-    obs = RadioObserver(stations, **kwargs)
+    obs = _observer(stations, **kwargs)
     obs.observe_all([1, 2], [0.0, 5.0], [0.0, 5.0], 0.0)
     before = obs.current(1), obs.current(2)
     with pytest.raises(ValueError, match="duplicate"):
@@ -446,7 +452,7 @@ def test_ranking_margin_scales_with_huge_levels(tx, exponent, sigma):
     points = [(500.0 + n * math.ulp(500.0), y) for n in range(-4, 5) for y in rng.uniform(-800.0, 800.0, 150).tolist()]
     kwargs = dict(hysteresis_db=0.0, time_to_trigger_s=0.0, path_loss_exponent=exponent,
                   shadowing_sigma_db=sigma, seed=3)
-    obs, ref = RadioObserver(stations, **kwargs), _ScalarReference(stations, **kwargs)
+    obs, ref = _observer(stations, **kwargs), _ScalarReference(stations, **kwargs)
     vids = list(range(len(points)))
     for step in range(3):
         moved = points[step:] + points[:step]
@@ -471,7 +477,7 @@ def test_ranking_margin_covers_the_hysteresis(exponent, hysteresis):
     near_b = [(1000.0 + n * math.ulp(1000.0), y) for n in range(-6, 7) for y in ys]
     near_a = [(1100.0 - x, y) for x, y in near_b]
     kwargs = dict(hysteresis_db=hysteresis, time_to_trigger_s=0.0, path_loss_exponent=exponent, seed=3)
-    obs, ref = RadioObserver(stations, **kwargs), _ScalarReference(stations, **kwargs)
+    obs, ref = _observer(stations, **kwargs), _ScalarReference(stations, **kwargs)
     vids = list(range(len(near_b)))
     handovers = []
     for step in range(6):  # attach to a, then alternate between the two boundaries
@@ -498,7 +504,7 @@ def test_only_open_rows_and_read_levels_are_computed_exactly(monkeypatch):
     # the ranking settles every choice, and a level is computed exactly only when it is read
     stations = [BaseStation(f"cell{i}", 700.0 * math.cos(i), 700.0 * math.sin(i)) for i in range(6)]
     kwargs = dict(shadowing_sigma_db=4.0, seed=2)
-    obs, ref = RadioObserver(stations, **kwargs), _ScalarReference(stations, **kwargs)
+    obs, ref = _observer(stations, **kwargs), _ScalarReference(stations, **kwargs)
     counted = _count_exact_levels(monkeypatch)
     vids = list(range(60))
     for step in range(3):
@@ -519,7 +525,7 @@ def test_level_read_lazily_outlives_other_updates_and_refills():
     # update read: other vehicles' updates, their block refills and column growth leave it be
     stations = [BaseStation("a", 0.0, 0.0), BaseStation("b", 600.0, 0.0), BaseStation("c", 300.0, 500.0)]
     kwargs = dict(hysteresis_db=2.0, time_to_trigger_s=0.3, shadowing_sigma_db=4.0, seed=13)
-    obs, ref = RadioObserver(stations, **kwargs), _ScalarReference(stations, **kwargs)
+    obs, ref = _observer(stations, **kwargs), _ScalarReference(stations, **kwargs)
     first, other = 0, 1  # vehicle 0's first shadow block is one update long
 
     def update(vid, x, y, t):
@@ -539,7 +545,7 @@ def test_level_read_lazily_outlives_other_updates_and_refills():
 
 
 def test_observe_all_empty_batch_and_ragged_input():
-    obs = RadioObserver([BaseStation("a", 0.0, 0.0)], shadowing_sigma_db=4.0)
+    obs = RadioObserver([BaseStation("a", 0.0, 0.0)], RadioParams(shadowing_sigma_db=4.0))
     assert obs.observe_all([], [], [], 1.0) == []
     assert obs.current_all([1, 2]) == [None, None] and obs._streams == []
     with pytest.raises(ValueError):
@@ -551,7 +557,7 @@ def test_observe_all_empty_batch_and_ragged_input():
 def test_non_finite_positions_and_times_are_rejected_without_side_effects(argument, bad):
     stations = [BaseStation("a", 0.0, 0.0), BaseStation("b", 1000.0, 0.0)]
     kwargs = dict(hysteresis_db=0.5, time_to_trigger_s=0.3, shadowing_sigma_db=2.0, seed=9)
-    obs, twin = RadioObserver(stations, **kwargs), RadioObserver(stations, **kwargs)
+    obs, twin = _observer(stations, **kwargs), _observer(stations, **kwargs)
     for o in (obs, twin):
         o.observe_all([1, 2], [100.0, 900.0], [0.0, 0.0], 0.0)
     before = obs.current_all([1, 2, 3])
@@ -582,5 +588,6 @@ def test_non_finite_positions_and_times_are_rejected_without_side_effects(argume
     ],
 )
 def test_observer_rejects_parameters_load_config_rejects(kwargs):
+    # the observer takes its settings as a RadioParams, which refuses them when built
     with pytest.raises(ValueError):
-        RadioObserver([BaseStation("a", 0.0, 0.0)], **kwargs)
+        RadioParams(**kwargs)

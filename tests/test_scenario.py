@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vehsim import mobility, osm, radio, scenario
+from vehsim._bounds import FieldError
 from vehsim.cli import main as cli_main
 from vehsim.kernel import EventKernel, KernelError
 from vehsim.mobility import MobilParams, StrandedError
@@ -373,6 +374,29 @@ def test_code_built_specs_accept_every_strategic_model():
     assert VehicleSpec(0, 1).strategic is None
 
 
+@pytest.mark.parametrize(
+    "text, build, key, line",
+    [
+        ("way = 1\nstrategicModel = Teleport\n", lambda: VehicleSpec(0, 1, strategic="Teleport"), "strategicModel", 4),
+        ("vehicle.0.way = 1\nvehicle.0.trip = 2,3\n", lambda: VehicleSpec(0, 1, trip=(2, 3)), "vehicle.0.trip", 4),
+        ("vehicle.0.way = 1\nvehicle.0.strategicModel = Trip\n", lambda: VehicleSpec(0, 1, strategic="Trip"),
+         "vehicle.0.trip", 3),  # no trip line: the block's first
+        ("interference.count = 1\ninterference.strategicModel = Trip\n", lambda: InterferenceSpec(1, "Trip"),
+         "interference.strategicModel", 4),
+        ("station.0.x = 1\nstation.0.id = a,b\nstation.0.y = 1\n", lambda: BaseStation("a,b", 1.0, 1.0),
+         "station.0.id", 4),
+    ],
+    ids=["unknown-model", "trip-without-model", "trip-model-without-trip", "interference-trip", "station-id"],
+)
+def test_a_records_own_rule_is_loaded_as_its_error_at_the_key_and_line(text, build, key, line):
+    with pytest.raises(FieldError) as built:
+        build()
+    with pytest.raises(ConfigError) as loaded:
+        load_config(MINIMAL + text)
+    assert str(loaded.value) == f"{key} (line {line}): {built.value.reason}"
+    assert (loaded.value.key, loaded.value.line) == (key, line)
+
+
 def _readme_bounds():
     """Key -> bound (None where blank) of every row of the README's configuration tables."""
     section = (Path(__file__).parents[1] / "README.md").read_text().split("## Configuration reference")[1]
@@ -396,6 +420,38 @@ def test_readme_bound_column_is_the_key_tables():
                 "signal": "signal.NODE.", "radio": "radio."}
     tables = {prefixes[kind] + key.name: key.bound for kind, keys in scenario._TABLES.items() for key in keys}
     assert _readme_bounds() == tables
+
+
+def _readme_required():
+    """Every key whose default cell in the README's configuration tables reads *required*."""
+    section = (Path(__file__).parents[1] / "README.md").read_text().split("## Configuration reference")[1]
+    required, prefix = set(), ""
+    for row in section.split("\n## ")[0].splitlines():
+        cells = [cell.strip() for cell in row.strip().strip("|").split("|")]
+        if cells[0] in ("key", "field"):  # a table's header: vehicle fields are keys of vehicle.N.
+            prefix = "vehicle.N." if cells[0] == "field" else ""
+        elif row.startswith("|") and cells[1].startswith("*required"):
+            required |= {prefix + key for key in re.findall(r"`([^`]+)`", cells[0])}
+    return required
+
+
+def test_readme_required_cells_are_the_keys_the_loader_requires():
+    # leave out each line of the echo of every key in turn: the keys then reported missing are the
+    # required ones, each named with the first line of its block in the shortened text
+    lines = EVERY_KEY_ECHO.splitlines()
+    required = set()
+    for index, line in enumerate(lines):
+        key = line.split(" = ")[0]
+        text = "\n".join(lines[:index] + lines[index + 1:]) + "\n"
+        try:
+            load_config(text)
+        except ConfigError as exc:
+            if str(exc).endswith("required key missing"):
+                first = next(number for number, other in enumerate(text.splitlines(), 1)
+                             if other and _block_of(other.split(" = ")[0]) == _block_of(key))
+                assert (exc.key, exc.line) == (key, first)
+                required.add(re.sub(r"^(vehicle|station)\.\d+\.", r"\1.N.", key))
+    assert required == _readme_required() == {"map", "duration", "vehicle.N.way", "station.N.x", "station.N.y"}
 
 
 def test_relative_map_path_resolves_against_base_dir():
@@ -624,6 +680,18 @@ def _config_texts(draw):
     return "\n".join(draw(st.permutations(lines))) + "\n"
 
 
+def _block_of(key):
+    """The block a config key's entry belongs to, as the loader groups them (a top-level vehicle key is
+    vehicle 0's, and ``vehicle.0`` names vehicle 0's block), or None for a key no block accepts."""
+    if m := re.fullmatch(r"(vehicle|station|signal)\.(\d+)(\..+)?", key):
+        return f"{m.group(1)}.{int(m.group(2))}."
+    section, _, name = key.partition(".")
+    if section in ("interference", "radio") and name:
+        return section + "."
+    return {**dict.fromkeys(scenario._NAMES["vehicle"], "vehicle.0."),
+            **dict.fromkeys(scenario._NAMES["scalar"], "")}.get(key)
+
+
 @settings(max_examples=400, deadline=None)
 @given(_config_texts())
 def test_any_config_text_is_located_error_or_round_trips(text):
@@ -631,6 +699,12 @@ def test_any_config_text_is_located_error_or_round_trips(text):
         cfg = load_config(text)
     except ConfigError as exc:
         assert exc.key is not None or exc.line is not None
+        if exc.line is not None:  # a line of the text, setting the error's key or another of its block
+            lines = text.splitlines()
+            assert 1 <= exc.line <= len(lines)
+            typed = lines[exc.line - 1].split("#", 1)[0].partition("=")[0].strip()
+            if exc.key is not None:
+                assert typed == exc.key or _block_of(typed) == _block_of(exc.key) is not None, (exc, typed)
         return
     echo = dumps_config(cfg)
     assert load_config(echo) == cfg
@@ -1164,6 +1238,22 @@ def test_cli_run_happy_path(corridor_map, tmp_path, capsys):
     assert stdout.count("wrote ") == 3
     assert (out / "trace.csv").exists()
     assert (out / "summary.json").exists()
+
+
+def test_cli_run_leaves_no_argparse_object_to_collect(grid_map, tmp_path, capsys):
+    # the parser is built once, at import, so a run leaves none of its objects in reference cycles
+    config = _write_config(tmp_path, f"map = {grid_map}\nduration = 1\ninterference.count = 3\n")
+    gc.collect()
+    debug = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)  # every unreachable object a collection finds lands in gc.garbage
+    try:
+        assert cli_main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
+        gc.collect()
+        left = [type(obj).__name__ for obj in gc.garbage if type(obj).__module__ == "argparse"]
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+    assert left == []
 
 
 def test_cli_relative_map_resolves_against_config_dir(corridor_map, tmp_path, capsys):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -360,8 +361,8 @@ class SignalViolation:
 # stands: ``parked`` from spawn or ``done`` after its trip.  ``seg`` is the
 # directed segment (``SegmentRef.index``), ``route_len`` the number of segments
 # in the vehicle's row of ``World.route``, ``_final`` the node row a trip stops
-# at (-1: none), ``delta`` is raised element-wise on Python floats, and ``idm``
-# holds the rows a_max, s0, T and 2 * sqrt(a_max * b_comf).
+# at (-1: none), ``delta`` is raised element-wise on Python floats by libm
+# ``pow``, and ``idm`` holds the rows a_max, s0, T and 2 * sqrt(a_max * b_comf).
 _COLUMNS = {
     "s": float, "v": float, "acc": float, "lane": np.int64, "seg": np.int64, "route_pos": np.int64,
     "route_len": np.int64, "done": bool, "parked": bool, "odometer": float, "last_lane_change": float,
@@ -375,13 +376,15 @@ def _idm_behind(free: np.ndarray, v: np.ndarray, idm: np.ndarray, delta_v: np.nd
 
     ``idm`` holds the followers' IDM rows (``World.idm``, transposed); the leader
     sits at net ``gap`` (floored at ``_GAP_FLOOR``) and each follower closes
-    in at ``delta_v``.  The association is the scalar one, and ``** 2`` runs
-    on Python floats because NumPy's power is not byte-equal to it.
+    in at ``delta_v``.  The association is the scalar one, and the square
+    runs element-wise on Python floats through libm ``pow``, as the scalar
+    ``** 2`` does (``math.pow``, iterated by ``map``): NumPy's power and
+    square are not byte-equal to it.
     """
     a_max, s0, T, c = idm
     s_star = s0 + v * T + v * delta_v / c
     ratio = (s_star / np.maximum(gap, _GAP_FLOOR)).tolist()
-    return free - a_max * np.array([x ** 2 for x in ratio])
+    return free - a_max * np.fromiter(map(math.pow, ratio, repeat(2.0)), float, len(ratio))
 
 
 _NO_SLOT = np.iinfo(np.int64).max  # the lane table's sentinel entry, after every real slot
@@ -857,8 +860,8 @@ class World:
         s, v, lane, done, parked, length = (column[:n] for column in (
             self.s, self.v, self.lane, self.done, self.parked, self.length))
         idm = self.idm[:n].T
-        free = idm[0] * (1.0 - np.array([x ** d for x, d in zip((v / self.v0_eff[:n]).tolist(),
-                                                                 self.delta[:n].tolist())]))
+        free = idm[0] * (1.0 - np.fromiter(map(math.pow, (v / self.v0_eff[:n]).tolist(), self.delta[:n].tolist()),
+                                           float, n))
         seg_lanes, slot0 = self.graph.lanes, self.graph.slot0
 
         # pairs (vehicle, lane) to look ahead in: every moving vehicle's own
@@ -902,7 +905,9 @@ class World:
             who = np.concatenate((who, fol[by_ego], fol[both]))
             ahead_v = np.concatenate((ahead_v, v[ego[by_ego]], lead_v[both]))
             gaps = np.concatenate((gaps, f_net[by_ego], f_lead[both]))
-        acc_of = _idm_behind(free[who], v[who], idm[:, who], v[who] - ahead_v, gaps)
+        v_who = v[who]
+        # take gathers the IDM rows 2-3x faster than the mixed index idm[:, who]
+        acc_of = _idm_behind(free[who], v_who, idm.take(who, axis=1), v_who - ahead_v, gaps)
         a_lead = free[ego]
         a_lead[by_lead] = acc_of[:len(by_lead)]
         # every acceleration is set before any vehicle moves, so a step that

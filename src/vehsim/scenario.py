@@ -516,6 +516,18 @@ _SCAN_CHUNK = 1 << 20
 _NUMBER_COLUMNS = (("t", "f8"), ("vehicle_id", "i8"), ("x", "f8"), ("y", "f8"), ("v", "f8"), ("acc", "f8"))
 
 
+class _CellCodes(dict):
+    """Cell name -> code, blank first as 0; a new name gets the next code, so
+    codes follow first sight and each name is stored as the first string seen."""
+
+    def __init__(self) -> None:
+        super().__init__({"": 0})
+
+    def __missing__(self, name: str) -> int:
+        self[name] = code = len(self)
+        return code
+
+
 def _scan_trace(path: str | Path) -> tuple[int, bool] | None:
     """Pre-scan a trace file as bytes: its number of rows and whether its first
     row's rssi is blank, or None if it does not start with the header and a
@@ -543,7 +555,8 @@ def _read_trace_table(path: str | Path) -> Trace | None:
     """Read a trace in one streaming pass of NumPy's C text reader, or return
     None unless the result provably equals the general reader's.
 
-    Cell names are interned to codes by a converter.  The rssi column is read
+    Cell names are interned to codes by a converter, a bound ``dict`` lookup
+    that calls no Python code for a name seen before.  The rssi column is read
     as numbers, or, when the first row leaves it blank, as one-character text
     that must then be blank in every row.  Blank lines (which the C reader
     skips) show as a row count short of the pre-scan's; any ``ValueError``, a
@@ -554,7 +567,7 @@ def _read_trace_table(path: str | Path) -> Trace | None:
     if scan is None:
         return None
     rows, blank_rssi = scan
-    cells = {"": 0}  # cell name -> code; blank is 0
+    cells = _CellCodes()
     dtype = [*_NUMBER_COLUMNS, ("cell", "i8"), ("rssi", "U1" if blank_rssi else "f8")]
     try:
         with open(path, newline="") as fh, warnings.catch_warnings():
@@ -563,7 +576,7 @@ def _read_trace_table(path: str | Path) -> Trace | None:
             warnings.simplefilter("error", DeprecationWarning)
             fh.readline()  # the header, which the pre-scan has checked
             table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1, encoding=None,
-                               converters={6: lambda cell: cells.setdefault(cell, len(cells))})
+                               converters={6: cells.__getitem__})
     except (ValueError, DeprecationWarning):
         return None
     numbers = ["t", "x", "y", "v", "acc"]
@@ -587,7 +600,7 @@ def _read_trace_lines(path: str | Path) -> Trace:
     field (:func:`_check_fields`), to name its first fault."""
     values = array("d")  # t, x, y, v, acc, rssi of each row in turn
     keys = array("q")  # vehicle id and cell code of each row in turn
-    cells = {"": 0}  # cell name -> code; blank is 0
+    cells = _CellCodes()
     with open(path, newline="") as fh:
         header = fh.readline().rstrip("\n")
         if header != TRACE_HEADER:
@@ -604,7 +617,7 @@ def _read_trace_lines(path: str | Path) -> Trace:
                 except ValueError:
                     _check_fields(raw)  # raises: a line that fails the parse has a fault
                     raise
-                keys.fromlist([vid, cells.setdefault(cell, len(cells))])
+                keys.fromlist([vid, cells[cell]])
                 values.fromlist([t, x, y, v, acc, level if rssi else math.nan])
         except (ValueError, OverflowError) as exc:  # OverflowError: a vehicle id beyond 64 bits
             # each line before the failing one added one row, the failing one none
@@ -856,7 +869,10 @@ class Simulation:
         }
         if failure is not None:
             summary["error"] = f"{type(failure).__name__}: {failure}"
-        (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        # the bytes of json.dumps(summary, indent=2, sort_keys=True) for this flat mapping of scalars, without
+        # the indenting encoder, whose closures would stay in reference cycles after the run
+        (out / "summary.json").write_text(
+            "{\n" + ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in sorted(summary.items())) + "\n}\n")
         logger.info("run %s: %d steps, %d handovers, %d collisions", "aborted" if failure else "complete",
                     self.steps, kinds["handover"], len(world.collisions))
         return RunArtifacts(

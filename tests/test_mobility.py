@@ -644,8 +644,28 @@ def _chain_states(draw):
     return signals, vehicles, draw(st.floats(0.0, 100.0))
 
 
+def _dense_chain_state(seed):
+    """A seeded :func:`_chain_states` value far denser than it draws, so that a NumPy power or square in
+    place of libm ``pow`` changes some acceleration's bits.  Lane 0 packs 5000 vehicles: their gaps fall
+    under the model's floor and the interaction term ``(s*/s) ** 2`` sets their bits.  Lane 1 holds one
+    vehicle every 5.6 m at a speed factor of 0.02-0.2, so ``v`` far exceeds ``v0_eff`` and the free term
+    ``(v/v0_eff) ** delta`` sets theirs.  Speeds are uniform in 0-25 m/s, so many followers are slower
+    than their leaders (negative closing speed)."""
+    rng = np.random.default_rng(seed)
+    spaced = [(segment, 1, offset) for segment in range(3)
+              for offset in (np.arange(53) * 5.6 + rng.uniform(0.0, 0.5, 53)).tolist()]
+    packed = list(zip(rng.integers(0, 3, 5000).tolist(), [0] * 5000, rng.uniform(0.0, 300.0, 5000).tolist()))
+    factors = [*rng.uniform(0.02, 0.2, len(spaced)).tolist(), *rng.uniform(0.8, 1.2, len(packed)).tolist()]
+    n = len(factors)
+    vehicles = [(*place, speed, strategic, factor, parked) for place, speed, strategic, factor, parked in zip(
+        spaced + packed, rng.uniform(0.0, 25.0, n).tolist(), rng.integers(0, len(_STRATEGIES), n).tolist(),
+        factors, (rng.random(n) < 0.05).tolist())]
+    return [], vehicles, 0.0
+
+
 @settings(max_examples=150, deadline=None)
 @given(_chain_states())
+@example(_dense_chain_state(4))
 def test_step_acceleration_is_the_scalar_idm_behind_the_perceived_leader(state):
     signals, vehicles, t0 = state
     world = World(chain_graph(300.0, 4, lanes=2, signals=signals), seed=5)
@@ -665,8 +685,9 @@ def test_step_acceleration_is_the_scalar_idm_behind_the_perceived_leader(state):
             expected[veh.id] = idm_acceleration(veh.v, veh.v0_eff, closing, max(gap, 0.01), veh.idm)
     world.step(0.1)
     changed = {rec.vehicle_id for rec in world.lane_changes}
+    after = world.vehicles  # views of every vehicle, built once
     for vid, acc in expected.items():
-        veh = world.vehicles[vid]
+        veh = after[vid]
         if vid not in changed and not veh.done:  # a vehicle that ends its trip in the step parks with acc 0
             assert veh.acc == acc  # bit for bit, not approximately
 

@@ -680,6 +680,59 @@ def _config_texts(draw):
     return "\n".join(draw(st.permutations(lines))) + "\n"
 
 
+def _valid_text(key):
+    """A strategy of entry text that a numeric or boolean ``key``'s parser and bound accept, or None for
+    a text or id-list key, whose value the block sets."""
+    if key.parse is scenario._to_float:
+        return st.floats({"> 0": 1e-3, ">= 0": 0.0}.get(key.bound, -1e3), 1e3).map(repr)
+    if key.parse is scenario._to_int:
+        return st.integers(0 if key.bound else -3, 60).map(str)
+    if key.parse is scenario._to_bool:
+        return st.sampled_from(["true", "false"])
+    return None
+
+
+_BAD_TEXTS = ["-1", "0", "-0.5", "nan", "inf", "1e999", "x", "Trip", "RandomDirection", "Teleport", "bs1",
+              "a,b", "1,,2", "maybe"]
+
+
+@st.composite
+def _block_texts(draw):
+    """Whole blocks of valid entries, then one fault: the scalars, up to two vehicles (vehicle 0 possibly
+    in the top-level shorthand), up to two stations and signals, and the radio and interference keys, each
+    block with the entries it sets and a drawn subset of the rest.  The fault swaps one entry's value for
+    a bad one or drops an entry, so most texts fail on a record's own rule or bound, not on line syntax."""
+    def block(prefix, keys, **fixed):
+        rows = [(prefix + name, value) for name, value in fixed.items()]
+        for key in keys:
+            if key.name not in fixed and (valid := _valid_text(key)) is not None and draw(st.booleans()):
+                rows.append((prefix + key.name, draw(valid)))
+        return rows
+
+    # of the scalars only seed is drawn: dt and sampling keep the defaults, which divide the duration
+    entries = block("", [key for key in scenario._SCALAR_KEYS if key.name == "seed"], map="net.osm", duration="10")
+    count = draw(st.integers(0, 2))
+    for index in range(count):
+        prefix = "" if count == 1 and draw(st.booleans()) else f"vehicle.{index}."
+        strategy = draw(st.sampled_from([{}, {"strategicModel": "RandomDirection"},
+                                         {"strategicModel": "Trip", "trip": "1,2"},
+                                         {"strategicModel": "Trip", "strategicModel.trip": "3"}]))
+        entries += block(prefix, scenario._VEHICLE_KEYS, way=str(draw(st.integers(1, 9))), **strategy)
+    for index in draw(st.lists(st.integers(0, 3), max_size=2, unique=True)):
+        named = {"id": f"cell{index}"} if draw(st.booleans()) else {}
+        entries += block(f"station.{index}.", scenario._STATION_KEYS, x="0.0", y=repr(index * 500.0), **named)
+    for node in draw(st.lists(st.integers(1, 9), max_size=2, unique=True)):
+        entries += block(f"signal.{node}.", scenario._SIGNAL_KEYS)
+    entries += block("radio.", scenario._RADIO_KEYS)
+    entries += block("interference.", scenario._INTERFERENCE_KEYS,
+                     **({"strategicModel": "RandomDirection"} if draw(st.booleans()) else {}))
+    at = draw(st.integers(0, len(entries) - 1))
+    key, _ = entries.pop(at)
+    if draw(st.booleans()):
+        entries.insert(at, (key, draw(st.sampled_from(_BAD_TEXTS))))
+    return "\n".join(draw(st.permutations([f"{key} = {value}" for key, value in entries]))) + "\n"
+
+
 def _block_of(key):
     """The block a config key's entry belongs to, as the loader groups them (a top-level vehicle key is
     vehicle 0's, and ``vehicle.0`` names vehicle 0's block), or None for a key no block accepts."""
@@ -693,7 +746,7 @@ def _block_of(key):
 
 
 @settings(max_examples=400, deadline=None)
-@given(_config_texts())
+@given(st.one_of(_config_texts(), _block_texts()))
 def test_any_config_text_is_located_error_or_round_trips(text):
     try:
         cfg = load_config(text)
@@ -1240,8 +1293,9 @@ def test_cli_run_happy_path(corridor_map, tmp_path, capsys):
     assert (out / "summary.json").exists()
 
 
-def test_cli_run_leaves_no_argparse_object_to_collect(grid_map, tmp_path, capsys):
-    # the parser is built once, at import, so a run leaves none of its objects in reference cycles
+def test_cli_run_leaves_nothing_to_collect(grid_map, tmp_path, capsys):
+    # the parser is built once, at import, and summary.json is written without json's indenting encoder,
+    # so a run leaves no object in a reference cycle
     config = _write_config(tmp_path, f"map = {grid_map}\nduration = 1\ninterference.count = 3\n")
     gc.collect()
     debug = gc.get_debug()
@@ -1249,7 +1303,7 @@ def test_cli_run_leaves_no_argparse_object_to_collect(grid_map, tmp_path, capsys
     try:
         assert cli_main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
         gc.collect()
-        left = [type(obj).__name__ for obj in gc.garbage if type(obj).__module__ == "argparse"]
+        left = [f"{type(obj).__module__}.{type(obj).__qualname__}" for obj in gc.garbage]
     finally:
         gc.set_debug(debug)
         gc.garbage.clear()

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -196,6 +197,26 @@ class Vehicle:
 
     def __repr__(self) -> str:
         return f"Vehicle(id={self.id}, ref={self.ref.key}, lane={self.lane}, s={self.s!r}, v={self.v!r})"
+
+
+class _Vehicles(Mapping):
+    """:attr:`World.vehicles`: vehicle id -> a new :class:`Vehicle` view, for ids 0..n-1."""
+
+    __slots__ = ("world",)
+
+    def __init__(self, world: World) -> None:
+        self.world = world
+
+    def __getitem__(self, vid) -> Vehicle:
+        if isinstance(vid, (int, np.integer)) and 0 <= vid < self.world.n:
+            return Vehicle(self.world, int(vid))
+        raise KeyError(vid)
+
+    def __iter__(self):
+        return iter(range(self.world.n))
+
+    def __len__(self) -> int:
+        return self.world.n
 
 
 # ``v0_eff`` is the effective desired speed: v0 scaled by the per-driver speed
@@ -390,6 +411,18 @@ def _idm_behind(free: np.ndarray, v: np.ndarray, idm: np.ndarray, delta_v: np.nd
 _NO_SLOT = np.iinfo(np.int64).max  # the lane table's sentinel entry, after every real slot
 
 
+class _Rearmost:
+    """A world's per-slot index buffer, which its lane tables share: entry ``slot`` is the index of the slot's
+    rearmost vehicle in the lane table ``owner``, or -1 where that table has none; ``marked`` lists the
+    slots ``owner`` filled."""
+
+    __slots__ = ("index", "marked", "owner")
+
+    def __init__(self, slots: int) -> None:
+        self.index = np.full(slots, -1)
+        self.marked, self.owner = self.index[:0], None
+
+
 class _LaneTable:
     """Every vehicle sorted by (lane slot, s, id); a slot is one lane of one directed segment.
 
@@ -399,16 +432,16 @@ class _LaneTable:
     another lane of the same segment is ``of + lane difference``.  Queries
     return indices into the sorted arrays, or -1, which selects a sentinel
     entry in no slot (vehicle id -1).  ``rearmost`` is the world's per-slot
-    index buffer, which ``first`` fills on its first call with each
-    occupied slot's first entry.  The buffer is never cleared.  An entry an
-    earlier table left is overwritten where its slot is occupied now, and
-    fails the slot check where it is not; it stays in range, since vehicles
-    are never removed.
+    buffer, which ``first`` fills on the table's first query: it resets the
+    slots the previous fill marked to -1, then marks each occupied slot's
+    first entry, so the buffer holds exactly this table's rearmost entries.
+    A fill invalidates the older tables' fills; an older table queried again
+    fills the buffer anew.
     """
 
-    __slots__ = ("of", "key", "vid", "slot", "s", "rearmost", "filled")
+    __slots__ = ("of", "key", "vid", "slot", "s", "rearmost")
 
-    def __init__(self, slot: np.ndarray, s: np.ndarray, rearmost: np.ndarray) -> None:
+    def __init__(self, slot: np.ndarray, s: np.ndarray, rearmost: _Rearmost) -> None:
         self.of = np.empty(len(slot), dtype=complex)
         self.of.real = slot
         self.of.imag = s
@@ -417,7 +450,7 @@ class _LaneTable:
         self.vid = np.concatenate((order, [-1]))
         self.slot = np.concatenate((slot[order], [_NO_SLOT]))
         self.s = np.concatenate((s[order], [0.0]))
-        self.rearmost, self.filled = rearmost, False
+        self.rearmost = rearmost
 
     def _in(self, j: np.ndarray, slot: np.ndarray) -> np.ndarray:
         return np.where(self.slot[j] == slot, j, -1)
@@ -431,12 +464,15 @@ class _LaneTable:
         return self._in(np.searchsorted(self.key, key, "left") - 1, slot)
 
     def first(self, slot: np.ndarray) -> np.ndarray:
-        """Rearmost entry of ``slot``: the first of its run in the sorted slot column."""
-        if not self.filled:
+        """Rearmost entry of ``slot``: the first of its run in the sorted slot column, -1 where it is empty."""
+        buffer = self.rearmost
+        if buffer.owner is not self:
+            buffer.index[buffer.marked] = -1
             starts = np.concatenate(([True], self.slot[1:-1] != self.slot[:-2])).nonzero()[0]
-            self.rearmost[self.slot[starts]] = starts
-            self.filled = True
-        return self._in(self.rearmost[slot], slot)
+            buffer.marked = self.slot[starts]
+            buffer.index[buffer.marked] = starts
+            buffer.owner = self
+        return buffer.index[slot]
 
 
 _NONE, _STANDING, _OPEN = -2, -1, -3  # look-ahead results other than a vehicle id
@@ -467,11 +503,11 @@ class World:
     order: the columns named in ``_COLUMNS``, one array each, read as
     ``[:n]`` slices (``spawn`` doubles their capacity when full), and one
     driver record per id in ``_drivers``.  The world holds no
-    :class:`Vehicle`; ``vehicles`` builds a view of each id.  A step sets every
-    acceleration first, then commits the moves in ascending id, each vehicle
-    that crosses a node together with the ones before it, just before its
-    topology is resolved: a step that fails there leaves the vehicles after
-    it unmoved.  A vehicle's route is row ``id`` of ``route``: its first
+    :class:`Vehicle`; ``vehicles`` builds the view of an id on lookup.  A
+    step sets every acceleration first, then commits the moves in ascending
+    id, each vehicle that crosses a node together with the ones before it,
+    just before its topology is resolved: a step that fails there leaves the
+    vehicles after it unmoved.  A vehicle's route is row ``id`` of ``route``: its first
     ``route_len[id]`` entries are the segments it drives after its current
     one, written once when the route is installed, and at least ``_HOPS``
     entries of the sentinel segment (see ``__init__``) follow them.  The
@@ -517,7 +553,7 @@ class World:
         self._sentinel = len(graph.length)
         self._hop_columns = (np.append(graph.length, math.inf), np.append(end, len(graph.nodes)),
                              np.append(graph.lanes - 1, 0), np.append(graph.slot0, graph.lanes.sum()))
-        self._rearmost = np.full(graph.lanes.sum() + 1, -1)  # the lane tables' buffer, the sentinel slot's too
+        self._rearmost = _Rearmost(graph.lanes.sum() + 1)  # the lane tables' buffer, the sentinel slot's too
         for name, dtype in _COLUMNS.items():
             setattr(self, name, np.empty(16, dtype))
         self.route = np.full((16, _HOPS), self._sentinel, np.int64)
@@ -525,8 +561,9 @@ class World:
     # -- population ---------------------------------------------------------
 
     @property
-    def vehicles(self) -> dict[int, Vehicle]:
-        return {vid: Vehicle(self, vid) for vid in range(self.n)}
+    def vehicles(self) -> Mapping[int, Vehicle]:
+        """Read-only ``{id: Vehicle}`` of every vehicle; a lookup builds one view."""
+        return _Vehicles(self)
 
     def spawn(
         self,
@@ -670,7 +707,11 @@ class World:
     # -- strategic layer ------------------------------------------------------
 
     def strategic_next(self, vehicle: Vehicle, arrived_at: int) -> int | None:
-        """Next destination node after arriving at ``arrived_at``; None when done."""
+        """Next destination node after arriving at ``arrived_at``; None when done.
+
+        A RandomDirection vehicle arrives at the end node of its segment; another ``arrived_at`` is a
+        ``ValueError``.
+        """
         vid, sm = vehicle.id, vehicle.strategic
         if sm is None:
             return None
@@ -678,20 +719,19 @@ class World:
             sm.cursor += 1
             self._set_stop(vid)  # the cursor decides the final leg
             return sm.destinations[sm.cursor] if sm.cursor < len(sm.destinations) else None
-        return self.graph.ids[self.graph.end.item(self._draw(vid, arrived_at))]
+        graph = self.graph
+        if graph.nodes.get(arrived_at) != graph.end.item(self.seg.item(vid)):
+            raise ValueError(f"vehicle {vid} arrives at the end of its segment, not at node {arrived_at}")
+        return graph.ids[graph.end.item(self._draw(vid))]
 
-    def _draw(self, vid: int, arrived_at: int) -> int:
-        """The outgoing segment (``SegmentRef.index``) a RandomDirection vehicle drives on from ``arrived_at``."""
-        graph, row = self.graph, self.graph.nodes[arrived_at]
-        options = graph.out_seg[graph.out_start[row]:graph.out_start[row + 1]].tolist()
-        if not options:
-            raise StrandedError(f"vehicle {vid}: no outgoing segment at node {arrived_at}")
-        # the arrival segment's piece in the other direction only at a dead end, where the U-turn is
-        # the only way out
+    def _draw(self, vid: int) -> int:
+        """The outgoing segment (``SegmentRef.index``) a RandomDirection vehicle drives on from its segment's end."""
         here = self.seg.item(vid)
-        piece = graph.way.item(here), graph.way_index.item(here)
-        candidates = [k for k in options if (graph.way.item(k), graph.way_index.item(k)) != piece] or options
-        return candidates[int(self._drivers[vid].rng.integers(len(candidates)))]
+        options = self.graph.exits(here)
+        if not len(options):
+            node = self.graph.ids[self.graph.end.item(here)]
+            raise StrandedError(f"vehicle {vid}: no outgoing segment at node {node}")
+        return options.item(int(self._drivers[vid].rng.integers(len(options))))
 
     # -- arrays -----------------------------------------------------------------
 
@@ -762,29 +802,38 @@ class World:
                 at == self.route_len[ego], _NONE, _OPEN))))
         raw = np.where(ahead, raw, cum)
         pair = (hit == _OPEN).nonzero()[0]
-        owner, q, stop, at, cum = ego[pair], lane[pair], stop[pair], at[pair], cum[pair]
+        owner, q, stop, cum = ego[pair], lane[pair], stop[pair], cum[pair]
+        at = owner * self.route.shape[1] + at[pair]  # the flat index of each pair's next route entry
         while len(pair):
             # the next _HOPS route segments, row h being hop h: the rearmost
             # vehicle in lane min(lane, lanes - 1), then the node at the
-            # segment's end, with distances summed in route order.  A row past
-            # the route's end is the sentinel, which is past any finite horizon.
-            nxt = self.route[owner, at + _HOP_ROWS]
-            reach = np.concatenate((cum[None], seg_len[nxt])).cumsum(axis=0)
+            # segment's end, ``reach`` away, with distances summed in route
+            # order.  A row past the route's end is the sentinel, which is past
+            # any finite horizon.
+            p = len(pair)
+            nxt = self.route.ravel()[at + _HOP_ROWS]
+            reach = seg_len[nxt]
+            reach[0] += cum
+            reach.cumsum(axis=0, out=reach)
             k = table.first(slot0[nxt] + np.minimum(q, top[nxt]))
             node = seg_end[nxt]
-            settle = (k >= 0) | (reach[1:] > horizon) | blocked[node] | (node == stop)
-            row = settle.argmax(axis=0), np.arange(len(pair))  # each pair's first settling row
-            settled, k, end = settle[row], k[row], reach[1:][row]
-            seen, d = k >= 0, reach[row] + table.s[k]
-            found = np.where(seen, np.where(d <= horizon, table.vid[k], _NONE),
-                             np.where(end > horizon, _NONE, _STANDING))
-            dist = np.where(seen, d, end)
+            settle = (k >= 0) | (reach > horizon) | blocked[node] | (node == stop)
+            row = settle.argmax(axis=0)
+            cell = row * p + np.arange(p)  # each pair's first settling row, as a flat index
+            settled, k, end = settle.ravel()[cell], k.ravel()[cell], reach.ravel()[cell]
+            # that row's segment starts ``cum`` away at hop 0, else at the reach of the
+            # row before (at hop 0, ``cell - p`` wraps to a row whose value is not used)
+            start = np.where(row > 0, reach.ravel()[cell - p], cum)
+            seen = k >= 0
+            dist = np.where(seen, start + table.s[k], end)
+            # k is -1 where no vehicle is seen: the sentinel entry, whose id -1 is _STANDING
+            found = np.where(dist > horizon, _NONE, table.vid[k])
             if settled.all():
                 hit[pair], raw[pair] = found, dist
                 break
             # a pair open at a sentinel row has an infinite horizon and a route that ends free
             found[~settled] = _NONE
-            settled |= at + _HOPS > self.route_len[owner]
+            settled |= at - owner * self.route.shape[1] + _HOPS > self.route_len[owner]
             hit[pair[settled]], raw[pair[settled]] = found[settled], dist[settled]
             go = ~settled
             pair, owner, q, stop, at, cum = pair[go], owner[go], q[go], stop[go], at[go] + _HOPS, reach[-1, go]
@@ -801,7 +850,7 @@ class World:
         vehicle is done (no further destination).
         """
         if isinstance(self._drivers[vid].strategic, RandomDirection):
-            self._install(vid, [self._draw(vid, node)])
+            self._install(vid, [self._draw(vid)])
             return True
         nxt = self.strategic_next(Vehicle(self, vid), node)
         while nxt is not None:

@@ -219,6 +219,7 @@ class RoadGraph:
         self.out_start = np.searchsorted(start[self.out_seg], np.arange(len(ids) + 1))
         self.in_start = np.searchsorted(end[self.in_seg], np.arange(len(ids) + 1))
         self._router = None  # vehsim.routing's compiled search graph, built on the first route query
+        self._exits = None  # ``exits``' (offset per segment, segments), built on its first call
 
     def position(self, node_id: int) -> tuple[float, float]:
         """Map coordinates (x, y) of node ``node_id``."""
@@ -231,6 +232,28 @@ class RoadGraph:
         if row is None:
             return ()
         return tuple(SegmentRef(self, k) for k in self.out_seg[self.out_start[row]:self.out_start[row + 1]].tolist())
+
+    def exits(self, k: int) -> np.ndarray:
+        """The segments a vehicle arriving on segment ``k`` can drive on, in adjacency order.
+
+        Those are the segments leaving ``k``'s end node, less the other
+        direction of ``k``'s own piece, unless that is the only way out (a
+        dead end's U-turn).  All segments' exits are built on the first call,
+        as one array sliced per segment.
+        """
+        if self._exits is None:
+            end = self.end
+            degree = self.out_start[end + 1] - self.out_start[end]
+            arrival = np.repeat(np.arange(len(end)), degree)
+            first = np.cumsum(degree) - degree
+            option = self.out_seg[self.out_start[end][arrival] + np.arange(len(arrival)) - first[arrival]]
+            back = (self.way[option] == self.way[arrival]) & (self.way_index[option] == self.way_index[arrival])
+            keep = ~back | (np.bincount(arrival[~back], minlength=len(end)) == 0)[arrival]
+            start = np.zeros(len(end) + 1, np.int64)
+            np.cumsum(np.bincount(arrival[keep], minlength=len(end)), out=start[1:])
+            self._exits = start, option[keep]
+        start, option = self._exits
+        return option[start.item(k):start.item(k + 1)]
 
     def ref(self, way_id: int, index: int, forward: bool = True) -> SegmentRef:
         """The directed segment keyed ``(way_id, index, forward)``; ``KeyError`` when there is none."""

@@ -215,6 +215,8 @@ class RadioObserver:
         rows = 16
         depth = _SHADOW_ROWS if radio.shadowing_sigma_db > 0.0 else 0
         self._row: dict[int, int] = {}
+        self._same = 0  # vehicles 0.._same - 1 have rows equal to their ids
+        self._arange = np.arange(0)  # np.arange(_same), or shorter until a range batch needs it
         self._streams: list[np.random.Generator] = []  # shadowing stream per row
         self._serving = np.empty(rows, dtype=np.intp)
         self._candidate = np.empty(rows, dtype=np.intp)
@@ -225,7 +227,16 @@ class RadioObserver:
         self._pointer = np.empty(rows, dtype=np.intp)  # next unread row of the block
 
     def _rows(self, ids) -> np.ndarray:
-        """Row of each listed vehicle; vehicles seen for the first time get one."""
+        """Row of each listed vehicle; vehicles seen for the first time get one.
+
+        A range of ids whose rows equal their ids, as the runner's ``range(n)``
+        batches have once every vehicle is seen, maps to a view of one cached
+        ``arange``, which the caller must not write.
+        """
+        if isinstance(ids, range) and ids.step == 1 and 0 <= ids.start and ids.stop <= self._same:
+            if len(self._arange) < ids.stop:
+                self._arange = np.arange(self._same)
+            return self._arange[ids.start:ids.stop]
         try:
             return np.fromiter(map(self._row.__getitem__, ids), np.intp, len(ids))
         except KeyError:
@@ -233,6 +244,8 @@ class RadioObserver:
 
     def _add_row(self, vehicle_id: int) -> int:
         row = self._row[vehicle_id] = len(self._row)
+        if vehicle_id == row == self._same:
+            self._same += 1
         if row == len(self._serving):
             for name in self._COLUMNS:
                 old = getattr(self, name)
@@ -276,11 +289,13 @@ class RadioObserver:
         """Re-evaluate the attachment of every listed vehicle at time ``t``.
 
         ``ids``, ``xs`` and ``ys`` are parallel sequences, and no id may be
-        listed twice.  The result equals calling ``update`` for each row in
-        order: the handovers completed at ``t``, in row order.  A bad batch
-        raises ``ValueError`` before any state changes.
+        listed twice (a ``range`` cannot).  The result equals calling
+        ``update`` for each row in order: the handovers completed at ``t``, in
+        row order.  A bad batch raises ``ValueError`` before any state changes.
         """
-        ids = list(ids)
+        unique = isinstance(ids, range)
+        if not unique:
+            ids = list(ids)
         n = len(ids)
         x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
         if not n == len(x) == len(y):
@@ -289,7 +304,7 @@ class RadioObserver:
             raise ValueError(f"time must be finite, got {t!r}")
         if not n:
             return []
-        if len(set(ids)) != n:
+        if not unique and len(set(ids)) != n:
             raise ValueError("duplicate vehicle ids in one batch")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValueError("positions must be finite")
@@ -343,10 +358,14 @@ class RadioObserver:
         """:meth:`current` of every listed vehicle, one exact level per known vehicle, at once."""
         rows = np.fromiter(map(self._row.get, ids, repeat(-1)), np.intp)
         known = rows[rows >= 0]
-        cell = self._serving[known]  # every known row has been attached
-        log_d = _exact_log_d(self._pos_x[known] - self._x.take(cell), self._pos_y[known] - self._y.take(cell))
+        found = zip(*self._serving_levels(known))
+        return list(found) if known.size == rows.size else [None if row < 0 else next(found) for row in rows.tolist()]
+
+    def _serving_levels(self, rows: np.ndarray) -> tuple[list[str], list[float]]:
+        """Serving cell of each listed row and its exact level at the row's last update; every row is attached."""
+        cell = self._serving[rows]
+        log_d = _exact_log_d(self._pos_x[rows] - self._x.take(cell), self._pos_y[rows] - self._y.take(cell))
         level = self._tx.take(cell) - (self._ref.take(cell) + self._k * log_d)
         if self.radio.shadowing_sigma_db > 0.0:  # the shadowing row the last update read
-            level += self._block[known, self._pointer[known] - 1, cell]
-        found = zip(map(self._ids.__getitem__, cell.tolist()), level.tolist())
-        return list(found) if known.size == rows.size else [None if row < 0 else next(found) for row in rows.tolist()]
+            level += self._block[rows, self._pointer[rows] - 1, cell]
+        return list(map(self._ids.__getitem__, cell.tolist())), level.tolist()

@@ -824,7 +824,7 @@ class Simulation:
             template = _TRACE_ROW_BLANK
             if observer is not None:  # observe_all has attached every vehicle: its cell and level
                 template = _TRACE_ROW
-                columns += zip(*observer.current_all(ids))
+                columns += observer._serving_levels(observer._rows(ids))
             self._trace.write(template * n % tuple(chain.from_iterable(zip(*columns))))
 
     def finish(self, failure: Exception | None = None) -> RunArtifacts:

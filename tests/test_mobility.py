@@ -18,13 +18,14 @@ from vehsim.mobility import (
     RandomDirection,
     StrandedError,
     Trip,
+    Vehicle,
     World,
     ballistic_update,
     equilibrium_gap,
     idm_acceleration,
     mobil_decide,
 )
-from vehsim.osm import TrafficSignal, build_graph, parse_osm, signal_phase
+from vehsim.osm import SegmentRef, TrafficSignal, build_graph, parse_osm, signal_phase
 from vehsim.rng import substream
 
 from conftest import chain_graph, corridor_graph, grid_osm_xml
@@ -446,6 +447,8 @@ def test_strategic_random_direction_is_uniform_and_excludes_reverse():
     assert counts[5] == 0  # no immediate U-turn back up way 10
     for node in (2, 3, 4):
         assert counts[node] / 9999 == pytest.approx(1.0 / 3.0, abs=0.02)
+    with pytest.raises(ValueError, match="end of its segment"):  # the vehicle arrives at node 1 only
+        world.strategic_next(veh, 5)
 
 
 def test_random_direction_drives_the_parallel_way_it_drew():
@@ -781,6 +784,24 @@ def test_a_vehicle_is_a_view_of_the_world_columns():
         ego.idm = IdmParams()
 
 
+def test_a_vehicles_lookup_builds_one_view(monkeypatch):
+    world = World(corridor_graph(40000.0))
+    for k in range(3000):
+        world.spawn(way=1, offset=10.0 * k, parked=True)
+    built = []
+    init = Vehicle.__init__
+    monkeypatch.setattr(Vehicle, "__init__", lambda view, w, vid: built.append(vid) or init(view, w, vid))
+    vehicles = world.vehicles
+    assert len(vehicles) == 3000 and list(vehicles)[-2:] == [2998, 2999] and built == []
+    assert vehicles[1234].s == 12340.0 and built == [1234]
+    assert 2999 in vehicles and vehicles.get(3000) is None and -1 not in vehicles and "0" not in vehicles
+    with pytest.raises(KeyError):
+        vehicles[3000]
+    with pytest.raises(TypeError):
+        vehicles[0] = None  # read-only
+    assert [veh.id for veh in vehicles.values()][:3] == [0, 1, 2] and vehicles != {}
+
+
 def test_perception_reaches_many_short_segments_ahead():
     # 40 segments of 12 m: the horizon spans more hops than one look-ahead pass
     signal = TrafficSignal(30, offset_s=25.0)  # red at t = 0
@@ -917,3 +938,60 @@ def test_perceive_leader_is_the_plain_route_walk(case):
                 lead_length, lead_v = (0.0, 0.0) if lead == "standing" else (lead.length, lead.v)
                 expected = abs(dist) - (ego.length + lead_length) / 2.0, ego.v - lead_v
             assert world.perceive_leader(ego) == expected
+
+
+def test_perceive_leader_is_the_route_walk_after_every_step_of_a_multilane_grid():
+    # a signalled 4 x 4 grid of two-way, two-lane streets: vehicles leave lane
+    # slots by crossing nodes and changing lanes, so each step's lane table
+    # must reset the slots the previous table marked in the shared rearmost
+    # buffer; checked after the fill each step's first query makes, and again
+    # after a spawn has dropped the table
+    nodes = [(r * 4 + c + 1, c * 80.0, r * 80.0) for r in range(4) for c in range(4)]
+    two_lanes = {"lanes_forward": 2, "lanes_backward": 2}
+    ways = [(100 + r, [r * 4 + c + 1 for c in range(4)], two_lanes) for r in range(4)]
+    ways += [(200 + c, [r * 4 + c + 1 for r in range(4)], two_lanes) for c in range(4)]
+    signals = [TrafficSignal(6, green_s=8.0, yellow_s=2.0, red_s=8.0),
+               TrafficSignal(11, green_s=6.0, yellow_s=2.0, red_s=10.0, offset_s=5.0)]
+    graph = build_graph(nodes, ways, signals)
+    world = World(graph, seed=7, perception_horizon=200.0)
+    rng = np.random.default_rng(11)
+    way_ids = sorted(graph.ways)
+
+    def place() -> None:
+        for _ in range(20):
+            way, segment, lane = int(rng.choice(way_ids)), int(rng.integers(3)), int(rng.integers(2))
+            forward, offset = bool(rng.integers(2)), float(rng.uniform(5.0, 75.0))
+            if world.lane_is_clear(graph.ref(way, segment, forward), lane, offset, 8.0):
+                strategic = Trip([int(rng.integers(1, 17))]) if rng.random() < 0.2 else RandomDirection()
+                world.spawn(way=way, segment=segment, lane=lane, offset=offset, forward=forward,
+                            speed=float(rng.uniform(0.0, 12.0)), strategic=strategic)
+                return
+
+    def check() -> None:
+        for ego in world.vehicles.values():
+            if ego.done:
+                continue
+            vid = ego.id
+            route = [SegmentRef(graph, k) for k in world.route[vid, world.route_pos[vid]:world.route_len[vid]].tolist()]
+            stop = graph.ids[world._final[vid]] if world._final[vid] >= 0 else None
+            walked = _walk_leader(world, ego, route, stop)
+            if walked is None:
+                expected = None
+            else:
+                lead, dist = walked
+                lead_length, lead_v = (0.0, 0.0) if lead == "standing" else (lead.length, lead.v)
+                expected = abs(dist) - (ego.length + lead_length) / 2.0, ego.v - lead_v
+            assert world.perceive_leader(ego) == expected
+
+    for _ in range(40):
+        place()
+    crossings = 0
+    for step in range(120):
+        before = world.seg[:world.n].copy()
+        world.step(0.5)
+        crossings += int((world.seg[:len(before)] != before).sum())
+        check()
+        if step % 10 == 9:
+            place()
+            check()
+    assert crossings > 50 and len(world.lane_changes) > 5  # slots were left both ways

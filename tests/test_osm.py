@@ -615,6 +615,18 @@ def test_store_matches_the_object_construction_reference():
     assert checked > 900
 
 
+def test_exits_drop_the_arrival_piece_unless_it_is_the_only_way_out():
+    dead_ends = 0
+    for graph in _store_maps():
+        for ref in graph.refs():
+            options = graph.outgoing(ref.end_node)
+            expected = [o.key for o in options if o.key[:2] != ref.key[:2]] or [o.key for o in options]
+            exits = graph.exits(ref.index)
+            assert exits.dtype == np.int64 and [SegmentRef(graph, k).key for k in exits.tolist()] == expected
+            dead_ends += expected == [ref.key[:2] + (not ref.key[2],)]
+    assert dead_ends >= 4
+
+
 def test_refs_of_two_parses_are_equal_and_hash_alike():
     text = grid_osm_xml(3, 150.0)
     first, second = parse_osm(text), parse_osm(text)

@@ -591,3 +591,44 @@ def test_observer_rejects_parameters_load_config_rejects(kwargs):
     # the observer takes its settings as a RadioParams, which refuses them when built
     with pytest.raises(ValueError):
         RadioParams(**kwargs)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 3.0])
+@pytest.mark.parametrize("first_seen, same", [
+    ([[3], [4, 1]], 0),  # one sparse sighting, then an out-of-order batch: no row equals its id
+    ([[0, 1, 5]], 2),  # rows equal ids for vehicles 0 and 1 only
+    ([[0], [1, 2]], 6),  # every row equals its id: range batches map to the cached rows
+])
+def test_range_batches_decide_as_list_batches(first_seen, same, sigma):
+    stations = [BaseStation("a", 0.0, 0.0), BaseStation("b", 600.0, 0.0), BaseStation("c", 300.0, 500.0)]
+    kwargs = dict(hysteresis_db=1.0, time_to_trigger_s=0.2, shadowing_sigma_db=sigma, seed=4)
+    obs, twin = _observer(stations, **kwargs), _observer(stations, **kwargs)
+    for batch in first_seen:
+        if len(batch) == 1:
+            assert obs.update(batch[0], 50.0, 10.0, 0.0) == twin.update(batch[0], 50.0, 10.0, 0.0)
+        else:
+            xs, ys = [40.0 * i for i in batch], [10.0] * len(batch)
+            assert obs.observe_all(batch, xs, ys, 0.0) == twin.observe_all(batch, xs, ys, 0.0)
+
+    def levels(observer, ids):
+        return [(cell, float.hex(level)) for cell, level in observer.current_all(ids)]
+
+    handovers = []
+    for k in range(1, 16):
+        ids = range(6) if k % 3 else range(1, 5)
+        xs = [30.0 + 55.0 * k + 25.0 * i for i in ids]
+        ys = [10.0 + (20.0 * k if i % 2 else 0.0) for i in ids]
+        events = obs.observe_all(ids, xs, ys, 0.1 * k)
+        assert events == twin.observe_all(list(ids), xs, ys, 0.1 * k)
+        assert levels(obs, ids) == levels(twin, list(ids))
+        assert levels(obs, range(6)) == levels(twin, list(range(6)))
+        handovers += events
+    assert len(handovers) >= 6 and obs._same == same
+    # a range batch with a NaN position is refused before any state changes
+    before = levels(obs, range(6))
+    with pytest.raises(ValueError, match="finite"):
+        obs.observe_all(range(6), [100.0, 200.0, math.nan, 0.0, 0.0, 0.0], [0.0] * 6, 1.6)
+    assert levels(obs, range(6)) == before
+    xs, ys = [900.0 - 100.0 * i for i in range(6)], [0.0] * 6
+    assert obs.observe_all(range(6), xs, ys, 1.7) == twin.observe_all(list(range(6)), xs, ys, 1.7)
+    assert levels(obs, range(6)) == levels(twin, list(range(6)))

@@ -870,29 +870,34 @@ class World:
 
     def _settle(self, vid: int) -> None:
         """Resolve the nodes driving vehicle ``vid`` crossed, then a smooth final arrival."""
-        s, seg, lane, route_pos = self.s, self.seg, self.lane, self.route_pos
-        graph, seg_len = self.graph, self.graph.length
-        while s[vid] > seg_len[seg[vid]]:
-            leftover = s[vid] - seg_len[seg[vid]]
-            node = graph.ids[graph.end[seg[vid]]]
+        graph = self.graph
+        s, seg, route_pos = self.s.item(vid), self.seg.item(vid), self.route_pos.item(vid)
+        seg_len = graph.length.item(seg)
+        while s > seg_len:
+            leftover = s - seg_len
+            node = graph.ids[graph.end.item(seg)]
             sig = self.signals.get(node)
             if sig is not None and signal_phase(sig, self.time) == "red":
                 self.signal_violations.append(SignalViolation(self.time, vid, node))
-            if route_pos[vid] == self.route_len[vid] and not self._advance_route(vid, node):
-                # crossed the terminal node at speed: park at the node
-                self._finish(vid, position=seg_len[seg[vid]])
-                return
-            seg[vid] = self.route[vid, route_pos[vid]]
-            lane[vid] = min(lane[vid], graph.lanes[seg[vid]] - 1)
-            s[vid] = leftover
-            route_pos[vid] += 1
+            if route_pos == self.route_len.item(vid):
+                if not self._advance_route(vid, node):
+                    # crossed the terminal node at speed: park at the node
+                    self._finish(vid, position=seg_len)
+                    return
+                route_pos = self.route_pos.item(vid)  # the installed route's start
+            # _advance_route and _draw read the current segment and route position from the columns
+            self.seg[vid] = seg = self.route.item(vid, route_pos)
+            self.lane[vid] = min(self.lane.item(vid), graph.lanes.item(seg) - 1)
+            self.route_pos[vid] = route_pos = route_pos + 1
+            s, seg_len = leftover, graph.length.item(seg)
+        self.s[vid] = s
 
         # smooth final arrival: a final-leg vehicle that has braked to a stop
         # just short of its last node registers the arrival and parks there.
-        if self.v[vid] < _ARRIVAL_SPEED and self._final[vid] >= 0 and route_pos[vid] == self.route_len[vid]:
-            remaining = seg_len[seg[vid]] - s[vid] - self.length[vid] / 2.0
+        if self.v.item(vid) < _ARRIVAL_SPEED and self._final.item(vid) >= 0 and route_pos == self.route_len.item(vid):
+            remaining = seg_len - s - self.length.item(vid) / 2.0
             if remaining <= self.idm.item(vid, 1) * 1.5 + 1e-9:  # s0
-                if not self._advance_route(vid, graph.ids[graph.end[seg[vid]]]):
+                if not self._advance_route(vid, graph.ids[graph.end.item(seg)]):
                     self._finish(vid)
 
     def step(self, dt: float) -> None:

@@ -8,9 +8,10 @@ feeds back into vehicle motion.
 
 ``RadioObserver.observe_all`` handles one batch of vehicles per step as
 arrays over vehicle rows: it ranks the stations with NumPy and computes exact
-levels only where the ranking leaves a choice open.  Every level returned or
-written is bit-identical to the scalar ``rssi`` (plus shadowing), and every
-comparison has the outcome exact levels give: NumPy does only IEEE basic
+levels only where the ranking leaves a choice open.  Every level returned is
+bit-identical to the scalar ``rssi`` (plus shadowing), every level written is
+that value's ``'%.2f'``, and every comparison has the outcome exact levels
+give: NumPy does only IEEE basic
 operations (``-``, ``+``, ``*``, ``/``, ``maximum``, comparisons) in the
 scalar association ``tx - (ref + k * log10(d))``, and exact distances and
 logarithms go through ``math.hypot`` and ``math.log10``.  ``np.hypot`` and
@@ -44,6 +45,19 @@ terms and the hysteresis each: less than two margins in all, so a row that is
 not open decides on ranked levels as on exact ones.  ``current_all`` computes
 the levels it returns exactly, when they are read.  Shadowing draws
 ``normal(size=k)`` blocks, which yield exactly the values of k scalar draws.
+
+The ranking also decides the trace's rounding.  ``trace.csv`` writes a serving
+level with ``'%.2f'``, which rounds its exact binary value to the nearest
+0.01 dB and writes the sign of a value that rounds to zero.  ``observe_all``
+keeps its batch's ranked levels, serving stations and margin m, and
+``_trace_levels`` writes the ranked level L of a row unless a midpoint
+(k + 1/2)/100 dB or 0 lies within 2m of L; those rows get exact levels.  The
+exact level E is within m of L, so where neither lies within 2m of L, E has
+L's ``'%.2f'``.  The test runs in floats: ``100 * L`` is off by at most
+2^-53 * 100|L|, ``0.5 - 200 * m`` by an ulp of 0.5, and ``rint`` and the
+difference from it are exact; the second m covers these, since
+m >= 1e-6 + 2^-46 |L|.  Where 2m exceeds 0.005 dB (absurd transmit powers,
+say), every row goes exact.
 """
 
 from __future__ import annotations
@@ -183,8 +197,9 @@ class RadioObserver:
     first seen: serving and candidate station index (-1 for none), candidate
     start time, position at the last update, and each row's shadowing block
     with its read pointer.  Exact levels are computed only for the rows whose
-    choice the ranking leaves open, and by ``current_all`` from the last
-    position and the shadowing row it read (see the module docstring).
+    choice or trace rounding the ranking leaves open, and by ``current_all``
+    from the last position and the shadowing row it read (see the module
+    docstring).
     Handovers are returned, not stored: a caller that wants ping-pongs
     collects each vehicle's events for :func:`detect_ping_pong`.
     """
@@ -225,6 +240,7 @@ class RadioObserver:
         self._block = np.empty((rows, depth, len(self._ids)))
         self._block_len = np.empty(rows, dtype=np.intp)
         self._pointer = np.empty(rows, dtype=np.intp)  # next unread row of the block
+        self._batch: tuple | None = None  # the last batch's rows, serving indices, ranked levels and margin
 
     def _rows(self, ids) -> np.ndarray:
         """Row of each listed vehicle; vehicles seen for the first time get one.
@@ -302,8 +318,6 @@ class RadioObserver:
             raise ValueError("ids, xs and ys must have the same length")
         if not math.isfinite(t):
             raise ValueError(f"time must be finite, got {t!r}")
-        if not n:
-            return []
         if not unique and len(set(ids)) != n:
             raise ValueError("duplicate vehicle ids in one batch")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
@@ -321,26 +335,33 @@ class RadioObserver:
         served = serving * n + np.arange(n)  # flat (station, vehicle) index; -1 wraps to the last station
         attached = serving >= 0
         best, best_level, serving_level = levels.argmax(axis=0), levels.max(axis=0), levels.ravel()[served]
-        exact = levels >= best_level - margin
-        flip = attached & (best != serving) & (abs(best_level - (serving_level + hysteresis)) <= 2.0 * margin)
-        if np.count_nonzero(exact) > n or flip.any():  # some row is open; each row's own top is in exact
-            open_rows = (exact.sum(axis=0) > 1) | flip
+        # over > 0 exactly where best_level > serving_level + hysteresis, the levels being finite
+        over = best_level - (serving_level + hysteresis)
+        exact = levels >= best_level - margin  # each row's own top is in it
+        near = (abs(over) <= 2.0 * margin) & (best != serving)  # a flip, if attached
+        if np.count_nonzero(exact) > n or np.count_nonzero(near):  # some row may be open
+            open_rows = (exact.sum(axis=0) > 1) | (near & attached)
             exact &= open_rows
             exact.ravel()[served[open_rows]] = True
             at = np.flatnonzero(exact)
             log_d.ravel()[at] = _exact_log_d(dx.ravel()[at], dy.ravel()[at])
             levels = self._levels(log_d, shadow)
             best, best_level, serving_level = levels.argmax(axis=0), levels.max(axis=0), levels.ravel()[served]
+            over = best_level - (serving_level + hysteresis)
 
-        # argmax takes the smaller id of equals; best == serving needs no test: x <= x + hysteresis
-        candidate = np.where(attached & ~(best_level <= serving_level + hysteresis), best, -1)
-        since = np.where(candidate != self._candidate[rows], t, self._since[rows])
+        # argmax takes the smaller id of equals; best == serving needs no test: over = -hysteresis <= 0
+        candidate = np.where(attached & (over > 0.0), best, -1)
+        since = self._since[rows]
+        np.copyto(since, t, where=candidate != self._candidate[rows])
         fire = (candidate >= 0) & (t - since >= self.radio.time_to_trigger_s - _TTT_SLACK)
-        switch = fire | ~attached
+        new_serving = np.where(fire | ~attached, best, serving)
         self._candidate[rows] = np.where(fire, -1, candidate)
         self._since[rows] = since
-        self._serving[rows] = np.where(switch, best, serving)
+        self._serving[rows] = new_serving
         self._pos_x[rows], self._pos_y[rows] = x, y
+        self._batch = rows, new_serving, levels, margin
+        if not np.count_nonzero(fire):
+            return []
         cells = self._ids
         return [HandoverEvent(t, ids[i], cells[serving[i]], cells[best[i]], float(x[i]), float(y[i]))
                 for i in np.flatnonzero(fire).tolist()]
@@ -360,6 +381,21 @@ class RadioObserver:
         known = rows[rows >= 0]
         found = zip(*self._serving_levels(known))
         return list(found) if known.size == rows.size else [None if row < 0 else next(found) for row in rows.tolist()]
+
+    def _trace_levels(self) -> tuple[list[str], list[float]]:
+        """Serving cell of each row of the last ``observe_all`` batch, in batch order, and a level whose
+        ``'%.2f'`` is its exact level's: the ranked level where that rounding is closed, else the exact one."""
+        rows, cell, levels, margin = self._batch
+        n = cell.size
+        level = levels.ravel().take(cell * n + np.arange(n))
+        # open: a '%.2f' midpoint (k + 1/2) / 100 dB or 0 lies within two margins of the ranked level
+        scaled = level * 100.0
+        scaled -= np.rint(scaled)
+        open_rows = ~((abs(scaled) < 0.5 - 200.0 * margin) & (abs(level) > 2.0 * margin))
+        if np.count_nonzero(open_rows):
+            at = np.flatnonzero(open_rows)
+            level[at] = self._serving_levels(rows[at])[1]
+        return list(map(self._ids.__getitem__, cell.tolist())), level.tolist()
 
     def _serving_levels(self, rows: np.ndarray) -> tuple[list[str], list[float]]:
         """Serving cell of each listed row and its exact level at the row's last update; every row is attached."""

@@ -822,9 +822,9 @@ class Simulation:
             columns = [repeat(_fmt_seconds(t_ns)), ids, xs.tolist(), ys.tolist(), world.v[:n].tolist(),
                        world.acc[:n].tolist()]
             template = _TRACE_ROW_BLANK
-            if observer is not None:  # observe_all has attached every vehicle: its cell and level
+            if observer is not None:  # observe_all has attached every vehicle: its cell and rounded level
                 template = _TRACE_ROW
-                columns += observer._serving_levels(observer._rows(ids))
+                columns += observer._trace_levels()
             self._trace.write(template * n % tuple(chain.from_iterable(zip(*columns))))
 
     def finish(self, failure: Exception | None = None) -> RunArtifacts:

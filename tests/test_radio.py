@@ -632,3 +632,67 @@ def test_range_batches_decide_as_list_batches(first_seen, same, sigma):
     xs, ys = [900.0 - 100.0 * i for i in range(6)], [0.0] * 6
     assert obs.observe_all(range(6), xs, ys, 1.7) == twin.observe_all(list(range(6)), xs, ys, 1.7)
     assert levels(obs, range(6)) == levels(twin, list(range(6)))
+
+
+def _crossing(level, target):
+    """The largest distance in [1, 1e5] m that bisection reaches with ``level(r) >= target``; ``level`` falls."""
+    lo, hi = 1.0, 1e5
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if level(mid) >= target else (lo, mid)
+    return lo
+
+
+# 0 dBm, where '%.2f' writes the sign, and '%.2f' midpoints (-40.125 and -70.125 are doubles)
+_ROUNDING_TARGETS = (0.0, -40.125, -60.005, -70.125, -81.115, -99.995)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 4.0])
+def test_trace_levels_round_as_exact_levels_next_to_every_rounding_boundary(sigma):
+    stations = [BaseStation("a", 0.0, 0.0), BaseStation("b", 5000.0, 0.0, carrier_mhz=900.0)]
+    n, seed = 2400, 3
+    targets, xs, ys = [], [], []
+    for vid in range(n):  # on a ray from its station, within an ulp of distance of its target's crossing
+        i, target = vid % 2, _ROUNDING_TARGETS[vid // 2 % len(_ROUNDING_TARGETS)]
+        station, angle = stations[i], 0.7 + 0.37 * vid
+        c, s = math.cos(angle), math.sin(angle)
+        shadow = float(substream(seed, "shadowing", vid).normal(0.0, sigma, 2)[i]) if sigma else 0.0
+        r = _crossing(lambda r: rssi(station, station.x + r * c, station.y + r * s) + shadow, target)
+        r = math.nextafter(r, (0.0, r, math.inf)[vid % 3])
+        targets.append(target)
+        xs.append(station.x + r * c)
+        ys.append(station.y + r * s)
+    obs = RadioObserver(stations, RadioParams(shadowing_sigma_db=sigma), seed=seed)
+    obs.observe_all(range(n), xs, ys, 0.0)
+    exact = obs.current_all(range(n))
+    assert sum(abs(level - target) < 1e-9 for (_, level), target in zip(exact, targets)) > 0.95 * n
+
+    written = ["%.2f" % level for _, level in exact]
+    cells, levels = obs._trace_levels()
+    assert cells == [cell for cell, _ in exact]
+    assert ["%.2f" % level for level in levels] == written
+    # any ranked level within the margin of the exact one is written as the exact one, here
+    # across a midpoint or 0 dBm for rows of every target, whatever NumPy's own rounding
+    rows, cell, ranked, margin = obs._batch
+    crossed = set()
+    for shift in (-0.99, -0.5, 0.5, 0.99):
+        off = [level + shift * margin for _, level in exact]
+        crossed |= {t for t, level, w in zip(targets, off, written) if "%.2f" % level != w}
+        shifted = ranked.copy()
+        shifted[cell, np.arange(n)] = off
+        obs._batch = rows, cell, shifted, margin
+        assert ["%.2f" % level for level in obs._trace_levels()[1]] == written
+    assert crossed == set(_ROUNDING_TARGETS)
+
+
+def test_trace_levels_are_all_exact_where_two_margins_exceed_the_rounding_step(monkeypatch):
+    stations = [BaseStation("a", 0.0, 0.0, tx_power_dbm=1e13), BaseStation("b", 700.0, 0.0)]
+    obs = RadioObserver(stations, RadioParams(shadowing_sigma_db=4.0), seed=1)
+    xs, ys = np.random.default_rng(7).uniform(-900.0, 900.0, (2, 300)).tolist()
+    obs.observe_all(range(300), xs, ys, 0.0)
+    exact = obs.current_all(range(300))
+    assert 2.0 * obs._batch[3] > 0.005
+    exact_rows, serving_levels = [], obs._serving_levels
+    monkeypatch.setattr(obs, "_serving_levels", lambda rows: exact_rows.extend(rows.tolist()) or serving_levels(rows))
+    cells, levels = obs._trace_levels()
+    assert exact_rows == list(range(300))
+    assert list(zip(cells, levels)) == exact

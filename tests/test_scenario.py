@@ -1060,6 +1060,30 @@ def test_trace_fencepost_and_blank_radio_columns(corridor_map, tmp_path):
     assert load_config(artifacts.config_path.read_text()) == cfg
 
 
+def test_every_trace_rssi_is_the_exact_level_rounded(tmp_path):
+    # the shadowed radio grid of the golden pins, sampled every step: each trace row's cell and
+    # rssi are those of current_all's full-precision level at that step
+    (tmp_path / "grid.osm").write_text(grid_osm_xml(4, 300.0))
+    stations = "".join(f"station.{i}.id = {cell}\nstation.{i}.x = {x}\nstation.{i}.y = {y}\n"
+                       for i, (cell, x, y) in enumerate([("n", 0, 400), ("s", 0, -400), ("e", 400, 0), ("w", -450, 0)]))
+    config = load_config("map = grid.osm\nduration = 60\nseed = 5\ndt = 0.1\nsampling = 0.1\n"
+                         "interference.count = 30\nradio.shadowing_sigma = 4\n" + stations, base_dir=tmp_path)
+    host = HeapHost()
+    kernel = EventKernel(host=host)
+    simulation = Simulation(config, tmp_path / "out")
+    simulation.attach(kernel)
+    expected = []
+    while True:
+        expected += [f"{cell},{level:.2f}" for cell, level in simulation.observer.current_all(range(30))]
+        if not host.heap:
+            break
+        kernel.deliver_from_host(host.pop())  # one step
+    artifacts = simulation.finish()
+    rows = artifacts.trace_path.read_text().splitlines()[1:]
+    assert len(rows) == len(expected) == 601 * 30
+    assert [row.split(",", 6)[6] for row in rows] == expected
+
+
 def test_fractional_sample_stamps(corridor_map, tmp_path):
     cfg = load_config(f"map = {corridor_map}\nduration = 2\nsampling = 0.5\nway = 1\nparked = true\n")
     artifacts = run(cfg, tmp_path / "out")

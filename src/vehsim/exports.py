@@ -12,12 +12,15 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .kernel import _fmt_seconds, to_ns
 from .osm import RoadGraph
 
 if TYPE_CHECKING:
     from .scenario import Trace
 
-DEFAULT_MAX_RESIDUAL_M = 15.0
+DEFAULT_MAX_RESIDUAL_M = 15.0  # m a space-time sample may lie off the corridor axis
+SVG_SIZE = 1000.0  # px the longer map extent spans
+SVG_MARGIN = 20.0  # px on each side of the map
 _POINT_EPS = 1e-6
 
 
@@ -75,23 +78,23 @@ def _project_to_polyline(
     return best_arc, best_res
 
 
-def export_spacetime(
-    trace: Trace,
-    *,
-    max_residual_m: float = DEFAULT_MAX_RESIDUAL_M,
-) -> list[tuple[float, int, float]]:
+def export_spacetime(trace: Trace) -> list[tuple[float, int, float]]:
     """Collapse a single-corridor trace to (t, vehicle_id, arc length) rows.
 
     The corridor axis is taken from the sampled path of the vehicle that
     covered the most ground; every sample of every vehicle is then projected
-    onto that axis.  A sample farther than ``max_residual_m`` from the axis
-    means the vehicles did not share one corridor and the export refuses
+    onto that axis.  A sample farther than ``DEFAULT_MAX_RESIDUAL_M`` from the
+    axis means the vehicles did not share one corridor and the export refuses
     rather than emit misleading positions.  Arc length per vehicle is made
     monotone (projection jitter near the axis ends cannot move a vehicle
     backwards).  Rows come out sorted by (t, vehicle_id).
     """
     if not len(trace):
         raise ExportError("no trace samples to export")
+    try:  # times are written in nanoseconds, as trace.csv writes them
+        to_ns(float(np.abs(trace.t).max()))
+    except ValueError as exc:
+        raise ExportError(str(exc)) from None
     order, spans = _by_vehicle(trace)
     x, y = trace.x[order], trace.y[order]
     ts, vids, xs, ys = trace.t[order].tolist(), trace.vehicle_id[order].tolist(), x.tolist(), y.tolist()
@@ -111,9 +114,9 @@ def export_spacetime(
                 arc = math.hypot(px - poly[0][0], py - poly[0][1])
             else:
                 arc, residual = _project_to_polyline(poly, px, py)
-                if residual > max_residual_m:
+                if residual > DEFAULT_MAX_RESIDUAL_M:
                     raise ExportError(
-                        f"vehicle {vid} at t={t:g} lies {residual:.1f} m off the "
+                        f"vehicle {vid} at t={_fmt_seconds(to_ns(t))} lies {residual:.1f} m off the "
                         "corridor axis; space-time export only supports "
                         "single-corridor scenarios"
                     )
@@ -128,37 +131,32 @@ def write_spacetime_csv(rows: list[tuple[float, int, float]], path: str) -> None
     with open(path, "w", newline="") as fh:
         fh.write("t,vehicle_id,s\n")
         for t, vid, arc in rows:
-            fh.write(f"{t:g},{vid},{arc:.3f}\n")
+            fh.write(f"{_fmt_seconds(to_ns(t))},{vid},{arc:.3f}\n")
 
 
-def export_svg(
-    graph: RoadGraph,
-    trace: Trace | None = None,
-    *,
-    size: float = 1000.0,
-    margin: float = 20.0,
-) -> str:
+def export_svg(graph: RoadGraph, trace: Trace | None = None) -> str:
     """Render the road network as an SVG document, optionally with vehicle paths.
 
     One polyline per way, drawn through all its node refs in map coordinates
     (y axis flipped to screen orientation); the longer map extent is scaled to
-    ``size`` pixels.  Trace samples, when given, appear as one colored
-    polyline per vehicle, in ascending vehicle id.
+    ``SVG_SIZE`` pixels, with a margin of ``SVG_MARGIN`` pixels on each side.
+    Trace samples, when given, appear as one colored polyline per vehicle, in
+    ascending vehicle id.
     """
     if not graph.ways:
         raise ExportError("graph has no ways to draw")
     min_x, min_y, max_x, max_y = graph.bounds()
-    scale = size / max(max_x - min_x, max_y - min_y, 1e-9)
+    scale = SVG_SIZE / max(max_x - min_x, max_y - min_y, 1e-9)
 
     def points(x: np.ndarray, y: np.ndarray) -> str:
         """The map points (x[i], y[i]) as space-separated ``"x,y"`` screen points, formatted by one template."""
         flat = np.empty(2 * len(x))  # x and y interleaved
-        flat[0::2] = margin + (x - min_x) * scale
-        flat[1::2] = margin + (max_y - y) * scale
+        flat[0::2] = SVG_MARGIN + (x - min_x) * scale
+        flat[1::2] = SVG_MARGIN + (max_y - y) * scale
         return ("%.2f,%.2f " * len(x) % tuple(flat.tolist()))[:-1]
 
-    width = (max_x - min_x) * scale + 2 * margin
-    height = (max_y - min_y) * scale + 2 * margin
+    width = (max_x - min_x) * scale + 2 * SVG_MARGIN
+    height = (max_y - min_y) * scale + 2 * SVG_MARGIN
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

@@ -30,6 +30,12 @@ def to_ns(seconds: float) -> int:
     return round(ns)
 
 
+def _fmt_seconds(t_ns: int) -> str:
+    """Integer nanoseconds as the seconds every time column writes: up to nine decimals, no trailing zeros."""
+    text = f"{t_ns / NS_PER_SECOND:.9f}".rstrip("0").rstrip(".")
+    return text or "0"
+
+
 def to_seconds(ns: int) -> float:
     return ns / NS_PER_SECOND
 

@@ -521,22 +521,13 @@ class World:
     takes effect at the next step.
     """
 
-    def __init__(
-        self,
-        graph: RoadGraph,
-        *,
-        seed: int = 0,
-        perception_horizon: float = PERCEPTION_HORIZON,
-    ) -> None:
-        if not perception_horizon > 0:  # also true for nan
-            raise ValueError(f"perception_horizon must be > 0, got {perception_horizon!r}")
+    def __init__(self, graph: RoadGraph, *, seed: int = 0) -> None:
         self.graph = graph
         self.seed = seed
         self.time = 0.0
         self.n = 0  # vehicles spawned
         self._drivers: list[_Driver] = []
         self.signals = dict(graph.signals)
-        self.horizon = perception_horizon
         self.lane_changes: list[LaneChangeRecord] = []
         self.collisions: list[CollisionRecord] = []
         self.signal_violations: list[SignalViolation] = []
@@ -770,7 +761,7 @@ class World:
         key: np.ndarray,
         slot: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Closest obstruction ahead of each vehicle ``ego[k]`` in ``lane[k]`` within the horizon.
+        """Closest obstruction ahead of each vehicle ``ego[k]`` in ``lane[k]`` within ``PERCEPTION_HORIZON``.
 
         ``key`` and ``slot`` are the pair's lane-table key and slot.  Returns
         per pair what blocks (a vehicle id, ``_STANDING`` for a blocking
@@ -783,11 +774,10 @@ class World:
         the node at its end.  One mask marks the rows that settle (a
         vehicle, the horizon, a blocking signal, the final stop); each pair
         is decided at its first such row, and a row past its route's end is
-        the sentinel segment, past any finite horizon.  Positions and route
+        the sentinel segment, past the horizon.  Positions and route
         positions come from the columns, so ``step`` looks ahead before it
         commits any move.
         """
-        horizon = self.horizon
         seg_len, seg_end, top, slot0 = self._hop_columns
         seg, s_ego = self.seg[ego], self.s[ego]
         at, stop = self.route_pos[ego], self._final[ego]  # route index of the segment after the node
@@ -797,19 +787,19 @@ class World:
         # the horizon; otherwise the node at the segment's end, ``cum`` away:
         # past the horizon, a blocking signal or the final stop, or the route's end
         raw, cum, node = table.s[j] - s_ego, seg_len[seg] - s_ego, seg_end[seg]
-        hit = np.where(ahead, np.where(raw <= horizon, table.vid[j], _NONE), np.where(
-            cum > horizon, _NONE, np.where(blocked[node] | (node == stop), _STANDING, np.where(
+        hit = np.where(ahead, np.where(raw <= PERCEPTION_HORIZON, table.vid[j], _NONE), np.where(
+            cum > PERCEPTION_HORIZON, _NONE, np.where(blocked[node] | (node == stop), _STANDING, np.where(
                 at == self.route_len[ego], _NONE, _OPEN))))
         raw = np.where(ahead, raw, cum)
         pair = (hit == _OPEN).nonzero()[0]
-        owner, q, stop, cum = ego[pair], lane[pair], stop[pair], cum[pair]
-        at = owner * self.route.shape[1] + at[pair]  # the flat index of each pair's next route entry
+        q, stop, cum = lane[pair], stop[pair], cum[pair]
+        at = ego[pair] * self.route.shape[1] + at[pair]  # the flat index of each pair's next route entry
         while len(pair):
             # the next _HOPS route segments, row h being hop h: the rearmost
             # vehicle in lane min(lane, lanes - 1), then the node at the
             # segment's end, ``reach`` away, with distances summed in route
             # order.  A row past the route's end is the sentinel, which is past
-            # any finite horizon.
+            # the horizon, so a pass that reaches it settles the pair.
             p = len(pair)
             nxt = self.route.ravel()[at + _HOP_ROWS]
             reach = seg_len[nxt]
@@ -817,7 +807,7 @@ class World:
             reach.cumsum(axis=0, out=reach)
             k = table.first(slot0[nxt] + np.minimum(q, top[nxt]))
             node = seg_end[nxt]
-            settle = (k >= 0) | (reach > horizon) | blocked[node] | (node == stop)
+            settle = (k >= 0) | (reach > PERCEPTION_HORIZON) | blocked[node] | (node == stop)
             row = settle.argmax(axis=0)
             cell = row * p + np.arange(p)  # each pair's first settling row, as a flat index
             settled, k, end = settle.ravel()[cell], k.ravel()[cell], reach.ravel()[cell]
@@ -827,16 +817,13 @@ class World:
             seen = k >= 0
             dist = np.where(seen, start + table.s[k], end)
             # k is -1 where no vehicle is seen: the sentinel entry, whose id -1 is _STANDING
-            found = np.where(dist > horizon, _NONE, table.vid[k])
+            found = np.where(dist > PERCEPTION_HORIZON, _NONE, table.vid[k])
             if settled.all():
                 hit[pair], raw[pair] = found, dist
                 break
-            # a pair open at a sentinel row has an infinite horizon and a route that ends free
-            found[~settled] = _NONE
-            settled |= at - owner * self.route.shape[1] + _HOPS > self.route_len[owner]
             hit[pair[settled]], raw[pair[settled]] = found[settled], dist[settled]
             go = ~settled
-            pair, owner, q, stop, at, cum = pair[go], owner[go], q[go], stop[go], at[go] + _HOPS, reach[-1, go]
+            pair, q, stop, at, cum = pair[go], q[go], stop[go], at[go] + _HOPS, reach[-1, go]
         return hit, raw
 
     # -- stepping ---------------------------------------------------------------

@@ -5,11 +5,11 @@ Costs are segment lengths in meters.
 The first query on a graph compiles it once into Python tuples for the search
 loop (:class:`_Compiled`), over the graph's own node rows (ascending id): each
 row's outgoing ``(end row, length)`` pairs with parallel segments collapsed to
-the shortest, each row's incoming edges with the segment that drives them, the
-coordinates the heuristic reads, and one byte per row that marks the through
-nodes.  A through node has exactly two distinct neighbours, counting both
-directions, and no self-loop: most such nodes only shape a street.  It is kept
-on the graph, so a map that is never routed never builds it.
+the shortest, the coordinates the heuristic reads, and one byte per row that
+marks the through nodes.  A through node has exactly two distinct neighbours,
+counting both directions, and no self-loop: most such nodes only shape a
+street.  It is kept on the graph, so a map that is never routed never builds
+it.
 
 The search is A* (Hart, Nilsson & Raphael, IEEE TSSC 1968).  A heap entry's
 key is its distance label plus ``scale`` times the straight-line distance to
@@ -37,9 +37,13 @@ marks no through node on a graph with the heuristic off: there an addition may
 absorb a segment (``d + w == d``, at the latest once a sum overflows to
 infinity), and carrying would reorder equal labels.
 
-The route is rebuilt from the labels by one rule on them: walking back from
-the target, the predecessor of ``v`` is the smallest-id node ``u`` that
-settled before ``v`` and has ``d[u] + w(u, v) == d[v]``.  This is the
+The route is rebuilt from the labels and the graph's incoming adjacency by
+one rule on them: walking back from the target, the predecessor of ``v`` is
+the smallest-id node ``u`` that settled before ``v`` and has
+``d[u] + w(u, v) == d[v]``, for the shortest of its segments into ``v`` (the
+first in adjacency order among equal lengths).  Rounding is monotone and no
+label exceeds ``d[u]`` plus ``u``'s shortest segment into ``v``, so if a longer
+parallel segment meets the equation, the shortest one does too.  This is the
 predecessor a Dijkstra search keeps when it breaks equal-cost ties toward the
 smaller id, so both search orders give the same route, bit for bit.  Where no
 addition absorbs, which holds on every graph with through nodes, the equation
@@ -86,7 +90,6 @@ class _Compiled:
     """A road graph's node rows as the search loop reads them."""
 
     out: tuple[tuple[tuple[int, float], ...], ...]  # row -> ((end row, shortest length), ...)
-    into: tuple[tuple[tuple[int, float, int], ...], ...]  # row -> ((start row, length, segment), ...), ascending
     through: bytes  # row -> 1 for a through node, else 0
     xs: tuple[float, ...]
     ys: tuple[float, ...]
@@ -131,8 +134,6 @@ def _compile(graph: RoadGraph) -> _Compiled:
     seg = adj[order][np.diff(pair, prepend=-1) != 0]
     u, v, w = graph.start[seg], graph.end[seg], graph.length[seg]
     out = _rows(u, list(zip(v.tolist(), w.tolist())), n)
-    back = np.lexsort((u, v))
-    into = _rows(v[back], list(zip(u[back].tolist(), w[back].tolist(), seg[back].tolist())), n)
     xs, ys = graph.x.tolist(), graph.y.tolist()
     scale = _heuristic_scale(xs, ys, w.tolist())
     # through nodes: two distinct neighbours over both directions (a graph has no
@@ -144,7 +145,7 @@ def _compile(graph: RoadGraph) -> _Compiled:
     if not scale:  # off: zeros keep every key equal to its label, even at a non-finite coordinate
         xs = ys = [0.0] * n
         through[:] = False  # a sum may absorb a segment here, so labels alone do not give the settle order
-    return _Compiled(out, into, through.tobytes(), tuple(xs), tuple(ys), scale)
+    return _Compiled(out, through.tobytes(), tuple(xs), tuple(ys), scale)
 
 
 def shortest_path(graph: RoadGraph, from_node: int, to_node: int) -> Route:
@@ -216,13 +217,20 @@ def shortest_path(graph: RoadGraph, from_node: int, to_node: int) -> Route:
     if rank[dst] is None:
         raise NoRouteError(from_node, to_node)
 
+    # the route, from the graph's incoming adjacency: of the segments into ``v`` that meet the rule,
+    # the one with the smallest (start row, length), the first in adjacency order among equal pairs
+    in_start, in_seg, start, length = graph.in_start.item, graph.in_seg.item, graph.start.item, graph.length.item
     path, segs = [dst], []
     v = dst
     while v != src:
-        dv, rv = dist[v], rank[v]
-        v, k = next((u, k) for u, w, k in g.into[v]
-                    if (du := dist[u]) is not None and du + w == dv
-                    and (du < dv or rank[u] is not None and rank[u] < rv))
+        dv, rv, best = dist[v], rank[v], None
+        for i in range(in_start(v), in_start(v + 1)):
+            k = in_seg(i)
+            u, w = start(k), length(k)
+            if ((du := dist[u]) is not None and du + w == dv and (du < dv or rank[u] is not None and rank[u] < rv)
+                    and (best is None or (u, w) < best[:2])):
+                best = u, w, k
+        v, _, k = best
         path.append(v)
         segs.append(k)
     return Route(tuple(graph.ids[row] for row in reversed(path)), dist[dst],

@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._bounds import RULES, FieldError, bounded, checked
-from .kernel import NS_PER_SECOND, Event, EventKernel, to_ns
+from .kernel import NS_PER_SECOND, Event, EventKernel, _fmt_seconds, to_ns
 from .mobility import (
     VEHICLE_LENGTH,
     IdmParams,
@@ -642,11 +642,6 @@ def read_trace(path: str | Path) -> Trace:
 
 
 # -- execution -----------------------------------------------------------------
-
-
-def _fmt_seconds(t_ns: int) -> str:
-    text = f"{t_ns / NS_PER_SECOND:.9f}".rstrip("0").rstrip(".")
-    return text or "0"
 
 
 def _typed_line(config: ScenarioConfig, *keys: str) -> int | None:

@@ -66,9 +66,11 @@ def test_spacetime_rejects_offcorridor_trace():
     samples += [(float(t), 1, 200.0, 120.0) for t in range(5)]  # 120 m off-axis
     with pytest.raises(ExportError, match="single-corridor"):
         export_spacetime(trace_of(samples))
-    # a generous residual budget accepts the same data
-    rows = export_spacetime(trace_of(samples), max_residual_m=200.0)
-    assert len(rows) == 10
+    # the bound is 15 m: a sample 16 m off the axis is refused, one 14 m off is accepted
+    on_axis = samples[:5]
+    with pytest.raises(ExportError, match="vehicle 1 at t=2 lies 16.0 m off"):
+        export_spacetime(trace_of(on_axis + [(2.0, 1, 200.0, 16.0)]))
+    assert len(export_spacetime(trace_of(on_axis + [(2.0, 1, 200.0, 14.0)]))) == 6
 
 
 def test_spacetime_empty_trace_rejected():
@@ -80,6 +82,20 @@ def test_write_spacetime_csv(tmp_path):
     path = tmp_path / "st.csv"
     write_spacetime_csv([(0.0, 0, 0.0), (0.5, 0, 6.25)], path)
     assert path.read_text().splitlines() == ["t,vehicle_id,s", "0,0,0.000", "0.5,0,6.250"]
+
+
+def test_spacetime_times_keep_every_digit_of_a_long_run(tmp_path):
+    # times are written as trace.csv writes them, not to six significant digits
+    path = tmp_path / "st.csv"
+    write_spacetime_csv([(10000.0, 0, 1.0), (10000.05, 0, 2.0), (123456.7, 0, 3.0)], path)
+    assert path.read_text().splitlines() == ["t,vehicle_id,s", "10000,0,1.000", "10000.05,0,2.000",
+                                             "123456.7,0,3.000"]
+    samples = [(0.0, 0, 0.0, 0.0), (123456.7, 0, 100.0, 0.0), (10000.05, 1, 50.0, 20.0)]
+    with pytest.raises(ExportError, match=r"vehicle 1 at t=10000\.05 lies"):
+        export_spacetime(trace_of(samples))
+    # a readable time past the nanosecond clock is refused before any row is written
+    with pytest.raises(ExportError, match=r"^time 1e\+300 s is not finite or overflows the nanosecond clock$"):
+        export_spacetime(trace_of([(0.0, 0, 0.0, 0.0), (1e300, 0, 10.0, 0.0)]))
 
 
 # -- SVG -----------------------------------------------------------------------
@@ -97,21 +113,21 @@ def test_svg_draws_every_way(tmp_path):
 
 
 def test_svg_fits_viewbox_with_margin():
-    graph = corridor_graph(1000.0)
-    svg = export_svg(graph, size=500, margin=25)
+    graph = corridor_graph(500.0)
+    svg = export_svg(graph)
     root = ET.fromstring(svg)
-    # longer extent (1000 m of x) maps to `size`, margin padded on each side
-    assert float(root.attrib["width"]) == 550.0
-    assert float(root.attrib["height"]) == 50.0
+    # the longer extent (500 m of x) spans 1000 px, with a 20 px margin on each side
+    assert float(root.attrib["width"]) == 1040.0
+    assert float(root.attrib["height"]) == 40.0
     coords = [
         tuple(map(float, pt.split(",")))
         for el in root.iter()
         if el.tag.endswith("polyline")
         for pt in el.attrib["points"].split()
     ]
-    assert all(25.0 <= x <= 525.0 and y == 25.0 for x, y in coords)
-    assert min(x for x, _ in coords) == 25.0
-    assert max(x for x, _ in coords) == 525.0
+    assert all(20.0 <= x <= 1020.0 and y == 20.0 for x, y in coords)
+    assert min(x for x, _ in coords) == 20.0
+    assert max(x for x, _ in coords) == 1020.0
 
 
 def test_svg_trace_overlay_one_polyline_per_vehicle():

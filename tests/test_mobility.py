@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from vehsim.mobility import (
     LANE_CHANGE_COOLDOWN,
+    PERCEPTION_HORIZON,
     IdmParams,
     LaneNeighbors,
     MobilParams,
@@ -226,14 +227,15 @@ def test_perception_crosses_segment_boundaries_along_route():
 
 
 def test_perception_horizon_cuts_off():
-    world = World(corridor_graph(1000.0), perception_horizon=100.0)
+    # the horizon is 500 m: a vehicle 520 m ahead is not seen, one 480 m ahead is
+    world = World(corridor_graph(1000.0))
     ego = world.spawn(way=1, offset=0.0, strategic=RandomDirection())
-    world.spawn(way=1, offset=500.0)
+    world.spawn(way=1, offset=520.0)
     assert world.perceive_leader(ego) is None
-    near = World(corridor_graph(1000.0), perception_horizon=100.0)
+    near = World(corridor_graph(1000.0))
     ego2 = near.spawn(way=1, offset=0.0, strategic=RandomDirection())
-    near.spawn(way=1, offset=80.0)
-    assert near.perceive_leader(ego2) is not None
+    near.spawn(way=1, offset=480.0)
+    assert near.perceive_leader(ego2) == (480.0 - 5.0, 0.0)
 
 
 def test_trip_final_stop_appears_as_standing_obstruction():
@@ -697,7 +699,7 @@ def test_step_acceleration_is_the_scalar_idm_behind_the_perceived_leader(state):
 
 def _scalar_neighbors(world, ego, lane):
     """Leader and follower of ``ego`` in ``lane`` on a single long segment, by linear scan."""
-    ahead = [o for o in world.vehicles.values() if o.lane == lane and o.s > ego.s and o.s - ego.s <= world.horizon]
+    ahead = [o for o in world.vehicles.values() if o.lane == lane and o.s > ego.s and o.s - ego.s <= PERCEPTION_HORIZON]
     behind = [o for o in world.vehicles.values() if o.lane == lane and o.s < ego.s]
     leader = min(ahead, key=lambda o: (o.s, o.id), default=None)
     follower = max(behind, key=lambda o: (o.s, o.id), default=None)  # ties: the lane list's last
@@ -814,22 +816,6 @@ def test_perception_reaches_many_short_segments_ahead():
     assert gap == 25 * 12.0 - 6.0 + 3.0 - 5.0 and closing == 6.0
 
 
-@pytest.mark.parametrize("destination", [5, 20])  # a route of 3 or 18 segments: ends in the first or second pass
-def test_infinite_horizon_sees_a_non_final_route_end_free(destination):
-    world = World(chain_graph(12.0, 41, one_way=False), perception_horizon=math.inf)
-    ego = world.spawn(way=1, segment=0, offset=6.0, speed=10.0, strategic=Trip([destination, 1]))
-    assert world.perceive_leader(ego) is None  # the trip goes on past its first destination
-    free = idm_acceleration(ego.v, ego.v0_eff, 0.0, math.inf, ego.idm)
-    world.step(0.1)
-    assert ego.acc == free
-
-
-@pytest.mark.parametrize("horizon", [math.nan, 0.0, -1.0])
-def test_perception_horizon_must_be_positive(horizon):
-    with pytest.raises(ValueError, match="perception_horizon"):
-        World(corridor_graph(), perception_horizon=horizon)
-
-
 def _walk_leader(world, ego, route, stop):
     """What blocks ``ego``, by walking its route in plain Python: (vehicle or "standing", distance) or None.
 
@@ -845,13 +831,13 @@ def _walk_leader(world, ego, route, stop):
         return min(in_lane, key=lambda veh: (veh.s, veh.id), default=None)
 
     lead = rearmost(ego.ref, ego.lane, ego.s)
-    if lead is not None and lead.s - ego.s <= world.horizon:
+    if lead is not None and lead.s - ego.s <= PERCEPTION_HORIZON:
         return lead, lead.s - ego.s
     dist, ref = ego.ref.length - ego.s, ego.ref
     for nxt in [*route, None]:
         node = ref.end_node
         signal = world.signals.get(node)
-        if dist > world.horizon:
+        if dist > PERCEPTION_HORIZON:
             return None
         if signal is not None and signal_phase(signal, world.time) != "green" or node == stop:
             return "standing", dist
@@ -860,16 +846,17 @@ def _walk_leader(world, ego, route, stop):
         lead = rearmost(nxt, min(ego.lane, nxt.lanes - 1))
         if lead is not None:
             dist = dist + lead.s
-            return (lead, dist) if dist <= world.horizon else None
+            return (lead, dist) if dist <= PERCEPTION_HORIZON else None
         dist, ref = dist + nxt.length, nxt
 
 
 @st.composite
 def _long_chains(draw):
-    """A one-way chain of 20-60 short segments in up to four ways of one or two lanes, with signals and vehicles.
+    """A one-way chain of 20-60 segments in up to four ways of one or two lanes, with signals and vehicles.
 
-    Vehicle 0 starts on the first segment with a trip to the chain's end, so that its walk can span
-    up to four look-ahead passes.
+    Segments are 2-10 m long, times a scale drawn as 1 or from 1-60: short chains, whose walks can
+    span up to four look-ahead passes (vehicle 0 starts on the first segment with a trip to the
+    chain's end), and long ones, which the horizon cuts within a pass or on a vehicle's own segment.
     """
     n = draw(st.integers(20, 60))
     lengths = draw(st.lists(st.floats(2.0, 10.0), min_size=n, max_size=n))
@@ -886,17 +873,29 @@ def _long_chains(draw):
         st.integers(0, n - 1), st.integers(0, 1), st.sampled_from(["start", "end", "inside"]), st.floats(0.0, 1.0),
         st.floats(0.0, 20.0), st.floats(3.0, 8.0), st.booleans(), st.sampled_from(["stop", "final", "on"]),
         st.floats(0.0, 1.0)), max_size=8))
-    horizon = draw(st.one_of(st.sampled_from([500.0, math.inf]), st.floats(10.0, 300.0)))
-    return lengths, cuts, lanes, signals, vehicles, horizon, draw(st.floats(0.0, 100.0))
+    scale = draw(st.one_of(st.just(1.0), st.floats(1.0, 60.0)))
+    return lengths, cuts, lanes, signals, vehicles, scale, draw(st.floats(0.0, 100.0))
 
 
 @settings(max_examples=150, deadline=None)
 @given(_long_chains())
-@example(([10.0] * 20, [], [1], [], [  # the rearmost vehicle of segment 5 is 50 m ahead, past the horizon
+@example(([10.0] * 20, [], [1], [], [  # the rearmost vehicle of segment 5 is 525 m ahead, past the horizon
     (0, 0, "inside", 0.5, 10.0, 5.0, False, "final", 1.0), (5, 0, "inside", 0.5, 0.0, 5.0, False, "stop", 0.0),
-], 47.0, 0.0))
+], 10.5, 0.0))
+# a 512 m first segment: a vehicle on it 510 m ahead is past the horizon, one 490 m ahead is not,
+# and a red signal at its end 510 m away is past the horizon
+@example(([512.0] + [10.0] * 19, [], [1], [], [
+    (0, 0, "inside", 0.0, 10.0, 5.0, False, "final", 1.0), (0, 0, "inside", 255 / 256, 0.0, 5.0, False, "stop", 0.0),
+], 1.0, 0.0))
+@example(([512.0] + [10.0] * 19, [], [1], [], [
+    (0, 0, "inside", 0.0, 10.0, 5.0, False, "final", 1.0), (0, 0, "inside", 245 / 256, 0.0, 5.0, False, "stop", 0.0),
+], 1.0, 0.0))
+@example(([512.0] + [10.0] * 19, [], [1], [TrafficSignal(2, green_s=1.0, yellow_s=1.0, red_s=30.0)], [
+    (0, 0, "inside", 1 / 256, 10.0, 5.0, False, "final", 1.0),
+], 1.0, 5.0))
 def test_perceive_leader_is_the_plain_route_walk(case):
-    lengths, cuts, lanes, signals, vehicles, horizon, t0 = case
+    lengths, cuts, lanes, signals, vehicles, scale, t0 = case
+    lengths = [length * scale for length in lengths]
     n = len(lengths)
     xs = [0.0]
     for length in lengths:
@@ -905,7 +904,7 @@ def test_perceive_leader_is_the_plain_route_walk(case):
     ways = [(w + 1, list(range(bounds[w] + 1, bounds[w + 1] + 2)), {"one_way": True, "lanes_forward": lanes[w]})
             for w in range(len(lanes))]
     graph = build_graph([(i + 1, x, 0.0) for i, x in enumerate(xs)], ways, signals)
-    world = World(graph, perception_horizon=horizon)
+    world = World(graph)
     world.time = t0
     place = [(w + 1, k) for w in range(len(lanes)) for k in range(bounds[w + 1] - bounds[w])]
     chain = [graph.ref(way, k) for way, k in place]  # segment k runs from node k + 1 to node k + 2
@@ -953,7 +952,7 @@ def test_perceive_leader_is_the_route_walk_after_every_step_of_a_multilane_grid(
     signals = [TrafficSignal(6, green_s=8.0, yellow_s=2.0, red_s=8.0),
                TrafficSignal(11, green_s=6.0, yellow_s=2.0, red_s=10.0, offset_s=5.0)]
     graph = build_graph(nodes, ways, signals)
-    world = World(graph, seed=7, perception_horizon=200.0)
+    world = World(graph, seed=7)
     rng = np.random.default_rng(11)
     way_ids = sorted(graph.ways)
 

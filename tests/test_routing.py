@@ -487,7 +487,7 @@ def _shaped_way(shapes):
 
 def _stored_entries(router):
     """Values the compiled router holds: every adjacency entry's fields and the per-row columns."""
-    adjacency = sum(len(entry) for rows in (router.out, router.into) for row in rows for entry in row)
+    adjacency = sum(len(entry) for row in router.out for entry in row)
     return adjacency + len(router.through) + len(router.xs) + len(router.ys)
 
 

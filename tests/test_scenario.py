@@ -6,6 +6,7 @@ import math
 import re
 import sys
 import tracemalloc
+import warnings
 import weakref
 from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
@@ -954,6 +955,23 @@ def test_edge_traces_read_as_the_reference_reads_them(tmp_path, name):
     assert (scenario._read_trace_table(path) is not None) == c_reader
     got, want = _outcome(read_trace, path), _outcome(_reference_read_trace, path)
     assert (got if isinstance(got, str) else _rows(got)) == want
+
+
+def test_a_numpy_1x_deprecation_warning_sends_the_trace_to_the_general_reader(tmp_path, monkeypatch):
+    # NumPy 1.x parses an integer cell such as "1.5" through a float and only warns; the
+    # C reader's table is then dropped, and the general reader refuses the id with its line
+    path = tmp_path / "trace.csv"
+    path.write_text(f"{TRACE_HEADER}\n{_BLANK_ROW}\n0,1.5,2,3,4,5,,\n")
+    loadtxt = np.loadtxt
+
+    def numpy_1x_loadtxt(*args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning, stacklevel=2)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(scenario.np, "loadtxt", numpy_1x_loadtxt)
+    assert scenario._read_trace_table(path) is None
+    with pytest.raises(ValueError, match=r"^line 3: invalid literal for int\(\) with base 10: '1\.5'$"):
+        read_trace(path)
 
 
 def test_run_traces_are_read_without_the_general_reader(handover_run, grid_map, tmp_path, monkeypatch):

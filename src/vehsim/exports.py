@@ -18,7 +18,7 @@ from .osm import RoadGraph
 if TYPE_CHECKING:
     from .scenario import Trace
 
-DEFAULT_MAX_RESIDUAL_M = 15.0  # m a space-time sample may lie off the corridor axis
+MAX_RESIDUAL_M = 15.0  # m a space-time sample may lie off the corridor axis
 SVG_SIZE = 1000.0  # px the longer map extent spans
 SVG_MARGIN = 20.0  # px on each side of the map
 _POINT_EPS = 1e-6
@@ -83,7 +83,7 @@ def export_spacetime(trace: Trace) -> list[tuple[float, int, float]]:
 
     The corridor axis is taken from the sampled path of the vehicle that
     covered the most ground; every sample of every vehicle is then projected
-    onto that axis.  A sample farther than ``DEFAULT_MAX_RESIDUAL_M`` from the
+    onto that axis.  A sample farther than ``MAX_RESIDUAL_M`` from the
     axis means the vehicles did not share one corridor and the export refuses
     rather than emit misleading positions.  Arc length per vehicle is made
     monotone (projection jitter near the axis ends cannot move a vehicle
@@ -114,7 +114,7 @@ def export_spacetime(trace: Trace) -> list[tuple[float, int, float]]:
                 arc = math.hypot(px - poly[0][0], py - poly[0][1])
             else:
                 arc, residual = _project_to_polyline(poly, px, py)
-                if residual > DEFAULT_MAX_RESIDUAL_M:
+                if residual > MAX_RESIDUAL_M:
                     raise ExportError(
                         f"vehicle {vid} at t={_fmt_seconds(to_ns(t))} lies {residual:.1f} m off the "
                         "corridor axis; space-time export only supports "

@@ -21,7 +21,7 @@ import math
 from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import count, repeat
 
 import numpy as np
 
@@ -413,14 +413,15 @@ _NO_SLOT = np.iinfo(np.int64).max  # the lane table's sentinel entry, after ever
 
 class _Rearmost:
     """A world's per-slot index buffer, which its lane tables share: entry ``slot`` is the index of the slot's
-    rearmost vehicle in the lane table ``owner``, or -1 where that table has none; ``marked`` lists the
-    slots ``owner`` filled."""
+    rearmost vehicle in the lane table whose token is ``owner`` (-1: none yet), or -1 where that table has
+    none; ``marked`` lists the slots that table filled.  ``tokens`` counts out the tables' tokens.  The
+    buffer holds a token, not a table, so no reference cycle runs through it."""
 
-    __slots__ = ("index", "marked", "owner")
+    __slots__ = ("index", "marked", "owner", "tokens")
 
     def __init__(self, slots: int) -> None:
         self.index = np.full(slots, -1)
-        self.marked, self.owner = self.index[:0], None
+        self.marked, self.owner, self.tokens = self.index[:0], -1, count()
 
 
 class _LaneTable:
@@ -435,11 +436,12 @@ class _LaneTable:
     buffer, which ``first`` fills on the table's first query: it resets the
     slots the previous fill marked to -1, then marks each occupied slot's
     first entry, so the buffer holds exactly this table's rearmost entries.
-    A fill invalidates the older tables' fills; an older table queried again
-    fills the buffer anew.
+    The buffer records the filling table's ``token``, an int the table draws
+    from the buffer's counter at construction.  A fill invalidates the older tables' fills; an
+    older table queried again fills the buffer anew.
     """
 
-    __slots__ = ("of", "key", "vid", "slot", "s", "rearmost")
+    __slots__ = ("of", "key", "vid", "slot", "s", "rearmost", "token")
 
     def __init__(self, slot: np.ndarray, s: np.ndarray, rearmost: _Rearmost) -> None:
         self.of = np.empty(len(slot), dtype=complex)
@@ -451,6 +453,7 @@ class _LaneTable:
         self.slot = np.concatenate((slot[order], [_NO_SLOT]))
         self.s = np.concatenate((s[order], [0.0]))
         self.rearmost = rearmost
+        self.token = next(rearmost.tokens)
 
     def _in(self, j: np.ndarray, slot: np.ndarray) -> np.ndarray:
         return np.where(self.slot[j] == slot, j, -1)
@@ -466,12 +469,12 @@ class _LaneTable:
     def first(self, slot: np.ndarray) -> np.ndarray:
         """Rearmost entry of ``slot``: the first of its run in the sorted slot column, -1 where it is empty."""
         buffer = self.rearmost
-        if buffer.owner is not self:
+        if buffer.owner != self.token:
             buffer.index[buffer.marked] = -1
             starts = np.concatenate(([True], self.slot[1:-1] != self.slot[:-2])).nonzero()[0]
             buffer.marked = self.slot[starts]
             buffer.index[buffer.marked] = starts
-            buffer.owner = self
+            buffer.owner = self.token
         return buffer.index[slot]
 
 
@@ -502,12 +505,16 @@ class World:
     Vehicle state lives in one place, indexed by vehicle id 0..n-1 in spawn
     order: the columns named in ``_COLUMNS``, one array each, read as
     ``[:n]`` slices (``spawn`` doubles their capacity when full), and one
-    driver record per id in ``_drivers``.  The world holds no
-    :class:`Vehicle`; ``vehicles`` builds the view of an id on lookup.  A
-    step sets every acceleration first, then commits the moves in ascending
-    id, each vehicle that crosses a node together with the ones before it,
-    just before its topology is resolved: a step that fails there leaves the
-    vehicles after it unmoved.  A vehicle's route is row ``id`` of ``route``: its first
+    driver record per id in ``_drivers``.  Row ``n`` of ``v`` and ``length``
+    is 0 (``spawn`` writes it), so ``step`` gathers a standing obstruction's
+    speed and length through id -1 of the ``[:n + 1]`` slices.  The world
+    holds no :class:`Vehicle`; ``vehicles`` builds the view of an id on
+    lookup.  A step sets every acceleration first, then commits every move
+    at once and resolves the topology of the vehicles that reached a node
+    in ascending id.  If that fails for one vehicle, the vehicles after it
+    get their start-of-step ``s``, ``v`` and odometer back, so they stand
+    unmoved, as if each move had been committed just before its vehicle's
+    topology.  A vehicle's route is row ``id`` of ``route``: its first
     ``route_len[id]`` entries are the segments it drives after its current
     one, written once when the route is installed, and at least ``_HOPS``
     entries of the sentinel segment (see ``__init__``) follow them.  The
@@ -616,11 +623,11 @@ class World:
             target = strategic.destinations[strategic.cursor]
             route = [hop.index for hop in routing.shortest_path(self.graph, ref.end_node, target).refs]
 
-        if vid == len(self.s):  # full: double every column's capacity, and the routes'
+        if vid + 1 == len(self.s):  # no row after this one: double every column's capacity, and the routes'
             for name in (*_COLUMNS, "route"):
                 old = getattr(self, name)
-                new = np.empty((2 * vid,) + old.shape[1:], old.dtype)
-                new[:vid] = old
+                new = np.empty((2 * len(old),) + old.shape[1:], old.dtype)
+                new[:vid] = old[:vid]
                 setattr(self, name, new)
         row = {  # every column but route_pos, route_len and _final, which ``_install`` writes
             "s": offset, "v": 0.0 if parked else speed, "acc": 0.0, "lane": lane, "seg": ref.index,
@@ -631,6 +638,7 @@ class World:
         }
         for name, value in row.items():
             getattr(self, name)[vid] = value
+        self.v[vid + 1] = self.length[vid + 1] = 0.0  # the zero row after the last vehicle
         self._drivers.append(_Driver(idm, mobil, speed_factor, strategic, stream))
         self.n += 1
         self._install(vid, route)
@@ -910,7 +918,8 @@ class World:
         movers = (~(parked | done)).nonzero()[0]
         m = len(movers)
         ego, shift, sides = movers, np.zeros(m, dtype=np.int64), ()
-        lanes_here = seg_lanes[self.seg[movers]]
+        seg = self.seg[movers]
+        lanes_here = seg_lanes[seg]
         multi = (lanes_here > 1).nonzero()[0]
         if len(multi):
             mobil = multi[~(self.time - self.last_lane_change[movers[multi]] < LANE_CHANGE_COOLDOWN)]
@@ -924,9 +933,10 @@ class World:
         key, slot = table.of[ego] + shift, slot0[self.seg[ego]] + target
         hit, raw = self._look_ahead(table, self._blocking_signals(), ego, target, key, slot)
         has = hit != _NONE
-        lead_v = np.concatenate((v, [0.0]))[hit]  # a standing obstruction (-1) has speed and length 0
-        lead_len = np.concatenate((length, [0.0]))[hit]
-        net = np.abs(raw) - (length[ego] + lead_len) / 2.0  # ego to the obstruction in the pair's lane
+        # a standing obstruction (-1) reads the zero row after the last vehicle: speed and length 0
+        lead_v, lead_len = self.v[:n + 1][hit], self.length[:n + 1][hit]
+        len_ego = length[ego]
+        net = np.abs(raw) - (len_ego + lead_len) / 2.0  # ego to the obstruction in the pair's lane
 
         # every IDM evaluation of the step in one batch: each ego behind the
         # obstruction of its pair's lane and, for MOBIL's pairs, the lane's
@@ -938,11 +948,12 @@ class World:
             candidate = np.zeros(m, dtype=bool)
             candidate[mobil] = True
             fol[:m][~candidate] = -1  # MOBIL asks only for its candidates' followers
+            len_fol, with_f = length[fol], fol >= 0
             f_raw = s[fol] - s[ego]
-            f_net = np.abs(f_raw) - (length[ego] + length[fol]) / 2.0  # follower to ego
-            f_lead = (raw - f_raw) - (length[fol] + lead_len) / 2.0  # follower to the ego's obstruction
-            by_ego = (fol >= 0).nonzero()[0]
-            both = ((fol >= 0) & has).nonzero()[0]
+            f_net = np.abs(f_raw) - (len_ego + len_fol) / 2.0  # follower to ego
+            f_lead = (raw - f_raw) - (len_fol + lead_len) / 2.0  # follower to the ego's obstruction
+            by_ego = with_f.nonzero()[0]
+            both = (with_f & has).nonzero()[0]
             who = np.concatenate((who, fol[by_ego], fol[both]))
             ahead_v = np.concatenate((ahead_v, v[ego[by_ego]], lead_v[both]))
             gaps = np.concatenate((gaps, f_net[by_ego], f_lead[both]))
@@ -960,19 +971,19 @@ class World:
             # MOBIL per side pair, as _change_gain: the ego behind the target
             # lane's obstruction, that lane's follower behind the ego instead
             # of behind the obstruction, and the own lane's follower (pair
-            # ``own``) behind the ego's obstruction instead of behind the ego
+            # ``own``) behind the ego's obstruction instead of behind the ego.
+            # The side pairs are the tail ``[m:]`` of the pair arrays
             a_f_ego = np.zeros(len(ego))
             a_f_ego[by_ego] = acc_of[len(by_lead):len(by_lead) + len(by_ego)]
             a_f_lead = free[fol]
             a_f_lead[both] = acc_of[len(by_lead) + len(by_ego):]
-            pair, own, e = m + np.arange(len(sides)), mobil[sides], cand[sides]
-            with_f = fol[pair] >= 0
-            ok = ~(has[pair] & (net[pair] <= 0.0)) & ~(
-                with_f & ((f_net[pair] <= 0.0) | (a_f_ego[pair] < -self.b_safe[e])))
-            terms = np.where(with_f, 0.0 + (a_f_lead[pair] - a_f_ego[pair]), 0.0)
-            terms = np.where(fol[own] >= 0, terms + (a_f_ego[own] - a_f_lead[own]), terms)
-            surplus = (a_lead[pair] - a_lead[own]) - self.p[e] * terms - self.delta_a_th[e]
-            self._change_lanes(cand, sides, len(left), ok & (surplus > 0.0), surplus, fol[pair], a_f_ego[pair])
+            own, e, side_f, side_acc = mobil[sides], ego[m:], with_f[m:], a_f_ego[m:]
+            ok = ~(has[m:] & (net[m:] <= 0.0)) & ~(
+                side_f & ((f_net[m:] <= 0.0) | (side_acc < -self.b_safe[e])))
+            terms = np.where(side_f, 0.0 + (a_f_lead[m:] - side_acc), 0.0)
+            terms = np.where(with_f[own], terms + (a_f_ego[own] - a_f_lead[own]), terms)
+            surplus = (a_lead[m:] - a_lead[own]) - self.p[e] * terms - self.delta_a_th[e]
+            self._change_lanes(cand, sides, len(left), ok & (surplus > 0.0), surplus, fol[m:], side_acc)
 
         # the ballistic update with its stopping clamp, element-wise, for the
         # movers; a parked or done vehicle stands
@@ -987,24 +998,28 @@ class World:
             ds[clamp] = 0.0
             braking = clamp[a[clamp] < 0.0]
             ds[braking] = v_now[braking] * v_now[braking] / (-2.0 * a[braking])
-        s_new = s[movers] + ds
+        s_now, odometer = s[movers], self.odometer[movers]
+        s_new = s_now + ds
 
-        # topology, for the vehicles that crossed a node or may register a
-        # final arrival, in ascending id: each one's move is committed with
-        # those of the vehicles before it, then its topology is resolved
-        settle = (s_new > self.graph.length[self.seg[movers]]) | (
-            (v_new < _ARRIVAL_SPEED) & (self._final[movers] >= 0)
-            & (self.route_pos[movers] == self.route_len[movers]))
-        lo = 0
-        for k in settle.nonzero()[0].tolist() + [None]:
-            part = slice(lo, None if k is None else k + 1)
-            ids = movers[part]
-            self.s[ids] = s_new[part]
-            self.v[ids] = v_new[part]
-            self.odometer[ids] += ds[part]
-            if k is not None:
-                self._settle(int(movers[k]))
-                lo = k + 1
+        # commit every move at once, then resolve the topology of the vehicles
+        # that crossed a node or may register a final arrival, in ascending id.
+        # _settle touches only its own vehicle's columns, so this equals
+        # settling each one right after the moves before it; if it raises, the
+        # vehicles after the failing one get their start-of-step values back
+        settle = s_new > self.graph.length[seg]
+        final = self._final[movers] >= 0
+        if final.any():  # only a vehicle with a final stop arrives smoothly
+            settle |= (v_new < _ARRIVAL_SPEED) & final & (self.route_pos[movers] == self.route_len[movers])
+        s[movers] = s_new
+        v[movers] = v_new
+        self.odometer[movers] = odometer + ds
+        for k in settle.nonzero()[0].tolist():
+            try:
+                self._settle(movers.item(k))
+            except BaseException:
+                rest = movers[k + 1:]
+                s[rest], v[rest], self.odometer[rest] = s_now[k + 1:], v_now[k + 1:], odometer[k + 1:]
+                raise
         self.time += dt
         self._scan_collisions()
 

@@ -497,6 +497,33 @@ def test_one_way_dead_end_strands():
         world.strategic_next(veh, 2)
 
 
+def test_aborted_step_keeps_the_crossings_before_the_stranded_vehicle_and_unmoves_the_ones_after():
+    # a one-way chain 1 -> 2 -> 3 -> 4 of 100 m segments, each vehicle 0.5 m
+    # short of its segment's end: vehicle 0 crosses node 2, vehicle 1 strands
+    # at the dead end 4, and vehicle 2 would cross node 3 after it
+    world = World(chain_graph(100.0, 4), seed=0)
+    for segment in (0, 2, 1):
+        world.spawn(way=1, segment=segment, offset=99.5, speed=13.89, speed_factor=1.0,
+                    strategic=RandomDirection())
+    before = [(v.s, v.v, v.odometer, v.ref.index) for v in world.vehicles.values()]
+    with pytest.raises(StrandedError):
+        world.step(0.1)
+    assert world.time == 0.0
+    moved = [ballistic_update(v, world.acc[vid], 0.1) for vid, (_, v, _, _) in enumerate(before)]
+    assert all(before[vid][0] + moved[vid][0] > 100.0 for vid in range(3))  # each one reaches its node
+    # vehicle 0's crossing stands: it drives on the segment after node 2
+    first = world.vehicles[0]
+    assert first.ref.index == world.graph.ref(1, 1, True).index and world.route_pos[0] == 1
+    assert (first.s, first.v) == (before[0][0] + moved[0][0] - 100.0, moved[0][1])
+    # the stranded vehicle keeps its move, past the dead end it did not cross
+    stranded = world.vehicles[1]
+    assert (stranded.s, stranded.v, stranded.odometer) == (before[1][0] + moved[1][0], moved[1][1], moved[1][0])
+    assert stranded.ref.index == before[1][3]
+    # vehicle 2 stands where the step found it, bit for bit
+    last = world.vehicles[2]
+    assert (last.s, last.v, last.odometer, last.ref.index) == before[2]
+
+
 def test_collision_is_recorded_not_raised():
     world = World(corridor_graph(500.0))
     world.spawn(way=1, offset=10.0, speed=5.0, speed_factor=1.0, strategic=RandomDirection())

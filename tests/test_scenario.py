@@ -1336,9 +1336,11 @@ def test_cli_run_happy_path(corridor_map, tmp_path, capsys):
 
 
 def test_cli_run_leaves_nothing_to_collect(grid_map, tmp_path, capsys):
-    # the parser is built once, at import, and summary.json is written without json's indenting encoder,
-    # so a run leaves no object in a reference cycle
-    config = _write_config(tmp_path, f"map = {grid_map}\nduration = 1\ninterference.count = 3\n")
+    # the parser is built once, at import, summary.json is written without json's indenting encoder and
+    # the lane tables' rearmost buffer holds a table's token, not the table, so a run leaves no object in a
+    # reference cycle; the Trip vehicle sees past the node ahead, so its look-ahead fills that buffer
+    config = _write_config(tmp_path, f"map = {grid_map}\nduration = 1\ninterference.count = 3\n"
+                                     f"way = 100\nstrategicModel = Trip\ntrip = {grid_node_id(2, 2)}\n")
     gc.collect()
     debug = gc.get_debug()
     gc.set_debug(gc.DEBUG_SAVEALL)  # every unreachable object a collection finds lands in gc.garbage

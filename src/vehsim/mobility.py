@@ -75,6 +75,9 @@ class MobilParams:
     b_safe: float = bounded("> 0", 4.0)  # maximum braking imposed on the new follower, m/s^2
 
 
+_DEFAULT_IDM, _DEFAULT_MOBIL = IdmParams(), MobilParams()  # frozen, so every spawn without its own shares them
+
+
 def idm_acceleration(v: float, v0_eff: float, delta_v: float, gap: float, params: IdmParams) -> float:
     """IDM longitudinal acceleration.
 
@@ -614,8 +617,8 @@ class World:
         if speed_factor is None:
             lo = 1.0 - SPEED_FACTOR_SPREAD
             speed_factor = lo + 2.0 * SPEED_FACTOR_SPREAD * float(stream.random())
-        idm = idm if idm is not None else IdmParams()
-        mobil = mobil if mobil is not None else MobilParams()
+        idm = idm if idm is not None else _DEFAULT_IDM
+        mobil = mobil if mobil is not None else _DEFAULT_MOBIL
         if isinstance(strategic, Trip):
             strategic = Trip(strategic.destinations, strategic.cursor)
         route = []
@@ -784,7 +787,8 @@ class World:
         is decided at its first such row, and a row past its route's end is
         the sentinel segment, past the horizon.  Positions and route
         positions come from the columns, so ``step`` looks ahead before it
-        commits any move.
+        commits any move.  When no pair is open after the ego's own segment,
+        the result is the prologue's, with no pass set up.
         """
         seg_len, seg_end, top, slot0 = self._hop_columns
         seg, s_ego = self.seg[ego], self.s[ego]
@@ -800,6 +804,8 @@ class World:
                 at == self.route_len[ego], _NONE, _OPEN))))
         raw = np.where(ahead, raw, cum)
         pair = (hit == _OPEN).nonzero()[0]
+        if not len(pair):
+            return hit, raw
         q, stop, cum = lane[pair], stop[pair], cum[pair]
         at = ego[pair] * self.route.shape[1] + at[pair]  # the flat index of each pair's next route entry
         while len(pair):
@@ -917,7 +923,7 @@ class World:
         # lane, then the left and the right lanes of the MOBIL candidates
         movers = (~(parked | done)).nonzero()[0]
         m = len(movers)
-        ego, shift, sides = movers, np.zeros(m, dtype=np.int64), ()
+        ego, sides = movers, ()
         seg = self.seg[movers]
         lanes_here = seg_lanes[seg]
         multi = (lanes_here > 1).nonzero()[0]
@@ -928,9 +934,13 @@ class World:
             right = (lane[cand] > 0).nonzero()[0]
             sides = np.concatenate((left, right))  # the side pairs' candidates, as indices into ``mobil``
             ego = np.concatenate((movers, cand[sides]))
-            shift = np.concatenate((shift, np.ones(len(left), dtype=np.int64), np.full(len(right), -1)))
-        target = lane[ego] + shift
-        key, slot = table.of[ego] + shift, slot0[self.seg[ego]] + target
+            shift = np.concatenate((np.zeros(m, dtype=np.int64), np.ones(len(left), dtype=np.int64),
+                                    np.full(len(right), -1)))
+            target = lane[ego] + shift
+            key, slot = table.of[ego] + shift, slot0[self.seg[ego]] + target
+        else:  # every mover is on a one-lane segment, so its only pair is its own lane: no shift to add
+            target = lane[movers]
+            key, slot = table.of[movers], slot0[seg] + target
         hit, raw = self._look_ahead(table, self._blocking_signals(), ego, target, key, slot)
         has = hit != _NONE
         # a standing obstruction (-1) reads the zero row after the last vehicle: speed and length 0
@@ -1074,7 +1084,8 @@ class World:
         n = self.n
         length = self.length[:n]
         slot, vid = table.slot[:n], table.vid[:n]
-        gap = (table.s[1:n] - table.s[:n - 1]) - (length[vid[:-1]] + length[vid[1:]]) / 2.0
+        sorted_length = length[vid]
+        gap = (table.s[1:n] - table.s[:n - 1]) - (sorted_length[:-1] + sorted_length[1:]) / 2.0
         hits = ((slot[1:] == slot[:-1]) & (gap <= 0.0)).nonzero()[0]
         if not len(hits):
             return

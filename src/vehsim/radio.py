@@ -77,7 +77,7 @@ DEFAULT_TX_POWER_DBM = 46.0
 DEFAULT_CARRIER_MHZ = 1800.0
 DEFAULT_PATH_LOSS_EXPONENT = 3.5  # urban macro default
 _TTT_SLACK = 1e-12  # absorbs float drift when comparing elapsed time to TTT
-_SHADOW_ROWS = 64  # updates of shadowing drawn per vehicle at a time
+_SHADOW_ROWS = 128  # updates of shadowing drawn per vehicle at a time
 _RANK_MARGIN_DB = 1e-6  # ranked levels closer than this are settled by exact ones
 _RANK_ULPS = 2.0**-46  # per unit of the summed level terms, added to the margin
 _LOG_D_MAX = 309.0  # log10 of the largest finite distance
@@ -188,10 +188,14 @@ class RadioObserver:
 
     Optional log-normal shadowing draws one value per station per update
     from a per-vehicle stream; with sigma = 0 (default) no draws happen and
-    measurements are pure path loss.  The first block a stream draws is
-    1 + vehicle_id % _SHADOW_ROWS updates long and every later one
-    _SHADOW_ROWS: vehicles observed from the same step on then refill on
-    different steps, instead of all at once in one slow step.
+    measurements are pure path loss.  A stream draws its values in blocks
+    of ``_SHADOW_ROWS`` (128) updates, 128 x 8 B a station per vehicle (6 KB
+    with six stations), so a step's refills are few and each is one
+    Generator call.  The first block is 1 + vehicle_id % _SHADOW_ROWS updates
+    long: vehicles observed from the same step on then refill on different
+    steps, instead of all at once in one slow step.  Each refill raises the
+    ranking margin's shadowing term to the block's largest magnitude,
+    ``max(block.max(), -block.min())``, which needs no temporary array.
 
     State is kept in columns over vehicle rows, in the order vehicles are
     first seen: serving and candidate station index (-1 for none), candidate
@@ -280,7 +284,7 @@ class RadioObserver:
         block = self._streams[row].normal(0.0, self.radio.shadowing_sigma_db, size=(length, len(self._ids)))
         self._block[row, :length] = block
         self._block_len[row] = length
-        self._shadow_max = max(self._shadow_max, float(np.abs(block).max()))
+        self._shadow_max = max(self._shadow_max, float(block.max()), -float(block.min()))
 
     def _draw(self, rows: np.ndarray) -> np.ndarray | None:
         """Next shadowing row of each listed row, as (stations x rows); None without shadowing."""

@@ -1,6 +1,7 @@
 """Radio layer: path loss, attachment state machine, ping-pong detection."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import vehsim.radio as radio
 from vehsim.radio import (
     _RANK_MARGIN_DB,
+    _SHADOW_ROWS,
     BaseStation,
     HandoverEvent,
     RadioObserver,
@@ -373,15 +375,28 @@ def test_equidistant_stations_tie_to_smaller_id():
     assert (event.from_cell, event.to_cell) == ("b", "a")
 
 
+def _count_blocks(obs):
+    """Count the shadow blocks each row draws from here on, its first one included, by wrapping ``obs._refill``."""
+    blocks, refill = Counter(), obs._refill
+
+    def counted(row, length):
+        blocks[row] += 1
+        refill(row, length)
+
+    obs._refill = counted
+    return blocks
+
+
 def test_long_shadowed_run_mixing_update_and_observe_all_matches_scalar():
-    # 110-150 updates per vehicle cross at least two shadow-block refills; vehicle 2
+    # 260-300 updates per vehicle cross at least two shadow-block refills; vehicle 2
     # is sometimes updated on its own and vehicle 3 joins late
     stations = [BaseStation("a", 0.0, 0.0), BaseStation("b", 600.0, 0.0),
                 BaseStation("c", 300.0, 400.0, tx_power_dbm=40.0)]
     kwargs = dict(hysteresis_db=2.0, time_to_trigger_s=0.3, shadowing_sigma_db=4.0, seed=7)
     obs, ref = _observer(stations, **kwargs), _ScalarReference(stations, **kwargs)
+    blocks = _count_blocks(obs)
     seen, expected = [], []
-    for k in range(150):
+    for k in range(300):
         t = 0.1 * k
         rows = [(1, 4.0 * k, 10.0), (2, 600.0 - 4.0 * k, -30.0)] + ([(3, 300.0, 400.0 - 3.0 * k)] if k >= 40 else [])
         solo = [r for r in rows if r[0] == 2 and k % 5 == 0]
@@ -395,7 +410,36 @@ def test_long_shadowed_run_mixing_update_and_observe_all_matches_scalar():
     assert len(expected) >= 3
     assert seen == expected
     assert len(obs._streams) == 3
-    assert (obs._block_len[:3] == 64).all()  # every stream has refilled
+    assert (obs._block_len[:3] == _SHADOW_ROWS).all()  # every stream has refilled
+    # the first block, then three refills, or two for the late vehicle
+    assert [blocks[obs._row[vid]] for vid in (1, 2, 3)] == [4, 4, 3]
+
+
+def test_shadow_values_do_not_depend_on_the_block_size(monkeypatch):
+    # blocks of 7, 64 and 128 updates cut each vehicle's stream at different updates and raise the
+    # ranking margin's shadowing term at different times; every handover and level must stay the same
+    stations = [BaseStation("a", 0.0, 0.0), BaseStation("b", 500.0, 0.0), BaseStation("c", 250.0, 400.0),
+                BaseStation("d", 250.0, -300.0, tx_power_dbm=43.0)]
+    runs = []
+    for depth in (7, 64, 128):
+        monkeypatch.setattr(radio, "_SHADOW_ROWS", depth)
+        obs = _observer(stations, hysteresis_db=1.0, time_to_trigger_s=0.2, shadowing_sigma_db=6.0, seed=21)
+        blocks = _count_blocks(obs)
+        log = []
+        for k in range(200):
+            t = 0.1 * k
+            # vehicle v joins at step 15 * (v % 4); vehicle 5 is updated on its own every third step
+            rows = [(v, 30.0 * v + 2.5 * k, 100.0 * (v % 3) - 1.5 * k) for v in range(10) if k >= 15 * (v % 4)]
+            solo = [r for r in rows if r[0] == 5 and k % 3 == 0]
+            batch = [r for r in rows if r not in solo]
+            log += [_as_tuple(e) for e in obs.observe_all(*map(list, zip(*batch)), t)]
+            for vid, x, y in solo:
+                log += [_as_tuple(e) for e in [obs.update(vid, x, y, t)] if e]
+            log.append(obs.current_all(range(10)))
+        runs.append(log)
+        assert min(blocks.values()) >= 2  # every vehicle refilled
+    assert sum(isinstance(entry, tuple) for entry in runs[0]) >= 5  # handovers happen
+    assert runs[0] == runs[1] == runs[2]
 
 
 @pytest.mark.parametrize("sigma", [0.0, 4.0])
@@ -526,6 +570,7 @@ def test_level_read_lazily_outlives_other_updates_and_refills():
     stations = [BaseStation("a", 0.0, 0.0), BaseStation("b", 600.0, 0.0), BaseStation("c", 300.0, 500.0)]
     kwargs = dict(hysteresis_db=2.0, time_to_trigger_s=0.3, shadowing_sigma_db=4.0, seed=13)
     obs, ref = _observer(stations, **kwargs), _ScalarReference(stations, **kwargs)
+    blocks = _count_blocks(obs)
     first, other = 0, 1  # vehicle 0's first shadow block is one update long
 
     def update(vid, x, y, t):
@@ -542,6 +587,7 @@ def test_level_read_lazily_outlives_other_updates_and_refills():
             update(first, 480.0, -60.0, 14.05)
             assert obs._pointer[obs._row[first]] == 1
             _assert_same_state(obs, ref, [first])
+    assert blocks[obs._row[other]] >= 3  # the first block and two refills at least
 
 
 def test_observe_all_empty_batch_and_ragged_input():

@@ -882,8 +882,9 @@ class World:
                 self.signal_violations.append(SignalViolation(self.time, vid, node))
             if route_pos == self.route_len.item(vid):
                 if not self._advance_route(vid, node):
-                    # crossed the terminal node at speed: park at the node
+                    # crossed the terminal node at speed: park at the node, which ends the distance driven
                     self._finish(vid, position=seg_len)
+                    self.odometer[vid] -= leftover
                     return
                 route_pos = self.route_pos.item(vid)  # the installed route's start
             # _advance_route and _draw read the current segment and route position from the columns

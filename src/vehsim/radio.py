@@ -94,8 +94,8 @@ class BaseStation:
     carrier_mhz: float = bounded("> 0", DEFAULT_CARRIER_MHZ)
 
     def __post_init__(self) -> None:
-        if any(c in self.id for c in ",\n\r"):  # the id is written unquoted into trace and events CSV rows
-            raise FieldError("BaseStation", "id", f"may not contain ',', '\\n' or '\\r', got {self.id!r}")
+        if any(c in self.id for c in ",\n\r\x00\x1c\x1d\x1e\x1f"):  # written unquoted into trace and events rows
+            raise FieldError("BaseStation", "id", f"may not contain ',', '\\n', '\\r', NUL or \\x1c-\\x1f: {self.id!r}")
 
 
 @checked

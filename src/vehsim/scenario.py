@@ -31,7 +31,6 @@ import logging
 import math
 import re
 import warnings
-from array import array
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, replace
 from itertools import chain, repeat
@@ -494,24 +493,25 @@ def dumps_config(config: ScenarioConfig) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def _finite(text: str) -> float:
-    value = float(text)
+def _number(text: str, parse: Callable[[str], float] = float) -> float:
+    """``text`` read as NumPy's C reader reads a number: as ``parse`` (float or int) reads it, less what only
+    ``parse`` takes (a ``_``, a non-ASCII digit, an int beyond 64 bits), and finite."""
+    if "_" in text or not text.strip().isascii():
+        raise ValueError(f"expected ASCII digits without '_', got {text!r}")
+    value = parse(text)
+    if parse is int and not -2 ** 63 <= value < 2 ** 63:
+        raise ValueError(f"expected a 64-bit integer, got {text!r}")
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {text!r}")
     return value
 
 
-def _check_fields(raw: str) -> None:
-    """Check a trace line field by field, in column order, raising the ``ValueError`` of its first fault."""
-    t, vid, x, y, v, acc, _, rssi = raw.rstrip("\n").split(",")
-    _finite(t), int(vid), _finite(x), _finite(y), _finite(v), _finite(acc), rssi and _finite(rssi)
-
-
-# Bytes on which NumPy's C reader and the general reader could disagree: the C
-# reader drops a \r that ends a line, which the general reader keeps in the last
-# cell; it reads a NUL in a one-character text cell as blank; and it strips
-# \x1c-\x1f around a number as whitespace, which float() and int() refuse.
+# Bytes the trace format refuses anywhere in a file.  No run writes them (a
+# station id may not hold one), and NumPy's C reader would read each of them
+# otherwise than as text: it drops a \r that ends a line, reads a NUL in a
+# one-character cell as blank and strips \x1c-\x1f around a number as whitespace.
 _UNSAFE_BYTES = (b"\r", b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_UNSAFE_CHAR = re.compile("[" + b"".join(_UNSAFE_BYTES).decode() + "]")
 _SCAN_CHUNK = 1 << 20
 _NUMBER_COLUMNS = (("t", "f8"), ("vehicle_id", "i8"), ("x", "f8"), ("y", "f8"), ("v", "f8"), ("acc", "f8"))
 
@@ -530,17 +530,18 @@ class _CellCodes(dict):
 
 def _scan_trace(path: str | Path) -> tuple[int, bool] | None:
     """Pre-scan a trace file as bytes: its number of rows and whether its first
-    row's rssi is blank, or None if it does not start with the header and a
-    non-blank row or holds a byte of ``_UNSAFE_BYTES``."""
+    row's rssi is blank, or None if it does not start with the header and then
+    a non-blank row or its end, or if it holds a byte of ``_UNSAFE_BYTES``."""
     header = TRACE_HEADER.encode() + b"\n"
     with open(path, "rb") as fh:
         chunk = fh.read(_SCAN_CHUNK)
-        if not chunk.startswith(header):
+        if chunk == header[:-1]:  # the header alone, with no line end
+            return 0, True
+        # a blank first row, which the C reader would skip (and warn of, if no row follows)
+        if not chunk.startswith(header) or chunk.startswith(b"\n", len(header)):
             return None
         end = chunk.find(b"\n", len(header))
-        first = chunk[len(header):end if end >= 0 else len(chunk)]
-        if not first:  # no rows, or a blank line, which the C reader would skip
-            return None
+        blank_rssi = chunk[len(header):end if end >= 0 else len(chunk)].endswith(b",")
         rows, last = -1, b""  # the header's newline ends no row
         while chunk:
             if any(byte in chunk for byte in _UNSAFE_BYTES):
@@ -548,97 +549,70 @@ def _scan_trace(path: str | Path) -> tuple[int, bool] | None:
             rows += chunk.count(b"\n")
             last = chunk[-1:]
             chunk = fh.read(_SCAN_CHUNK)
-    return rows + (last != b"\n"), first.endswith(b",")
+    return rows + (last != b"\n"), blank_rssi
 
 
-def _read_trace_table(path: str | Path) -> Trace | None:
-    """Read a trace in one streaming pass of NumPy's C text reader, or return
-    None unless the result provably equals the general reader's.
+def _first_fault(path: str | Path) -> ValueError:
+    """The error naming the first fault of a trace :func:`read_trace` refused, found by walking
+    its lines and building no columns: the header, then each row's bytes, field count and fields
+    in column order, its rssi last, which is blank in every row or in none."""
+    with open(path, newline="") as fh:
+        header = fh.readline().rstrip("\n")
+        if header != TRACE_HEADER:
+            return ValueError(f"line 1: unexpected trace header {header!r}")
+        rows = 0
+        try:
+            for raw in fh:
+                if unsafe := _UNSAFE_CHAR.search(raw):
+                    raise ValueError(f"holds {unsafe.group()!r}, which a trace may not")
+                t, vid, x, y, v, acc, _, rssi = raw.rstrip("\n").split(",")
+                _number(t), _number(vid, int), _number(x), _number(y), _number(v), _number(acc)
+                if rows and blank_rssi != (not rssi):
+                    raise ValueError(f"rssi {rssi!r} where the first row's is {'blank' if blank_rssi else 'a number'}")
+                blank_rssi = not rssi
+                rssi and _number(rssi)
+                rows += 1
+        except ValueError as exc:
+            return ValueError(f"line {rows + 2}: {exc}")  # each line before the failing one is a row
+    return ValueError("NumPy's text reader refused the trace at no line the format faults")
+
+
+def read_trace(path: str | Path) -> Trace:
+    """Load a trace.csv back as a :class:`Trace` in one streaming pass of NumPy's C
+    text reader, behind a byte pre-scan (:func:`_scan_trace`).
 
     Cell names are interned to codes by a converter, a bound ``dict`` lookup
     that calls no Python code for a name seen before.  The rssi column is read
     as numbers, or, when the first row leaves it blank, as one-character text
-    that must then be blank in every row.  Blank lines (which the C reader
-    skips) show as a row count short of the pre-scan's; any ``ValueError``, a
-    non-finite number or a non-blank rssi in a blank-rssi file sends the file
-    to the general reader, which accepts and refuses what it did before.
+    that must then be blank in every row.  A blank line, which the C reader
+    skips, shows as a row count short of the pre-scan's.  Any file refused here
+    raises the ``ValueError`` of :func:`_first_fault`, naming its first fault.
     """
     scan = _scan_trace(path)
-    if scan is None:
-        return None
-    rows, blank_rssi = scan
-    cells = _CellCodes()
-    dtype = [*_NUMBER_COLUMNS, ("cell", "i8"), ("rssi", "U1" if blank_rssi else "f8")]
-    try:
-        with open(path, newline="") as fh, warnings.catch_warnings():
-            # NumPy 1.x parses an integer such as "1.5" through a float, with only a
-            # DeprecationWarning, where int() refuses it
-            warnings.simplefilter("error", DeprecationWarning)
-            fh.readline()  # the header, which the pre-scan has checked
-            table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1, encoding=None,
-                               converters={6: cells.__getitem__})
-    except (ValueError, DeprecationWarning):
-        return None
-    numbers = ["t", "x", "y", "v", "acc"]
-    if blank_rssi:
-        if (table["rssi"] != "").any():
-            return None
-        rssi = np.full(len(table), math.nan)
-    else:
-        numbers.append("rssi")
-        rssi = table["rssi"]
-    if len(table) != rows or not all(np.isfinite(table[name]).all() for name in numbers):
-        return None
-    names = np.array([name or None for name in cells], object)
-    return Trace(table["t"], table["vehicle_id"], table["x"], table["y"], table["v"], table["acc"], rssi,
-                 names[table["cell"]])
-
-
-def _read_trace_lines(path: str | Path) -> Trace:
-    """The general reader: each line's numbers are parsed at once and checked
-    to be finite by one sum; only a line that fails is checked again field by
-    field (:func:`_check_fields`), to name its first fault."""
-    values = array("d")  # t, x, y, v, acc, rssi of each row in turn
-    keys = array("q")  # vehicle id and cell code of each row in turn
-    cells = _CellCodes()
-    with open(path, newline="") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != TRACE_HEADER:
-            raise ValueError(f"line 1: unexpected trace header {header!r}")
+    if scan is not None:
+        rows, blank_rssi = scan
+        if not rows:  # the header alone, as a run without vehicles writes it
+            return Trace(*[()] * 8)
+        cells = _CellCodes()
+        dtype = [*_NUMBER_COLUMNS, ("cell", "i8"), ("rssi", "U1" if blank_rssi else "f8")]
         try:
-            for raw in fh:
-                t, vid, x, y, v, acc, cell, rssi = raw.rstrip("\n").split(",")
-                try:
-                    t, vid, x, y, v, acc = float(t), int(vid), float(x), float(y), float(v), float(acc)
-                    level = float(rssi) if rssi else 0.0
-                    # n - n is 0.0 for a finite n and nan for inf or nan, so the sum is 0.0 only if all are finite
-                    if (t - t) + (x - x) + (y - y) + (v - v) + (acc - acc) + (level - level):
-                        raise ValueError("a number is not finite")
-                except ValueError:
-                    _check_fields(raw)  # raises: a line that fails the parse has a fault
-                    raise
-                keys.fromlist([vid, cells[cell]])
-                values.fromlist([t, x, y, v, acc, level if rssi else math.nan])
-        except (ValueError, OverflowError) as exc:  # OverflowError: a vehicle id beyond 64 bits
-            # each line before the failing one added one row, the failing one none
-            raise ValueError(f"line {len(keys) // 2 + 2}: {exc}") from None
-    t, x, y, v, acc, rssi = np.frombuffer(values).reshape(-1, 6).T.copy()
-    vehicle_id, cell = np.frombuffer(keys, np.int64).reshape(-1, 2).T.copy()
-    names = np.array([name or None for name in cells], object)
-    return Trace(t, vehicle_id, x, y, v, acc, rssi, names[cell])
-
-
-def read_trace(path: str | Path) -> Trace:
-    """Load a trace.csv back as a :class:`Trace`; a malformed file (header,
-    field count, a value, a non-finite number) raises ``ValueError`` naming
-    the line of its first fault.
-
-    A file as runs write it is read by NumPy's C reader
-    (:func:`_read_trace_table`); every other file, and so every malformed
-    one, by the general reader (:func:`_read_trace_lines`).
-    """
-    trace = _read_trace_table(path)
-    return trace if trace is not None else _read_trace_lines(path)
+            with open(path, newline="") as fh, warnings.catch_warnings():
+                # NumPy 1.x reads an integer such as "1.5" through a float, with only this warning
+                warnings.simplefilter("error", DeprecationWarning)
+                fh.readline()  # the header, which the pre-scan has checked
+                table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1, encoding=None,
+                                   converters={6: cells.__getitem__})
+        except (ValueError, DeprecationWarning):
+            pass
+        else:
+            numbers = ("t", "x", "y", "v", "acc") if blank_rssi else ("t", "x", "y", "v", "acc", "rssi")
+            if (len(table) == rows and all(np.isfinite(table[name]).all() for name in numbers)
+                    and not (blank_rssi and (table["rssi"] != "").any())):
+                rssi = np.full(rows, math.nan) if blank_rssi else table["rssi"]
+                names = np.array([name or None for name in cells], object)
+                return Trace(table["t"], table["vehicle_id"], table["x"], table["y"], table["v"], table["acc"],
+                             rssi, names[table["cell"]])
+    raise _first_fault(path)
 
 
 # -- execution -----------------------------------------------------------------

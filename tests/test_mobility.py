@@ -645,6 +645,26 @@ def test_trip_records_arrivals_and_odometer():
     assert veh.v == 0.0 and veh.acc == 0.0
 
 
+def test_odometer_ends_at_a_terminal_node_crossed_at_speed():
+    # the route-ends scenario: Trips 0 and 1 cross their last node at speed and park on
+    # it, so each has driven the segments it entered, less its spawn offset, and no more
+    world = World(parse_osm(grid_osm_xml(4, 200.0)), seed=4)
+    world.spawn(way=100, offset=20.0, speed=5.0, strategic=Trip((1102, 1202, 1202)))
+    world.spawn(way=201, segment=1, offset=60.0, speed=8.0, strategic=Trip((1303, 1303)))
+    world.spawn(way=200, offset=50.0, speed=6.0)
+    driven = {vid: [world.vehicles[vid].ref] for vid in (0, 1)}
+    while not all(v.done for v in world.vehicles.values()):
+        world.step(0.1)
+        for vid, refs in driven.items():
+            if world.vehicles[vid].ref != refs[-1]:
+                refs.append(world.vehicles[vid].ref)
+        assert world.time < 200.0
+    for vid, offset in ((0, 20.0), (1, 60.0)):
+        veh = world.vehicles[vid]
+        assert veh.s == veh.ref.length and len(driven[vid]) > 2
+        assert veh.odometer == pytest.approx(sum(ref.length for ref in driven[vid]) - offset, rel=1e-9, abs=0.0)
+
+
 def test_free_vehicle_converges_to_effective_desired_speed():
     world = World(corridor_graph(3000.0))
     veh = world.spawn(way=1, offset=0.0, speed=0.0, speed_factor=1.1, strategic=RandomDirection())

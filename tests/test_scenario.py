@@ -398,6 +398,19 @@ def test_a_records_own_rule_is_loaded_as_its_error_at_the_key_and_line(text, bui
     assert (loaded.value.key, loaded.value.line) == (key, line)
 
 
+@pytest.mark.parametrize("char", ["\x00", "\x1c", "\x1d", "\x1e", "\x1f"])
+def test_a_station_id_may_not_hold_a_byte_the_trace_refuses(char):
+    with pytest.raises(FieldError, match="id may not contain") as built:
+        BaseStation(f"a{char}b", 1.0, 1.0)
+    with pytest.raises(ConfigError) as loaded:
+        load_config(MINIMAL + f"station.0.x = 1\nstation.0.id = a{char}b\nstation.0.y = 1\n")
+    if char in "\x1c\x1d\x1e":  # these end a line for str.splitlines, so "b" is a line of its own
+        assert str(loaded.value) == "line 5: expected key = value, got 'b'"
+    else:
+        assert str(loaded.value) == f"station.0.id (line 4): {built.value.reason}"
+        assert (loaded.value.key, loaded.value.line) == ("station.0.id", 4)
+
+
 def _readme_bounds():
     """Key -> bound (None where blank) of every row of the README's configuration tables."""
     section = (Path(__file__).parents[1] / "README.md").read_text().split("## Configuration reference")[1]
@@ -813,11 +826,16 @@ def test_malformed_trace_is_a_located_input_error(corridor_map, tmp_path, capsys
 
 
 def _reference_read_trace(path):
-    """The per-sample reader that :class:`Trace` replaced, kept as its oracle:
-    one (t, vehicle_id, x, y, v, acc, serving_cell, rssi) tuple per line, blanks None."""
-    def finite(text):
-        value = float(text)
-        if not math.isfinite(value):
+    """The per-sample reader that :class:`Trace` replaced, kept as its oracle
+    and narrowed to the format NumPy's C reader reads: one (t, vehicle_id, x,
+    y, v, acc, serving_cell, rssi) tuple per line, blanks None."""
+    def number(text, parse=float):
+        if "_" in text or any(ord(c) > 127 for c in text.strip()):
+            raise ValueError(f"expected ASCII digits without '_', got {text!r}")
+        value = parse(text)
+        if parse is int and not -(2 ** 63) <= value <= 2 ** 63 - 1:
+            raise ValueError(f"expected a 64-bit integer, got {text!r}")
+        if parse is float and value - value != 0.0:  # inf - inf and nan - nan are nan
             raise ValueError(f"expected a finite number, got {text!r}")
         return value
 
@@ -828,9 +846,15 @@ def _reference_read_trace(path):
             raise ValueError(f"line 1: unexpected trace header {header!r}")
         try:
             for raw in fh:
+                for c in raw:
+                    if c in "\r\x00\x1c\x1d\x1e\x1f":
+                        raise ValueError(f"holds {c!r}, which a trace may not")
                 t, vid, x, y, v, acc, cell, rssi = raw.rstrip("\n").split(",")
-                rows.append((finite(t), int(vid), finite(x), finite(y), finite(v), finite(acc),
-                             cell or None, finite(rssi) if rssi else None))
+                row = (number(t), number(vid, int), number(x), number(y), number(v), number(acc), cell or None)
+                if rows and (rows[0][-1] is None) != (rssi == ""):
+                    first = "blank" if rows[0][-1] is None else "a number"
+                    raise ValueError(f"rssi {rssi!r} where the first row's is {first}")
+                rows.append(row + (number(rssi) if rssi else None,))
         except ValueError as exc:
             raise ValueError(f"line {len(rows) + 2}: {exc}") from None
     return rows
@@ -843,26 +867,26 @@ def _outcome(read, path):
         return str(exc)
 
 
-# values that both readers accept
-_GOOD_NUMBERS = ("0", "-0", "1.5", "-3.250", "1e308", "-1e308", "2.5e-300", " 7", "+4.", "2 ")
-_GOOD_IDS = ("0", "7", "-3", "0012", "+5", " 7")
+# values that the format accepts
+_GOOD_NUMBERS = ("0", "-0", "1.5", "-3.250", "1e308", "-1e308", "2.5e-300", " 7", "+4.", "2 ", "\xa07", "7\x85")
+_GOOD_IDS = ("0", "7", "-3", "0012", "+5", " 7", "\xa07", str(-2 ** 63), str(2 ** 63 - 1))
 _GOOD_CELLS = ("", "eNB1", "cell 2", "é", " eNB1 ", "a#b", '"q"', "#")
 _GOOD_RSSI = ("-70.25", "-112.91", " -3")
-# and values that one of them refuses, or that a C text reader could read differently
-_NUMBERS = _GOOD_NUMBERS + ("1_0", "nan", "NaN", "inf", "-inf", "Infinity", "1e999", "x", "", "0x10", "1.5.2",
-                            "\x1c7", "7\x1f", "\xa07")
-_IDS = _GOOD_IDS + ("1.5", "x", "", "1e3", "7\x1c", "1_0")
-_CELLS = _GOOD_CELLS + ('"a,b"', "\x00")
+# and values that it refuses, some of which float() or int() alone would read
+_NUMBERS = _GOOD_NUMBERS + ("1_0", "١٢", "nan", "NaN", "inf", "-inf", "Infinity", "1e999", "x", "", "0x10", "1.5.2",
+                            "\x1c7", "7\x1f")
+_IDS = _GOOD_IDS + ("1.5", "x", "", "1e3", "7\x1c", "1_0", "١٢", str(2 ** 63), str(-2 ** 63 - 1))
+_CELLS = _GOOD_CELLS + ('"a,b"', "\x00", "a\x1cb")
 _RSSI = ("", *_GOOD_RSSI, "nan", "inf", "dbm", "\x00", " ", "-70#")
 
 
 @st.composite
 def _trace_texts(draw):
-    # half the files hold only values that both readers accept, under a blank,
-    # a numeric or a mixed rssi column, so that well-formed files are common
+    # half the files hold only values that the format accepts, under a blank or
+    # a numeric rssi column, so that well-formed files are common
     good = draw(st.booleans())
     numbers, ids, cells = (_GOOD_NUMBERS, _GOOD_IDS, _GOOD_CELLS) if good else (_NUMBERS, _IDS, _CELLS)
-    rssi = draw(st.sampled_from((("",), _GOOD_RSSI, ("", *_GOOD_RSSI)))) if good else _RSSI
+    rssi = draw(st.sampled_from((("",), _GOOD_RSSI))) if good else _RSSI
     lines = []
     for _ in range(draw(st.integers(0, 6))):
         fields = [draw(st.sampled_from(numbers)), draw(st.sampled_from(ids))]
@@ -893,7 +917,7 @@ def test_read_trace_matches_the_per_sample_reference(tmp_path_factory, text):
 
 def test_read_trace_columns(tmp_path):
     trace = tmp_path / "trace.csv"
-    trace.write_text(f"{TRACE_HEADER}\n0.5,3,1.000,-2.000,3.500,-0.250,eNB1,-71.25\n1,-4,0,0,0,0,,\n"
+    trace.write_text(f"{TRACE_HEADER}\n0.5,3,1.000,-2.000,3.500,-0.250,eNB1,-71.25\n1,-4,0,0,0,0,eNB2,-90\n"
                      f"1.5,3,1,2,3,4,eNB1,-80\n")
     columns = read_trace(trace)
     assert len(columns) == 3
@@ -901,9 +925,17 @@ def test_read_trace_columns(tmp_path):
     assert columns.x.tolist() == [1.0, 0.0, 1.0] and columns.y.tolist() == [-2.0, 0.0, 2.0]
     assert columns.v.tolist() == [3.5, 0.0, 3.0] and columns.acc.tolist() == [-0.25, 0.0, 4.0]
     assert columns.vehicle_id.dtype == np.int64 and columns.t.dtype == columns.rssi.dtype == np.float64
-    assert columns.rssi[0] == -71.25 and np.isnan(columns.rssi[1]) and columns.rssi[2] == -80.0
-    assert columns.serving_cell.tolist() == ["eNB1", None, "eNB1"]
+    assert columns.rssi.tolist() == [-71.25, -90.0, -80.0]
+    assert columns.serving_cell.tolist() == ["eNB1", "eNB2", "eNB1"]
     assert columns.serving_cell[0] is columns.serving_cell[2]  # one string object per distinct cell
+    # a blank rssi and serving cell, as a run without stations writes them in every row
+    trace.write_text(f"{TRACE_HEADER}\n1,-4,0,0,0,0,,\n")
+    columns = read_trace(trace)
+    assert np.isnan(columns.rssi).all() and columns.serving_cell.tolist() == [None]
+    # an rssi blank in some rows only is refused at the first row that differs from the first
+    trace.write_text(f"{TRACE_HEADER}\n0.5,3,1,2,3,4,eNB1,-71.25\n1,-4,0,0,0,0,,\n")
+    with pytest.raises(ValueError, match=r"^line 3: rssi '' where the first row's is a number$"):
+        read_trace(trace)
 
 
 def test_read_trace_accepts_finite_numbers_whose_sum_overflows(tmp_path):
@@ -922,7 +954,7 @@ def _rows(trace):
 
 _BLANK_ROW = "0,1,2,3,4,5,,"
 _VALUE_ROW = "0.1,2,3,4,5,6,a,-70.5"
-# name -> (text, whether NumPy's C reader reads it); each reads as the reference reads it
+# name -> (text, whether the format accepts it); each reads as the reference reads it
 _EDGE_TRACES = {
     "blank-rssi": (f"{TRACE_HEADER}\n{_BLANK_ROW}\n{_BLANK_ROW}\n", True),
     "numeric-rssi": (f"{TRACE_HEADER}\n{_VALUE_ROW}\n{_VALUE_ROW}\n", True),
@@ -930,17 +962,26 @@ _EDGE_TRACES = {
     "cells-with-spaces-hash-and-quotes": (f'{TRACE_HEADER}\n0,1,2,3,4,5, a ,-1\n0,2,2,3,4,5,#,-2\n0,3,2,3,4,5,"q",-3\n',
                                           True),
     "signed-and-spaced-ids": (f"{TRACE_HEADER}\n0,+5,2,3,4,5,,\n0, 7,2,3,4,5,,\n", True),
-    # a later non-blank rssi is kept, not dropped
+    "non-ascii-space-around-numbers": (f"{TRACE_HEADER}\n\xa00,7\x85,2,3,4,5,,\n", True),
+    "ids-at-the-int64-bounds": (f"{TRACE_HEADER}\n0,{-2 ** 63},2,3,4,5,,\n0,{2 ** 63 - 1},2,3,4,5,,\n", True),
+    # what a run without vehicles writes
+    "header-only": (f"{TRACE_HEADER}\n", True),
+    "header-without-line-end": (TRACE_HEADER, True),
+    # an rssi blank in some rows only, refused at the first row that differs from the first
     "blank-then-value-rssi": (f"{TRACE_HEADER}\n{_BLANK_ROW}\n{_VALUE_ROW}\n", False),
     "value-then-blank-rssi": (f"{TRACE_HEADER}\n{_VALUE_ROW}\n{_BLANK_ROW}\n", False),
-    "header-only": (f"{TRACE_HEADER}\n", False),
     "header-then-blank-line": (f"{TRACE_HEADER}\n\n", False),
     "blank-line-between-rows": (f"{TRACE_HEADER}\n{_VALUE_ROW}\n\n{_VALUE_ROW}\n", False),
     "lone-cr-endings": (f"{TRACE_HEADER}\n{_VALUE_ROW}\r{_VALUE_ROW}\r", False),
-    # after a blank first rssi, a NUL or a \r (of \r\n) in the rssi cell would read as blank
+    # after a blank first rssi, NumPy's C reader would read a NUL or the \r of a \r\n in the rssi cell as blank
     "nul-rssi": (f"{TRACE_HEADER}\n{_BLANK_ROW}\n{_BLANK_ROW}\x00\n", False),
     "crlf-after-blank-rssi": (f"{TRACE_HEADER}\n{_BLANK_ROW}\n{_BLANK_ROW}\r\n", False),
     "separator-around-a-number": (f"{TRACE_HEADER}\n0,\x1c7,2,3,4,5,,\n", False),
+    "separator-in-a-cell": (f"{TRACE_HEADER}\n0,7,2,3,4,5,a\x1fb,-1\n", False),
+    # float() and int() read these, NumPy's C reader does not
+    "underscore-in-a-number": (f"{TRACE_HEADER}\n0,1,2_0,3,4,5,,\n", False),
+    "non-ascii-digits": (f"{TRACE_HEADER}\n0,١٢,2,3,4,5,,\n", False),
+    "id-beyond-int64": (f"{TRACE_HEADER}\n0,{-2 ** 63 - 1},2,3,4,5,,\n", False),
     "float-id": (f"{TRACE_HEADER}\n0,1.5,2,3,4,5,,\n", False),
     "id-as-exponent": (f"{TRACE_HEADER}\n0,1e3,2,3,4,5,,\n", False),
     "non-finite-rssi": (f"{TRACE_HEADER}\n0,1,2,3,4,5,a,inf\n", False),
@@ -949,47 +990,54 @@ _EDGE_TRACES = {
 
 @pytest.mark.parametrize("name", sorted(_EDGE_TRACES))
 def test_edge_traces_read_as_the_reference_reads_them(tmp_path, name):
-    text, c_reader = _EDGE_TRACES[name]
+    text, accepted = _EDGE_TRACES[name]
     path = tmp_path / "trace.csv"
     path.write_bytes(text.encode())
-    assert (scenario._read_trace_table(path) is not None) == c_reader
     got, want = _outcome(read_trace, path), _outcome(_reference_read_trace, path)
     assert (got if isinstance(got, str) else _rows(got)) == want
+    assert isinstance(got, scenario.Trace) == accepted
+    assert accepted or re.match(r"line \d+: ", got), got
 
 
-def test_a_numpy_1x_deprecation_warning_sends_the_trace_to_the_general_reader(tmp_path, monkeypatch):
+def test_a_numpy_1x_deprecation_warning_is_a_located_fault(tmp_path, monkeypatch):
     # NumPy 1.x parses an integer cell such as "1.5" through a float and only warns; the
-    # C reader's table is then dropped, and the general reader refuses the id with its line
+    # C reader's table is then dropped, and the line that holds the id is named
     path = tmp_path / "trace.csv"
     path.write_text(f"{TRACE_HEADER}\n{_BLANK_ROW}\n0,1.5,2,3,4,5,,\n")
-    loadtxt = np.loadtxt
+    loadtxt, calls = np.loadtxt, []
 
     def numpy_1x_loadtxt(*args, **kwargs):
+        calls.append(1)
         warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning, stacklevel=2)
         return loadtxt(*args, **kwargs)
 
     monkeypatch.setattr(scenario.np, "loadtxt", numpy_1x_loadtxt)
-    assert scenario._read_trace_table(path) is None
     with pytest.raises(ValueError, match=r"^line 3: invalid literal for int\(\) with base 10: '1\.5'$"):
         read_trace(path)
+    assert calls == [1]
 
 
-def test_run_traces_are_read_without_the_general_reader(handover_run, grid_map, tmp_path, monkeypatch):
+def test_run_traces_read_as_the_reference_reads_them(handover_run, grid_map, tmp_path):
     # one run with stations, one without (blank serving cell and rssi columns)
     config = load_config(f"map = {grid_map}\nduration = 20\nsampling = 0.1\nseed = 3\ninterference.count = 6\n")
     blank = run(config, tmp_path / "blank")
-
-    def general_reader(path):
-        raise AssertionError(f"{path} was read by the general reader")
-
-    monkeypatch.setattr(scenario, "_read_trace_lines", general_reader)
     for artifacts in (handover_run[0], blank):
         trace = read_trace(artifacts.trace_path)
         assert len(trace) > 90 and _rows(trace) == _reference_read_trace(artifacts.trace_path)
     assert np.isnan(trace.rssi).all() and all(cell is None for cell in trace.serving_cell)
 
 
-def test_read_trace_peak_memory_is_no_higher_than_the_general_readers(tmp_path):
+def test_a_run_without_vehicles_reads_back_as_an_empty_trace(grid_map, tmp_path, capsys):
+    artifacts = run(load_config(f"map = {grid_map}\nduration = 5\n"), tmp_path / "out")
+    assert artifacts.trace_path.read_text() == TRACE_HEADER + "\n"
+    trace = read_trace(artifacts.trace_path)
+    assert len(trace) == 0 and trace.vehicle_id.dtype == np.int64 and trace.t.dtype == np.float64
+    assert cli_main(["map-svg", str(grid_map), "--trace", str(artifacts.trace_path),
+                     "--out", str(tmp_path / "map.svg")]) == 0
+    assert "wrote" in capsys.readouterr().out and "#cc2222" not in (tmp_path / "map.svg").read_text()  # no vehicle
+
+
+def test_read_trace_peak_memory_is_at_most_twice_its_columns(tmp_path):
     rng = np.random.default_rng(5)
     n = 20_000
     x, y = rng.uniform(-2000.0, 2000.0, (2, n))
@@ -998,18 +1046,15 @@ def test_read_trace_peak_memory_is_no_higher_than_the_general_readers(tmp_path):
     path.write_text(TRACE_HEADER + "\n" + "".join(
         f"{i // 40 / 10:g},{i % 40},{x[i]:.3f},{y[i]:.3f},{v[i]:.3f},0.000,site{i % 3},{rssi[i]:.2f}\n"
         for i in range(n)))
-    assert scenario._read_trace_table(path) is not None
-
-    def peak(read):
-        read(path)  # once first, so that lazy imports and caches are not counted
-        tracemalloc.start()
-        try:
-            read(path)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    assert peak(read_trace) <= peak(scenario._read_trace_lines)
+    read_trace(path)  # once first, so that lazy imports and caches are not counted
+    tracemalloc.start()
+    try:
+        trace = read_trace(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = sum(getattr(trace, name).nbytes for name in scenario.Trace.__slots__)
+    assert len(trace) == n and peak <= 2 * columns
 
 
 def test_map_and_trace_io_leave_no_garbage_cycles(corridor_map, handover_run):

@@ -382,7 +382,8 @@ def load_config(text: str, *, base_dir: str | Path | None = None) -> ScenarioCon
     indexed: dict[str, dict[int, _Block]] = {"vehicle": {}, "station": {}, "signal": {}}
     key_lines: dict[str, int] = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # lines end where they do in a file read as text (str.splitlines also ends one at \x0b, \x0c, \x1c, ...)
+    for lineno, raw in enumerate(re.split("\r\n|\r|\n", text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -560,9 +561,8 @@ def _first_fault(path: str | Path) -> ValueError:
         header = fh.readline().rstrip("\n")
         if header != TRACE_HEADER:
             return ValueError(f"line 1: unexpected trace header {header!r}")
-        rows = 0
         try:
-            for raw in fh:
+            for rows, raw in enumerate(fh):
                 if unsafe := _UNSAFE_CHAR.search(raw):
                     raise ValueError(f"holds {unsafe.group()!r}, which a trace may not")
                 t, vid, x, y, v, acc, _, rssi = raw.rstrip("\n").split(",")
@@ -571,7 +571,6 @@ def _first_fault(path: str | Path) -> ValueError:
                     raise ValueError(f"rssi {rssi!r} where the first row's is {'blank' if blank_rssi else 'a number'}")
                 blank_rssi = not rssi
                 rssi and _number(rssi)
-                rows += 1
         except ValueError as exc:
             return ValueError(f"line {rows + 2}: {exc}")  # each line before the failing one is a row
     return ValueError("NumPy's text reader refused the trace at no line the format faults")

@@ -117,6 +117,12 @@ def test_unknown_keys_name_key_and_line():
         load_config(MINIMAL + "vehicle.0.warp = 9\n")
     with pytest.raises(ConfigError, match="radio.bogus"):
         load_config(MINIMAL + "radio.bogus = 1\n")
+    # a line ends at \n, \r\n or a lone \r, as in a file read as text, and nowhere else
+    for text in ("map = net.osm\r\nduration = 10\r\nbogus = 1\r\n", "map = net.osm\rduration = 10\rbogus = 1\r",
+                 "map = net.osm # a\x0bb\x0cc\x1cd\x85e\u2028f\u2029g\nduration = 10\nbogus = 1\n"):
+        with pytest.raises(ConfigError, match="unknown key") as err:
+            load_config(text)
+        assert (err.value.key, err.value.line) == ("bogus", 3), text
 
 
 def test_required_scalars():
@@ -386,8 +392,12 @@ def test_code_built_specs_accept_every_strategic_model():
          "interference.strategicModel", 4),
         ("station.0.x = 1\nstation.0.id = a,b\nstation.0.y = 1\n", lambda: BaseStation("a,b", 1.0, 1.0),
          "station.0.id", 4),
+        # the bytes a trace refuses, which no station id may hold either
+        *[(f"station.0.x = 1\nstation.0.id = a{c}b\nstation.0.y = 1\n", lambda c=c: BaseStation(f"a{c}b", 1.0, 1.0),
+           "station.0.id", 4) for c in "\x00\x1c\x1d\x1e\x1f"],
     ],
-    ids=["unknown-model", "trip-without-model", "trip-model-without-trip", "interference-trip", "station-id"],
+    ids=["unknown-model", "trip-without-model", "trip-model-without-trip", "interference-trip", "station-id",
+         *(f"station-id-{ord(c):#04x}" for c in "\x00\x1c\x1d\x1e\x1f")],
 )
 def test_a_records_own_rule_is_loaded_as_its_error_at_the_key_and_line(text, build, key, line):
     with pytest.raises(FieldError) as built:
@@ -396,19 +406,6 @@ def test_a_records_own_rule_is_loaded_as_its_error_at_the_key_and_line(text, bui
         load_config(MINIMAL + text)
     assert str(loaded.value) == f"{key} (line {line}): {built.value.reason}"
     assert (loaded.value.key, loaded.value.line) == (key, line)
-
-
-@pytest.mark.parametrize("char", ["\x00", "\x1c", "\x1d", "\x1e", "\x1f"])
-def test_a_station_id_may_not_hold_a_byte_the_trace_refuses(char):
-    with pytest.raises(FieldError, match="id may not contain") as built:
-        BaseStation(f"a{char}b", 1.0, 1.0)
-    with pytest.raises(ConfigError) as loaded:
-        load_config(MINIMAL + f"station.0.x = 1\nstation.0.id = a{char}b\nstation.0.y = 1\n")
-    if char in "\x1c\x1d\x1e":  # these end a line for str.splitlines, so "b" is a line of its own
-        assert str(loaded.value) == "line 5: expected key = value, got 'b'"
-    else:
-        assert str(loaded.value) == f"station.0.id (line 4): {built.value.reason}"
-        assert (loaded.value.key, loaded.value.line) == ("station.0.id", 4)
 
 
 def _readme_bounds():

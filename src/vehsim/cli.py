@@ -111,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "map-svg":
             return _cmd_map_svg(args)
         return _cmd_spacetime(args)
-    except (ConfigError, MapError, PlacementError, FileNotFoundError, _TraceError) as exc:
+    except (ConfigError, MapError, PlacementError, OSError, _TraceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SimulationError, KernelError, ExportError) as exc:

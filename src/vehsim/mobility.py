@@ -153,7 +153,7 @@ class _Column:
 
     Column reads return a Python ``float``, ``int`` or ``bool``, never a NumPy
     scalar, whose ``repr`` differs between NumPy versions.  A column write drops
-    the world's lane table and placement index; record fields are read-only.
+    the world's lane table; record fields are read-only.
     """
 
     __slots__ = ("name", "index")
@@ -172,7 +172,7 @@ class _Column:
             raise AttributeError("a driver record is set once, by World.spawn")
         world = vehicle.world
         getattr(world, self.name)[vehicle.id] = value
-        world._table = world._occupancy = None
+        world._table = None
 
 
 # a vehicle's driver record, ``World._drivers[id]``: IdmParams, MobilParams, float, Strategic, np.random.Generator
@@ -249,8 +249,6 @@ class Neighbor:
     length: float = VEHICLE_LENGTH
     idm: IdmParams | None = None  # required for followers
     v0_eff: float | None = None
-    vehicle_id: int | None = None
-    kind: str = "vehicle"  # "vehicle" | "signal" | "stop"
 
 
 @dataclass(slots=True)
@@ -542,7 +540,6 @@ class World:
         self.collisions: list[CollisionRecord] = []
         self.signal_violations: list[SignalViolation] = []
         self._table: _LaneTable | None = None  # lane table of the current state
-        self._occupancy: dict | None = None  # (ref index, lane) -> vehicle ids, for placement checks
         x, y, start, end = graph.x, graph.y, graph.start, graph.end
         # (x0, dx, y0, dy) of every segment, from its start node to its end node
         self._geometry = x[start], x[end] - x[start], y[start], y[end] - y[start]
@@ -646,20 +643,7 @@ class World:
         self.n += 1
         self._install(vid, route)
         self._table = None
-        if self._occupancy is not None:
-            self._occupancy.setdefault((ref.index, lane), []).append(vid)
         return Vehicle(self, vid)
-
-    def lane_is_clear(self, ref: SegmentRef, lane: int, s: float, margin: float) -> bool:
-        """True when no vehicle occupies (ref, lane) within ``margin`` meters of s.
-
-        Reads a (ref index, lane) index that ``spawn`` extends and ``step`` drops.
-        """
-        if self._occupancy is None:
-            self._occupancy = {}
-            for vid, key in enumerate(zip(self.seg[:self.n].tolist(), self.lane[:self.n].tolist())):
-                self._occupancy.setdefault(key, []).append(vid)
-        return not any(abs(self.s.item(vid) - s) < margin for vid in self._occupancy.get((ref.index, lane), ()))
 
     # -- perception -----------------------------------------------------------
 
@@ -707,24 +691,6 @@ class World:
         return x0[seg] + frac * dx[seg], y0[seg] + frac * dy[seg]
 
     # -- strategic layer ------------------------------------------------------
-
-    def strategic_next(self, vehicle: Vehicle, arrived_at: int) -> int | None:
-        """Next destination node after arriving at ``arrived_at``; None when done.
-
-        A RandomDirection vehicle arrives at the end node of its segment; another ``arrived_at`` is a
-        ``ValueError``.
-        """
-        vid, sm = vehicle.id, vehicle.strategic
-        if sm is None:
-            return None
-        if isinstance(sm, Trip):
-            sm.cursor += 1
-            self._set_stop(vid)  # the cursor decides the final leg
-            return sm.destinations[sm.cursor] if sm.cursor < len(sm.destinations) else None
-        graph = self.graph
-        if graph.nodes.get(arrived_at) != graph.end.item(self.seg.item(vid)):
-            raise ValueError(f"vehicle {vid} arrives at the end of its segment, not at node {arrived_at}")
-        return graph.ids[graph.end.item(self._draw(vid))]
 
     def _draw(self, vid: int) -> int:
         """The outgoing segment (``SegmentRef.index``) a RandomDirection vehicle drives on from its segment's end."""
@@ -848,18 +814,21 @@ class World:
         A RandomDirection vehicle's route becomes the segment it draws; a
         trip's, the shortest path to its next destination other than
         ``node``.  Returns True when a route was installed, False when the
-        vehicle is done (no further destination).
+        vehicle is done (no further destination), with a trip's cursor at
+        ``len(destinations)``.
         """
-        if isinstance(self._drivers[vid].strategic, RandomDirection):
+        sm = self._drivers[vid].strategic
+        if isinstance(sm, RandomDirection):
             self._install(vid, [self._draw(vid)])
             return True
-        nxt = self.strategic_next(Vehicle(self, vid), node)
-        while nxt is not None:
-            refs = routing.shortest_path(self.graph, node, nxt).refs
-            if refs:
-                self._install(vid, [ref.index for ref in refs])
-                return True
-            nxt = self.strategic_next(Vehicle(self, vid), node)  # destination coincides with node
+        while isinstance(sm, Trip) and sm.cursor < len(sm.destinations):
+            sm.cursor += 1
+            self._set_stop(vid)  # the cursor decides the final leg
+            if sm.cursor < len(sm.destinations):  # else the trip is done
+                refs = routing.shortest_path(self.graph, node, sm.destinations[sm.cursor]).refs
+                if refs:  # else the destination coincides with node
+                    self._install(vid, [ref.index for ref in refs])
+                    return True
         return False
 
     def _finish(self, vid: int, position: float | None = None) -> None:
@@ -912,7 +881,7 @@ class World:
             raise ValueError(f"dt must be finite and > 0, got {dt!r}")
         n = self.n
         table = self._lane_table()
-        self._table = self._occupancy = None  # decisions change lanes; moves change positions
+        self._table = None  # decisions change lanes; moves change positions
         s, v, lane, done, parked, length = (column[:n] for column in (
             self.s, self.v, self.lane, self.done, self.parked, self.length))
         idm = self.idm[:n].T
@@ -1043,22 +1012,14 @@ class World:
         The larger passing surplus wins and an exact tie keeps right.  Changes
         are made in the ``lane`` column and recorded in ascending id order.
         """
-        if not ok.any():
-            return
-        n, k = len(cand), len(sides)
-        row = (np.arange(k) >= n_left).astype(np.int64)  # 0: left, 1: right
-        passes = np.zeros((2, n), dtype=bool)
-        gain = np.full((2, n), -math.inf)
-        side = np.zeros((2, n), dtype=np.int64)
-        passes[row, sides] = ok
-        gain[row, sides] = surplus
-        side[row, sides] = np.arange(k)
-        go_right = passes[1] & (~passes[0] | (gain[1] >= gain[0]))
-        go_left = passes[0] & ~go_right
+        chosen = {}  # candidate index -> the side it changes to
+        for t in ok.nonzero()[0].tolist():  # left sides first: a right side takes over on a tie
+            r = sides.item(t)
+            if r not in chosen or surplus.item(t) >= surplus.item(chosen[r]):
+                chosen[r] = t
         lane, time = self.lane, self.time
-        for r in (go_left | go_right).nonzero()[0].tolist():
-            direction = 1 if go_left[r] else -1
-            t = side[0 if direction == 1 else 1, r]
+        for r, t in sorted(chosen.items()):
+            direction = 1 if t < n_left else -1
             fid = int(follower[t])
             vid = int(cand[r])
             from_lane = lane.item(vid)

@@ -27,6 +27,7 @@ still leaves the partial artifacts on disk before the error is re-raised.
 from __future__ import annotations
 
 import json
+import locale
 import logging
 import math
 import re
@@ -556,13 +557,17 @@ def _scan_trace(path: str | Path) -> tuple[int, bool] | None:
 def _first_fault(path: str | Path) -> ValueError:
     """The error naming the first fault of a trace :func:`read_trace` refused, found by walking
     its lines and building no columns: the header, then each row's bytes, field count and fields
-    in column order, its rssi last, which is blank in every row or in none."""
-    with open(path, newline="") as fh:
-        header = fh.readline().rstrip("\n")
+    in column order, its rssi last, which is blank in every row or in none.  Each line is decoded on
+    its own, with the encoding :func:`open` reads a text file with, so an undecodable byte is named
+    at its own line, not at the line a text layer decoding ahead has reached."""
+    encoding = locale.getpreferredencoding(False)
+    with open(path, "rb") as fh:
+        header = fh.readline().decode(encoding, "replace").rstrip("\n")
         if header != TRACE_HEADER:
             return ValueError(f"line 1: unexpected trace header {header!r}")
         try:
             for rows, raw in enumerate(fh):
+                raw = raw.decode(encoding)
                 if unsafe := _UNSAFE_CHAR.search(raw):
                     raise ValueError(f"holds {unsafe.group()!r}, which a trace may not")
                 t, vid, x, y, v, acc, _, rssi = raw.rstrip("\n").split(",")
@@ -662,6 +667,10 @@ def _spawn_configured(world: World, config: ScenarioConfig) -> None:
 def _spawn_interference(world: World, config: ScenarioConfig) -> None:
     graph = world.graph
     way_ids = sorted(graph.ways)
+    placed: dict[tuple[int, int], list[float]] = {}  # (segment, lane) -> offsets of the vehicles there
+    n = world.n
+    for key, offset in zip(zip(world.seg[:n].tolist(), world.lane[:n].tolist()), world.s[:n].tolist()):
+        placed.setdefault(key, []).append(offset)
 
     for _ in range(config.interference.count):
         vid = world.n
@@ -676,7 +685,8 @@ def _spawn_interference(world: World, config: ScenarioConfig) -> None:
             ref = graph.ref(way_id, segment, forward)
             lane = int(stream.integers(ref.lanes))
             offset = float(stream.uniform(0.0, ref.length))
-            if world.lane_is_clear(ref, lane, offset, _PLACEMENT_MARGIN_M):
+            taken = placed.setdefault((ref.index, lane), [])
+            if not any(abs(existing - offset) < _PLACEMENT_MARGIN_M for existing in taken):
                 world.spawn(
                     way=way_id,
                     segment=segment,
@@ -686,6 +696,7 @@ def _spawn_interference(world: World, config: ScenarioConfig) -> None:
                     strategic=RandomDirection(),
                     rng=stream,
                 )
+                taken.append(offset)
                 break
         else:
             raise ConfigError(

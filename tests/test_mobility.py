@@ -285,7 +285,7 @@ def test_mobil_safety_veto_protects_new_follower():
     slow = Neighbor(raw_dist=20.0, v=5.0)
     # a matched-speed follower 10 m behind the insertion point is forced to
     # roughly -7.5 m/s^2: blocked at the default bound, allowed at a loose one
-    tail = Neighbor(raw_dist=-15.0, v=15.0, idm=IdmParams(v0=20.0), v0_eff=20.0, vehicle_id=7)
+    tail = Neighbor(raw_dist=-15.0, v=15.0, idm=IdmParams(v0=20.0), v0_eff=20.0)
     ctx = NeighborContext(current=_lanes(leader=slow), left=_lanes(follower=tail), right=None)
     assert _mobil(_ego(b_safe=4.0), ctx) == (0, None)
     direction, follower_acc = _mobil(_ego(b_safe=8.0), ctx)
@@ -297,7 +297,7 @@ def test_mobil_politeness_suppresses_selfish_change():
     slow = Neighbor(raw_dist=25.0, v=10.0)
     # mild imposition on the new follower (about -1.1 m/s^2, no veto): the
     # decision hinges purely on how much the driver weighs the follower's loss
-    tail = Neighbor(raw_dist=-25.0, v=15.0, idm=IdmParams(v0=20.0), v0_eff=20.0, vehicle_id=3)
+    tail = Neighbor(raw_dist=-25.0, v=15.0, idm=IdmParams(v0=20.0), v0_eff=20.0)
     ctx = NeighborContext(current=_lanes(leader=slow), left=_lanes(follower=tail), right=None)
     assert _mobil(_ego(p=4.0), ctx)[0] == 0  # heavily polite driver stays
     assert _mobil(_ego(p=0.0), ctx)[0] == +1  # selfish driver goes
@@ -441,16 +441,15 @@ def test_red_light_holds_then_releases_without_violation():
 def test_strategic_random_direction_is_uniform_and_excludes_reverse():
     nodes = [(1, 0.0, 0.0), (2, 0.0, 100.0), (3, 100.0, 0.0), (4, 0.0, -100.0), (5, -100.0, 0.0)]
     ways = [(10, [5, 1]), (11, [1, 2]), (12, [1, 3]), (13, [1, 4])]
-    world = World(build_graph(nodes, ways), seed=3)
+    graph = build_graph(nodes, ways)
+    world = World(graph, seed=3)
     veh = world.spawn(way=10, offset=10.0, strategic=RandomDirection())
     counts = {2: 0, 3: 0, 4: 0, 5: 0}
-    for _ in range(9999):
-        counts[world.strategic_next(veh, 1)] += 1
+    for _ in range(9999):  # each draw is a segment leaving node 1, counted by its end node
+        counts[graph.ids[graph.end.item(world._draw(veh.id))]] += 1
     assert counts[5] == 0  # no immediate U-turn back up way 10
     for node in (2, 3, 4):
         assert counts[node] / 9999 == pytest.approx(1.0 / 3.0, abs=0.02)
-    with pytest.raises(ValueError, match="end of its segment"):  # the vehicle arrives at node 1 only
-        world.strategic_next(veh, 5)
 
 
 def test_random_direction_drives_the_parallel_way_it_drew():
@@ -469,12 +468,11 @@ def test_random_direction_drives_the_parallel_way_it_drew():
     assert driven == {(11, 0, True), (12, 0, True)}
 
 
-def test_trip_advanced_by_hand_stops_where_its_route_now_ends():
-    # strategic_next moves the trip on: heading for its last destination,
-    # the vehicle brakes to a stop at the end of the route it is driving
+def test_a_one_destination_trip_stops_short_of_its_node():
+    # heading for its only destination, the vehicle brakes to a stop at the
+    # end of its route, one segment before the chain's last node
     world = World(chain_graph(300.0, 4), seed=0)
-    veh = world.spawn(way=1, offset=50.0, speed=10.0, speed_factor=1.0, strategic=Trip((3, 4)))
-    assert world.strategic_next(veh, 2) == 4
+    veh = world.spawn(way=1, offset=50.0, speed=10.0, speed_factor=1.0, strategic=Trip((3,)))
     for _ in range(1000):
         world.step(0.1)
     assert veh.done and veh.ref.end_node == 3
@@ -487,14 +485,14 @@ def test_dead_end_allows_u_turn():
     graph = build_graph([(1, 0.0, 0.0), (2, 400.0, 0.0)], [(1, [1, 2])])
     world = World(graph, seed=0)
     veh = world.spawn(way=1, offset=10.0, strategic=RandomDirection())
-    assert world.strategic_next(veh, 2) == 1
+    assert graph.ids[graph.end.item(world._draw(veh.id))] == 1
 
 
 def test_one_way_dead_end_strands():
     world = World(corridor_graph(500.0))
     veh = world.spawn(way=1, offset=10.0, strategic=RandomDirection())
     with pytest.raises(StrandedError):
-        world.strategic_next(veh, 2)
+        world._draw(veh.id)
 
 
 def test_aborted_step_keeps_the_crossings_before_the_stranded_vehicle_and_unmoves_the_ones_after():
@@ -745,16 +743,15 @@ def test_step_acceleration_is_the_scalar_idm_behind_the_perceived_leader(state):
 
 
 def _scalar_neighbors(world, ego, lane):
-    """Leader and follower of ``ego`` in ``lane`` on a single long segment, by linear scan."""
+    """Leader and follower of ``ego`` in ``lane`` on a single long segment, by linear scan, and the follower's view."""
     ahead = [o for o in world.vehicles.values() if o.lane == lane and o.s > ego.s and o.s - ego.s <= PERCEPTION_HORIZON]
     behind = [o for o in world.vehicles.values() if o.lane == lane and o.s < ego.s]
     leader = min(ahead, key=lambda o: (o.s, o.id), default=None)
     follower = max(behind, key=lambda o: (o.s, o.id), default=None)  # ties: the lane list's last
     return LaneNeighbors(
-        Neighbor(leader.s - ego.s, leader.v, leader.length, vehicle_id=leader.id) if leader else None,
-        Neighbor(follower.s - ego.s, follower.v, follower.length, follower.idm, follower.v0_eff, follower.id)
-        if follower else None,
-    )
+        Neighbor(leader.s - ego.s, leader.v, leader.length) if leader else None,
+        Neighbor(follower.s - ego.s, follower.v, follower.length, follower.idm, follower.v0_eff) if follower else None,
+    ), follower
 
 
 @settings(max_examples=150, deadline=None)
@@ -763,6 +760,8 @@ def _scalar_neighbors(world, ego, lane):
               st.floats(0.0, 20.0), st.floats(0.8, 1.2), st.floats(-0.2, 1.0), st.floats(0.0, 0.5)),
     min_size=2, max_size=25,
 ))
+# equal surpluses on both sides: an exact tie keeps right, so the ego moves to lane 0
+@example([(1, 100.0, 10.0, 1.0, 0.5, 0.2), (1, 115.0, 2.0, 1.0, 0.5, 0.2)])
 def test_lane_changes_are_those_of_the_scalar_mobil(rows):
     # one 3 km three-lane segment; RandomDirection vehicles see nothing past its end
     world = World(corridor_graph(3000.0, lanes=3), seed=1)
@@ -771,16 +770,17 @@ def test_lane_changes_are_those_of_the_scalar_mobil(rows):
                     mobil=MobilParams(p=politeness, delta_a_th=threshold), strategic=RandomDirection())
     expected = []
     for ego in world.vehicles.values():
-        current = _scalar_neighbors(world, ego, ego.lane)
-        sides = [_scalar_neighbors(world, ego, ego.lane + d) if 0 <= ego.lane + d < 3 else None for d in (1, -1)]
+        current, _ = _scalar_neighbors(world, ego, ego.lane)
+        sides = [_scalar_neighbors(world, ego, ego.lane + d) if 0 <= ego.lane + d < 3 else (None, None)
+                 for d in (1, -1)]
         a_c = idm_acceleration(ego.v, ego.v0_eff, 0.0, math.inf, ego.idm) if current.leader is None else (
             idm_acceleration(ego.v, ego.v0_eff, ego.v - current.leader.v,
                              max(abs(current.leader.raw_dist) - (ego.length + current.leader.length) / 2.0, 0.01),
                              ego.idm))
-        direction, follower_acc = mobil_decide(ego, a_c, NeighborContext(current, *sides))
+        direction, follower_acc = mobil_decide(ego, a_c, NeighborContext(current, sides[0][0], sides[1][0]))
         if direction:
-            follower = sides[0 if direction == 1 else 1].follower
-            expected.append((ego.id, ego.lane, ego.lane + direction, follower and follower.vehicle_id, follower_acc))
+            follower = sides[0 if direction == 1 else 1][1]
+            expected.append((ego.id, ego.lane, ego.lane + direction, follower and follower.id, follower_acc))
     world.step(0.1)
     assert [(r.vehicle_id, r.from_lane, r.to_lane, r.follower_id, r.follower_acc_after)
             for r in world.lane_changes] == expected
@@ -797,21 +797,6 @@ def test_positions_equal_position_for_every_vehicle():
     assert any(veh.done for veh in world.vehicles.values())
 
 
-def test_lane_is_clear_sees_vehicles_spawned_and_moved():
-    world = World(corridor_graph(1000.0, lanes=2))
-    ref = world.graph.ref(1, 0, True)
-    assert world.lane_is_clear(ref, 0, 100.0, 8.0)
-    world.spawn(way=1, lane=0, offset=100.0, speed=10.0, speed_factor=1.0, strategic=RandomDirection())
-    assert not world.lane_is_clear(ref, 0, 105.0, 8.0)
-    assert world.lane_is_clear(ref, 1, 105.0, 8.0)
-    for _ in range(10):
-        world.step(0.1)  # one second at about 10 m/s
-    assert world.lane_is_clear(ref, 0, 100.0, 8.0)
-    assert not world.lane_is_clear(ref, 0, 110.0, 8.0)
-    world.spawn(way=1, lane=1, offset=500.0)
-    assert not world.lane_is_clear(ref, 1, 495.0, 8.0)
-
-
 def test_a_vehicle_is_a_view_of_the_world_columns():
     world = World(corridor_graph(1000.0, lanes=2))
     ego = world.spawn(way=1, offset=100.0, speed=10.0, speed_factor=1.0, strategic=RandomDirection())
@@ -819,13 +804,12 @@ def test_a_vehicle_is_a_view_of_the_world_columns():
     world.step(0.1)
     assert (ego.s, other.s) == (world.s[0], world.s[1])
     assert {type(ego.s), type(ego.lane), type(ego.done)} == {float, int, bool}
-    # a write goes to the column and drops the lane table and the placement index built from it
-    assert world.perceive_leader(ego) is None and world.lane_is_clear(world.graph.ref(1, 0), 0, 301.0, 8.0)
+    # a write goes to the column and drops the lane table built from it
+    assert world.perceive_leader(ego) is None
     other.lane = 0
     assert world.lane[1] == 0
     gap, _ = world.perceive_leader(ego)
     assert gap == other.s - ego.s - 5.0
-    assert not world.lane_is_clear(world.graph.ref(1, 0), 0, 301.0, 8.0)
     # each read builds new views; their driver fields read the one record per id, which no view assigns
     view = world.vehicles[0]
     assert view is not ego and view.id == ego.id and view.strategic is ego.strategic and view.rng is ego.rng
@@ -1007,7 +991,8 @@ def test_perceive_leader_is_the_route_walk_after_every_step_of_a_multilane_grid(
         for _ in range(20):
             way, segment, lane = int(rng.choice(way_ids)), int(rng.integers(3)), int(rng.integers(2))
             forward, offset = bool(rng.integers(2)), float(rng.uniform(5.0, 75.0))
-            if world.lane_is_clear(graph.ref(way, segment, forward), lane, offset, 8.0):
+            n, seg = world.n, graph.ref(way, segment, forward).index  # clear: no vehicle within 8 m in that lane
+            if not (np.abs(world.s[:n] - offset) < 8.0)[(world.seg[:n] == seg) & (world.lane[:n] == lane)].any():
                 strategic = Trip([int(rng.integers(1, 17))]) if rng.random() < 0.2 else RandomDirection()
                 world.spawn(way=way, segment=segment, lane=lane, offset=offset, forward=forward,
                             speed=float(rng.uniform(0.0, 12.0)), strategic=strategic)

@@ -804,6 +804,11 @@ _MALFORMED_TRACES = {
     "blank-line": (f"{TRACE_HEADER}\n{_GOOD_ROW}\n\n{_GOOD_ROW}\n", "line 3"),
     "crlf": (f"{TRACE_HEADER}\r\n{_GOOD_ROW}\r\n", "line 1"),
     "id-beyond-int64": (f"{TRACE_HEADER}\n{_GOOD_ROW}\n0,{2 ** 63},1,2,3,0,,\n", "line 3"),
+    # a byte that does not decode is named at its own line, not at the line a decoder reading ahead has reached
+    "undecodable-byte": ((f"{TRACE_HEADER}\n" + f"{_GOOD_ROW}\n" * 1499).encode() + b"0,0,1\xff,2,3,0,,\n"
+                         + f"{_GOOD_ROW}\n".encode() * 1500, "line 1501"),
+    "undecodable-byte-in-a-short-trace": (f"{TRACE_HEADER}\n{_GOOD_ROW}\n".encode() + b"0,0,1\xff,2,3,0,,\n"
+                                          + f"{_GOOD_ROW}\n".encode() * 8, "line 3"),
 }
 
 
@@ -811,7 +816,7 @@ _MALFORMED_TRACES = {
 def test_malformed_trace_is_a_located_input_error(corridor_map, tmp_path, capsys, caplog, name):
     text, where = _MALFORMED_TRACES[name]
     trace = tmp_path / "trace.csv"
-    trace.write_text(text)
+    trace.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(ValueError, match=where):
         read_trace(trace)
     for argv in (["spacetime", str(trace), "--out", str(tmp_path / "st.csv")],
@@ -1461,13 +1466,26 @@ def test_code_built_radio_params_at_their_edge_run_and_echo(corridor_map, tmp_pa
     assert load_config((tmp_path / "edge" / "config.ini").read_text()).radio == cfg.radio
 
 
-def test_cli_config_errors_exit_1(corridor_map, tmp_path, capsys):
+def test_cli_config_errors_exit_1(corridor_map, tmp_path, capsys, caplog):
     bad = _write_config(tmp_path, "map = net.osm\nduration = 10\nbogus = 1\n")
     assert cli_main(["run", str(bad), "--out", str(tmp_path / "o1")]) == 1
     assert "bogus" in capsys.readouterr().err
     missing_map = _write_config(tmp_path, "map = nowhere.osm\nduration = 10\n")
     assert cli_main(["run", str(missing_map), "--out", str(tmp_path / "o2")]) == 1
     assert "error" in capsys.readouterr().err
+    # a directory where a file is read: as the config, as its map and as a trace
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    map_is_folder = _write_config(tmp_path, f"map = {folder}\nduration = 10\n")
+    for argv in (["run", str(folder), "--out", str(tmp_path / "o3")],
+                 ["run", str(map_is_folder), "--out", str(tmp_path / "o4")],
+                 ["map-svg", str(folder), "--out", str(tmp_path / "m.svg")],
+                 ["map-svg", str(corridor_map), "--trace", str(folder), "--out", str(tmp_path / "m.svg")],
+                 ["spacetime", str(folder), "--out", str(tmp_path / "st.csv")]):
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err + caplog.text
 
 
 def test_cli_simulation_errors_exit_2(corridor_map, tmp_path, capsys):
